@@ -22,7 +22,9 @@ class DenseMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        # ascontiguousarray returns the caller's own array when it already
+        # fits, so freeze a view of it, never the caller's object.
+        arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
         if arr.ndim != 2:
             raise ValueError("DenseMatrix requires a 2-d array")
         if not np.all(np.isfinite(arr)):

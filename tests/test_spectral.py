@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vandcond import cauchyinv, knotgen, spectral, structmat
-from vandcond.errors import ZeroPivot
+from vandcond.errors import RangeOverflow, ZeroPivot
 
 
 def kv(points):
@@ -137,6 +137,74 @@ class TestGenpSolve:
         assert 5.31e-4 < mean < 5.31e-2
 
 
+def _column_loop_min_pivot(a):
+    """Unblocked GENP reference: one rank-1 update per column."""
+    U = np.array(a, dtype=np.complex128)
+    n = U.shape[0]
+    min_pivot = math.inf
+    for k in range(n):
+        piv = U[k, k]
+        min_pivot = min(min_pivot, abs(piv))
+        mult = U[k + 1:, k] / piv
+        U[k + 1:, k:] -= np.outer(mult, U[k, k:])
+    return min_pivot
+
+
+def _dominant(n, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + 4.0 * n * np.eye(n)
+
+
+class TestGenpBlockedFactor:
+    B = spectral.GENP_BLOCK
+
+    @pytest.mark.parametrize("n,step", [(2 * B + 10, B + 3),
+                                        (2 * B + 10, 2 * B + 7),
+                                        (B + 1, B)])
+    def test_zero_pivot_step_past_first_block(self, n, step):
+        # Row `step` vanishes through column `step`: every multiplier taken
+        # from it is 0, so its pivot stays exactly 0 under any update order.
+        a = _dominant(n, 31)
+        a[step, :step + 1] = 0.0
+        with pytest.raises(ZeroPivot) as err:
+            spectral.genp_solve(structmat.DenseMatrix(a), np.ones(n))
+        assert (err.value.step, err.value.magnitude) == (step, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_packed_factor_rebuilds_matrix(self, n):
+        a = _dominant(n, n)
+        LU, min_pivot = spectral._genp_factor(a)
+        L = np.tril(LU, -1) + np.eye(n)
+        U = np.triu(LU)
+        err = np.linalg.norm(L @ U - a, 2)
+        assert err <= 10.0 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
+        assert min_pivot == min(abs(p) for p in np.diag(LU))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 31, 32, 64])
+    def test_min_pivot_matches_column_loop(self, n):
+        _, min_pivot = spectral.genp_solve(structmat.dft(n), np.ones(n))
+        assert min_pivot == _column_loop_min_pivot(structmat.dft(n).data)
+        assert spectral.genp_residual_experiment(n, 3, 5).min_pivot == min_pivot
+
+    def test_solution_matches_dense_solver(self):
+        a = _dominant(150, 9)
+        b = np.arange(150.0) + 1j
+        x, _ = spectral.genp_solve(structmat.DenseMatrix(a), b)
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+
+    def test_factor_overflow_raises(self):
+        # A tiny but nonzero pivot makes the multiplier 1e309 overflow.
+        A = structmat.DenseMatrix(np.array([[1e-299, 1e10], [1e10, 1.0]],
+                                           dtype=complex))
+        with pytest.raises(RangeOverflow):
+            spectral.genp_solve(A, np.ones(2))
+
+    def test_nonfinite_rhs_rejected(self):
+        with pytest.raises(ValueError):
+            spectral.genp_solve(structmat.dft(4), np.array([1.0, np.nan, 0, 0]))
+
+
 class TestGenpExperiment:
     def test_reproducible(self):
         a = spectral.genp_residual_experiment(16, 20, 7)
@@ -149,6 +217,15 @@ class TestGenpExperiment:
         stats = spectral.genp_residual_experiment(2, 1, 1)
         assert math.isfinite(stats.mean_rn)
         assert stats.std_rn == 0.0
+
+    def test_diagnostics(self):
+        for n in (16, 100):
+            stats = spectral.genp_residual_experiment(n, 4, 3)
+            a = structmat.dft(n).data
+            LU, min_pivot = spectral._genp_factor(a)
+            assert stats.min_pivot == min_pivot
+            assert stats.growth == np.abs(np.triu(LU)).max() / np.abs(a).max()
+            assert stats.growth >= 1.0
 
     def test_reference_scales(self):
         m16 = spectral.genp_residual_experiment(16, 100, 12345).mean_rn

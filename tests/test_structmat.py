@@ -36,6 +36,13 @@ class TestVandermonde:
         with pytest.raises(ValueError):
             V.data[0, 0] = 5.0
 
+    def test_caller_array_stays_writeable(self):
+        a = np.eye(3, dtype=complex)
+        M = structmat.DenseMatrix(a)
+        assert a.flags.writeable
+        assert not M.data.flags.writeable
+        a[0, 1] = 2.0
+
     def test_finite_required(self):
         with pytest.raises(ValueError):
             structmat.DenseMatrix(np.array([[np.inf, 0], [0, 1]], dtype=complex))
