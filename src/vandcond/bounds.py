@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchyinv import InverseVariant, _log_products, cv_inverse_log_entries
+from .cauchyinv import InverseVariant, cv_inverse_log_entries
 from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
 from .knotgen import DISTINCT_TOL, KnotVector
+from .logdomain import check_disjoint, log_products, pow_diff_logs
 from .spectral import max_abs_on_circle, poly_from_roots, singular_values
 from .structmat import cv_knots, vandermonde
 
@@ -166,13 +167,6 @@ def _nudge_f(f: complex, n: int) -> complex:
                        math.sin(2.0 * math.pi * 2.0 ** -40 / n))
 
 
-def _log10_max_pow_diff(sp: np.ndarray, f: complex, n: int) -> float:
-    from .cauchyinv import _pow_diff_logs
-
-    mag, _ = _pow_diff_logs(sp, f, n)
-    return float(np.max(mag))
-
-
 def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
              tol: float = DISTINCT_TOL) -> BoundReport:
     """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
@@ -188,17 +182,15 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     sp = s.as_array()
     n = len(sp)
     nudged = False
-    gap = np.min(np.abs(sp[:, None] - cv_knots(n, f)[None, :]))
-    if gap <= tol:
+    try:
+        check_disjoint(sp, cv_knots(n, f), tol)
+    except KnotCollision:
         f = _nudge_f(f, n)
         nudged = True
-        gap2 = np.abs(sp[:, None] - cv_knots(n, f)[None, :])
-        if gap2.min() <= tol:
-            i, j = np.unravel_index(int(gap2.argmin()), gap2.shape)
-            raise KnotCollision(int(i), int(j), float(gap2.min()))
+        check_disjoint(sp, cv_knots(n, f), tol)
     logs, _ = cv_inverse_log_entries(s, f, variant, tol)
     log_inv_entry = float(np.max(logs))
-    log_pow = _log10_max_pow_diff(sp, f, n)
+    log_pow = float(np.max(pow_diff_logs(sp, f, n)[0]))
     value = 0.5 * math.log10(n) + log_inv_entry - log_pow
     params = {"n": n, "f": f, "nudged": nudged,
               "log10_inv_norm_entry": log_inv_entry,
@@ -235,8 +227,8 @@ def bound_circle_value(s: KnotVector, grid: int = 0) -> BoundReport:
     value = 0.5 * math.log10(n) + log_max - _LOG2
     grid_n = np.exp(2j * np.pi * np.arange(n + 1) / n)          # i = 0..n on omega_n
     grid_n1 = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))   # i = 0..n on omega_{n+1}
-    mags_n, _ = _log_products(grid_n, pts)
-    mags_n1, _ = _log_products(grid_n1, pts)
+    mags_n, _ = log_products(grid_n, pts)
+    mags_n1, _ = log_products(grid_n1, pts)
     s_plus = s.max_modulus()
     ok = s_plus <= 1.0 + 1e-12
     return BoundReport(

@@ -23,23 +23,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KnotCollision, RangeOverflow
 from .knotgen import DISTINCT_TOL, KnotVector
-from .structmat import DenseMatrix, cv_knots
-
-#: Conversions to complex refuse log10 magnitudes beyond this.
-RANGE_LOG10 = 300.0
-
-
-def _wrap_phase(p: float) -> float:
-    r = math.remainder(p, 2.0 * math.pi)
-    if r <= -math.pi:
-        r += 2.0 * math.pi
-    return r
+from .logdomain import (RANGE_LOG10, LogComplex, check_disjoint, diff_blocks,
+                        log_products, pow_diff_logs, self_derivative_logs,
+                        wrap_phase)
+from .spectral import poly_from_roots
+from .structmat import DenseMatrix, cv_knots, frozen
 
 
 class InverseVariant(enum.Enum):
@@ -47,97 +40,12 @@ class InverseVariant(enum.Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex scalar stored as log10 of its magnitude plus a phase.
-
-    Products add the components, so chains of thousands of factors stay
-    exact in magnitude where ordinary doubles would overflow or underflow.
-    A log10 magnitude of -inf encodes an exact zero.
-    """
-
-    log10mag: float
-    phase: float = 0.0
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls(-math.inf, 0.0)
-        return cls(math.log10(abs(z)), math.atan2(z.imag, z.real))
-
-    @classmethod
-    def one(cls) -> "LogComplex":
-        return cls(0.0, 0.0)
-
-    def is_zero(self) -> bool:
-        return self.log10mag == -math.inf
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero() or other.is_zero():
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log10mag + other.log10mag,
-                          _wrap_phase(self.phase + other.phase))
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero():
-            raise ZeroDivisionError("division by a zero LogComplex")
-        if self.is_zero():
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log10mag - other.log10mag,
-                          _wrap_phase(self.phase - other.phase))
-
-    def __neg__(self) -> "LogComplex":
-        if self.is_zero():
-            return self
-        return LogComplex(self.log10mag, _wrap_phase(self.phase + math.pi))
-
-    def __pow__(self, k: int) -> "LogComplex":
-        if self.is_zero():
-            return LogComplex(0.0, 0.0) if k == 0 else LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log10mag * k, _wrap_phase(self.phase * k))
-
-    def to_complex(self) -> complex:
-        if self.is_zero():
-            return 0j
-        if abs(self.log10mag) > RANGE_LOG10:
-            raise RangeOverflow(self.log10mag)
-        mag = 10.0 ** self.log10mag
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
-
-
-def _log_products(xs: np.ndarray, knots: np.ndarray):
-    """log10 magnitude and raw phase of prod_k (x - knots[k]) for each x.
-
-    Chunked so the (len(xs), len(knots)) difference table never exceeds a
-    few megabytes.  Exact hits produce -inf magnitudes.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
-    knots = np.asarray(knots, dtype=np.complex128)
-    out_mag = np.empty(len(xs))
-    out_ph = np.empty(len(xs))
-    chunk = max(1, int(2e6) // max(1, len(knots)))
-    with np.errstate(divide="ignore"):
-        for lo in range(0, len(xs), chunk):
-            d = xs[lo:lo + chunk, None] - knots[None, :]
-            out_mag[lo:lo + chunk] = np.sum(np.log10(np.abs(d)), axis=1)
-            out_ph[lo:lo + chunk] = np.sum(np.angle(d), axis=1)
-    return out_mag, out_ph
-
-
 def log_root_product(knots: KnotVector, x: complex) -> LogComplex:
     """prod_i (x - s_i) as a LogComplex; exactly zero when x is a knot."""
-    mag, ph = _log_products(np.array([complex(x)]), knots.as_array())
+    mag, ph = log_products(np.array([complex(x)]), knots.as_array())
     if not np.isfinite(mag[0]):
         return LogComplex(-math.inf, 0.0)
-    return LogComplex(float(mag[0]), _wrap_phase(float(ph[0])))
-
-
-def _check_disjoint(sp: np.ndarray, tp: np.ndarray, tol: float) -> None:
-    gap = np.abs(sp[:, None] - tp[None, :])
-    if gap.min() <= tol:
-        i, j = np.unravel_index(int(gap.argmin()), gap.shape)
-        raise KnotCollision(int(i), int(j), float(gap.min()))
+    return LogComplex(float(mag[0]), wrap_phase(float(ph[0])))
 
 
 def cauchy_det(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> LogComplex:
@@ -145,114 +53,88 @@ def cauchy_det(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> LogCo
     sp, tp = s.as_array(), t.as_array()
     if len(sp) != len(tp):
         raise ValueError("determinant requires a square matrix")
-    _check_disjoint(sp, tp, tol)
+    check_disjoint(sp, tp, tol)
     n = len(sp)
-    mag, ph = 0.0, 0.0
+    cross_mag, cross_ph = log_products(sp, tp)
+    mag, ph = -float(np.sum(cross_mag)), -float(np.sum(cross_ph))
     iu, ju = np.triu_indices(n, k=1)
     if n > 1:
         ds = sp[ju] - sp[iu]
         dt = tp[iu] - tp[ju]
         mag += float(np.sum(np.log10(np.abs(ds))) + np.sum(np.log10(np.abs(dt))))
         ph += float(np.sum(np.angle(ds)) + np.sum(np.angle(dt)))
-    dst = sp[:, None] - tp[None, :]
-    mag -= float(np.sum(np.log10(np.abs(dst))))
-    ph -= float(np.sum(np.angle(dst)))
-    return LogComplex(mag, _wrap_phase(ph))
+    return LogComplex(mag, wrap_phase(ph))
 
 
-def _self_derivative_logs(points: np.ndarray):
-    """log10 magnitude and phase of prod_{k != j} (p_j - p_k) for each j."""
-    d = points[:, None] - points[None, :]
-    np.fill_diagonal(d, 1.0)
-    return np.sum(np.log10(np.abs(d)), axis=1), np.sum(np.angle(d), axis=1)
+def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
+                  tol: float, cv_f=None):
+    """(log10 magnitude, wrapped phase) tables of every inverse entry.
 
-
-def _pow_diff_logs(z: np.ndarray, f: complex, n: int):
-    """log10 magnitude and phase of z**n - f**n, safe for |z| far from 1.
-
-    For |z| large the difference is factored as z**n (1 - (f/z)**n) so the
-    huge power never leaves the log domain.
+    One table of log10|t_i - s_j| and angle(t_i - s_j) serves every factor:
+    its row sums give s(t_i) and, for a Cauchy pair, its column sums plus
+    n pi give t(s_j).  With `cv_f` the column polynomial is
+    t(x) = x**n - f**n, evaluated in closed form.  The table is then turned
+    into the entries in place; the paper variant reads it transposed.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    mag = np.empty(len(z))
-    ph = np.empty(len(z))
-    fl = np.log10(abs(f)) if f != 0 else -math.inf
-    for idx, zi in enumerate(z):
-        zl = np.log10(abs(zi)) if zi != 0 else -math.inf
-        if n * max(zl, fl) <= 150.0:
-            w = zi ** n - complex(f) ** n
-            if w == 0:
-                mag[idx], ph[idx] = -math.inf, 0.0
-            else:
-                mag[idx], ph[idx] = math.log10(abs(w)), math.atan2(w.imag, w.real)
-        elif zl >= fl:
-            rest = 1.0 - (complex(f) / zi) ** n
-            mag[idx] = n * zl + math.log10(abs(rest))
-            ph[idx] = n * math.atan2(zi.imag, zi.real) + math.atan2(rest.imag, rest.real)
-        else:
-            rest = (zi / complex(f)) ** n - 1.0
-            mag[idx] = n * fl + math.log10(abs(rest))
-            ph[idx] = n * math.atan2(f.imag, f.real) + math.atan2(rest.imag, rest.real)
-    return mag, ph
-
-
-class _InverseFactors:
-    """Shared log-domain factor tables for one (s, t) knot pair."""
-
-    def __init__(self, sp, tp, tol, cv_f=None):
-        self.sp, self.tp = sp, tp
-        self.n = len(sp)
-        _check_disjoint(sp, tp, tol)
-        self.s_at_t_mag, self.s_at_t_ph = _log_products(tp, sp)
+    n = len(sp)
+    if len(tp) != n:
+        raise ValueError("inverse requires a square matrix")
+    check_disjoint(sp, tp, tol)
+    corrected = variant is InverseVariant.CORRECTED
+    if corrected:
+        # Before the tables exist, so their scratch never overlaps them.
+        sp_mag, sp_ph = self_derivative_logs(sp)
         if cv_f is None:
-            self.t_at_s_mag, self.t_at_s_ph = _log_products(sp, tp)
-        else:
-            self.t_at_s_mag, self.t_at_s_ph = _pow_diff_logs(sp, cv_f, self.n)
-        self.sp_mag, self.sp_ph = _self_derivative_logs(sp)
-        if cv_f is None:
-            self.tp_mag, self.tp_ph = _self_derivative_logs(tp)
+            tp_mag, tp_ph = self_derivative_logs(tp)
         else:
             # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
-            self.tp_mag = math.log10(self.n) + (self.n - 1) * np.log10(np.abs(tp))
-            self.tp_ph = (self.n - 1) * np.angle(tp)
+            tp_mag = math.log10(n) + (n - 1) * np.log10(np.abs(tp))
+            tp_ph = (n - 1) * np.angle(tp)
+    mag = np.empty((n, n))
+    ph = np.empty((n, n))
+    for lo, d in diff_blocks(tp, sp):
+        np.log10(np.abs(d), out=mag[lo:lo + len(d)])
+        ph[lo:lo + len(d)] = np.angle(d)
+    s_at_t_mag, s_at_t_ph = mag.sum(axis=1), ph.sum(axis=1)
+    if cv_f is None:
+        t_at_s_mag, t_at_s_ph = mag.sum(axis=0), ph.sum(axis=0) + math.pi * n
+    else:
+        t_at_s_mag, t_at_s_ph = pow_diff_logs(sp, cv_f, n)
+    if corrected:
+        s_at_t_mag, s_at_t_ph = s_at_t_mag - tp_mag, s_at_t_ph - tp_ph
+        t_at_s_mag, t_at_s_ph = t_at_s_mag - sp_mag, t_at_s_ph - sp_ph
+    else:
+        s_at_t_ph += math.pi * n
+    for table, rows, cols in ((mag, s_at_t_mag, t_at_s_mag),
+                              (ph, s_at_t_ph, t_at_s_ph)):
+        np.negative(table, out=table)
+        table += rows[:, None]
+        table += cols[None, :]
+    wrap_phase(ph, out=ph)
+    return (mag, ph) if corrected else (mag.T, ph.T)
 
-    def paper_logs(self):
-        """Entry (i, j) = (-1)^n s(t_j) t(s_i) / (t_j - s_i)."""
-        d = self.tp[None, :] - self.sp[:, None]
-        mag = (self.s_at_t_mag[None, :] + self.t_at_s_mag[:, None]
-               - np.log10(np.abs(d)))
-        ph = (self.s_at_t_ph[None, :] + self.t_at_s_ph[:, None]
-              - np.angle(d) + math.pi * self.n)
-        return mag, ph
 
-    def corrected_logs(self):
-        """Entry (i, j) = s(t_i) t(s_j) / ((t_i - s_j) s'(s_j) t'(t_i))."""
-        d = self.tp[:, None] - self.sp[None, :]
-        mag = (self.s_at_t_mag[:, None] + self.t_at_s_mag[None, :]
-               - np.log10(np.abs(d)) - self.sp_mag[None, :] - self.tp_mag[:, None])
-        ph = (self.s_at_t_ph[:, None] + self.t_at_s_ph[None, :]
-              - np.angle(d) - self.sp_ph[None, :] - self.tp_ph[:, None])
-        return mag, ph
-
-    def logs(self, variant: InverseVariant):
-        if variant is InverseVariant.PAPER:
-            return self.paper_logs()
-        return self.corrected_logs()
-
-
-def _entry(factors: _InverseFactors, i, j, variant) -> LogComplex:
-    mag, ph = factors.logs(variant)
-    return LogComplex(float(mag[i, j]), _wrap_phase(float(ph[i, j])))
+def _materialize(mag: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Complex entries 10**mag * exp(i ph), built over the engine's tables."""
+    peak = float(np.max(mag))
+    if peak > RANGE_LOG10:
+        i, j = np.unravel_index(int(mag.argmax()), mag.shape)
+        raise RangeOverflow(peak, where=f"entry ({i},{j})")
+    out = np.empty(mag.shape, dtype=np.complex128)
+    np.power(10.0, mag, out=mag)
+    np.cos(ph, out=out.real)
+    np.sin(ph, out=out.imag)
+    out.real *= mag
+    out.imag *= mag
+    return frozen(out)
 
 
 def cauchy_inverse_entry(s: KnotVector, t: KnotVector, i: int, j: int,
                          variant: InverseVariant,
                          tol: float = DISTINCT_TOL) -> LogComplex:
     """Entry (i, j) of the chosen inverse variant, in the log domain."""
-    sp, tp = s.as_array(), t.as_array()
-    if len(sp) != len(tp):
-        raise ValueError("inverse requires a square matrix")
-    return _entry(_InverseFactors(sp, tp, tol), i, j, variant)
+    mag, ph = _inverse_logs(s.as_array(), t.as_array(), variant, tol)
+    return LogComplex(float(mag[i, j]), float(ph[i, j]))
 
 
 def cv_inverse_entry(s: KnotVector, f: complex, i: int, j: int,
@@ -260,27 +142,15 @@ def cv_inverse_entry(s: KnotVector, f: complex, i: int, j: int,
                      tol: float = DISTINCT_TOL) -> LogComplex:
     """Entry (i, j) of the CV inverse, with t(x) = x**n - f**n substituted."""
     sp = s.as_array()
-    tp = cv_knots(len(sp), f)
-    return _entry(_InverseFactors(sp, tp, tol, cv_f=complex(f)), i, j, variant)
-
-
-def _materialize(mag: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    peak = float(np.max(mag))
-    if peak > RANGE_LOG10:
-        i, j = np.unravel_index(int(mag.argmax()), mag.shape)
-        raise RangeOverflow(peak, where=f"entry ({i},{j})")
-    return 10.0 ** mag * np.exp(1j * ph)
+    mag, ph = _inverse_logs(sp, cv_knots(len(sp), f), variant, tol, complex(f))
+    return LogComplex(float(mag[i, j]), float(ph[i, j]))
 
 
 def cauchy_inverse(s: KnotVector, t: KnotVector, variant: InverseVariant,
                    tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Full inverse assembled entrywise from the chosen closed form."""
-    sp, tp = s.as_array(), t.as_array()
-    if len(sp) != len(tp):
-        raise ValueError("inverse requires a square matrix")
-    factors = _InverseFactors(sp, tp, tol)
-    mag, ph = factors.logs(variant)
-    return DenseMatrix(_materialize(mag, ph), "custom",
+    logs = _inverse_logs(s.as_array(), t.as_array(), variant, tol)
+    return DenseMatrix(_materialize(*logs), "custom",
                        {"inverse_of": "cauchy", "variant": variant.value})
 
 
@@ -288,18 +158,10 @@ def cv_inverse(s: KnotVector, f: complex, variant: InverseVariant,
                tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Full CV inverse; the column polynomial is t(x) = x**n - f**n."""
     sp = s.as_array()
-    tp = cv_knots(len(sp), f)
-    factors = _InverseFactors(sp, tp, tol, cv_f=complex(f))
-    mag, ph = factors.logs(variant)
-    return DenseMatrix(_materialize(mag, ph), "custom",
+    logs = _inverse_logs(sp, cv_knots(len(sp), f), variant, tol, complex(f))
+    return DenseMatrix(_materialize(*logs), "custom",
                        {"inverse_of": "cv", "variant": variant.value,
                         "f": complex(f)})
-
-
-def _wrap_phases(ph: np.ndarray) -> np.ndarray:
-    r = np.remainder(ph + np.pi, 2.0 * np.pi) - np.pi
-    r[r == -np.pi] = np.pi
-    return r
 
 
 def cv_inverse_log_entries(s: KnotVector, f: complex,
@@ -307,22 +169,14 @@ def cv_inverse_log_entries(s: KnotVector, f: complex,
                            tol: float = DISTINCT_TOL):
     """(log10 magnitude, phase) tables of all CV inverse entries; overflow-free."""
     sp = s.as_array()
-    tp = cv_knots(len(sp), f)
-    factors = _InverseFactors(sp, tp, tol, cv_f=complex(f))
-    mag, ph = factors.logs(variant)
-    return mag, _wrap_phases(ph)
+    return _inverse_logs(sp, cv_knots(len(sp), f), variant, tol, complex(f))
 
 
 def cauchy_inverse_log_entries(s: KnotVector, t: KnotVector,
                                variant: InverseVariant,
                                tol: float = DISTINCT_TOL):
     """(log10 magnitude, phase) tables of all Cauchy inverse entries."""
-    sp, tp = s.as_array(), t.as_array()
-    if len(sp) != len(tp):
-        raise ValueError("inverse requires a square matrix")
-    factors = _InverseFactors(sp, tp, tol)
-    mag, ph = factors.logs(variant)
-    return mag, _wrap_phases(ph)
+    return _inverse_logs(s.as_array(), t.as_array(), variant, tol)
 
 
 def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
@@ -340,7 +194,7 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     omega = np.exp(2j * np.pi * np.arange(n) / n)
     omega_h = np.conj(np.power.outer(omega, np.arange(n)))  # Omega^H (symmetric Omega)
     left = (f ** (n - 1 - np.arange(n)))[:, None] * omega_h * np.conj(omega)[None, :]
-    mag, ph = _pow_diff_logs(sp, f, n)
+    mag, ph = pow_diff_logs(sp, f, n)
     if np.any(np.isinf(mag) & (mag < 0)):
         bad = int(np.argmin(mag))
         raise KnotCollision(bad, 0, 0.0)
@@ -350,7 +204,7 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     out = (left @ cinv) * right[None, :]
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="assembled inverse")
-    return DenseMatrix(out, "custom",
+    return DenseMatrix(frozen(out), "custom",
                        {"inverse_of": "vandermonde", "route": "cv",
                         "variant": variant.value, "f": f})
 
@@ -361,12 +215,10 @@ def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
     Column i holds the coefficients of s(x) / ((x - s_i) s'(s_i)); the
     orientation is fixed by the residual identity V @ V^{-1} = I.
     """
-    from .spectral import poly_from_roots  # local import, no cycle at module load
-
     sp = s.as_array()
     n = len(sp)
     full = poly_from_roots(s)  # ascending, monic, length n+1
-    sp_mag, sp_ph = _self_derivative_logs(sp)
+    sp_mag, sp_ph = self_derivative_logs(sp)
     out = np.empty((n, n), dtype=np.complex128)
     for i in range(n):
         # Deflate by the root s_i: synthetic division from the top coefficient.
@@ -378,5 +230,5 @@ def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
         out[:, i] = q / deriv
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="lagrange coefficients")
-    return DenseMatrix(out, "custom",
+    return DenseMatrix(frozen(out), "custom",
                        {"inverse_of": "vandermonde", "route": "lagrange"})

@@ -82,9 +82,7 @@ def _cmd_gen_knots(args, parser) -> int:
     if args.out:
         knotgen.write_knots(kv, args.out)
     else:
-        sys.stdout.write(f"# {kv.label} n={len(kv)}\n")
-        for z in kv:
-            sys.stdout.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        knotgen.dump_knots(kv, sys.stdout)
     return 0
 
 
@@ -100,47 +98,35 @@ def _cmd_cond(args, parser) -> int:
     return 0
 
 
-def _print_entries(mat_or_logs, log_domain: bool) -> None:
-    if log_domain:
-        mag, ph = mat_or_logs
-        print("i,j,log10mag,phase")
-        n, m = mag.shape
-        for i in range(n):
-            for j in range(m):
-                print(f"{i},{j},{mag[i, j]:.17g},{ph[i, j]:.17g}")
-    else:
-        data = mat_or_logs
-        print("i,j,re,im")
-        n, m = data.shape
-        for i in range(n):
-            for j in range(m):
-                z = data[i, j]
-                print(f"{i},{j},{z.real:.17g},{z.imag:.17g}")
+def _print_entries(header: str, a: np.ndarray, b: np.ndarray) -> None:
+    """One csv line `i,j,a[i, j],b[i, j]` per entry of two same-shape tables."""
+    print(header)
+    for i in range(a.shape[0]):
+        sys.stdout.write("".join(f"{i},{j},{x:.17g},{y:.17g}\n" for j, (x, y)
+                                 in enumerate(zip(a[i].tolist(), b[i].tolist()))))
 
 
 def _cmd_invert(args, parser) -> int:
     kv = _resolve_knots(args, parser)
     variant = cauchyinv.InverseVariant(args.variant)
     f = args.f if args.f is not None else DEFAULT_F
-    if args.method == "lagrange":
-        data = cauchyinv.vandermonde_inverse_lagrange(kv).data
-        if args.log_domain:
-            with np.errstate(divide="ignore"):
-                _print_entries((np.log10(np.abs(data)), np.angle(data)), True)
-        else:
-            _print_entries(data, False)
+    if args.method == "cauchy" and args.log_domain:
+        # The CV-matrix inverse is native to the log domain.
+        _print_entries("i,j,log10mag,phase",
+                       *cauchyinv.cv_inverse_log_entries(kv, f, variant))
+        return 0
+    if args.method == "cauchy":
+        data = cauchyinv.cv_inverse(kv, f, variant).data
     elif args.method == "cv":
         data = cauchyinv.vandermonde_inverse_via_cv(kv, f, variant).data
-        if args.log_domain:
-            with np.errstate(divide="ignore"):
-                _print_entries((np.log10(np.abs(data)), np.angle(data)), True)
-        else:
-            _print_entries(data, False)
-    else:  # cauchy: the CV-matrix inverse itself, native log domain
-        if args.log_domain:
-            _print_entries(cauchyinv.cv_inverse_log_entries(kv, f, variant), True)
-        else:
-            _print_entries(cauchyinv.cv_inverse(kv, f, variant).data, False)
+    else:
+        data = cauchyinv.vandermonde_inverse_lagrange(kv).data
+    if args.log_domain:
+        with np.errstate(divide="ignore"):
+            _print_entries("i,j,log10mag,phase", np.log10(np.abs(data)),
+                           np.angle(data))
+    else:
+        _print_entries("i,j,re,im", data.real, data.imag)
     return 0
 
 

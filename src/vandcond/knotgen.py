@@ -197,9 +197,14 @@ def read_knots(path) -> KnotVector:
     return _build(pts, "file", {"path": str(path)})
 
 
+def dump_knots(kv: KnotVector, fh) -> None:
+    """Knot file text, 17 significant digits per coordinate, to an open file."""
+    fh.write(f"# {kv.label} n={len(kv)}\n")
+    for z in kv:
+        fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+
+
 def write_knots(kv: KnotVector, path) -> None:
     """Write a knot file with 17 significant digits per coordinate."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {kv.label} n={len(kv)}\n")
-        for z in kv:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        dump_knots(kv, fh)

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cauchyinv import _log_products
 from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot
 from .knotgen import KnotVector
+from .logdomain import log_products
 from .structmat import DenseMatrix, dft
 
 #: Pivots at or below this magnitude signal a structurally singular block
@@ -129,11 +129,11 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     if grid < 8:
         raise ValueError("grid must be >= 8")
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    mags, _ = _log_products(np.exp(1j * thetas), pts)
+    mags, _ = log_products(np.exp(1j * thetas), pts)
     best = int(np.argmax(mags))
 
     def g(theta: float) -> float:
-        mag, _ = _log_products(np.array([np.exp(1j * theta)]), pts)
+        mag, _ = log_products(np.array([np.exp(1j * theta)]), pts)
         return float(mag[0])
 
     span = 2.0 * np.pi / grid

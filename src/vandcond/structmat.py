@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockTooLarge, KnotCollision, Overflow
+from .errors import BlockTooLarge, Overflow
 from .knotgen import DISTINCT_TOL, KnotVector, roots_of_unity
+from .logdomain import check_disjoint
 
 #: Entries above 10**OVERFLOW_LOG10 are refused up front.
 OVERFLOW_LOG10 = 307.5
@@ -22,9 +23,14 @@ class DenseMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # ascontiguousarray returns the caller's own array when it already
-        # fits, so freeze a view of it, never the caller's object.
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
+        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        if arr is self.data or arr.base is not None:
+            # The caller's memory: keep it only if nothing can write to it.
+            mem = arr
+            while isinstance(mem, np.ndarray) and not mem.flags.writeable:
+                mem = mem.base
+            if mem is not None:
+                arr = arr.copy()
         if arr.ndim != 2:
             raise ValueError("DenseMatrix requires a 2-d array")
         if not np.all(np.isfinite(arr)):
@@ -41,6 +47,12 @@ class DenseMatrix:
         return self.data.shape[1]
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so DenseMatrix takes it uncopied."""
+    a.flags.writeable = False
+    return a
+
+
 def vandermonde(s: KnotVector) -> DenseMatrix:
     """Square matrix with entry (i, j) = s_i**j, powers by repeated multiplication."""
     pts = s.as_array()
@@ -53,7 +65,7 @@ def vandermonde(s: KnotVector) -> DenseMatrix:
         V[:, j] = V[:, j - 1] * pts
     if not np.all(np.isfinite(V)):
         raise Overflow((n - 1) * np.log10(max(s_plus, 1.0)))
-    return DenseMatrix(V, "vandermonde", {"label": s.label, "n": n})
+    return DenseMatrix(frozen(V), "vandermonde", {"label": s.label, "n": n})
 
 
 def dft(n: int) -> DenseMatrix:
@@ -65,12 +77,8 @@ def dft(n: int) -> DenseMatrix:
 def cauchy(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Matrix with entry (i, j) = 1 / (s_i - t_j); rectangular shapes allowed."""
     sp, tp = s.as_array(), t.as_array()
-    diff = sp[:, None] - tp[None, :]
-    gap = np.abs(diff)
-    if gap.min() <= tol:
-        i, j = np.unravel_index(int(gap.argmin()), gap.shape)
-        raise KnotCollision(int(i), int(j), float(gap.min()))
-    return DenseMatrix(1.0 / diff, "cauchy",
+    check_disjoint(sp, tp, tol)
+    return DenseMatrix(frozen(1.0 / (sp[:, None] - tp[None, :])), "cauchy",
                        {"s_label": s.label, "t_label": t.label,
                         "rows": len(sp), "cols": len(tp)})
 
@@ -87,12 +95,9 @@ def cv_matrix(s: KnotVector, f: complex, tol: float = DISTINCT_TOL) -> DenseMatr
     sp = s.as_array()
     n = len(sp)
     tp = cv_knots(n, f)
-    diff = sp[:, None] - tp[None, :]
-    gap = np.abs(diff)
-    if gap.min() <= tol:
-        i, j = np.unravel_index(int(gap.argmin()), gap.shape)
-        raise KnotCollision(int(i), int(j), float(gap.min()))
-    return DenseMatrix(1.0 / diff, "cv", {"s_label": s.label, "f": complex(f), "n": n})
+    check_disjoint(sp, tp, tol)
+    return DenseMatrix(frozen(1.0 / (sp[:, None] - tp[None, :])), "cv",
+                       {"s_label": s.label, "f": complex(f), "n": n})
 
 
 def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
@@ -118,4 +123,4 @@ def load_matrix(fh) -> DenseMatrix:
     for _ in range(rows * cols):
         re_s, im_s = fh.readline().strip().split(",")
         vals.append(complex(float(re_s), float(im_s)))
-    return DenseMatrix(np.array(vals, dtype=np.complex128).reshape(rows, cols))
+    return DenseMatrix(frozen(np.array(vals, dtype=np.complex128)).reshape(rows, cols))

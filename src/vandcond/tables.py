@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .bounds import (bound_cluster, bound_dft_block, bound_easy,
                      bound_quasi_cyclic)
-from .errors import InvalidOverride
+from .errors import InvalidOverride, VandcondError
 from .knotgen import dft_plus_outlier, quasi_cyclic, scaled_cluster, single_outlier
 from .spectral import genp_residual_experiment, singular_values
 from .structmat import dft, leading_block, vandermonde
@@ -73,18 +73,6 @@ class ExperimentTable:
     metadata: dict = field(default_factory=dict)
 
 
-def _expanded_columns(table_id: str) -> list:
-    cols = []
-    for name, kind in _COLUMN_SPECS[table_id]:
-        cols.append(name)
-        if kind == "kappa":
-            cols.append(f"{name}_trustworthy")
-        if kind in ("real", "kappa"):
-            cols.append(f"{name}_log10")
-    cols.append("error")
-    return cols
-
-
 def _set_real(row: dict, name: str, log10v: float) -> None:
     if log10v == -math.inf:
         row[name] = 0.0
@@ -98,18 +86,6 @@ def _set_real(row: dict, name: str, log10v: float) -> None:
 def _set_kappa(row: dict, name: str, summary) -> None:
     _set_real(row, name, summary.log10kappa)
     row[f"{name}_trustworthy"] = bool(summary.trustworthy)
-
-
-def _blank_row(table_id: str) -> dict:
-    row = {}
-    for name, kind in _COLUMN_SPECS[table_id]:
-        row[name] = None
-        if kind == "kappa":
-            row[f"{name}_trustworthy"] = None
-        if kind in ("real", "kappa"):
-            row[f"{name}_log10"] = None
-    row["error"] = ""
-    return row
 
 
 def _t1_fill(row, n, s_val):
@@ -203,13 +179,14 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     trials = int(overrides.get("trials", DEFAULT_TRIALS))
     sizes = overrides.get("sizes")
 
+    kinds = _column_kinds(table_id)
     rows = []
     for identity, fill in _row_plan(table_id, sizes, trials, seed):
-        row = _blank_row(table_id)
+        row = {name: "" if kind == "str" else None for name, kind in kinds}
         row.update(identity)
         try:
             fill(row)
-        except Exception as exc:  # row-level failure keeps the table shape
+        except (VandcondError, ValueError) as exc:  # the row keeps the table shape
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 
@@ -220,7 +197,7 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    return ExperimentTable(table_id, _expanded_columns(table_id), rows, metadata)
+    return ExperimentTable(table_id, [name for name, _ in kinds], rows, metadata)
 
 
 def format_sci(log10v) -> str:
@@ -259,6 +236,7 @@ def _cell_text(row: dict, name: str, kind: str) -> str:
 
 
 def _column_kinds(table_id: str) -> list:
+    """(column, cell kind) for every expanded column of the table, in order."""
     kinds = []
     for name, kind in _COLUMN_SPECS[table_id]:
         kinds.append((name, "int" if kind == "int" else "real"))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vandcond import cli, knotgen, structmat
+from vandcond import cauchyinv, cli, knotgen, structmat
 
 
 def run(argv, capsys):
@@ -27,6 +27,16 @@ class TestGenKnots:
         assert code == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(lines) == 4
+
+    def test_stdout_bytes_match_knot_file(self, tmp_path, capsys):
+        kv = knotgen.quasi_cyclic(24)
+        code, out, _ = run(["gen-knots", "--gen", "quasi-cyclic", "--n", "24"], capsys)
+        assert code == 0
+        assert out == "# quasi-cyclic n=24\n" + "".join(
+            f"{z.real:.17g},{z.imag:.17g}\n" for z in kv)
+        path = tmp_path / "k.txt"
+        knotgen.write_knots(kv, path)
+        assert path.read_text(encoding="utf-8") == out
 
     def test_file_rewrite(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
@@ -101,6 +111,36 @@ class TestInvert:
               complex(float(l.split(",")[2]), float(l.split(",")[3]))
               for l in b.strip().splitlines()[1:]}
         assert all(abs(pa[k] - pb[k]) < 1e-7 for k in pa)
+
+    @pytest.mark.parametrize("method", ["lagrange", "cv", "cauchy"])
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_output_bytes(self, method, log_domain, capsys):
+        # The listing is byte for byte what per-entry printing produced.
+        kv = knotgen.van_der_corput(6)
+        f = cli.DEFAULT_F
+        variant = cauchyinv.InverseVariant.CORRECTED
+        if method == "lagrange":
+            data = cauchyinv.vandermonde_inverse_lagrange(kv).data
+        elif method == "cv":
+            data = cauchyinv.vandermonde_inverse_via_cv(kv, f, variant).data
+        else:
+            data = cauchyinv.cv_inverse(kv, f, variant).data
+        with np.errstate(divide="ignore"):
+            mag, ph = np.log10(np.abs(data)), np.angle(data)
+        if method == "cauchy":
+            mag, ph = cauchyinv.cv_inverse_log_entries(kv, f, variant)
+        if log_domain:
+            expect = "i,j,log10mag,phase\n" + "".join(
+                f"{i},{j},{mag[i, j]:.17g},{ph[i, j]:.17g}\n"
+                for i in range(6) for j in range(6))
+        else:
+            expect = "i,j,re,im\n" + "".join(
+                f"{i},{j},{data[i, j].real:.17g},{data[i, j].imag:.17g}\n"
+                for i in range(6) for j in range(6))
+        argv = ["invert", "--gen", "van-der-corput", "--n", "6", "--method", method]
+        code, out, _ = run(argv + ["--log-domain"] * log_domain, capsys)
+        assert code == 0
+        assert out == expect
 
     def test_collision_numeric_failure(self, capsys):
         code, _, err = run(["invert", "--gen", "dft", "--n", "8",

@@ -43,6 +43,25 @@ class TestVandermonde:
         assert not M.data.flags.writeable
         a[0, 1] = 2.0
 
+    def test_later_writes_to_caller_array_do_not_reach_matrix(self):
+        a = np.eye(3, dtype=complex)
+        M = structmat.DenseMatrix(a)
+        a[0, 0] = np.inf
+        assert M.data[0, 0] == 1.0
+        # A read-only view of writeable memory is copied as well.
+        b = np.eye(3, dtype=complex)
+        view = b.view()
+        view.flags.writeable = False
+        M = structmat.DenseMatrix(view)
+        b[1, 1] = 7.0
+        assert M.data[1, 1] == 1.0
+
+    def test_memory_read_only_all_the_way_down_is_not_copied(self):
+        V = structmat.vandermonde(kv([0, 1, 2j]))
+        assert structmat.DenseMatrix(V.data).data is V.data
+        M = structmat.load_matrix(io.StringIO("1 2\n1,0\n2,0\n"))
+        assert M.data.base is not None and not M.data.base.flags.writeable
+
     def test_finite_required(self):
         with pytest.raises(ValueError):
             structmat.DenseMatrix(np.array([[np.inf, 0], [0, 1]], dtype=complex))

@@ -90,6 +90,14 @@ class TestRunTable:
         csv = emit(table, "csv")
         assert "OddSize" in csv
 
+    def test_programming_errors_escape(self, monkeypatch):
+        def broken_fill(row, n):
+            raise TypeError("bug in a fill function")
+
+        monkeypatch.setattr(tables, "_t4_fill", broken_fill)
+        with pytest.raises(TypeError, match="bug in a fill function"):
+            run_table("T4", {"sizes": [8]})
+
     def test_t1_shape_and_flags(self):
         table = run_table("T1", {"sizes": [64]})
         assert len(table.rows) == 4
