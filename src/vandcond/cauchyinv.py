@@ -32,7 +32,7 @@ from .logdomain import (RANGE_LOG10, LogComplex, check_disjoint, diff_blocks,
                         log_products, pow_diff_logs, self_derivative_logs,
                         wrap_phase)
 from .spectral import poly_from_roots
-from .structmat import DenseMatrix, cv_knots, frozen
+from .structmat import DenseMatrix, cv_knots
 
 
 class InverseVariant(enum.Enum):
@@ -114,8 +114,8 @@ def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
     return (mag, ph) if corrected else (mag.T, ph.T)
 
 
-def _materialize(mag: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """Complex entries 10**mag * exp(i ph), built over the engine's tables."""
+def _materialize(mag: np.ndarray, ph: np.ndarray, params: dict) -> DenseMatrix:
+    """Matrix of entries 10**mag * exp(i ph), built over the engine's tables."""
     peak = float(np.max(mag))
     if peak > RANGE_LOG10:
         i, j = np.unravel_index(int(mag.argmax()), mag.shape)
@@ -126,7 +126,7 @@ def _materialize(mag: np.ndarray, ph: np.ndarray) -> np.ndarray:
     np.sin(ph, out=out.imag)
     out.real *= mag
     out.imag *= mag
-    return frozen(out)
+    return DenseMatrix(out, "custom", params, copy=False)
 
 
 def cauchy_inverse_entry(s: KnotVector, t: KnotVector, i: int, j: int,
@@ -141,8 +141,7 @@ def cv_inverse_entry(s: KnotVector, f: complex, i: int, j: int,
                      variant: InverseVariant,
                      tol: float = DISTINCT_TOL) -> LogComplex:
     """Entry (i, j) of the CV inverse, with t(x) = x**n - f**n substituted."""
-    sp = s.as_array()
-    mag, ph = _inverse_logs(sp, cv_knots(len(sp), f), variant, tol, complex(f))
+    mag, ph = _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, tol, complex(f))
     return LogComplex(float(mag[i, j]), float(ph[i, j]))
 
 
@@ -150,26 +149,22 @@ def cauchy_inverse(s: KnotVector, t: KnotVector, variant: InverseVariant,
                    tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Full inverse assembled entrywise from the chosen closed form."""
     logs = _inverse_logs(s.as_array(), t.as_array(), variant, tol)
-    return DenseMatrix(_materialize(*logs), "custom",
-                       {"inverse_of": "cauchy", "variant": variant.value})
+    return _materialize(*logs, {"inverse_of": "cauchy", "variant": variant.value})
 
 
 def cv_inverse(s: KnotVector, f: complex, variant: InverseVariant,
                tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Full CV inverse; the column polynomial is t(x) = x**n - f**n."""
-    sp = s.as_array()
-    logs = _inverse_logs(sp, cv_knots(len(sp), f), variant, tol, complex(f))
-    return DenseMatrix(_materialize(*logs), "custom",
-                       {"inverse_of": "cv", "variant": variant.value,
-                        "f": complex(f)})
+    logs = _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, tol, complex(f))
+    return _materialize(*logs, {"inverse_of": "cv", "variant": variant.value,
+                                "f": complex(f)})
 
 
 def cv_inverse_log_entries(s: KnotVector, f: complex,
                            variant: InverseVariant,
                            tol: float = DISTINCT_TOL):
     """(log10 magnitude, phase) tables of all CV inverse entries; overflow-free."""
-    sp = s.as_array()
-    return _inverse_logs(sp, cv_knots(len(sp), f), variant, tol, complex(f))
+    return _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, tol, complex(f))
 
 
 def cauchy_inverse_log_entries(s: KnotVector, t: KnotVector,
@@ -204,9 +199,9 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     out = (left @ cinv) * right[None, :]
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="assembled inverse")
-    return DenseMatrix(frozen(out), "custom",
+    return DenseMatrix(out, "custom",
                        {"inverse_of": "vandermonde", "route": "cv",
-                        "variant": variant.value, "f": f})
+                        "variant": variant.value, "f": f}, copy=False)
 
 
 def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
@@ -230,5 +225,6 @@ def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
         out[:, i] = q / deriv
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="lagrange coefficients")
-    return DenseMatrix(frozen(out), "custom",
-                       {"inverse_of": "vandermonde", "route": "lagrange"})
+    return DenseMatrix(out, "custom",
+                       {"inverse_of": "vandermonde", "route": "lagrange"},
+                       copy=False)

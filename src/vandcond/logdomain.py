@@ -111,26 +111,26 @@ def log_products(xs: np.ndarray, knots: np.ndarray):
     Exact hits produce -inf magnitudes.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
-    knots = np.asarray(knots, dtype=np.complex128)
-    out_mag = np.empty(len(xs))
-    out_ph = np.empty(len(xs))
-    with np.errstate(divide="ignore"):
-        for lo, d in diff_blocks(xs, knots):
-            out_mag[lo:lo + len(d)] = np.sum(np.log10(np.abs(d)), axis=1)
-            out_ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
-    return out_mag, out_ph
+    return _log_sums(xs, np.asarray(knots, dtype=np.complex128), skip_self=False)
 
 
 def self_derivative_logs(points: np.ndarray):
     """log10 magnitude and raw phase of prod_{k != j} (p_j - p_k) for each j."""
     points = np.asarray(points, dtype=np.complex128)
-    mag = np.empty(len(points))
-    ph = np.empty(len(points))
-    for lo, d in diff_blocks(points, points):
-        k = np.arange(len(d))
-        d[k, lo + k] = 1.0
-        mag[lo:lo + len(d)] = np.sum(np.log10(np.abs(d)), axis=1)
-        ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
+    return _log_sums(points, points, skip_self=True)
+
+
+def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool):
+    """Row sums of log10|x - knot| and angle(x - knot); skip_self drops x_j - x_j."""
+    mag = np.empty(len(xs))
+    ph = np.empty(len(xs))
+    with np.errstate(divide="ignore"):
+        for lo, d in diff_blocks(xs, knots):
+            if skip_self:
+                k = np.arange(len(d))
+                d[k, lo + k] = 1.0
+            mag[lo:lo + len(d)] = np.sum(np.log10(np.abs(d)), axis=1)
+            ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
     return mag, ph
 
 
@@ -151,9 +151,11 @@ def pow_diff_logs(z: np.ndarray, f: complex, n: int):
         direct = n * np.maximum(zl, fl) <= 150.0
         top = ~direct & (zl >= fl)
         low = ~direct & ~top
-        w = z[direct] ** n - f ** n
-        mag[direct] = np.log10(np.abs(w))
-        ph[direct] = np.where(w == 0, 0.0, np.angle(w))
+        if direct.any():
+            # f**n is formed only here, where it is at most 1e150.
+            w = z[direct] ** n - f ** n
+            mag[direct] = np.log10(np.abs(w))
+            ph[direct] = np.where(w == 0, 0.0, np.angle(w))
         rest = 1.0 - (f / z[top]) ** n
         mag[top] = n * zl[top] + np.log10(np.abs(rest))
         ph[top] = n * np.angle(z[top]) + np.angle(rest)
@@ -163,13 +165,20 @@ def pow_diff_logs(z: np.ndarray, f: complex, n: int):
     return mag, ph
 
 
-def check_disjoint(sp: np.ndarray, tp: np.ndarray, tol: float) -> None:
-    """Raise KnotCollision at the closest (row, column) pair when |s_i - t_j| <= tol."""
+def check_disjoint(sp: np.ndarray, tp: np.ndarray, tol: float,
+                   out: np.ndarray | None = None) -> None:
+    """Raise KnotCollision at the closest (row, column) pair when |s_i - t_j| <= tol.
+
+    With `out`, 1 / (s_i - t_j) is written into it in the same pass.
+    """
     gap, i, j = math.inf, 0, 0
     for lo, d in diff_blocks(sp, tp):
         a = np.abs(d)
         k = int(a.argmin())
         if a.flat[k] < gap:
             gap, i, j = float(a.flat[k]), lo + k // a.shape[1], k % a.shape[1]
+        if out is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(1.0, d, out=out[lo:lo + len(d)])
     if gap <= tol:
         raise KnotCollision(i, j, gap)

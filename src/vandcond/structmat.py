@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -16,21 +16,22 @@ OVERFLOW_LOG10 = 307.5
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Complex dense matrix plus a descriptor recording how it was built."""
+    """Complex dense matrix plus a descriptor recording how it was built.
+
+    The matrix keeps its own read-only copy of `data`, so later writes to
+    the caller's array never reach it.  With `copy=False` a freshly built
+    array is handed over instead and frozen in place; the caller must keep
+    no other reference to it.
+    """
 
     data: np.ndarray
     descriptor: str = "custom"
     params: dict = field(default_factory=dict)
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if arr is self.data or arr.base is not None:
-            # The caller's memory: keep it only if nothing can write to it.
-            mem = arr
-            while isinstance(mem, np.ndarray) and not mem.flags.writeable:
-                mem = mem.base
-            if mem is not None:
-                arr = arr.copy()
+    def __post_init__(self, copy: bool):
+        convert = np.array if copy else np.asarray
+        arr = convert(self.data, dtype=np.complex128, order="C")
         if arr.ndim != 2:
             raise ValueError("DenseMatrix requires a 2-d array")
         if not np.all(np.isfinite(arr)):
@@ -47,12 +48,6 @@ class DenseMatrix:
         return self.data.shape[1]
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only, so DenseMatrix takes it uncopied."""
-    a.flags.writeable = False
-    return a
-
-
 def vandermonde(s: KnotVector) -> DenseMatrix:
     """Square matrix with entry (i, j) = s_i**j, powers by repeated multiplication."""
     pts = s.as_array()
@@ -65,22 +60,29 @@ def vandermonde(s: KnotVector) -> DenseMatrix:
         V[:, j] = V[:, j - 1] * pts
     if not np.all(np.isfinite(V)):
         raise Overflow((n - 1) * np.log10(max(s_plus, 1.0)))
-    return DenseMatrix(frozen(V), "vandermonde", {"label": s.label, "n": n})
+    return DenseMatrix(V, "vandermonde", {"label": s.label, "n": n}, copy=False)
 
 
 def dft(n: int) -> DenseMatrix:
     """The n-point Fourier matrix: Vandermonde on the n-th roots of 1."""
     M = vandermonde(roots_of_unity(n))
-    return DenseMatrix(M.data, "dft", {"n": n})
+    return DenseMatrix(M.data, "dft", {"n": n}, copy=False)
+
+
+def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray, tol: float, descriptor: str,
+                   params: dict) -> DenseMatrix:
+    """1 / (sp[i] - tp[j]), filled in the same pass as the collision check."""
+    data = np.empty((len(sp), len(tp)), dtype=np.complex128)
+    check_disjoint(sp, tp, tol, out=data)
+    return DenseMatrix(data, descriptor, params, copy=False)
 
 
 def cauchy(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Matrix with entry (i, j) = 1 / (s_i - t_j); rectangular shapes allowed."""
     sp, tp = s.as_array(), t.as_array()
-    check_disjoint(sp, tp, tol)
-    return DenseMatrix(frozen(1.0 / (sp[:, None] - tp[None, :])), "cauchy",
-                       {"s_label": s.label, "t_label": t.label,
-                        "rows": len(sp), "cols": len(tp)})
+    return _cauchy_matrix(sp, tp, tol, "cauchy",
+                          {"s_label": s.label, "t_label": t.label,
+                           "rows": len(sp), "cols": len(tp)})
 
 
 def cv_knots(n: int, f: complex) -> np.ndarray:
@@ -92,12 +94,9 @@ def cv_matrix(s: KnotVector, f: complex, tol: float = DISTINCT_TOL) -> DenseMatr
     """Cauchy matrix whose column knots are the roots-of-unity grid scaled by f."""
     if abs(f) == 0.0:
         raise ValueError("f must be nonzero")
-    sp = s.as_array()
-    n = len(sp)
-    tp = cv_knots(n, f)
-    check_disjoint(sp, tp, tol)
-    return DenseMatrix(frozen(1.0 / (sp[:, None] - tp[None, :])), "cv",
-                       {"s_label": s.label, "f": complex(f), "n": n})
+    n = len(s)
+    return _cauchy_matrix(s.as_array(), cv_knots(n, f), tol, "cv",
+                          {"s_label": s.label, "f": complex(f), "n": n})
 
 
 def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
@@ -105,7 +104,7 @@ def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
     if q < 1 or q > min(M.rows, M.cols):
         raise BlockTooLarge(f"q={q} exceeds the {M.rows}x{M.cols} matrix")
     return DenseMatrix(M.data[:q, :q], "block-of",
-                       {"parent": M.descriptor, "q": q, **M.params})
+                       {"parent": M.descriptor, "q": q, **M.params}, copy=False)
 
 
 def dump_matrix(M: DenseMatrix, fh) -> None:
@@ -123,4 +122,5 @@ def load_matrix(fh) -> DenseMatrix:
     for _ in range(rows * cols):
         re_s, im_s = fh.readline().strip().split(",")
         vals.append(complex(float(re_s), float(im_s)))
-    return DenseMatrix(frozen(np.array(vals, dtype=np.complex128)).reshape(rows, cols))
+    return DenseMatrix(np.array(vals, dtype=np.complex128).reshape(rows, cols),
+                       copy=False)

@@ -287,6 +287,21 @@ class TestLogEntryTables:
         assert np.max(np.abs(10.0 ** mag * np.exp(1j * ph) - data)) < 1e-12
 
 
+    def test_cv_tables_with_f_power_beyond_complex_range(self):
+        # |f|**n = 2**1100 overflows a Python complex; the tables must match
+        # the general Cauchy path on the explicit grid.
+        n = 1100
+        s = knotgen.van_der_corput(n)
+        f = 2.0 * np.exp(0.3j)
+        grid = kv(list(structmat.cv_knots(n, f)))
+        for variant in (PAPER, CORRECTED):
+            mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
+            ref_mag, ref_ph = cauchyinv.cauchy_inverse_log_entries(s, grid, variant)
+            assert np.max(np.abs(mag - ref_mag)) < 1e-9
+            dph = np.angle(np.exp(1j * (ph - ref_ph)))
+            assert np.max(np.abs(dph)) < 1e-9
+
+
 class TestVandermondeInverses:
     def test_via_cv_trivial(self):
         inv = cauchyinv.vandermonde_inverse_via_cv(kv([2.0]), np.exp(0.3j),

@@ -81,6 +81,13 @@ class TestPowDiffLogs:
         z = np.array([0.0, 0.5, 0.25j, 1.0, -1.2 + 0.1j])
         self.check_against_loop(z, 1.5 * cmath.exp(0.3j), 1536)
 
+    def test_f_power_beyond_complex_range(self):
+        # |f|**n near 1e462 overflows a Python complex; no branch may form it.
+        z = np.array([0.0, 0.5, 1.0, 1.9j, 3.0 - 1.0j])
+        self.check_against_loop(z, 2.0 * cmath.exp(0.3j), 1536)
+        mag, _ = pow_diff_logs(np.array([1.0]), 1.6, 1536)
+        assert abs(mag[0] - 1536 * math.log10(1.6)) < 1e-9
+
     def test_mixed_branches_in_one_call(self):
         z = np.array([0.0, cmath.exp(0.1j), 2.0, 0.5j, 3.0 - 1.0j])
         f = 1.3 * cmath.exp(-0.7j)
@@ -161,6 +168,12 @@ class TestBlockedKernels:
             check_disjoint(sp, tp, 1e-13)
         assert (info.value.i, info.value.j) == (7, 2)
         check_disjoint(sp, tp, 1e-16)  # the same pair is outside a tighter tol
+
+    def test_check_disjoint_fills_reciprocals(self, tiny_blocks):
+        sp, tp = self.points(10, 4), self.points(6, 5)
+        out = np.empty((10, 6), dtype=complex)
+        check_disjoint(sp, tp, 1e-13, out=out)
+        assert np.array_equal(out, 1.0 / (sp[:, None] - tp[None, :]))
 
     def test_check_disjoint_tie_goes_to_first_row(self, tiny_blocks):
         sp, tp = self.points(10, 4), self.points(6, 5)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from vandcond import knotgen, structmat
+from vandcond import knotgen, logdomain, structmat
 from vandcond.errors import BlockTooLarge, KnotCollision, Overflow
 
 
@@ -56,11 +56,22 @@ class TestVandermonde:
         b[1, 1] = 7.0
         assert M.data[1, 1] == 1.0
 
-    def test_memory_read_only_all_the_way_down_is_not_copied(self):
-        V = structmat.vandermonde(kv([0, 1, 2j]))
-        assert structmat.DenseMatrix(V.data).data is V.data
-        M = structmat.load_matrix(io.StringIO("1 2\n1,0\n2,0\n"))
-        assert M.data.base is not None and not M.data.base.flags.writeable
+    def test_read_only_input_is_copied(self):
+        # The owner of an array may turn writeable back on, so read-only
+        # input is no promise that the memory stays put.
+        a = np.eye(3, dtype=complex)
+        a.flags.writeable = False
+        M = structmat.DenseMatrix(a)
+        a.flags.writeable = True
+        a[0, 0] = np.inf
+        assert M.data[0, 0] == 1.0
+
+    def test_handover_without_copy(self):
+        a = np.eye(3, dtype=complex)
+        M = structmat.DenseMatrix(a, copy=False)
+        assert M.data is a and not a.flags.writeable
+        with pytest.raises(ValueError):
+            structmat.DenseMatrix(np.full((1, 1), np.nan, dtype=complex), copy=False)
 
     def test_finite_required(self):
         with pytest.raises(ValueError):
@@ -89,6 +100,18 @@ class TestCauchy:
     def test_one_by_one(self):
         C = structmat.cauchy(kv([2]), kv([0]))
         assert C.data[0, 0] == 0.5
+
+    def test_filled_in_blocks_with_the_check(self, monkeypatch):
+        monkeypatch.setattr(logdomain, "CHUNK", 7)
+        rng = np.random.Generator(np.random.Philox(8))
+        sp = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        tp = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 5
+        C = structmat.cauchy(kv(sp), kv(tp))
+        assert np.array_equal(C.data, 1.0 / (sp[:, None] - tp[None, :]))
+        tp[3] = sp[6]  # an exact hit in a later block raises, no warning
+        with pytest.raises(KnotCollision) as info:
+            structmat.cauchy(kv(sp), kv(tp))
+        assert (info.value.i, info.value.j) == (6, 3)
 
     def test_two_by_two_against_determinant(self):
         C = structmat.cauchy(kv([2, 3]), kv([0, 1]))
