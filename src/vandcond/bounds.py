@@ -20,9 +20,9 @@ from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
 from .knotgen import DISTINCT_TOL, KnotVector
-from .logdomain import check_disjoint, log_products, pow_diff_logs
+from .logdomain import log_products, pow_diff_logs
 from .spectral import max_abs_on_circle, poly_from_roots, singular_values
-from .structmat import cv_knots, vandermonde
+from .structmat import cv_matrix, vandermonde
 
 #: Catalan's constant, hard-coded to 18 digits for the integral cross-check.
 CATALAN = 0.915965594177219015
@@ -183,12 +183,11 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     n = len(sp)
     nudged = False
     try:
-        check_disjoint(sp, cv_knots(n, f), tol)
+        logs, _ = cv_inverse_log_entries(s, f, variant, tol)
     except KnotCollision:
         f = _nudge_f(f, n)
         nudged = True
-        check_disjoint(sp, cv_knots(n, f), tol)
-    logs, _ = cv_inverse_log_entries(s, f, variant, tol)
+        logs, _ = cv_inverse_log_entries(s, f, variant, tol)
     log_inv_entry = float(np.max(logs))
     log_pow = float(np.max(pow_diff_logs(sp, f, n)[0]))
     value = 0.5 * math.log10(n) + log_inv_entry - log_pow
@@ -196,8 +195,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
               "log10_inv_norm_entry": log_inv_entry,
               "log10_max_pow_diff": log_pow}
     if n <= 512:
-        sv = np.linalg.svd(1.0 / (sp[:, None] - cv_knots(n, f)[None, :]),
-                           compute_uv=False)
+        sv = np.linalg.svd(cv_matrix(s, f, tol).data, compute_uv=False)
         if sv[-1] > 0:
             log_inv_svd = -math.log10(float(sv[-1]))
             params["log10_inv_norm_svd"] = log_inv_svd

@@ -15,21 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateKnot, EmptyInput
+from .logdomain import closest_pair
 
 #: Default distinctness tolerance: above double rounding noise, below any
 #: knot gap that the generators here can produce.
 DISTINCT_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
-    `label` records which generator produced the vector and `params` the
-    generator arguments, so downstream reports can cite their input.
+    `knots` is one read-only complex128 array.  `label` records which
+    generator produced it and `params` the generator arguments, so
+    downstream reports can cite their input.
     """
 
-    knots: tuple
+    knots: np.ndarray
     label: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -42,35 +44,24 @@ class KnotVector:
     def __getitem__(self, i):
         return self.knots[i]
 
-    @property
-    def n(self) -> int:
-        return len(self.knots)
-
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.knots, dtype=np.complex128)
+        return self.knots
 
     def max_modulus(self) -> float:
-        return float(np.max(np.abs(self.as_array())))
-
-
-def _check_distinct(points: np.ndarray, tol: float) -> None:
-    n = len(points)
-    if n < 2:
-        return
-    diff = np.abs(points[:, None] - points[None, :])
-    np.fill_diagonal(diff, np.inf)
-    gap = float(diff.min())
-    if gap <= tol:
-        i, j = np.unravel_index(int(diff.argmin()), diff.shape)
-        raise DuplicateKnot(int(i), int(j), gap)
+        return float(np.max(np.abs(self.knots)))
 
 
 def _build(points, label, params, tol=DISTINCT_TOL) -> KnotVector:
-    arr = np.asarray(points, dtype=np.complex128)
+    arr = np.array(points, dtype=np.complex128)
     if arr.size == 0:
         raise EmptyInput("knot vector must contain at least one knot")
-    _check_distinct(arr, tol)
-    return KnotVector(tuple(complex(z) for z in arr), label, dict(params))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("knots must be finite")
+    gap, i, j = closest_pair(arr, arr, skip_self=True)
+    if gap <= tol:
+        raise DuplicateKnot(i, j, gap)
+    arr.flags.writeable = False
+    return KnotVector(arr, label, dict(params))
 
 
 def make_knot_vector(points, tol: float = DISTINCT_TOL) -> KnotVector:

@@ -165,20 +165,31 @@ def pow_diff_logs(z: np.ndarray, f: complex, n: int):
     return mag, ph
 
 
-def check_disjoint(sp: np.ndarray, tp: np.ndarray, tol: float,
-                   out: np.ndarray | None = None) -> None:
-    """Raise KnotCollision at the closest (row, column) pair when |s_i - t_j| <= tol.
+def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False,
+                 out: np.ndarray | None = None):
+    """(gap, i, j) of the smallest |s_i - t_j|, the first such pair in row-major order.
 
+    skip_self leaves out i == j, for one vector scanned against itself.
     With `out`, 1 / (s_i - t_j) is written into it in the same pass.
     """
     gap, i, j = math.inf, 0, 0
     for lo, d in diff_blocks(sp, tp):
         a = np.abs(d)
+        if skip_self:
+            k = np.arange(len(a))
+            a[k, lo + k] = np.inf
         k = int(a.argmin())
         if a.flat[k] < gap:
             gap, i, j = float(a.flat[k]), lo + k // a.shape[1], k % a.shape[1]
         if out is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(1.0, d, out=out[lo:lo + len(d)])
+    return gap, i, j
+
+
+def check_disjoint(sp: np.ndarray, tp: np.ndarray, tol: float,
+                   out: np.ndarray | None = None) -> None:
+    """Raise KnotCollision at the `closest_pair` (i, j) when |s_i - t_j| <= tol."""
+    gap, i, j = closest_pair(sp, tp, out=out)
     if gap <= tol:
         raise KnotCollision(i, j, gap)

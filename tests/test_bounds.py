@@ -117,6 +117,27 @@ class TestBoundCv:
         assert rep.params["nudged"]
         assert math.isfinite(rep.log10value)
 
+    @pytest.mark.parametrize("n, nudged, calls", [(384, False, 2), (768, False, 1),
+                                                   (384, True, 3), (768, True, 2)])
+    def test_grid_built_once_per_evaluation(self, monkeypatch, n, nudged, calls):
+        # One grid for the inverse (plus one for the failed first try when
+        # nudged) and one more for the SVD cross-check at n <= 512.
+        if nudged:
+            # Below the default tol the 2^-40 turn nudge cannot clear the grid.
+            s, f, tol = knotgen.roots_of_unity(n), 1.0, 1e-15
+        else:
+            s, f, tol = knotgen.quasi_cyclic(n), cmath.exp(0.3j), knotgen.DISTINCT_TOL
+        made = []
+
+        def counting(m):
+            made.append(m)
+            return knotgen.roots_of_unity(m)
+
+        monkeypatch.setattr(structmat, "roots_of_unity", counting)
+        rep = bounds.bound_cv(s, f, CORRECTED, tol)
+        assert rep.params["nudged"] is nudged
+        assert made == [n] * calls
+
     def test_entry_bound_below_svd_norm(self):
         s = knotgen.quasi_cyclic(24)
         rep = bounds.bound_cv(s, cmath.exp(0.3j), CORRECTED)

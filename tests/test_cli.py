@@ -45,7 +45,7 @@ class TestGenKnots:
         code, _, _ = run(["gen-knots", "--gen", "file", "--file", str(src),
                           "--out", str(dst)], capsys)
         assert code == 0
-        assert knotgen.read_knots(dst).knots == (1 + 0j, 1j)
+        assert tuple(knotgen.read_knots(dst).knots) == (1 + 0j, 1j)
 
 
 class TestCond:

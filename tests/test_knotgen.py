@@ -1,10 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vandcond import knotgen
+from vandcond import cli, knotgen
 from vandcond.errors import DuplicateKnot, EmptyInput
 
 # Frozen fraction sequences, checked term by term against the reference
@@ -38,6 +39,60 @@ class TestMakeKnotVector:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             knotgen.make_knot_vector([])
+
+
+class TestKnotArray:
+    def test_read_only_array_without_copies(self):
+        kv = knotgen.quasi_cyclic(12)
+        assert isinstance(kv.knots, np.ndarray)
+        assert kv.knots.dtype == np.complex128
+        assert not kv.knots.flags.writeable
+        assert kv.as_array() is kv.knots
+        with pytest.raises(ValueError):
+            kv.knots[0] = 5
+
+    def test_later_writes_to_caller_data_do_not_reach(self):
+        pts = [1, 2j, -3]
+        arr = np.array(pts, dtype=complex)
+        from_list, from_array = knotgen.make_knot_vector(pts), knotgen.make_knot_vector(arr)
+        pts[0] = 7
+        arr[0] = 7
+        assert from_list[0] == 1 and from_array[0] == 1
+
+    def test_scan_memory_is_blocked(self):
+        # The n x n table of the old check peaked at 384 MB here.
+        tracemalloc.start()
+        try:
+            knotgen.van_der_corput(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+
+
+class TestNonFiniteKnots:
+    @pytest.mark.parametrize("points", [[1, complex("nan")], [complex("nan")] * 2,
+                                        [1, complex("inf")], [complex(0, float("-inf"))]])
+    def test_make_knot_vector(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            knotgen.make_knot_vector(points)
+
+    @pytest.mark.parametrize("line", ["nan,0", "inf,0", "0,-inf"])
+    def test_read_knots(self, tmp_path, line):
+        path = tmp_path / "knots.txt"
+        path.write_text(f"1,0\n{line}\n")
+        with pytest.raises(ValueError, match="finite"):
+            knotgen.read_knots(path)
+
+    @pytest.mark.parametrize("line", ["nan,0", "inf,0"])
+    def test_cli_exits_2_without_warning(self, tmp_path, capsys, recwarn, line):
+        path = tmp_path / "knots.txt"
+        path.write_text(f"1,0\n{line}\n")
+        assert cli.main(["bounds", "--knots", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+        assert len(recwarn) == 0
 
 
 class TestRootsOfUnity:
@@ -88,7 +143,7 @@ class TestVanDerCorput:
     def test_prefix_property(self):
         full = knotgen.van_der_corput(64)
         for m in (1, 5, 16, 33, 64):
-            assert full.knots[:m] == knotgen.van_der_corput(m).knots
+            assert tuple(full.knots[:m]) == tuple(knotgen.van_der_corput(m).knots)
 
 
 class TestSingleOutlier:
@@ -183,14 +238,14 @@ class TestKnotFiles:
         path = tmp_path / "knots.txt"
         knotgen.write_knots(kv, path)
         back = knotgen.read_knots(path)
-        assert back.knots == kv.knots
+        assert tuple(back.knots) == tuple(kv.knots)
         assert back.label == "file"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "knots.txt"
         path.write_text("# header\n\n0.5,0\n# mid comment\n-0.25,1\n")
         kv = knotgen.read_knots(path)
-        assert kv.knots == (0.5 + 0j, -0.25 + 1j)
+        assert tuple(kv.knots) == (0.5 + 0j, -0.25 + 1j)
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "knots.txt"

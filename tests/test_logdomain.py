@@ -6,8 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from vandcond import logdomain
-from vandcond.errors import KnotCollision
+from vandcond import knotgen, logdomain
+from vandcond.errors import DuplicateKnot, KnotCollision
 from vandcond.logdomain import (check_disjoint, log_products, pow_diff_logs,
                                 self_derivative_logs, wrap_phase)
 
@@ -137,6 +137,32 @@ class TestWrapPhase:
         assert np.array_equal(t, expect.T)
 
 
+def check_distinct_reference(points, tol):
+    """The n x n distinctness table the blocked scan replaced: (i, j, gap) or None."""
+    points = np.asarray(points, dtype=np.complex128)
+    if len(points) < 2:
+        return None
+    diff = np.abs(points[:, None] - points[None, :])
+    np.fill_diagonal(diff, np.inf)
+    gap = float(diff.min())
+    if gap > tol:
+        return None
+    i, j = np.unravel_index(int(diff.argmin()), diff.shape)
+    return int(i), int(j), gap
+
+
+def distinctness_agrees(points, tol):
+    """(i, j, gap) of the DuplicateKnot raised, or None; must equal the reference."""
+    want = check_distinct_reference(points, tol)
+    try:
+        knotgen.make_knot_vector(points, tol)
+        got = None
+    except DuplicateKnot as err:
+        got = err.i, err.j, err.gap
+    assert got == want
+    return got
+
+
 class TestBlockedKernels:
     @pytest.fixture
     def tiny_blocks(self, monkeypatch):
@@ -181,6 +207,32 @@ class TestBlockedKernels:
         with pytest.raises(KnotCollision) as info:
             check_disjoint(sp, tp, 1e-13)
         assert (info.value.i, info.value.j, info.value.gap) == (7, 2, 0.0)
+
+    def test_distinctness_exact_duplicates(self, tiny_blocks):
+        p = self.points(23, 1)
+        p[17], p[20] = p[4], p[9]
+        assert distinctness_agrees(p, 1e-13) == (4, 17, 0.0)
+
+    def test_distinctness_near_duplicates(self, tiny_blocks):
+        p = self.points(30, 2)
+        p[25] = p[3] + 3e-14
+        p[11] = p[28] - 2e-14j
+        assert distinctness_agrees(p, 1e-13)[:2] == (11, 28)
+        for tol in (1e-15, 2.5e-14, 0.05, 0.5):
+            distinctness_agrees(p, tol)
+
+    def test_distinctness_tied_pairs_in_different_blocks(self, tiny_blocks):
+        p = np.array([0, 3, 10, 11, 20, 21, 30, 40], dtype=complex)
+        assert distinctness_agrees(p, 1.0) == (2, 3, 1.0)
+
+    def test_distinctness_raises_at_gap_equal_to_tol(self, tiny_blocks):
+        assert distinctness_agrees([0, 0.5], 0.5) == (0, 1, 0.5)
+        assert distinctness_agrees([0, 0.5], 0.4999) is None
+
+    def test_distinctness_one_and_two_knots(self, tiny_blocks):
+        assert distinctness_agrees([2j], 1e-13) is None
+        assert distinctness_agrees([1, 1 + 1e-16], 1e-13) == (0, 1, 0.0)
+        assert distinctness_agrees([1, -1], 1e-13) is None
 
 
 def _package_import_violations(path: pathlib.Path):
