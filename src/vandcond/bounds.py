@@ -20,8 +20,8 @@ from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
 from .knotgen import DISTINCT_TOL, KnotVector
-from .logdomain import log_products, pow_diff_logs
-from .spectral import max_abs_on_circle, poly_from_roots, singular_values
+from .logdomain import diff_blocks, log_products, pow_diff_logs
+from .spectral import max_abs_on_circle, singular_values
 from .structmat import cv_matrix, vandermonde
 
 #: Catalan's constant, hard-coded to 18 digits for the integral cross-check.
@@ -87,10 +87,6 @@ def _safe_log10(x: float) -> float:
     return -math.inf if x == 0.0 else math.log10(x)
 
 
-def _log10_s_plus(s: KnotVector) -> float:
-    return _safe_log10(s.max_modulus())
-
-
 def bound_easy(s: KnotVector) -> BoundReport:
     """kappa >= max(1, s_+^(n-1) / sqrt(n)) with s_+ the largest knot modulus."""
     n = len(s)
@@ -124,7 +120,7 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
             f"need {k} knots with modulus <= {1.0 / nu:.6g}, found {small}")
     n = len(s)
     if norm_mode == "literal":
-        log_norm = max(0.0, (n - 1) * _log10_s_plus(s))
+        log_norm = max(0.0, (n - 1) * _safe_log10(s.max_modulus()))
         log_div = 0.5 * math.log10(k) + math.log10(max(k, nu / (nu - 1.0)))
         norm_tag = "max-entry"
         div_tag = "max(k, nu/(nu-1))"
@@ -203,12 +199,20 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     return BoundReport(CV_INVERSE, value, variant.value, params)
 
 
-def _log10_l2_from_logs(logmags: np.ndarray) -> float:
+def _log10_l2_on_roots(pts: np.ndarray, N: int) -> float:
+    """log10 of the 2-norm of s(x) = prod (x - pts) at omega_N^i, i = 0..len(pts)."""
+    logmags = log_products(np.exp(2j * np.pi * np.arange(len(pts) + 1) / N), pts)[0]
     finite = logmags[np.isfinite(logmags)]
     if finite.size == 0:
         return -math.inf
     peak = float(np.max(finite))
     return peak + 0.5 * math.log10(float(np.sum(10.0 ** (2.0 * (finite - peak)))))
+
+
+def _outside_disc(s_plus: float) -> str:
+    """Why a unit-disc bound does not apply, or '' when every knot has |s| <= 1."""
+    ok = s_plus <= 1.0 + 1e-12
+    return "" if ok else f"knots leave the unit disc (s_+ = {s_plus:.6g})"
 
 
 def bound_circle_value(s: KnotVector, grid: int = 0) -> BoundReport:
@@ -223,35 +227,32 @@ def bound_circle_value(s: KnotVector, grid: int = 0) -> BoundReport:
     n = len(pts)
     f_star, log_max = max_abs_on_circle(s, grid)
     value = 0.5 * math.log10(n) + log_max - _LOG2
-    grid_n = np.exp(2j * np.pi * np.arange(n + 1) / n)          # i = 0..n on omega_n
-    grid_n1 = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))   # i = 0..n on omega_{n+1}
-    mags_n, _ = log_products(grid_n, pts)
-    mags_n1, _ = log_products(grid_n1, pts)
     s_plus = s.max_modulus()
-    ok = s_plus <= 1.0 + 1e-12
+    reason = _outside_disc(s_plus)
     return BoundReport(
         CIRCLE_VALUE, value, InverseVariant.PAPER.value,
         {"n": n, "f_star": f_star, "log10_circle_max": log_max,
-         "log10_halfnorm_grid_n": _log10_l2_from_logs(mags_n) - _LOG2,
-         "log10_halfnorm_grid_n1": _log10_l2_from_logs(mags_n1) - _LOG2,
+         "log10_halfnorm_grid_n": _log10_l2_on_roots(pts, n) - _LOG2,
+         "log10_halfnorm_grid_n1": _log10_l2_on_roots(pts, n + 1) - _LOG2,
          "s_plus": s_plus},
-        applicable=ok,
-        reason="" if ok else f"knots leave the unit disc (s_+ = {s_plus:.6g})")
+        applicable=not reason, reason=reason)
 
 
 def bound_coeff_norm(s: KnotVector) -> BoundReport:
-    """kappa >= 0.5 ||coeff|| sqrt(n+1) for the monic coefficient vector."""
+    """kappa >= 0.5 ||coeff|| sqrt(n+1) for the monic coefficient vector.
+
+    By Parseval ||coeff|| sqrt(n+1) is the 2-norm of s on the (n+1)-th roots of 1.
+    """
     n = len(s)
-    coeff = poly_from_roots(s)
-    log_norm = math.log10(float(np.linalg.norm(coeff)))
-    value = math.log10(0.5) + log_norm + 0.5 * math.log10(n + 1)
+    log_l2 = _log10_l2_on_roots(s.as_array(), n + 1)
+    value = log_l2 - _LOG2
     s_plus = s.max_modulus()
-    ok = s_plus <= 1.0 + 1e-12
+    reason = _outside_disc(s_plus)
     return BoundReport(
         COEFF_NORM, value, InverseVariant.PAPER.value,
-        {"n": n, "log10_coeff_norm": log_norm, "s_plus": s_plus},
-        applicable=ok,
-        reason="" if ok else f"knots leave the unit disc (s_+ = {s_plus:.6g})")
+        {"n": n, "log10_coeff_norm": log_l2 - 0.5 * math.log10(n + 1),
+         "s_plus": s_plus},
+        applicable=not reason, reason=reason)
 
 
 QC_MODES = ("base", "coarse", "refined", "product", "integral")
@@ -264,12 +265,14 @@ def _is_pow2(q: int) -> bool:
     return q >= 1 and (q & (q - 1)) == 0
 
 
-def _staging_integral_log10(q: float, panels: int = 4096) -> float:
+def _staging_integral_log10(q: float, params: dict) -> float:
     """Simpson value of the circle-distance staging integral, in log10.
 
     Closed form: the natural-log integral equals q * 2 G / pi with G
-    Catalan's constant; the quadrature is cross-checked against it.
+    Catalan's constant; `params` records it and the panel count.
     """
+    params["log10_closed_form"] = q * 2.0 * CATALAN / math.pi / math.log(10.0)
+    params["panels"] = panels = 4096
     x = np.linspace(0.0, q, 2 * panels + 1)
     y = np.log(2.0 * np.cos((0.5 - x / q) * np.pi / 2.0))
     w = np.ones_like(x)
@@ -313,9 +316,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
                             2.0 * np.cos((0.5 - i / q) * np.pi / 2.0))
         value = float(np.sum(np.log10(stages))) + half_log_n
     else:  # integral
-        value = _staging_integral_log10(q)
-        params["log10_closed_form"] = q * 2.0 * CATALAN / math.pi / math.log(10.0)
-        params["panels"] = 4096
+        value = _staging_integral_log10(q, params)
     return BoundReport(_QC_IDS[mode], value, InverseVariant.PAPER.value, params)
 
 
@@ -336,9 +337,7 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
         value = (n / 4.0 - 1.0) * _LOG2 + 0.5 * math.log10(n)
         params["log10_table_column"] = (q / 2.0) * _LOG2 + 0.5 * math.log10(q)
     else:
-        value = _staging_integral_log10(q)
-        params["log10_closed_form"] = q * 2.0 * CATALAN / math.pi / math.log(10.0)
-        params["panels"] = 4096
+        value = _staging_integral_log10(q, params)
     return BoundReport(DFT_BLOCK, value, InverseVariant.PAPER.value, params)
 
 
@@ -377,6 +376,28 @@ def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
                        reason="" if ok else "a row knot coincides with the center")
 
 
+def _chord(t: np.ndarray, j_lo: int, j_hi: int):
+    """Midpoint c and half-length r of the chord from t[j_lo] to t[j_hi]."""
+    c = 0.5 * (t[j_lo] + t[j_hi])
+    return c, float(abs(c - t[j_lo]))
+
+
+def _arc_score(rho_bar: int, eta: float, r: float) -> float:
+    """log10 of the arc bound on ||Cinv||: rho_bar log10(eta) + log10((eta-1) r)."""
+    return rho_bar * math.log10(eta) + math.log10((eta - 1.0) * r)
+
+
+def _count_inside(centers, radii, pts, eta_grid) -> np.ndarray:
+    """[a, e]: points with |p - centers[a]| < eta_grid[e] * radii[a] - BOUNDARY_TOL."""
+    counts = np.empty((len(centers), len(eta_grid)), dtype=np.int64)
+    for lo, d in diff_blocks(centers, pts):
+        dist = np.abs(d)
+        for e, eta in enumerate(eta_grid):
+            lim = eta * radii[lo:lo + len(d)] - BOUNDARY_TOL
+            counts[lo:lo + len(d), e] = np.count_nonzero(dist < lim[:, None], axis=1)
+    return counts
+
+
 def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
                     eta: float) -> SeparationCertificate:
     """Build the separation witness for the arc t_{j_lo} .. t_{j_hi}.
@@ -393,11 +414,8 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
     l = j_hi - j_lo + 1
     if l > n / 2.0:
         raise ArcTooLong(f"arc of {l} knots exceeds n/2 = {n / 2:g}")
-    t = complex(f) * np.exp(2j * np.pi * np.arange(n) / n)
-    c = 0.5 * (t[j_lo] + t[j_hi])
-    r = float(abs(c - t[j_lo]))
-    d = np.abs(s.as_array() - c)
-    m_minus = int(np.sum(d < eta * r - BOUNDARY_TOL))
+    c, r = _chord(complex(f) * np.exp(2j * np.pi * np.arange(n) / n), j_lo, j_hi)
+    m_minus = int(_count_inside(np.array([c]), np.array([r]), s.as_array(), (eta,))[0, 0])
     return SeparationCertificate(j_lo, j_hi, l, complex(c), r, float(eta),
                                  m_minus, n - m_minus, l - m_minus)
 
@@ -414,11 +432,7 @@ def bound_arc(s: KnotVector, cert: SeparationCertificate,
     if cert.rho_bar <= 0:
         raise VacuousCertificate(f"rho_bar = {cert.rho_bar} is not positive")
     n = len(s)
-    if cert.r > 0.0:
-        value = (cert.rho_bar * math.log10(cert.eta)
-                 + math.log10((cert.eta - 1.0) * cert.r))
-    else:
-        value = -math.inf
+    value = _arc_score(cert.rho_bar, cert.eta, cert.r) if cert.r > 0.0 else -math.inf
     params = {"n": n, "j_lo": cert.j_lo, "j_hi": cert.j_hi, "l": cert.l,
               "eta": cert.eta, "r": cert.r, "c": cert.c,
               "m_minus": cert.m_minus, "m_plus": cert.m_plus,
@@ -430,14 +444,9 @@ def bound_arc(s: KnotVector, cert: SeparationCertificate,
     value = value + 0.5 * math.log10(n) - _LOG2
     s_plus = s.max_modulus()
     params["s_plus"] = s_plus
-    ok = math.isfinite(value) and s_plus <= 1.0 + 1e-12
-    reason = ""
-    if not math.isfinite(value):
-        reason = "degenerate arc (r = 0)"
-    elif s_plus > 1.0 + 1e-12:
-        reason = f"knots leave the unit disc (s_+ = {s_plus:.6g})"
+    reason = _outside_disc(s_plus) if math.isfinite(value) else "degenerate arc (r = 0)"
     return BoundReport(ARC_VANDERMONDE, value, None, params,
-                       applicable=ok, reason=reason)
+                       applicable=not reason, reason=reason)
 
 
 def best_arc_search(s: KnotVector, f: complex,
@@ -459,37 +468,25 @@ def best_arc_search(s: KnotVector, f: complex,
     if exhaustive and n > 128:
         raise ValueError("exhaustive scan supported only for n <= 128")
     stride = 1 if exhaustive else max(1, n // 64)
-    pts = s.as_array()
     t = complex(f) * np.exp(2j * np.pi * np.arange(n) / n)
+    arcs = [(j_lo, j_hi) + _chord(t, j_lo, j_hi) for j_lo in range(0, n, stride)
+            for j_hi in range(j_lo + 1, min(n, j_lo + n // 2), stride)]
+    m_minus = _count_inside(np.array([a[2] for a in arcs]),
+                            np.array([a[3] for a in arcs]), s.as_array(), eta_grid)
     half_log_n = 0.5 * math.log10(n)
-    best = None  # (value, l, j_lo, eta, cert)
-    for j_lo in range(0, n, stride):
-        max_l = int(n / 2.0)
-        for l in range(2, max_l + 1, stride):
-            j_hi = j_lo + l - 1
-            if j_hi >= n:
-                break
-            c = 0.5 * (t[j_lo] + t[j_hi])
-            r = float(abs(c - t[j_lo]))
-            if r <= 0.0:
-                continue
-            d = np.abs(pts - c)
-            for eta in eta_grid:
-                m_minus = int(np.sum(d < eta * r - BOUNDARY_TOL))
-                rho_bar = l - m_minus
-                if rho_bar <= 0:
-                    continue
-                value = (rho_bar * math.log10(eta)
-                         + math.log10((eta - 1.0) * r) + half_log_n - _LOG2)
+    best = None  # ((value, -l, -j_lo, -eta), j_lo, j_hi, eta)
+    for (j_lo, j_hi, _, r), counts in zip(arcs, m_minus.tolist()):
+        l = j_hi - j_lo + 1
+        for eta, count in zip(eta_grid, counts):
+            if count < l:
+                value = _arc_score(l - count, eta, r) + half_log_n - _LOG2
                 key = (value, -l, -j_lo, -eta)
-                if best is None or key > (best[0], -best[1], -best[2], -best[3]):
-                    cert = SeparationCertificate(j_lo, j_hi, l, complex(c), r,
-                                                 eta, m_minus, n - m_minus,
-                                                 rho_bar)
-                    best = (value, l, j_lo, eta, cert)
-    if best is None or best[0] <= 0.0:
+                if best is None or key > best[0]:
+                    best = (key, j_lo, j_hi, eta)
+    del arcs, m_minus  # a caller keeping NoPositiveBound would keep them
+    if best is None or best[0][0] <= 0.0:
         raise NoPositiveBound(
             "no arc certificate yields a bound above 1; "
             "knots are evenly spaced or n is too small")
-    cert = best[4]
+    cert = arc_certificate(s, f, *best[1:])
     return cert, bound_arc(s, cert, form="vandermonde")

@@ -10,7 +10,7 @@ knots are accurate to about 1 ulp.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -26,14 +26,28 @@ DISTINCT_TOL = 1e-13
 class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
-    `knots` is one read-only complex128 array.  `label` records which
-    generator produced it and `params` the generator arguments, so
-    downstream reports can cite their input.
+    `knots` is a read-only complex128 copy of the points, checked to be
+    non-empty, finite and pairwise further apart than `tol`.  `label` names
+    the generator and `params` its arguments, so reports can cite their input.
     """
 
     knots: np.ndarray
     label: str = "custom"
     params: dict = field(default_factory=dict)
+    tol: InitVar[float] = DISTINCT_TOL
+
+    def __post_init__(self, tol: float):
+        arr = np.array(self.knots, dtype=np.complex128)
+        if arr.size == 0:
+            raise EmptyInput("knot vector must contain at least one knot")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("knots must be finite")
+        gap, i, j = closest_pair(arr, arr, skip_self=True)
+        if gap <= tol:
+            raise DuplicateKnot(i, j, gap)
+        arr.flags.writeable = False
+        object.__setattr__(self, "knots", arr)
+        object.__setattr__(self, "params", dict(self.params))
 
     def __len__(self):
         return len(self.knots)
@@ -51,22 +65,9 @@ class KnotVector:
         return float(np.max(np.abs(self.knots)))
 
 
-def _build(points, label, params, tol=DISTINCT_TOL) -> KnotVector:
-    arr = np.array(points, dtype=np.complex128)
-    if arr.size == 0:
-        raise EmptyInput("knot vector must contain at least one knot")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("knots must be finite")
-    gap, i, j = closest_pair(arr, arr, skip_self=True)
-    if gap <= tol:
-        raise DuplicateKnot(i, j, gap)
-    arr.flags.writeable = False
-    return KnotVector(arr, label, dict(params))
-
-
 def make_knot_vector(points, tol: float = DISTINCT_TOL) -> KnotVector:
     """Wrap an explicit point list, verifying pairwise distinctness."""
-    return _build(points, "custom", {"tol": tol}, tol)
+    return KnotVector(points, "custom", {"tol": tol}, tol)
 
 
 def roots_of_unity(n: int) -> KnotVector:
@@ -74,7 +75,7 @@ def roots_of_unity(n: int) -> KnotVector:
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)]
-    return _build(pts, "dft", {"n": n})
+    return KnotVector(pts, "dft", {"n": n})
 
 
 def quasi_cyclic_fractions(n: int) -> list:
@@ -101,7 +102,7 @@ def quasi_cyclic(n: int) -> KnotVector:
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = [cmath.exp(2j * cmath.pi * f) for f in quasi_cyclic_fractions(n)]
-    return _build(pts, "quasi-cyclic", {"n": n})
+    return KnotVector(pts, "quasi-cyclic", {"n": n})
 
 
 def radical_inverse(i: int) -> float:
@@ -125,7 +126,7 @@ def van_der_corput(n: int) -> KnotVector:
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = [cmath.exp(2j * cmath.pi * radical_inverse(i)) for i in range(n)]
-    return _build(pts, "van-der-corput", {"n": n})
+    return KnotVector(pts, "van-der-corput", {"n": n})
 
 
 def single_outlier(n: int, s_last: complex) -> KnotVector:
@@ -139,7 +140,7 @@ def single_outlier(n: int, s_last: complex) -> KnotVector:
         raise ValueError("n must be >= 2")
     base = [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n - 1)]
     pts = base + [complex(s_last)]
-    return _build(pts, "single-outlier", {"n": n, "s_last": complex(s_last)})
+    return KnotVector(pts, "single-outlier", {"n": n, "s_last": complex(s_last)})
 
 
 def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
@@ -152,7 +153,7 @@ def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
         raise ValueError("n must be >= 1")
     base = [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)]
     pts = base + [complex(s_extra)]
-    return _build(pts, "dft-plus-outlier", {"n": n, "s_extra": complex(s_extra)})
+    return KnotVector(pts, "dft-plus-outlier", {"n": n, "s_extra": complex(s_extra)})
 
 
 def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
@@ -167,7 +168,7 @@ def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
         raise ValueError("rho must lie in (0, 1)")
     outer = [cmath.exp(2j * cmath.pi * (i / (n - k))) for i in range(n - k)]
     inner = [rho * cmath.exp(2j * cmath.pi * (i / k)) for i in range(k)]
-    return _build(outer + inner, "scaled-cluster", {"n": n, "k": k, "rho": rho})
+    return KnotVector(outer + inner, "scaled-cluster", {"n": n, "k": k, "rho": rho})
 
 
 def read_knots(path) -> KnotVector:
@@ -185,7 +186,7 @@ def read_knots(path) -> KnotVector:
                 raise ValueError(f"{path}:{lineno}: bad knot line {text!r}") from exc
     if not pts:
         raise EmptyInput(f"{path}: no knots found")
-    return _build(pts, "file", {"path": str(path)})
+    return KnotVector(pts, "file", {"path": str(path)})
 
 
 def dump_knots(kv: KnotVector, fh) -> None:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -195,6 +196,39 @@ class TestBoundCoeffNorm:
                    - circ.params["log10_halfnorm_grid_n1"]) < 1e-9
         slack = 0.5 * (math.log10(25) - math.log10(24))
         assert coeff.log10value <= circ.log10value + slack + 1e-12
+
+    @pytest.mark.parametrize("knots", [
+        knotgen.scaled_cluster(192, 24, 0.5),
+        knotgen.single_outlier(192, 1.5 * cmath.exp(0.7j)),
+        knotgen.quasi_cyclic(192)], ids=lambda k: k.label)
+    def test_matches_extended_precision_coefficients(self, knots):
+        with mpmath.workdps(60):
+            coeff = [mpmath.mpc(1)]
+            for z in knots:
+                z = mpmath.mpc(z.real, z.imag)
+                coeff = ([-z * coeff[0]]
+                         + [coeff[k - 1] - z * coeff[k] for k in range(1, len(coeff))]
+                         + [coeff[-1]])
+            ref = float(mpmath.log10(mpmath.norm(coeff)))
+        rep = bounds.bound_coeff_norm(knots)
+        assert abs(rep.params["log10_coeff_norm"] - ref) < 1e-12
+
+    @pytest.mark.parametrize("knots", [
+        knotgen.quasi_cyclic(768), knotgen.quasi_cyclic(1536),
+        knotgen.scaled_cluster(192, 24, 0.5), knotgen.scaled_cluster(768, 96, 0.5),
+        knotgen.single_outlier(768, 1.5 * cmath.exp(2.1j))],
+        ids=lambda k: f"{k.label}-{len(k)}")
+    def test_finite_and_equal_to_circle_halfnorm(self, knots, recwarn):
+        # Inputs whose expanded coefficients overflowed or lost every digit.
+        rep = bounds.bound_coeff_norm(knots)
+        assert math.isfinite(rep.log10value)
+        assert len(recwarn) == 0
+        circ = bounds.bound_circle_value(knots)
+        assert rep.log10value == circ.params["log10_halfnorm_grid_n1"]
+
+    def test_no_degree_cap(self):
+        rep = bounds.bound_coeff_norm(knotgen.van_der_corput(4097))
+        assert math.isfinite(rep.log10value) and rep.applicable
 
 
 class TestBoundQuasiCyclic:
@@ -396,7 +430,74 @@ class TestBoundArc:
             assert not rep.applicable
 
 
+def reference_arc_search(s, f, eta_grid=(1.1, 1.2, 1.5), exhaustive=False):
+    """The per-arc loop best_arc_search replaced, kept as its reference."""
+    n = len(s)
+    eta_grid = tuple(float(e) for e in eta_grid)
+    stride = 1 if exhaustive else max(1, n // 64)
+    pts = s.as_array()
+    t = complex(f) * np.exp(2j * np.pi * np.arange(n) / n)
+    half_log_n = 0.5 * math.log10(n)
+    best = None  # (value, l, j_lo, eta, cert)
+    for j_lo in range(0, n, stride):
+        for l in range(2, int(n / 2.0) + 1, stride):
+            j_hi = j_lo + l - 1
+            if j_hi >= n:
+                break
+            c = 0.5 * (t[j_lo] + t[j_hi])
+            r = float(abs(c - t[j_lo]))
+            if r <= 0.0:
+                continue
+            d = np.abs(pts - c)
+            for eta in eta_grid:
+                m_minus = int(np.sum(d < eta * r - bounds.BOUNDARY_TOL))
+                rho_bar = l - m_minus
+                if rho_bar <= 0:
+                    continue
+                value = (rho_bar * math.log10(eta)
+                         + math.log10((eta - 1.0) * r) + half_log_n - math.log10(2.0))
+                key = (value, -l, -j_lo, -eta)
+                if best is None or key > (best[0], -best[1], -best[2], -best[3]):
+                    cert = SeparationCertificate(j_lo, j_hi, l, complex(c), r,
+                                                 eta, m_minus, n - m_minus,
+                                                 rho_bar)
+                    best = (value, l, j_lo, eta, cert)
+    if best is None or best[0] <= 0.0:
+        raise NoPositiveBound("no arc certificate yields a bound above 1")
+    return best[4], bounds.bound_arc(s, best[4], form="vandermonde")
+
+
+def arc_corpus():
+    """(knots, exhaustive) over every generator plus knots that leave arcs empty."""
+    rng = np.random.default_rng(7)
+    gens = (knotgen.roots_of_unity, knotgen.quasi_cyclic, knotgen.van_der_corput,
+            lambda n: knotgen.single_outlier(n, 1.5 * cmath.exp(0.4j)),
+            lambda n: knotgen.dft_plus_outlier(n, 0.3 + 0.2j),
+            lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.5),
+            # Half-circle knots: every lower arc is empty, values nearly tie.
+            lambda n: kv(np.exp(1j * np.pi * (np.arange(n) + 0.5) / n)),
+            lambda n: kv(rng.uniform(0.2, 1.0, n)
+                         * np.exp(1j * rng.uniform(0.0, 1.5 * np.pi, n))))
+    for n in (2, 3, 5, 8, 12, 17, 24, 31, 39, 48, 400):
+        for gen in gens:
+            yield gen(n), n == 31
+
+
 class TestBestArcSearch:
+    def test_matches_reference_loop(self):
+        cases = 0
+        for knots, exhaustive in arc_corpus():
+            for f in (1.0, cmath.exp(0.3j), -1j):
+                try:
+                    want = reference_arc_search(knots, f, exhaustive=exhaustive)
+                except NoPositiveBound:
+                    with pytest.raises(NoPositiveBound):
+                        bounds.best_arc_search(knots, f, exhaustive=exhaustive)
+                    continue
+                assert bounds.best_arc_search(knots, f, exhaustive=exhaustive) == want
+                cases += 1
+        assert cases > 40
+
     def test_uniform_knots_no_positive_bound(self):
         with pytest.raises(NoPositiveBound):
             bounds.best_arc_search(knotgen.roots_of_unity(64), cmath.exp(0.3j))

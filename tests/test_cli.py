@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -178,8 +179,8 @@ class TestBounds:
         assert code == 0
 
     def test_degrades_per_report_on_extreme_knots(self, tmp_path, capsys):
-        # Coefficient products overflow for these knots; the remaining
-        # bounds must still be listed, each line staying valid JSON.
+        # s(x) = x^700 - 3^700 spans hundreds of decades; every report stays
+        # finite, and the coefficient bound carries the unit-disc gate.
         path = tmp_path / "wild.txt"
         pts = 3.0 * knotgen.roots_of_unity(700).as_array()
         knotgen.write_knots(knotgen.make_knot_vector(list(pts)), path)
@@ -189,8 +190,33 @@ class TestBounds:
         by_id = {r["bound_id"]: r for r in reports}
         assert by_id["easy"]["applicable"]
         assert by_id["easy"]["log10value"] > 100
-        assert not by_id["coeff-norm"]["applicable"]
-        assert "RangeOverflow" in by_id["coeff-norm"]["reason"]
+        coeff = by_id["coeff-norm"]
+        assert math.isfinite(coeff["log10value"])
+        assert not coeff["applicable"]
+        assert coeff["reason"] == "knots leave the unit disc (s_+ = 3)"
+
+    def test_scaled_cluster_quiet(self, capsys, recwarn):
+        # Its expanded coefficients used to overflow with a RuntimeWarning.
+        code, out, err = run(["bounds", "--gen", "scaled-cluster", "--n", "768",
+                              "--k", "96", "--rho", "0.5"], capsys)
+        assert code == 0 and err == "" and len(recwarn) == 0
+        by_id = {r["bound_id"]: r for r in map(json.loads, out.splitlines())}
+        assert math.isfinite(by_id["coeff-norm"]["log10value"])
+
+    def test_raising_evaluator_keeps_the_listing(self, tmp_path, capsys):
+        # The arc search raises on evenly spaced knots; the remaining
+        # bounds must still be listed, each line staying valid JSON.
+        path = tmp_path / "uniform.txt"
+        knotgen.write_knots(knotgen.roots_of_unity(64), path)
+        code, out, _ = run(["bounds", "--knots", str(path)], capsys)
+        assert code == 0
+        reports = [json.loads(l) for l in out.strip().splitlines()]
+        by_id = {r["bound_id"]: r for r in reports}
+        assert by_id["easy"]["applicable"]
+        assert by_id["coeff-norm"]["applicable"]
+        arc = by_id["arc-vandermonde"]
+        assert not arc["applicable"]
+        assert arc["reason"].startswith("NoPositiveBound")
 
 
 class TestTable:

@@ -59,6 +59,24 @@ class TestKnotArray:
         arr[0] = 7
         assert from_list[0] == 1 and from_array[0] == 1
 
+    @pytest.mark.parametrize("points, error", [
+        ([1, 1, 2], DuplicateKnot), ([1, 2, complex("nan")], ValueError),
+        ([1, 1, complex("nan")], ValueError), ([], EmptyInput)])
+    def test_direct_construction_checks(self, points, error):
+        with pytest.raises(error):
+            knotgen.KnotVector(points)
+
+    def test_direct_construction_copies_and_freezes(self):
+        arr = np.array([1, 2j, -3], dtype=complex)
+        params = {"n": 3}
+        kv = knotgen.KnotVector(arr, "direct", params)
+        arr[0] = 7
+        params["n"] = 4
+        assert kv[0] == 1 and kv.params == {"n": 3}
+        assert not kv.knots.flags.writeable
+        with pytest.raises(DuplicateKnot):
+            knotgen.KnotVector([0, 1e-3], tol=1e-2)
+
     def test_scan_memory_is_blocked(self):
         # The n x n table of the old check peaked at 384 MB here.
         tracemalloc.start()
