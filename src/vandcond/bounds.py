@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchyinv import InverseVariant, cv_inverse_log_entries
+from .cauchyinv import InverseVariant, inverse_factors
 from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
 from .knotgen import DISTINCT_TOL, KnotVector
 from .logdomain import diff_blocks, log_products, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values
-from .structmat import cv_matrix, vandermonde
+from .structmat import cv_knots, cv_matrix, vandermonde
 
 #: Catalan's constant, hard-coded to 18 digits for the integral cross-check.
 CATALAN = 0.915965594177219015
@@ -158,11 +158,6 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
                         "log10_kappa_bound": value - 0.5 * math.log10(n)})
 
 
-def _nudge_f(f: complex, n: int) -> complex:
-    return f * complex(math.cos(2.0 * math.pi * 2.0 ** -40 / n),
-                       math.sin(2.0 * math.pi * 2.0 ** -40 / n))
-
-
 def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
              tol: float = DISTINCT_TOL) -> BoundReport:
     """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
@@ -170,7 +165,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     ||Cinv|| is lower-bounded by the largest inverse-entry magnitude under
     the chosen variant, evaluated in the log domain so any scale works;
     when n <= 512 the exact SVD norm of the inverse is recorded alongside.
-    On a grid collision f is nudged by the angle 2^-40 * 2 pi / n once.
+    On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
     """
     f = complex(f)
     if abs(abs(f) - 1.0) > 1e-12:
@@ -179,12 +174,18 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     n = len(sp)
     nudged = False
     try:
-        logs, _ = cv_inverse_log_entries(s, f, variant, tol)
+        tp = cv_knots(n, f)
+        row, _, col, _ = inverse_factors(sp, tp, variant, tol, f)
     except KnotCollision:
-        f = _nudge_f(f, n)
+        step = math.pi * (3.0 - math.sqrt(5.0)) / n
+        f *= complex(math.cos(step), math.sin(step))
         nudged = True
-        logs, _ = cv_inverse_log_entries(s, f, variant, tol)
-    log_inv_entry = float(np.max(logs))
+        tp = cv_knots(n, f)
+        row, _, col, _ = inverse_factors(sp, tp, variant, tol, f)
+    # The largest entry, one row block at a time: no n x n table.
+    log_inv_entry = max(
+        float(np.max(row[lo:lo + len(d), None] - np.log10(np.abs(d)) + col))
+        for lo, d in diff_blocks(tp, sp))
     log_pow = float(np.max(pow_diff_logs(sp, f, n)[0]))
     value = 0.5 * math.log10(n) + log_inv_entry - log_pow
     params = {"n": n, "f": f, "nudged": nudged,

@@ -57,61 +57,61 @@ def cauchy_det(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> LogCo
     n = len(sp)
     cross_mag, cross_ph = log_products(sp, tp)
     mag, ph = -float(np.sum(cross_mag)), -float(np.sum(cross_ph))
-    iu, ju = np.triu_indices(n, k=1)
-    if n > 1:
-        ds = sp[ju] - sp[iu]
-        dt = tp[iu] - tp[ju]
-        mag += float(np.sum(np.log10(np.abs(ds))) + np.sum(np.log10(np.abs(dt))))
-        ph += float(np.sum(np.angle(ds)) + np.sum(np.angle(dt)))
+    # Row blocks hold s_j - s_i at column i < row j, t_i - t_j at column j > row i.
+    for pts, keep in ((sp, np.less), (tp, np.greater)):
+        for lo, d in diff_blocks(pts, pts):
+            d = d[keep(np.arange(n), np.arange(lo, lo + len(d))[:, None])]
+            mag += float(np.sum(np.log10(np.abs(d))))
+            ph += float(np.sum(np.angle(d)))
     return LogComplex(mag, wrap_phase(ph))
+
+
+def inverse_factors(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
+                    tol: float, cv_f=None):
+    """(row_mag, row_ph, col_mag, col_ph): the O(n) factors of the closed form.
+
+    Entry (i, j) of the corrected inverse, (j, i) of the paper one, is
+    row_i / (t_i - s_j) * col_j in (log10 magnitude, raw phase).  Rows are
+    s(t_i), over t'(t_i) if corrected, times (-1)**n for paper.  Columns are
+    t(s_j), or x**n - f**n in closed form with `cv_f`, over s'(s_j) if corrected.
+    """
+    n = len(sp)
+    if len(tp) != n:
+        raise ValueError("inverse requires a square matrix")
+    check_disjoint(sp, tp, tol)
+    row_mag, row_ph = log_products(tp, sp)
+    col_mag, col_ph = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
+    if variant is InverseVariant.PAPER:
+        return row_mag, row_ph + math.pi * n, col_mag, col_ph
+    sp_mag, sp_ph = self_derivative_logs(sp)
+    if cv_f is None:
+        tp_mag, tp_ph = self_derivative_logs(tp)
+    else:
+        # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
+        tp_mag = math.log10(n) + (n - 1) * np.log10(np.abs(tp))
+        tp_ph = (n - 1) * np.angle(tp)
+    return row_mag - tp_mag, row_ph - tp_ph, col_mag - sp_mag, col_ph - sp_ph
 
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
                   tol: float, cv_f=None):
     """(log10 magnitude, wrapped phase) tables of every inverse entry.
 
-    One table of log10|t_i - s_j| and angle(t_i - s_j) serves every factor:
-    its row sums give s(t_i) and, for a Cauchy pair, its column sums plus
-    n pi give t(s_j).  With `cv_f` the column polynomial is
-    t(x) = x**n - f**n, evaluated in closed form.  The table is then turned
-    into the entries in place; the paper variant reads it transposed.
+    Filled from `inverse_factors` one row block of t_i - s_j at a time;
+    the paper variant reads the tables transposed.
     """
+    row_mag, row_ph, col_mag, col_ph = inverse_factors(sp, tp, variant, tol, cv_f)
     n = len(sp)
-    if len(tp) != n:
-        raise ValueError("inverse requires a square matrix")
-    check_disjoint(sp, tp, tol)
-    corrected = variant is InverseVariant.CORRECTED
-    if corrected:
-        # Before the tables exist, so their scratch never overlaps them.
-        sp_mag, sp_ph = self_derivative_logs(sp)
-        if cv_f is None:
-            tp_mag, tp_ph = self_derivative_logs(tp)
-        else:
-            # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
-            tp_mag = math.log10(n) + (n - 1) * np.log10(np.abs(tp))
-            tp_ph = (n - 1) * np.angle(tp)
     mag = np.empty((n, n))
     ph = np.empty((n, n))
     for lo, d in diff_blocks(tp, sp):
-        np.log10(np.abs(d), out=mag[lo:lo + len(d)])
-        ph[lo:lo + len(d)] = np.angle(d)
-    s_at_t_mag, s_at_t_ph = mag.sum(axis=1), ph.sum(axis=1)
-    if cv_f is None:
-        t_at_s_mag, t_at_s_ph = mag.sum(axis=0), ph.sum(axis=0) + math.pi * n
-    else:
-        t_at_s_mag, t_at_s_ph = pow_diff_logs(sp, cv_f, n)
-    if corrected:
-        s_at_t_mag, s_at_t_ph = s_at_t_mag - tp_mag, s_at_t_ph - tp_ph
-        t_at_s_mag, t_at_s_ph = t_at_s_mag - sp_mag, t_at_s_ph - sp_ph
-    else:
-        s_at_t_ph += math.pi * n
-    for table, rows, cols in ((mag, s_at_t_mag, t_at_s_mag),
-                              (ph, s_at_t_ph, t_at_s_ph)):
-        np.negative(table, out=table)
-        table += rows[:, None]
-        table += cols[None, :]
+        hi = lo + len(d)
+        np.subtract(row_mag[lo:hi, None], np.log10(np.abs(d)), out=mag[lo:hi])
+        mag[lo:hi] += col_mag
+        np.subtract(row_ph[lo:hi, None], np.angle(d), out=ph[lo:hi])
+        ph[lo:hi] += col_ph
     wrap_phase(ph, out=ph)
-    return (mag, ph) if corrected else (mag.T, ph.T)
+    return (mag, ph) if variant is InverseVariant.CORRECTED else (mag.T, ph.T)
 
 
 def _materialize(mag: np.ndarray, ph: np.ndarray, params: dict) -> DenseMatrix:
@@ -186,9 +186,6 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     n = len(sp)
     cinv = cv_inverse(s, f, variant, tol).data
     f = complex(f)
-    omega = np.exp(2j * np.pi * np.arange(n) / n)
-    omega_h = np.conj(np.power.outer(omega, np.arange(n)))  # Omega^H (symmetric Omega)
-    left = (f ** (n - 1 - np.arange(n)))[:, None] * omega_h * np.conj(omega)[None, :]
     mag, ph = pow_diff_logs(sp, f, n)
     if np.any(np.isinf(mag) & (mag < 0)):
         bad = int(np.argmin(mag))
@@ -196,7 +193,9 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     if np.max(np.abs(mag)) > RANGE_LOG10:
         raise RangeOverflow(float(np.max(np.abs(mag))), where="diag(s^n - f^n)")
     right = 10.0 ** (-mag) * np.exp(-1j * ph)
-    out = (left @ cinv) * right[None, :]
+    # Omega^H y is the DFT of y.
+    out = np.fft.fft(np.exp(-2j * np.pi * np.arange(n) / n)[:, None] * cinv, axis=0)
+    out = (f ** (n - 1 - np.arange(n)))[:, None] * out * right[None, :]
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="assembled inverse")
     return DenseMatrix(out, "custom",

@@ -1,11 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from vandcond import bounds, knotgen, spectral, structmat
+from vandcond import bounds, cauchyinv, knotgen, spectral, structmat
 from vandcond.bounds import SeparationCertificate
 from vandcond.cauchyinv import InverseVariant
 from vandcond.errors import (ArcTooLong, BadShape, NoPositiveBound,
@@ -113,10 +114,36 @@ class TestBoundCv:
         rep = bounds.bound_cv(s, f, PAPER)
         assert rep.log10value >= math.log10(1773.6)
 
-    def test_collision_nudges(self):
-        rep = bounds.bound_cv(knotgen.roots_of_unity(8), 1.0, CORRECTED)
+    @pytest.mark.parametrize("s", [knotgen.roots_of_unity(8), knotgen.roots_of_unity(64),
+                                   knotgen.quasi_cyclic(192)], ids=["rou8", "rou64", "qc192"])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_collision_nudges(self, s, variant):
+        # f = 1 puts grid points on knots; the one nudge must carry the grid
+        # beyond DISTINCT_TOL of every knot at any n.
+        rep = bounds.bound_cv(s, 1.0, variant)
         assert rep.params["nudged"]
         assert math.isfinite(rep.log10value)
+        assert math.isfinite(rep.params["log10_inv_norm_entry"])
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_blocked_max_equals_table_max(self, n, variant):
+        s, f = knotgen.van_der_corput(n), cmath.exp(0.3j)
+        mag, _ = cauchyinv.cv_inverse_log_entries(s, f, variant)
+        rep = bounds.bound_cv(s, f, variant)
+        assert rep.params["log10_inv_norm_entry"] == float(np.max(mag))
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_no_n_by_n_table(self, variant):
+        # The two n x n log tables traced 44 MB at this size.
+        s = knotgen.quasi_cyclic(1536)
+        tracemalloc.start()
+        try:
+            bounds.bound_cv(s, cmath.exp(0.5j), variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     @pytest.mark.parametrize("n, nudged, calls", [(384, False, 2), (768, False, 1),
                                                    (384, True, 3), (768, True, 2)])
@@ -124,7 +151,8 @@ class TestBoundCv:
         # One grid for the inverse (plus one for the failed first try when
         # nudged) and one more for the SVD cross-check at n <= 512.
         if nudged:
-            # Below the default tol the 2^-40 turn nudge cannot clear the grid.
+            # With f = 1 the grid is the knots themselves, so even a tol far
+            # below the default makes the first try collide.
             s, f, tol = knotgen.roots_of_unity(n), 1.0, 1e-15
         else:
             s, f, tol = knotgen.quasi_cyclic(n), cmath.exp(0.3j), knotgen.DISTINCT_TOL

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from vandcond import cauchyinv, knotgen, structmat
 from vandcond.cauchyinv import InverseVariant, LogComplex
 from vandcond.errors import RangeOverflow
+from vandcond.logdomain import (log_products, pow_diff_logs,
+                                self_derivative_logs, wrap_phase)
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
@@ -23,6 +26,64 @@ def random_annulus_knots(rng, count, r_lo=0.5, r_hi=2.0, gap=0.05):
         if r_lo <= abs(z) <= r_hi and all(abs(z - w) >= gap for w in pts):
             pts.append(z)
     return pts
+
+
+def reference_inverse_logs(sp, tp, variant, cv_f=None):
+    """The table-sum construction: one n x n table of t_i - s_j whose row
+    sums give s(t_i) and whose column sums plus n pi give t(s_j)."""
+    n = len(sp)
+    d = tp[:, None] - sp[None, :]
+    mag, ph = np.log10(np.abs(d)), np.angle(d)
+    rows = mag.sum(axis=1), ph.sum(axis=1)
+    if cv_f is None:
+        cols = mag.sum(axis=0), ph.sum(axis=0) + math.pi * n
+    else:
+        cols = pow_diff_logs(sp, cv_f, n)
+    if variant is CORRECTED:
+        if cv_f is None:
+            tder = self_derivative_logs(tp)
+        else:
+            tder = (math.log10(n) + (n - 1) * np.log10(np.abs(tp)),
+                    (n - 1) * np.angle(tp))
+        sder = self_derivative_logs(sp)
+        rows = rows[0] - tder[0], rows[1] - tder[1]
+        cols = cols[0] - sder[0], cols[1] - sder[1]
+    else:
+        rows = rows[0], rows[1] + math.pi * n
+    mag = -mag + rows[0][:, None] + cols[0][None, :]
+    ph = wrap_phase(-ph + rows[1][:, None] + cols[1][None, :])
+    return (mag, ph) if variant is CORRECTED else (mag.T, ph.T)
+
+
+def reference_cauchy_det(sp, tp):
+    """log10|det C| and phase from the i < j pairs of np.triu_indices."""
+    mag, ph = (-float(np.sum(x)) for x in log_products(sp, tp))
+    iu, ju = np.triu_indices(len(sp), k=1)
+    for d in (sp[ju] - sp[iu], tp[iu] - tp[ju]):
+        mag += float(np.sum(np.log10(np.abs(d))))
+        ph += float(np.sum(np.angle(d)))
+    return mag, wrap_phase(ph)
+
+
+def reference_via_cv_dense(s, f, variant):
+    """V^{-1} with Omega^H applied as a dense n x n product."""
+    sp = s.as_array()
+    n = len(sp)
+    cinv = cauchyinv.cv_inverse(s, f, variant).data
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    omega_h = np.conj(np.power.outer(omega, np.arange(n)))
+    left = (f ** (n - 1 - np.arange(n)))[:, None] * omega_h * np.conj(omega)[None, :]
+    mag, ph = pow_diff_logs(sp, f, n)
+    return (left @ cinv) * (10.0 ** (-mag) * np.exp(-1j * ph))[None, :]
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLogComplex:
@@ -130,6 +191,24 @@ class TestCauchyDet:
             d = cauchyinv.cauchy_det(s, t)
             lu = np.linalg.det(structmat.cauchy(s, t).data)
             assert abs(d.log10mag - math.log10(abs(lu))) < 1e-9 * max(1, abs(d.log10mag))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_blocked_pairs_match_triu_reference(self, n):
+        s = knotgen.van_der_corput(n)
+        t = kv(list(2.0 * structmat.cv_knots(n, cmath.exp(0.3j))))
+        d = cauchyinv.cauchy_det(s, t)
+        mag, ph = reference_cauchy_det(s.as_array(), t.as_array())
+        # The raw phase is a sum of about n**2 / 2 angles before wrapping.
+        assert abs(d.log10mag - mag) <= 3e-14 * max(1.0, abs(mag))
+        assert abs(cmath.phase(cmath.exp(1j * (d.phase - ph)))) <= 3e-14 * n * n
+
+    def test_pair_products_use_blocked_memory(self):
+        # np.triu_indices over the i < j pairs traced 72 MB at this size.
+        n = 1536
+        s = knotgen.van_der_corput(n)
+        t = kv(list(structmat.cv_knots(n, cmath.exp(0.5j))))
+        assert traced_peak(lambda: cauchyinv.cauchy_det(s, t)) <= 16 * 2 ** 20
 
 
 class TestInverseEntries:
@@ -302,7 +381,53 @@ class TestLogEntryTables:
             assert np.max(np.abs(dph)) < 1e-9
 
 
+class TestFactorForm:
+    """Entries from `inverse_factors` against the table-sum construction."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_cv_tables_equal_table_sums(self, n, variant):
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
+        ref_mag, ref_ph = reference_inverse_logs(
+            s.as_array(), structmat.cv_knots(n, f), variant, f)
+        assert np.array_equal(mag, ref_mag) and np.array_equal(ph, ref_ph)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_cauchy_tables_match_table_sums(self, n, variant):
+        # t(s_j) now comes from its own product, not from column sums plus
+        # n pi, so the last bits of the sums move.
+        s = knotgen.van_der_corput(n)
+        for t in (2.0 * structmat.cv_knots(n, cmath.exp(0.3j)),
+                  0.5 * cmath.exp(0.05j) * s.as_array()):
+            mag, ph = cauchyinv.cauchy_inverse_log_entries(s, kv(list(t)), variant)
+            ref_mag, ref_ph = reference_inverse_logs(s.as_array(), t, variant)
+            scale = max(1.0, float(np.max(np.abs(ref_mag))))
+            assert np.max(np.abs(mag - ref_mag)) <= 3e-14 * scale
+            dph = np.angle(np.exp(1j * (ph - ref_ph)))
+            assert np.max(np.abs(dph)) <= 3e-14 * n * math.pi
+
+    def test_factors_are_vectors(self):
+        s = knotgen.van_der_corput(5)
+        for variant in (PAPER, CORRECTED):
+            f = cmath.exp(0.3j)
+            factors = cauchyinv.inverse_factors(
+                s.as_array(), structmat.cv_knots(5, f), variant, 1e-13, f)
+            assert [np.shape(x) for x in factors] == [(5,)] * 4
+
+
 class TestVandermondeInverses:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_via_cv_fft_matches_dense_product(self, n, variant):
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        got = cauchyinv.vandermonde_inverse_via_cv(s, f, variant).data
+        ref = reference_via_cv_dense(s, f, variant)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_via_cv_trivial(self):
         inv = cauchyinv.vandermonde_inverse_via_cv(kv([2.0]), np.exp(0.3j),
                                                    CORRECTED)
