@@ -114,10 +114,15 @@ class TestBoundCv:
         rep = bounds.bound_cv(s, f, PAPER)
         assert rep.log10value >= math.log10(1773.6)
 
+    def test_collision_nudges(self):
+        rep = bounds.bound_cv(knotgen.roots_of_unity(8), 1.0, CORRECTED)
+        assert rep.params["nudged"]
+        assert math.isfinite(rep.log10value)
+
     @pytest.mark.parametrize("s", [knotgen.roots_of_unity(8), knotgen.roots_of_unity(64),
                                    knotgen.quasi_cyclic(192)], ids=["rou8", "rou64", "qc192"])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
-    def test_collision_nudges(self, s, variant):
+    def test_collision_nudge_clears_grid(self, s, variant):
         # f = 1 puts grid points on knots; the one nudge must carry the grid
         # beyond DISTINCT_TOL of every knot at any n.
         rep = bounds.bound_cv(s, 1.0, variant)
