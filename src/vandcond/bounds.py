@@ -20,7 +20,7 @@ from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
 from .knotgen import DISTINCT_TOL, KnotVector
-from .logdomain import diff_blocks, log_products, pow_diff_logs
+from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values
 from .structmat import cv_knots, cv_matrix, vandermonde
 
@@ -202,7 +202,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
 
 def _log10_l2_on_roots(pts: np.ndarray, N: int) -> float:
     """log10 of the 2-norm of s(x) = prod (x - pts) at omega_N^i, i = 0..len(pts)."""
-    logmags = log_products(np.exp(2j * np.pi * np.arange(len(pts) + 1) / N), pts)[0]
+    logmags = log_magnitudes(np.exp(2j * np.pi * np.arange(len(pts) + 1) / N), pts)
     finite = logmags[np.isfinite(logmags)]
     if finite.size == 0:
         return -math.inf

@@ -129,20 +129,36 @@ def _materialize(mag: np.ndarray, ph: np.ndarray, params: dict) -> DenseMatrix:
     return DenseMatrix(out, "custom", params, copy=False)
 
 
+def _inverse_cell(sp: np.ndarray, tp: np.ndarray, i: int, j: int,
+                  variant: InverseVariant, tol: float, cv_f=None) -> LogComplex:
+    """Entry (i, j) of the `_inverse_logs` tables from the O(n) factors alone.
+
+    The operations and their order are those of the table fill, so the
+    cell is equal to the table's; indices follow numpy's (negative ones
+    count from the end, out-of-range ones raise IndexError).
+    """
+    row_mag, row_ph, col_mag, col_ph = inverse_factors(sp, tp, variant, tol, cv_f)
+    r, c = (i, j) if variant is InverseVariant.CORRECTED else (j, i)
+    r, c = range(len(sp))[r], range(len(sp))[c]
+    d = tp[r:r + 1] - sp[c:c + 1]
+    mag = row_mag[r] - np.log10(np.abs(d))[0] + col_mag[c]
+    ph = row_ph[r] - np.angle(d)[0] + col_ph[c]
+    return LogComplex(float(mag), wrap_phase(float(ph)))
+
+
 def cauchy_inverse_entry(s: KnotVector, t: KnotVector, i: int, j: int,
                          variant: InverseVariant,
                          tol: float = DISTINCT_TOL) -> LogComplex:
     """Entry (i, j) of the chosen inverse variant, in the log domain."""
-    mag, ph = _inverse_logs(s.as_array(), t.as_array(), variant, tol)
-    return LogComplex(float(mag[i, j]), float(ph[i, j]))
+    return _inverse_cell(s.as_array(), t.as_array(), i, j, variant, tol)
 
 
 def cv_inverse_entry(s: KnotVector, f: complex, i: int, j: int,
                      variant: InverseVariant,
                      tol: float = DISTINCT_TOL) -> LogComplex:
     """Entry (i, j) of the CV inverse, with t(x) = x**n - f**n substituted."""
-    mag, ph = _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, tol, complex(f))
-    return LogComplex(float(mag[i, j]), float(ph[i, j]))
+    return _inverse_cell(s.as_array(), cv_knots(len(s), f), i, j, variant, tol,
+                         complex(f))
 
 
 def cauchy_inverse(s: KnotVector, t: KnotVector, variant: InverseVariant,

@@ -99,11 +99,17 @@ def _cmd_cond(args, parser) -> int:
 
 
 def _print_entries(header: str, a: np.ndarray, b: np.ndarray) -> None:
-    """One csv line `i,j,a[i, j],b[i, j]` per entry of two same-shape tables."""
+    """One csv line `i,j,a[i, j],b[i, j]` per entry of two same-shape tables.
+
+    Each row is one `%` on a row template; `%.17g` prints a float exactly
+    as the f-string spec `.17g` does.
+    """
     print(header)
+    pairs = np.empty((a.shape[1], 2))
     for i in range(a.shape[0]):
-        sys.stdout.write("".join(f"{i},{j},{x:.17g},{y:.17g}\n" for j, (x, y)
-                                 in enumerate(zip(a[i].tolist(), b[i].tolist()))))
+        pairs[:, 0], pairs[:, 1] = a[i], b[i]
+        row = "".join([f"{i},{j},%.17g,%.17g\n" for j in range(a.shape[1])])
+        sys.stdout.write(row % tuple(pairs.ravel().tolist()))
 
 
 def _cmd_invert(args, parser) -> int:

@@ -114,23 +114,34 @@ def log_products(xs: np.ndarray, knots: np.ndarray):
     return _log_sums(xs, np.asarray(knots, dtype=np.complex128), skip_self=False)
 
 
+def log_magnitudes(xs: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """The `log_products` magnitudes alone, bit for bit, with no phase work."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
+    return _log_sums(xs, np.asarray(knots, dtype=np.complex128), skip_self=False,
+                     phase=False)[0]
+
+
 def self_derivative_logs(points: np.ndarray):
     """log10 magnitude and raw phase of prod_{k != j} (p_j - p_k) for each j."""
     points = np.asarray(points, dtype=np.complex128)
     return _log_sums(points, points, skip_self=True)
 
 
-def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool):
-    """Row sums of log10|x - knot| and angle(x - knot); skip_self drops x_j - x_j."""
+def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool, phase: bool = True):
+    """Row sums of log10|x - knot| and angle(x - knot); skip_self drops x_j - x_j.
+
+    Without `phase` the angle sums are skipped and None is returned for them.
+    """
     mag = np.empty(len(xs))
-    ph = np.empty(len(xs))
+    ph = np.empty(len(xs)) if phase else None
     with np.errstate(divide="ignore"):
         for lo, d in diff_blocks(xs, knots):
             if skip_self:
                 k = np.arange(len(d))
                 d[k, lo + k] = 1.0
             mag[lo:lo + len(d)] = np.sum(np.log10(np.abs(d)), axis=1)
-            ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
+            if phase:
+                ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
     return mag, ph
 
 

@@ -6,11 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot
 from .knotgen import KnotVector
-from .logdomain import log_products
+from .logdomain import log_magnitudes
 from .structmat import DenseMatrix, dft
 
 #: Pivots at or below this magnitude signal a structurally singular block
@@ -129,12 +128,11 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     if grid < 8:
         raise ValueError("grid must be >= 8")
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    mags, _ = log_products(np.exp(1j * thetas), pts)
+    mags = log_magnitudes(np.exp(1j * thetas), pts)
     best = int(np.argmax(mags))
 
     def g(theta: float) -> float:
-        mag, _ = log_products(np.array([np.exp(1j * theta)]), pts)
-        return float(mag[0])
+        return float(log_magnitudes(np.exp(1j * theta), pts)[0])
 
     span = 2.0 * np.pi / grid
     lo = thetas[best] - span
@@ -171,6 +169,9 @@ def _genp_factor(a: np.ndarray):
     finished factor once for overflow, so solves on it need no finiteness
     scan.  Returns (LU, min |pivot|).
     """
+    # scipy.linalg costs about 0.35 s to import and only GENP needs it.
+    import scipy.linalg
+
     LU = np.array(a, dtype=np.complex128)
     n = LU.shape[0]
     min_pivot = math.inf
@@ -208,6 +209,8 @@ def _genp_solve_packed(LU: np.ndarray, b: np.ndarray) -> np.ndarray:
     one getrs call do both triangular solves.  `_genp_factor` has checked
     the factor finite.
     """
+    import scipy.linalg
+
     piv = np.arange(LU.shape[0], dtype=np.int32)
     return scipy.linalg.lu_solve((LU, piv), b, check_finite=False)
 

@@ -110,8 +110,10 @@ def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
 def dump_matrix(M: DenseMatrix, fh) -> None:
     """Debug dump: header `rows cols`, then one `re,im` pair per entry, row-major."""
     fh.write(f"{M.rows} {M.cols}\n")
-    for z in M.data.ravel(order="C"):
-        fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    # One write per row; a complex row viewed as floats is re, im, re, im, ...
+    row = "%.17g,%.17g\n" * M.cols
+    for z in M.data:
+        fh.write(row % tuple(z.view(np.float64).tolist()))
 
 
 def load_matrix(fh) -> DenseMatrix:

@@ -418,6 +418,62 @@ class TestFactorForm:
             assert [np.shape(x) for x in factors] == [(5,)] * 4
 
 
+class TestSingleEntry:
+    """`*_inverse_entry` forms one cell from the O(n) factors, no table."""
+
+    @staticmethod
+    def cells(n):
+        rng = np.random.default_rng(n)
+        if n <= 7:
+            return [(i, j) for i in range(n) for j in range(n)]
+        picks = rng.integers(0, n, size=(16, 2)).tolist()
+        return [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)] + picks
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_entries_equal_table_cells(self, n, variant):
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        t = kv(list(0.5 * cmath.exp(0.05j) * s.as_array()))
+        cv_mag, cv_ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
+        c_mag, c_ph = cauchyinv.cauchy_inverse_log_entries(s, t, variant)
+        for i, j in self.cells(n):
+            assert (cauchyinv.cv_inverse_entry(s, f, i, j, variant)
+                    == LogComplex(cv_mag[i, j], cv_ph[i, j]))
+            assert (cauchyinv.cauchy_inverse_entry(s, t, i, j, variant)
+                    == LogComplex(c_mag[i, j], c_ph[i, j]))
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_indexing_matches_the_tables(self, variant):
+        n = 7
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
+        for i, j in ((-1, 0), (2, -3), (-7, -7), (-1, -1)):
+            assert (cauchyinv.cv_inverse_entry(s, f, i, j, variant)
+                    == LogComplex(mag[i, j], ph[i, j]))
+        t = kv(list(0.5 * s.as_array()))
+        for i, j in ((7, 0), (0, 7), (-8, 0), (0, -8)):
+            with pytest.raises(IndexError):
+                mag[i, j]
+            with pytest.raises(IndexError):
+                cauchyinv.cv_inverse_entry(s, f, i, j, variant)
+            with pytest.raises(IndexError):
+                cauchyinv.cauchy_inverse_entry(s, t, i, j, variant)
+
+    def test_entry_memory_is_linear(self):
+        # Two n x n float tables would be 36 MiB at n = 1536.
+        n = 1536
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        t = kv(list(0.5 * s.as_array()))
+        for variant in (PAPER, CORRECTED):
+            assert traced_peak(lambda: cauchyinv.cv_inverse_entry(
+                s, f, 3, 5, variant)) <= 16 * 2 ** 20
+            assert traced_peak(lambda: cauchyinv.cauchy_inverse_entry(
+                s, t, n - 1, 0, variant)) <= 16 * 2 ** 20
+
+
 class TestVandermondeInverses:
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])

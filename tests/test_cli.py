@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vandcond
 from vandcond import cauchyinv, cli, knotgen, structmat
 
 
@@ -74,6 +78,53 @@ class TestCond:
         assert float(out.strip().splitlines()[1].split(",")[3]) < 4.0
 
 
+def reference_entries(header, a, b) -> str:
+    """The per-entry listing the row-at-a-time `_print_entries` replaced."""
+    lines = [header + "\n"]
+    for i in range(a.shape[0]):
+        lines.append("".join(f"{i},{j},{x:.17g},{y:.17g}\n" for j, (x, y)
+                             in enumerate(zip(a[i].tolist(), b[i].tolist()))))
+    return "".join(lines)
+
+
+class TestPrintEntries:
+    POOL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308,
+            0.1, -1.0 / 3.0, 1e16, 123456789.0]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (6, 6), (12, 12)])
+    def test_bytes_match_per_entry_writer(self, shape, capsys):
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.choice(self.POOL, size=shape), rng.choice(self.POOL, size=shape)
+        a[0, 0], b[0, 0] = -0.0, -np.inf
+        cli._print_entries("i,j,x,y", a, b)
+        assert capsys.readouterr().out == reference_entries("i,j,x,y", a, b)
+
+    def test_transposed_tables(self, capsys):
+        # The paper variant hands over transposed views of the tables.
+        mag, ph = cauchyinv.cv_inverse_log_entries(
+            knotgen.van_der_corput(7), cli.DEFAULT_F, cauchyinv.InverseVariant.PAPER)
+        assert not mag.flags.c_contiguous
+        cli._print_entries("i,j,log10mag,phase", mag, ph)
+        assert capsys.readouterr().out == reference_entries("i,j,log10mag,phase", mag, ph)
+
+
+class TestColdStart:
+    def test_scipy_is_imported_by_genp_only(self):
+        # A fresh interpreter: the CLI and a cond call leave scipy unloaded.
+        src = os.path.dirname(os.path.dirname(vandcond.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        code = ("import sys, vandcond, vandcond.cli\n"
+                "assert vandcond.cli.main(['cond', '--gen', 'quasi-cyclic', '--n', '12']) == 0\n"
+                "print('scipy' in sys.modules)\n"
+                "vandcond.genp_residual_experiment(16, 2, 1)\n"
+                "print('scipy' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-2:] == ["False", "True"]
+
+
 class TestInvert:
     def test_lagrange_entries(self, capsys):
         code, out, _ = run(["invert", "--gen", "van-der-corput", "--n", "4",
@@ -142,6 +193,19 @@ class TestInvert:
         code, out, _ = run(argv + ["--log-domain"] * log_domain, capsys)
         assert code == 0
         assert out == expect
+
+    def test_exact_zero_entry_prints_minus_inf(self, tmp_path, capsys):
+        # The Lagrange inverse on knots 1, -1, 0 has exact zero entries.
+        path = tmp_path / "k.txt"
+        path.write_text("1,0\n-1,0\n0,0\n")
+        data = cauchyinv.vandermonde_inverse_lagrange(knotgen.read_knots(path)).data
+        with np.errstate(divide="ignore"):
+            mag, ph = np.log10(np.abs(data)), np.angle(data)
+        assert np.isneginf(mag).any()
+        code, out, _ = run(["invert", "--knots", str(path), "--log-domain"], capsys)
+        assert code == 0
+        assert out == reference_entries("i,j,log10mag,phase", mag, ph)
+        assert ",-inf," in out
 
     def test_collision_numeric_failure(self, capsys):
         code, _, err = run(["invert", "--gen", "dft", "--n", "8",

@@ -8,8 +8,8 @@ import pytest
 
 from vandcond import knotgen, logdomain
 from vandcond.errors import DuplicateKnot, KnotCollision
-from vandcond.logdomain import (check_disjoint, log_products, pow_diff_logs,
-                                self_derivative_logs, wrap_phase)
+from vandcond.logdomain import (check_disjoint, log_magnitudes, log_products,
+                                pow_diff_logs, self_derivative_logs, wrap_phase)
 
 EPS = float(np.finfo(np.float64).eps)
 PACKAGE = pathlib.Path(logdomain.__file__).parent
@@ -178,6 +178,14 @@ class TestBlockedKernels:
         d = xs[:, None] - knots[None, :]
         assert np.allclose(mag, np.sum(np.log10(np.abs(d)), axis=1), rtol=0, atol=1e-13)
         assert np.allclose(ph, np.sum(np.angle(d), axis=1), rtol=0, atol=1e-13)
+
+    def test_log_magnitudes_are_the_product_magnitudes(self, tiny_blocks):
+        xs, knots = self.points(11, 1), self.points(5, 2)
+        xs[3] = knots[4]  # an exact hit gives -inf in both
+        mag = log_magnitudes(xs, knots)
+        assert mag[3] == -math.inf
+        assert np.array_equal(mag, log_products(xs, knots)[0])
+        assert np.array_equal(log_magnitudes(xs[2], knots), mag[2:3])
 
     def test_self_derivative_blocks_agree(self, tiny_blocks):
         p = self.points(9, 3)

@@ -1,4 +1,5 @@
 import io
+import types
 
 import numpy as np
 import pytest
@@ -206,3 +207,61 @@ class TestDumpFormat:
         buf.seek(0)
         back = structmat.load_matrix(buf)
         assert np.array_equal(back.data, M.data)
+
+
+def reference_dump(M) -> str:
+    """The per-entry writer the row-at-a-time `dump_matrix` replaced."""
+    fh = io.StringIO()
+    fh.write(f"{M.rows} {M.cols}\n")
+    for z in M.data.ravel(order="C"):
+        fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    return fh.getvalue()
+
+
+def dumped(M) -> str:
+    fh = io.StringIO()
+    structmat.dump_matrix(M, fh)
+    return fh.getvalue()
+
+
+#: Values whose printed form is easy to get wrong: signed zeros, the float
+#: extremes and a number that needs all 17 digits.
+AWKWARD = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+           0.1, -1.0 / 3.0, 1e16, 123456789.0]
+
+
+def complex_from(pool, shape, seed):
+    """Entries whose real and imaginary parts are drawn from `pool` as is."""
+    rng = np.random.default_rng(seed)
+    data = np.empty(shape, dtype=complex)
+    data.real, data.imag = rng.choice(pool, size=shape), rng.choice(pool, size=shape)
+    data.flat[0] = complex(pool[0], pool[0])
+    return data
+
+
+class TestDumpBytes:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (5, 5)])
+    def test_bytes_match_per_entry_writer(self, shape):
+        M = structmat.DenseMatrix(complex_from(AWKWARD, shape, sum(shape)))
+        text = dumped(M)
+        assert text == reference_dump(M)
+        back = structmat.load_matrix(io.StringIO(text))
+        assert back.data.shape == shape
+        assert np.array_equal(back.data, M.data)
+        assert dumped(back) == text  # signed zeros survive the round trip
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (4, 4)])
+    def test_non_finite_values_format_alike(self, shape):
+        # DenseMatrix refuses these; a bare stand-in checks the formatting.
+        data = complex_from([np.inf, -np.inf, np.nan, -0.0, 2.5], shape, 7)
+        M = types.SimpleNamespace(rows=shape[0], cols=shape[1], data=data)
+        assert dumped(M) == reference_dump(M)
+
+    def test_generated_matrices(self):
+        for M in (structmat.dft(16),
+                  structmat.cv_matrix(knotgen.van_der_corput(9), np.exp(0.3j)),
+                  structmat.leading_block(structmat.vandermonde(
+                      knotgen.single_outlier(12, 1.5j)), 5)):
+            text = dumped(M)
+            assert text == reference_dump(M)
+            assert np.array_equal(structmat.load_matrix(io.StringIO(text)).data, M.data)
