@@ -22,9 +22,9 @@ from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
 from .knotgen import DISTINCT_TOL, KnotVector
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values
-from .structmat import cv_knots, cv_matrix, vandermonde
+from .structmat import cv_knots, vandermonde
 
-#: Catalan's constant, hard-coded to 18 digits for the integral cross-check.
+#: Catalan's constant G to 18 digits: the staging integral is q 2G/pi in closed form.
 CATALAN = 0.915965594177219015
 
 _LOG2 = math.log10(2.0)
@@ -163,8 +163,9 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
 
     ||Cinv|| is lower-bounded by the largest inverse-entry magnitude under
-    the chosen variant, evaluated in the log domain so any scale works;
-    when n <= 512 the exact SVD norm of the inverse is recorded alongside.
+    the chosen variant, evaluated in the log domain so any scale works.
+    No SVD runs and no n x n array is built, at any n: past small n a
+    double-precision SVD of C floors far below the certified entry bound.
     On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
     """
     f = complex(f)
@@ -191,12 +192,6 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     params = {"n": n, "f": f, "nudged": nudged,
               "log10_inv_norm_entry": log_inv_entry,
               "log10_max_pow_diff": log_pow}
-    if n <= 512:
-        sv = np.linalg.svd(cv_matrix(s, f, tol).data, compute_uv=False)
-        if sv[-1] > 0:
-            log_inv_svd = -math.log10(float(sv[-1]))
-            params["log10_inv_norm_svd"] = log_inv_svd
-            params["log10value_svd"] = 0.5 * math.log10(n) + log_inv_svd - log_pow
     return BoundReport(CV_INVERSE, value, variant.value, params)
 
 
@@ -266,21 +261,13 @@ def _is_pow2(q: int) -> bool:
     return q >= 1 and (q & (q - 1)) == 0
 
 
-def _staging_integral_log10(q: float, params: dict) -> float:
-    """Simpson value of the circle-distance staging integral, in log10.
+def _staging_integral_log10(q: float) -> float:
+    """The circle-distance staging integral, in log10, from its closed form.
 
-    Closed form: the natural-log integral equals q * 2 G / pi with G
-    Catalan's constant; `params` records it and the panel count.
+    The integral of ln(2 cos((1/2 - x/q) pi/2)) over [0, q] equals
+    q * 2 G / pi with G Catalan's constant.
     """
-    params["log10_closed_form"] = q * 2.0 * CATALAN / math.pi / math.log(10.0)
-    params["panels"] = panels = 4096
-    x = np.linspace(0.0, q, 2 * panels + 1)
-    y = np.log(2.0 * np.cos((0.5 - x / q) * np.pi / 2.0))
-    w = np.ones_like(x)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    integral = float(np.sum(w * y) * (x[1] - x[0]) / 3.0)
-    return integral / math.log(10.0)
+    return q * 2.0 * CATALAN / math.pi / math.log(10.0)
 
 
 def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
@@ -290,8 +277,8 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
     coarse:   18^(q/6) sqrt(n)    (one interior staging point)
     refined:  (2 cos(pi/12) sqrt(6))^(q/3) sqrt(n)
     product:  full discrete staging prod max(sqrt(2), 2 cos((1/2 - i/q) pi/2))
-    integral: exp(q * 2 G / pi), reported WITHOUT the sqrt(n) factor to
-              match the kappa' reference column.
+    integral: exp(q * 2 G / pi) in closed form, reported WITHOUT the
+              sqrt(n) factor to match the kappa' reference column.
     """
     if mode not in QC_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -317,7 +304,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
                             2.0 * np.cos((0.5 - i / q) * np.pi / 2.0))
         value = float(np.sum(np.log10(stages))) + half_log_n
     else:  # integral
-        value = _staging_integral_log10(q, params)
+        value = _staging_integral_log10(q)
     return BoundReport(_QC_IDS[mode], value, InverseVariant.PAPER.value, params)
 
 
@@ -326,7 +313,7 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
 
     base:     2^(n/4 - 1) sqrt(n) as stated; params also carry the
               2^(q/2) sqrt(q) form the reference column actually prints.
-    integral: exp(q * 2 G / pi) with q = n/2, the kappa'-style analogue.
+    integral: exp(q * 2 G / pi) with q = n/2 (closed form), the kappa' analogue.
     """
     if mode not in ("base", "integral"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -338,7 +325,7 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
         value = (n / 4.0 - 1.0) * _LOG2 + 0.5 * math.log10(n)
         params["log10_table_column"] = (q / 2.0) * _LOG2 + 0.5 * math.log10(q)
     else:
-        value = _staging_integral_log10(q, params)
+        value = _staging_integral_log10(q)
     return BoundReport(DFT_BLOCK, value, InverseVariant.PAPER.value, params)
 
 
@@ -450,25 +437,21 @@ def bound_arc(s: KnotVector, cert: SeparationCertificate,
                        applicable=not reason, reason=reason)
 
 
-def best_arc_search(s: KnotVector, f: complex,
-                    eta_grid=(1.1, 1.2, 1.5), exhaustive: bool = False):
+def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     """Scan arcs and inflation factors for the best arc-based kappa bound.
 
     Arcs (j_lo, j_hi) with 2 <= l <= n/2 are scanned at stride
-    max(1, n // 64) (stride 1 with `exhaustive`, allowed for n <= 128),
-    jointly with every eta in `eta_grid`.  Returns the certificate and
-    report maximizing the unit-disc arc bound, ties broken toward smaller
-    l, then j_lo, then eta.  Raises NoPositiveBound when no certificate
-    produces a bound above 1 (log10 value > 0), which is the expected
-    outcome for evenly spaced knots.
+    max(1, n // 64), so every arc below n = 128, jointly with every eta in
+    `eta_grid`.  Returns the certificate and report maximizing the
+    unit-disc arc bound, ties broken toward smaller l, then j_lo, then eta.
+    Raises NoPositiveBound when no certificate produces a bound above 1
+    (log10 value > 0), which is the expected outcome for evenly spaced knots.
     """
     n = len(s)
     eta_grid = tuple(float(e) for e in eta_grid)
     if not eta_grid or any(e <= 1.0 for e in eta_grid):
         raise ValueError("eta_grid values must all exceed 1")
-    if exhaustive and n > 128:
-        raise ValueError("exhaustive scan supported only for n <= 128")
-    stride = 1 if exhaustive else max(1, n // 64)
+    stride = max(1, n // 64)
     t = complex(f) * np.exp(2j * np.pi * np.arange(n) / n)
     arcs = [(j_lo, j_hi) + _chord(t, j_lo, j_hi) for j_lo in range(0, n, stride)
             for j_hi in range(j_lo + 1, min(n, j_lo + n // 2), stride)]

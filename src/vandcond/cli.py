@@ -89,7 +89,7 @@ def _cmd_gen_knots(args, parser) -> int:
 def _cmd_cond(args, parser) -> int:
     kv = _resolve_knots(args, parser)
     M = vandermonde(kv)
-    if args.block:
+    if args.block is not None:
         M = leading_block(M, args.block)
     s = spectral.singular_values(M)
     print("n,sigma1,sigma_min,kappa,log10kappa,trustworthy")
@@ -239,7 +239,7 @@ def _cmd_build(args, parser) -> int:
         M = cv_matrix(kv, f)
     else:
         M = vandermonde(kv)
-    if args.block:
+    if args.block is not None:
         M = leading_block(M, args.block)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:

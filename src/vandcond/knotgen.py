@@ -70,12 +70,17 @@ def make_knot_vector(points, tol: float = DISTINCT_TOL) -> KnotVector:
     return KnotVector(points, "custom", {"tol": tol}, tol)
 
 
+def unit_roots(n: int) -> np.ndarray:
+    """The n-th roots of 1 from 1 counter-clockwise; distinct, so unchecked."""
+    return np.array([cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)],
+                    dtype=np.complex128)
+
+
 def roots_of_unity(n: int) -> KnotVector:
     """The n-th roots of 1 in counter-clockwise order starting at 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)]
-    return KnotVector(pts, "dft", {"n": n})
+    return KnotVector(unit_roots(n), "dft", {"n": n})
 
 
 def quasi_cyclic_fractions(n: int) -> list:
@@ -138,8 +143,7 @@ def single_outlier(n: int, s_last: complex) -> KnotVector:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    base = [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n - 1)]
-    pts = base + [complex(s_last)]
+    pts = np.append(unit_roots(n)[:-1], complex(s_last))
     return KnotVector(pts, "single-outlier", {"n": n, "s_last": complex(s_last)})
 
 
@@ -151,8 +155,7 @@ def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)]
-    pts = base + [complex(s_extra)]
+    pts = np.append(unit_roots(n), complex(s_extra))
     return KnotVector(pts, "dft-plus-outlier", {"n": n, "s_extra": complex(s_extra)})
 
 
@@ -166,9 +169,8 @@ def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
         raise ValueError("k must satisfy 1 <= k < n")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    outer = [cmath.exp(2j * cmath.pi * (i / (n - k))) for i in range(n - k)]
-    inner = [rho * cmath.exp(2j * cmath.pi * (i / k)) for i in range(k)]
-    return KnotVector(outer + inner, "scaled-cluster", {"n": n, "k": k, "rho": rho})
+    pts = np.concatenate((unit_roots(n - k), rho * unit_roots(k)))
+    return KnotVector(pts, "scaled-cluster", {"n": n, "k": k, "rho": rho})
 
 
 def read_knots(path) -> KnotVector:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import BlockTooLarge, Overflow
-from .knotgen import DISTINCT_TOL, KnotVector, roots_of_unity
+from .knotgen import DISTINCT_TOL, KnotVector, roots_of_unity, unit_roots
 from .logdomain import check_disjoint
 
 #: Entries above 10**OVERFLOW_LOG10 are refused up front.
@@ -86,14 +87,17 @@ def cauchy(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> DenseMatr
 
 
 def cv_knots(n: int, f: complex) -> np.ndarray:
-    """The CV column grid t_j = f * omega_n^j."""
-    return complex(f) * roots_of_unity(n).as_array()
+    """The CV column grid t_j = f * omega_n^j; every CV path builds it here."""
+    f = complex(f)
+    if f == 0:
+        raise ValueError("f must be nonzero")
+    if not cmath.isfinite(f):
+        raise ValueError("f must be finite")
+    return f * unit_roots(n)
 
 
 def cv_matrix(s: KnotVector, f: complex, tol: float = DISTINCT_TOL) -> DenseMatrix:
     """Cauchy matrix whose column knots are the roots-of-unity grid scaled by f."""
-    if abs(f) == 0.0:
-        raise ValueError("f must be nonzero")
     n = len(s)
     return _cauchy_matrix(s.as_array(), cv_knots(n, f), tol, "cv",
                           {"s_label": s.label, "f": complex(f), "n": n})
@@ -101,8 +105,10 @@ def cv_matrix(s: KnotVector, f: complex, tol: float = DISTINCT_TOL) -> DenseMatr
 
 def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
     """The q x q top-left (northwestern) submatrix."""
-    if q < 1 or q > min(M.rows, M.cols):
-        raise BlockTooLarge(f"q={q} exceeds the {M.rows}x{M.cols} matrix")
+    top = min(M.rows, M.cols)
+    if q < 1 or q > top:
+        raise BlockTooLarge(f"q={q} is outside 1..{top} for the "
+                            f"{M.rows}x{M.cols} matrix")
     return DenseMatrix(M.data[:q, :q], "block-of",
                        {"parent": M.descriptor, "q": q, **M.params}, copy=False)
 

@@ -25,6 +25,12 @@ def measured_log10_kappa(knots):
     return spectral.singular_values(structmat.vandermonde(knots)).log10kappa
 
 
+def svd_log10_inv_norm(s, f):
+    """-log10 sigma_min of the CV matrix: the SVD oracle for log10 ||Cinv||."""
+    sv = np.linalg.svd(structmat.cv_matrix(s, f).data, compute_uv=False)
+    return -math.log10(float(sv[-1]))
+
+
 class TestBoundEasy:
     def test_outlier_64(self):
         rep = bounds.bound_easy(knotgen.single_outlier(64, 1.140625))
@@ -94,11 +100,13 @@ class TestBoundRefinedNorm:
 
 class TestBoundCv:
     def test_corrected_consistent_with_unit_kappa(self):
-        rep = bounds.bound_cv(knotgen.roots_of_unity(8), cmath.exp(0.1j),
-                              CORRECTED)
+        s, f = knotgen.roots_of_unity(8), cmath.exp(0.1j)
+        rep = bounds.bound_cv(s, f, CORRECTED)
         assert rep.log10value <= 1e-9
         # SVD oracle of the CV inverse agrees about the sign.
-        assert rep.params["log10value_svd"] <= 1e-9
+        svd_value = (0.5 * math.log10(8) + svd_log10_inv_norm(s, f)
+                     - rep.params["log10_max_pow_diff"])
+        assert svd_value <= 1e-9
 
     def test_paper_variant_exceeds_unit_kappa(self):
         # Discrepancy probe: on uniform knots the compact-form bound exceeds
@@ -150,11 +158,11 @@ class TestBoundCv:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
 
-    @pytest.mark.parametrize("n, nudged, calls", [(384, False, 2), (768, False, 1),
-                                                   (384, True, 3), (768, True, 2)])
+    @pytest.mark.parametrize("n, nudged, calls", [(384, False, 1), (768, False, 1),
+                                                   (384, True, 2), (768, True, 2)])
     def test_grid_built_once_per_evaluation(self, monkeypatch, n, nudged, calls):
-        # One grid for the inverse (plus one for the failed first try when
-        # nudged) and one more for the SVD cross-check at n <= 512.
+        # One grid for the inverse, plus one for the failed first try when
+        # nudged.
         if nudged:
             # With f = 1 the grid is the knots themselves, so even a tol far
             # below the default makes the first try collide.
@@ -163,20 +171,47 @@ class TestBoundCv:
             s, f, tol = knotgen.quasi_cyclic(n), cmath.exp(0.3j), knotgen.DISTINCT_TOL
         made = []
 
-        def counting(m):
+        def counting(m, f):
             made.append(m)
-            return knotgen.roots_of_unity(m)
+            return structmat.cv_knots(m, f)
 
-        monkeypatch.setattr(structmat, "roots_of_unity", counting)
+        monkeypatch.setattr(bounds, "cv_knots", counting)
         rep = bounds.bound_cv(s, f, CORRECTED, tol)
         assert rep.params["nudged"] is nudged
         assert made == [n] * calls
 
     def test_entry_bound_below_svd_norm(self):
-        s = knotgen.quasi_cyclic(24)
-        rep = bounds.bound_cv(s, cmath.exp(0.3j), CORRECTED)
+        s, f = knotgen.quasi_cyclic(24), cmath.exp(0.3j)
+        rep = bounds.bound_cv(s, f, CORRECTED)
         assert rep.params["log10_inv_norm_entry"] <= (
-            rep.params["log10_inv_norm_svd"] + 1e-9)
+            svd_log10_inv_norm(s, f) + 1e-9)
+
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    @pytest.mark.parametrize("gen", [
+        knotgen.roots_of_unity, knotgen.quasi_cyclic, knotgen.van_der_corput,
+        lambda n: knotgen.single_outlier(n, 1.5 * cmath.exp(0.4j)),
+        lambda n: knotgen.dft_plus_outlier(n, 0.3 + 0.2j),
+        lambda n: knotgen.scaled_cluster(n, n // 8, 0.5)],
+        ids=["dft", "quasi-cyclic", "van-der-corput", "single-outlier",
+             "dft-plus-outlier", "scaled-cluster"])
+    def test_entry_bound_below_svd_oracle(self, gen, n):
+        # The largest corrected entry never exceeds the 2-norm of the
+        # inverse, wherever the SVD can still be trusted to measure it.
+        s = gen(n)
+        rep = bounds.bound_cv(s, cmath.exp(0.3j), CORRECTED)
+        C = structmat.cv_matrix(s, rep.params["f"])
+        sv = spectral.singular_values(C)
+        if not sv.trustworthy:
+            pytest.skip("SVD of C is not trustworthy")
+        assert rep.params["log10_inv_norm_entry"] <= (
+            -math.log10(sv.sigma_min) + 1e-9)
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_same_params_at_every_n(self, variant):
+        f = cmath.exp(0.3j)
+        keys = [set(bounds.bound_cv(knotgen.quasi_cyclic(n), f, variant).params)
+                for n in (512, 513)]
+        assert keys[0] == keys[1]
 
     def test_requires_unit_modulus_f(self):
         with pytest.raises(ValueError):
@@ -286,7 +321,7 @@ class TestBoundQuasiCyclic:
     def test_integral_matches_closed_form(self):
         for q in (4, 16, 32):
             rep = bounds.bound_quasi_cyclic(q, "integral")
-            closed = rep.params["log10_closed_form"]
+            closed = float(q * 2 * mpmath.catalan / mpmath.pi / mpmath.log(10))
             assert abs(rep.log10value - closed) <= 1e-9 * abs(closed)
 
     @pytest.mark.parametrize("q", [16, 32])
@@ -521,13 +556,15 @@ class TestBestArcSearch:
         cases = 0
         for knots, exhaustive in arc_corpus():
             for f in (1.0, cmath.exp(0.3j), -1j):
+                # The reference scans every arc at n = 31, where the stride
+                # of best_arc_search is 1 as well.
                 try:
                     want = reference_arc_search(knots, f, exhaustive=exhaustive)
                 except NoPositiveBound:
                     with pytest.raises(NoPositiveBound):
-                        bounds.best_arc_search(knots, f, exhaustive=exhaustive)
+                        bounds.best_arc_search(knots, f)
                     continue
-                assert bounds.best_arc_search(knots, f, exhaustive=exhaustive) == want
+                assert bounds.best_arc_search(knots, f) == want
                 cases += 1
         assert cases > 40
 
@@ -564,18 +601,6 @@ class TestBestArcSearch:
                 cert_a.rho_bar) == (cert_b.j_lo, cert_b.j_hi, cert_b.eta,
                                     cert_b.rho_bar)
         assert abs(rep_a.log10value - rep_b.log10value) < 1e-9
-
-    def test_exhaustive_flag_gate(self):
-        with pytest.raises(ValueError):
-            bounds.best_arc_search(knotgen.roots_of_unity(256),
-                                   cmath.exp(0.3j), exhaustive=True)
-
-    def test_exhaustive_at_least_as_good(self):
-        s = knotgen.quasi_cyclic(96)
-        f = cmath.exp(0.3j)
-        _, coarse = bounds.best_arc_search(s, f)
-        _, fine = bounds.best_arc_search(s, f, exhaustive=True)
-        assert fine.log10value >= coarse.log10value - 1e-12
 
 
 class TestEmpiricalDominance:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,29 @@ class TestCvInverseEntry:
         gap = np.min(np.abs(s.as_array()[:, None]
                             - structmat.cv_knots(n, f)[None, :]))
         assert np.max(np.abs(inv)) <= 4.0 / (gap * n * n) + 1e-12
+
+
+class TestDegenerateF:
+    """f = 0 collapses the CV column grid to one point, a non-finite f leaves
+    no grid at all; every CV path refuses both before any arithmetic."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s, f, v: structmat.cv_matrix(s, f),
+        lambda s, f, v: cauchyinv.cv_inverse(s, f, v),
+        lambda s, f, v: cauchyinv.cv_inverse_entry(s, f, 1, 2, v),
+        lambda s, f, v: cauchyinv.cv_inverse_log_entries(s, f, v),
+        lambda s, f, v: cauchyinv.vandermonde_inverse_via_cv(s, f, v),
+    ], ids=["cv_matrix", "cv_inverse", "cv_inverse_entry",
+            "cv_inverse_log_entries", "vandermonde_inverse_via_cv"])
+    @pytest.mark.parametrize("f, message", [(0, "f must be nonzero"),
+                                            (math.nan, "f must be finite"),
+                                            (complex(0, math.inf), "f must be finite")])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_refused_without_warning(self, call, variant, f, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call(knotgen.roots_of_unity(4), f, variant)
 
 
 class TestLogEntryTables:

@@ -70,6 +70,13 @@ class TestCond:
         kappa = float(out.strip().splitlines()[1].split(",")[3])
         assert abs(kappa - 15.3) / 15.3 < 0.02
 
+    @pytest.mark.parametrize("q", ["0", "9"])
+    def test_block_out_of_range(self, q, capsys):
+        code, out, err = run(["cond", "--gen", "dft", "--n", "8", "--block", q],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "1..8" in err
+
     def test_knot_file_source(self, tmp_path, capsys):
         path = tmp_path / "k.txt"
         knotgen.write_knots(knotgen.van_der_corput(8), path)
@@ -213,6 +220,14 @@ class TestInvert:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("extra", [["--method", "cauchy", "--log-domain"],
+                                       ["--method", "cauchy"], ["--method", "cv"]])
+    def test_zero_f_is_invalid_argument(self, extra, capsys, recwarn):
+        code, out, err = run(["invert", "--gen", "dft", "--n", "4", "--f", "0",
+                              *extra], capsys)
+        assert (code, out, err) == (2, "", "error: f must be nonzero\n")
+        assert len(recwarn) == 0
+
 
 class TestBounds:
     def test_json_lines(self, capsys):
@@ -329,6 +344,18 @@ class TestBuild:
     def test_stdout_dump(self, capsys):
         code, out, _ = run(["build", "--gen", "dft", "--n", "2"], capsys)
         assert out.splitlines()[0] == "2 2"
+
+    def test_zero_f_is_invalid_argument(self, capsys):
+        code, out, err = run(["build", "--gen", "dft", "--n", "4",
+                              "--matrix", "cv", "--f", "0"], capsys)
+        assert (code, out, err) == (2, "", "error: f must be nonzero\n")
+
+    @pytest.mark.parametrize("q", ["0", "9"])
+    def test_block_out_of_range(self, q, capsys):
+        code, out, err = run(["build", "--gen", "dft", "--n", "8", "--block", q],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "1..8" in err
 
 
 class TestExitCodes:

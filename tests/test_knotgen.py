@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vandcond import cli, knotgen
+from vandcond import cli, knotgen, structmat
 from vandcond.errors import DuplicateKnot, EmptyInput
 
 # Frozen fraction sequences, checked term by term against the reference
@@ -248,6 +248,45 @@ class TestInvariants:
             assert np.max(np.abs(np.abs(kv.as_array()) - 1.0)) <= 1e-14
         kv = knotgen.single_outlier(64, 2.5)
         assert np.max(np.abs(np.abs(kv.as_array()[:-1]) - 1.0)) <= 1e-14
+
+
+def reference_roots(n):
+    """The per-element cmath comprehension the generators used to inline."""
+    return [cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)]
+
+
+class TestKnotBytes:
+    """Knot arrays are bit-for-bit the per-element cmath values."""
+
+    GENERATORS = {
+        "dft": (knotgen.roots_of_unity, reference_roots),
+        "quasi-cyclic": (knotgen.quasi_cyclic, lambda n: [
+            cmath.exp(2j * cmath.pi * f) for f in knotgen.quasi_cyclic_fractions(n)]),
+        "van-der-corput": (knotgen.van_der_corput, lambda n: [
+            cmath.exp(2j * cmath.pi * knotgen.radical_inverse(i)) for i in range(n)]),
+        "single-outlier": (lambda n: knotgen.single_outlier(n, 1.5 * cmath.exp(0.4j)),
+                           lambda n: reference_roots(n)[:n - 1] + [1.5 * cmath.exp(0.4j)]),
+        "dft-plus-outlier": (lambda n: knotgen.dft_plus_outlier(n, 0.3 + 0.2j),
+                             lambda n: reference_roots(n) + [0.3 + 0.2j]),
+        "scaled-cluster": (lambda n: knotgen.scaled_cluster(n, max(1, n // 3), 0.3),
+                           lambda n: reference_roots(n - max(1, n // 3))
+                           + [0.3 * z for z in reference_roots(max(1, n // 3))]),
+    }
+
+    # single_outlier and scaled_cluster need n >= 2.
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in GENERATORS for n in (1, 2, 3, 7, 64, 1000)
+        if n > 1 or name not in ("single-outlier", "scaled-cluster")])
+    def test_generator(self, name, n):
+        gen, ref = self.GENERATORS[name]
+        want = np.array(ref(n), dtype=np.complex128)
+        assert gen(n).as_array().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("f", [1.0, cmath.exp(0.3j), 2.0, -1j])
+    def test_cv_grid(self, n, f):
+        want = complex(f) * np.array(reference_roots(n), dtype=np.complex128)
+        assert structmat.cv_knots(n, f).tobytes() == want.tobytes()
 
 
 class TestKnotFiles:

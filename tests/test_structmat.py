@@ -195,6 +195,11 @@ class TestLeadingBlock:
         with pytest.raises(BlockTooLarge):
             structmat.leading_block(structmat.dft(4), 5)
 
+    @pytest.mark.parametrize("q", [0, 5])
+    def test_error_names_valid_range(self, q):
+        with pytest.raises(BlockTooLarge, match=r"1\.\.4"):
+            structmat.leading_block(structmat.dft(4), q)
+
 
 class TestDumpFormat:
     def test_roundtrip(self):
