@@ -19,7 +19,7 @@ from .cauchyinv import InverseVariant, inverse_factors
 from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
-from .knotgen import DISTINCT_TOL, KnotVector
+from .knotgen import DISTINCT_TOL, KnotVector, unit_roots
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values
 from .structmat import cv_knots, vandermonde
@@ -87,6 +87,13 @@ def _safe_log10(x: float) -> float:
     return -math.inf if x == 0.0 else math.log10(x)
 
 
+def _cv_grid(n: int, f: complex) -> np.ndarray:
+    """`cv_knots(n, f)` for a kappa bound; ValueError unless |f| is 1 within 1e-12."""
+    if not abs(abs(complex(f)) - 1.0) <= 1e-12:
+        raise ValueError("f must lie on the unit circle")
+    return cv_knots(n, f)
+
+
 def bound_easy(s: KnotVector) -> BoundReport:
     """kappa >= max(1, s_+^(n-1) / sqrt(n)) with s_+ the largest knot modulus."""
     n = len(s)
@@ -146,12 +153,7 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
     s_plus = s.max_modulus()
     if abs(s_plus - 1.0) < 1e-12:
         raise UnitRadius("largest knot modulus is 1; geometric sum degenerates")
-    # log10(s_+^n - 1) without forming s_+^n when it overflows.
-    top = n * _safe_log10(s_plus)
-    if top > 300.0:
-        log_num = top
-    else:
-        log_num = math.log10(abs(s_plus ** n - 1.0))
+    log_num = float(pow_diff_logs(np.array([s_plus]), 1.0, n)[0][0])
     value = log_num - math.log10(abs(s_plus - 1.0)) - 0.5 * math.log10(n)
     return BoundReport(REFINED_NORM, value, None,
                        {"n": n, "s_plus": s_plus,
@@ -166,22 +168,21 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     the chosen variant, evaluated in the log domain so any scale works.
     No SVD runs and no n x n array is built, at any n: past small n a
     double-precision SVD of C floors far below the certified entry bound.
+    The grid is `cv_knots(n, f)`, and ValueError is raised unless |f| = 1.
     On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
     """
     f = complex(f)
-    if abs(abs(f) - 1.0) > 1e-12:
-        raise ValueError("f must lie on the unit circle")
     sp = s.as_array()
     n = len(sp)
     nudged = False
     try:
-        tp = cv_knots(n, f)
+        tp = _cv_grid(n, f)
         row, _, col, _ = inverse_factors(sp, tp, variant, tol, f)
     except KnotCollision:
         step = math.pi * (3.0 - math.sqrt(5.0)) / n
         f *= complex(math.cos(step), math.sin(step))
         nudged = True
-        tp = cv_knots(n, f)
+        tp = _cv_grid(n, f)
         row, _, col, _ = inverse_factors(sp, tp, variant, tol, f)
     # The largest entry, one row block at a time: no n x n table.
     log_inv_entry = max(
@@ -197,7 +198,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
 
 def _log10_l2_on_roots(pts: np.ndarray, N: int) -> float:
     """log10 of the 2-norm of s(x) = prod (x - pts) at omega_N^i, i = 0..len(pts)."""
-    logmags = log_magnitudes(np.exp(2j * np.pi * np.arange(len(pts) + 1) / N), pts)
+    logmags = log_magnitudes(unit_roots(N)[np.arange(len(pts) + 1) % N], pts)
     finite = logmags[np.isfinite(logmags)]
     if finite.size == 0:
         return -math.inf
@@ -390,6 +391,8 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
                     eta: float) -> SeparationCertificate:
     """Build the separation witness for the arc t_{j_lo} .. t_{j_hi}.
 
+    t is the CV grid `cv_knots(n, f)` of the matrix the certificate bounds;
+    ValueError unless |f| = 1, since the arc bound holds only there.
     The center is the chord midpoint, the radius the half-chord length;
     row knots strictly inside the disc of radius eta*r count toward
     m_minus, knots on the boundary (within 1e-14) count as exterior.
@@ -402,7 +405,7 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
     l = j_hi - j_lo + 1
     if l > n / 2.0:
         raise ArcTooLong(f"arc of {l} knots exceeds n/2 = {n / 2:g}")
-    c, r = _chord(complex(f) * np.exp(2j * np.pi * np.arange(n) / n), j_lo, j_hi)
+    c, r = _chord(_cv_grid(n, f), j_lo, j_hi)
     m_minus = int(_count_inside(np.array([c]), np.array([r]), s.as_array(), (eta,))[0, 0])
     return SeparationCertificate(j_lo, j_hi, l, complex(c), r, float(eta),
                                  m_minus, n - m_minus, l - m_minus)
@@ -440,10 +443,12 @@ def bound_arc(s: KnotVector, cert: SeparationCertificate,
 def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     """Scan arcs and inflation factors for the best arc-based kappa bound.
 
-    Arcs (j_lo, j_hi) with 2 <= l <= n/2 are scanned at stride
-    max(1, n // 64), so every arc below n = 128, jointly with every eta in
-    `eta_grid`.  Returns the certificate and report maximizing the
-    unit-disc arc bound, ties broken toward smaller l, then j_lo, then eta.
+    The arcs lie on the CV grid `cv_knots(n, f)`, the one `arc_certificate`
+    uses; ValueError unless |f| = 1.  Arcs (j_lo, j_hi) with
+    2 <= l <= n/2 are scanned at stride max(1, n // 64), so every arc below
+    n = 128, jointly with every eta in `eta_grid`.  Returns the certificate
+    and report maximizing the unit-disc arc bound, ties broken toward
+    smaller l, then j_lo, then eta.
     Raises NoPositiveBound when no certificate produces a bound above 1
     (log10 value > 0), which is the expected outcome for evenly spaced knots.
     """
@@ -452,7 +457,7 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     if not eta_grid or any(e <= 1.0 for e in eta_grid):
         raise ValueError("eta_grid values must all exceed 1")
     stride = max(1, n // 64)
-    t = complex(f) * np.exp(2j * np.pi * np.arange(n) / n)
+    t = _cv_grid(n, f)
     arcs = [(j_lo, j_hi) + _chord(t, j_lo, j_hi) for j_lo in range(0, n, stride)
             for j_hi in range(j_lo + 1, min(n, j_lo + n // 2), stride)]
     m_minus = _count_inside(np.array([a[2] for a in arcs]),

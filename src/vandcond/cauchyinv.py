@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import KnotCollision, RangeOverflow
-from .knotgen import DISTINCT_TOL, KnotVector
+from .knotgen import DISTINCT_TOL, KnotVector, unit_roots
 from .logdomain import (RANGE_LOG10, LogComplex, check_disjoint, diff_blocks,
                         log_products, pow_diff_logs, self_derivative_logs,
                         wrap_phase)
@@ -210,7 +210,7 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
         raise RangeOverflow(float(np.max(np.abs(mag))), where="diag(s^n - f^n)")
     right = 10.0 ** (-mag) * np.exp(-1j * ph)
     # Omega^H y is the DFT of y.
-    out = np.fft.fft(np.exp(-2j * np.pi * np.arange(n) / n)[:, None] * cinv, axis=0)
+    out = np.fft.fft(unit_roots(n).conj()[:, None] * cinv, axis=0)
     out = (f ** (n - 1 - np.arange(n)))[:, None] * out * right[None, :]
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="assembled inverse")

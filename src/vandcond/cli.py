@@ -160,8 +160,8 @@ def _report_line(report) -> str:
 def _cmd_bounds(args, parser) -> int:
     kv = _resolve_knots(args, parser)
     f = args.f if args.f is not None else DEFAULT_F
-    if f == 0:
-        parser.error("--f must be nonzero")
+    if not (math.isfinite(f.real) and math.isfinite(f.imag)) or f == 0:
+        parser.error("--f must be finite and nonzero")
     f = f / abs(f)
     reports = []
 

@@ -9,7 +9,6 @@ knots are accurate to about 1 ulp.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -70,10 +69,14 @@ def make_knot_vector(points, tol: float = DISTINCT_TOL) -> KnotVector:
     return KnotVector(points, "custom", {"tol": tol}, tol)
 
 
+def _turn(fracs) -> np.ndarray:
+    """exp(2 pi i x) for each fraction x of the turn: every unit-circle point set."""
+    return np.exp(2j * np.pi * np.asarray(fracs))
+
+
 def unit_roots(n: int) -> np.ndarray:
     """The n-th roots of 1 from 1 counter-clockwise; distinct, so unchecked."""
-    return np.array([cmath.exp(2j * cmath.pi * (i / n)) for i in range(n)],
-                    dtype=np.complex128)
+    return _turn(np.arange(n) / n)
 
 
 def roots_of_unity(n: int) -> KnotVector:
@@ -106,8 +109,7 @@ def quasi_cyclic(n: int) -> KnotVector:
     """Unit-circle knots ordered by the quasi-cyclic fraction sequence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = [cmath.exp(2j * cmath.pi * f) for f in quasi_cyclic_fractions(n)]
-    return KnotVector(pts, "quasi-cyclic", {"n": n})
+    return KnotVector(_turn(quasi_cyclic_fractions(n)), "quasi-cyclic", {"n": n})
 
 
 def radical_inverse(i: int) -> float:
@@ -130,8 +132,8 @@ def van_der_corput(n: int) -> KnotVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = [cmath.exp(2j * cmath.pi * radical_inverse(i)) for i in range(n)]
-    return KnotVector(pts, "van-der-corput", {"n": n})
+    return KnotVector(_turn([radical_inverse(i) for i in range(n)]),
+                      "van-der-corput", {"n": n})
 
 
 def single_outlier(n: int, s_last: complex) -> KnotVector:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot
-from .knotgen import KnotVector
+from .knotgen import KnotVector, unit_roots
 from .logdomain import log_magnitudes
 from .structmat import DenseMatrix, dft
 
@@ -115,11 +115,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     """Maximize |prod (f - s_i)| over f on the unit circle.
 
-    A uniform angular grid scan picks the best cell, then golden-section
-    refinement narrows the angle to 1e-12.  The result lower-bounds the true
-    supremum by construction.  `grid=0` selects max(1024, 16 n): the product
-    has at most n oscillations around the circle, so at least 16 samples
-    per oscillation land in every cell before refinement.
+    A scan of the `grid`-th roots of 1 (`knotgen.unit_roots`) picks the best
+    cell, then golden-section refinement narrows the angle to 1e-12; a scan
+    point that still wins is returned as that exact root.  The result
+    lower-bounds the true supremum by construction.  `grid=0` selects
+    max(1024, 16 n): the product has at most n oscillations around the
+    circle, so at least 16 samples per oscillation land in every cell
+    before refinement.
     """
     pts = knots.as_array()
     n = len(pts)
@@ -127,18 +129,17 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
         grid = max(1024, 16 * n)
     if grid < 8:
         raise ValueError("grid must be >= 8")
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    mags = log_magnitudes(np.exp(1j * thetas), pts)
+    roots = unit_roots(grid)
+    mags = log_magnitudes(roots, pts)
     best = int(np.argmax(mags))
 
     def g(theta: float) -> float:
         return float(log_magnitudes(np.exp(1j * theta), pts)[0])
 
     span = 2.0 * np.pi / grid
-    lo = thetas[best] - span
-    hi = thetas[best] + span
-    # Golden-section search for the maximum of g on [lo, hi].
-    a, b = lo, hi
+    theta0 = 2.0 * np.pi * (best / grid)
+    # Golden-section search for the maximum of g on [a, b].
+    a, b = theta0 - span, theta0 + span
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     g1, g2 = g(x1), g(x2)
@@ -152,9 +153,10 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
             x1 = b - _GOLDEN * (b - a)
             g1 = g(x1)
     theta_best = 0.5 * (a + b)
-    candidates = [(g(theta_best), theta_best), (float(mags[best]), float(thetas[best]))]
-    log10_max, theta_star = max(candidates)
-    return complex(np.exp(1j * theta_star)), float(log10_max)
+    g_best = g(theta_best)
+    if (g_best, theta_best) > (float(mags[best]), theta0):
+        return complex(np.exp(1j * theta_best)), g_best
+    return complex(roots[best]), float(mags[best])
 
 
 def _genp_factor(a: np.ndarray):

@@ -226,6 +226,8 @@ def _cell_text(row: dict, name: str, kind: str) -> str:
     val = row.get(name)
     if val is None:
         return ""
+    if kind == "str":
+        return str(val)
     if kind == "int":
         return str(int(val))
     if kind == "bool":
@@ -249,42 +251,27 @@ def _column_kinds(table_id: str) -> list:
 
 
 def emit(table: ExperimentTable, fmt: str = "markdown") -> str:
-    """Serialize a table as csv, markdown, or json text."""
+    """Serialize a table as csv, markdown (no `_log10` columns), or json text."""
     if fmt == "json":
         return json.dumps({"table_id": table.table_id, "columns": table.columns,
                            "rows": table.rows, "metadata": table.metadata})
-    kinds = _column_kinds(table.table_id)
-    if fmt == "csv":
-        lines = [f"# table={table.table_id}",
-                 f"# seed={table.metadata.get('seed')}",
-                 f"# trials={table.metadata.get('trials')}",
-                 f"# tool_version={table.metadata.get('tool_version')}",
-                 f"# timestamp={table.metadata.get('timestamp')}",
-                 ",".join(name for name, _ in kinds)]
-        for row in table.rows:
-            cells = []
-            for name, kind in kinds:
-                if kind == "str":
-                    cells.append(str(row.get(name, "")).replace(",", ";"))
-                else:
-                    cells.append(_cell_text(row, name, kind))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    if fmt not in ("csv", "markdown"):
+        raise ValueError(f"unknown format {fmt!r}")
+    kinds = [(name, kind) for name, kind in _column_kinds(table.table_id)
+             if fmt == "csv" or kind != "log10"]
+    names = [name for name, _ in kinds]
+    rows = [[_cell_text(row, name, kind) for name, kind in kinds]
+            for row in table.rows]
     if fmt == "markdown":
-        primary = [(n, k) for n, k in kinds if k != "log10"]
-        header = "| " + " | ".join(n for n, _ in primary) + " |"
-        sep = "|" + "|".join("---" for _ in primary) + "|"
-        lines = [header, sep]
-        for row in table.rows:
-            cells = []
-            for name, kind in primary:
-                if kind == "str":
-                    cells.append(str(row.get(name, "")))
-                else:
-                    cells.append(_cell_text(row, name, kind))
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        lines = ["| " + " | ".join(names) + " |", "|" + "---|" * len(names)]
+        lines += ["| " + " | ".join(cells) + " |" for cells in rows]
+    else:
+        lines = [f"# table={table.table_id}"]
+        lines += [f"# {key}={table.metadata.get(key)}"
+                  for key in ("seed", "trials", "tool_version", "timestamp")]
+        lines.append(",".join(names))
+        lines += [",".join(c.replace(",", ";") for c in cells) for cells in rows]
+    return "\n".join(lines) + "\n"
 
 
 def table_from_json(text: str) -> ExperimentTable:

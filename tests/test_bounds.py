@@ -504,7 +504,7 @@ def reference_arc_search(s, f, eta_grid=(1.1, 1.2, 1.5), exhaustive=False):
     eta_grid = tuple(float(e) for e in eta_grid)
     stride = 1 if exhaustive else max(1, n // 64)
     pts = s.as_array()
-    t = complex(f) * np.exp(2j * np.pi * np.arange(n) / n)
+    t = structmat.cv_knots(n, f)
     half_log_n = 0.5 * math.log10(n)
     best = None  # (value, l, j_lo, eta, cert)
     for j_lo in range(0, n, stride):
@@ -601,6 +601,38 @@ class TestBestArcSearch:
                 cert_a.rho_bar) == (cert_b.j_lo, cert_b.j_hi, cert_b.eta,
                                     cert_b.rho_bar)
         assert abs(rep_a.log10value - rep_b.log10value) < 1e-9
+
+
+class TestCheckedCvGrid:
+    """Arc bounds use the CV grid of cv_knots and hold only for |f| = 1."""
+
+    OFF_CIRCLE = (0.5, 2.0, 0.5 * cmath.exp(0.3j), complex(math.nan, 0.0),
+                  complex(math.inf, 0.0), 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", OFF_CIRCLE)
+    def test_off_circle_f_refused(self, f):
+        # Uniform knots have kappa = 1; a bound above 1 here would be false.
+        s = knotgen.roots_of_unity(192)
+        with pytest.raises(ValueError, match="unit circle"):
+            bounds.arc_certificate(s, f, 0, 5, 1.2)
+        with pytest.raises(ValueError, match="unit circle"):
+            bounds.best_arc_search(s, f)
+
+    @pytest.mark.parametrize("n", [12, 48, 192, 1536])
+    @pytest.mark.parametrize("f", [1.0, cmath.exp(0.3j), -1j])
+    def test_chord_on_cv_knots(self, n, f):
+        s = knotgen.quasi_cyclic(n)
+        t = structmat.cv_knots(n, f)
+        rng = np.random.default_rng(n)
+        # quasi_cyclic(12) has no arc bound above 1 to search for.
+        certs = [bounds.best_arc_search(s, f)[0]] if n > 12 else []
+        for _ in range(15):
+            j_lo = int(rng.integers(0, n - 1))
+            l = int(rng.integers(2, min(n // 2, n - j_lo) + 1))
+            certs.append(bounds.arc_certificate(s, f, j_lo, j_lo + l - 1, 1.2))
+        for cert in certs:
+            assert cert.c == 0.5 * (t[cert.j_lo] + t[cert.j_hi])
 
 
 class TestEmpiricalDominance:

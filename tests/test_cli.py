@@ -282,6 +282,14 @@ class TestBounds:
         by_id = {r["bound_id"]: r for r in map(json.loads, out.splitlines())}
         assert math.isfinite(by_id["coeff-norm"]["log10value"])
 
+    @pytest.mark.parametrize("f", ["nan", "inf,0", "0,-inf", "0"])
+    def test_non_finite_or_zero_f_is_invalid_argument(self, f, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bounds", "--gen", "quasi-cyclic", "--n", "12", "--f", f])
+        out = capsys.readouterr()
+        assert (err.value.code, out.out) == (2, "")
+        assert "--f must be finite and nonzero" in out.err
+
     def test_raising_evaluator_keeps_the_listing(self, tmp_path, capsys):
         # The arc search raises on evenly spaced knots; the remaining
         # bounds must still be listed, each line staying valid JSON.

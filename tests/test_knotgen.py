@@ -275,14 +275,15 @@ class TestKnotBytes:
 
     # single_outlier and scaled_cluster need n >= 2.
     @pytest.mark.parametrize("name, n", [
-        (name, n) for name in GENERATORS for n in (1, 2, 3, 7, 64, 1000)
+        (name, n) for name in GENERATORS for n in (1, 2, 3, 7, 64, 1000, 1536, 4096)
         if n > 1 or name not in ("single-outlier", "scaled-cluster")])
     def test_generator(self, name, n):
         gen, ref = self.GENERATORS[name]
         want = np.array(ref(n), dtype=np.complex128)
         assert gen(n).as_array().tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+    # 24576 = 16 * 1536 is the circle-scan grid of max_abs_on_circle at n = 1536.
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 24576])
     @pytest.mark.parametrize("f", [1.0, cmath.exp(0.3j), 2.0, -1j])
     def test_cv_grid(self, n, f):
         want = complex(f) * np.array(reference_roots(n), dtype=np.complex128)

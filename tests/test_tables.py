@@ -150,6 +150,18 @@ class TestEmit:
         table = run_table("T1", {"sizes": [64]})
         assert table_from_json(emit(table, "json")) == table
 
+    def test_csv_error_cell_keeps_columns(self):
+        # The OddSize message holds a comma; csv writes ';' in its place so
+        # the failed row keeps one cell per header column.
+        table = run_table("T4", {"sizes": [7, 8]})
+        message = table.rows[0]["error"]
+        assert message.startswith("OddSize: ") and message.endswith(", got 7")
+        lines = [l for l in emit(table, "csv").splitlines() if not l.startswith("#")]
+        header, failed = lines[0].split(","), lines[1].split(",")
+        assert len(failed) == len(header) == len(lines[2].split(","))
+        assert failed[header.index("error")] == message.replace(",", ";")
+        assert failed[header.index("n")] == "7"
+
     def test_unknown_format(self, t4):
         with pytest.raises(ValueError):
             emit(t4, "yaml")
