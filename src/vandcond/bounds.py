@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchyinv import InverseVariant, inverse_factors
+from .cauchyinv import InverseVariant, inverse_blocks
 from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
@@ -165,29 +165,29 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
 
     ||Cinv|| is lower-bounded by the largest inverse-entry magnitude under
-    the chosen variant, evaluated in the log domain so any scale works.
-    No SVD runs and no n x n array is built, at any n: past small n a
-    double-precision SVD of C floors far below the certified entry bound.
+    the chosen variant, in log10 from one magnitude-only walk of
+    `cauchyinv.inverse_blocks`, so any scale works.  No SVD runs and no
+    n x n array is built, at any n: past small n a double-precision SVD of
+    C floors far below the certified entry bound.
     The grid is `cv_knots(n, f)`, and ValueError is raised unless |f| = 1.
     On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
     """
     f = complex(f)
     sp = s.as_array()
     n = len(sp)
+
+    def largest_entry(f):
+        blocks = inverse_blocks(sp, _cv_grid(n, f), variant, tol, f, phase=False)
+        return max(float(np.max(mag)) for _, mag, _ in blocks)
+
     nudged = False
     try:
-        tp = _cv_grid(n, f)
-        row, _, col, _ = inverse_factors(sp, tp, variant, tol, f)
+        log_inv_entry = largest_entry(f)
     except KnotCollision:
         step = math.pi * (3.0 - math.sqrt(5.0)) / n
         f *= complex(math.cos(step), math.sin(step))
         nudged = True
-        tp = _cv_grid(n, f)
-        row, _, col, _ = inverse_factors(sp, tp, variant, tol, f)
-    # The largest entry, one row block at a time: no n x n table.
-    log_inv_entry = max(
-        float(np.max(row[lo:lo + len(d), None] - np.log10(np.abs(d)) + col))
-        for lo, d in diff_blocks(tp, sp))
+        log_inv_entry = largest_entry(f)
     log_pow = float(np.max(pow_diff_logs(sp, f, n)[0]))
     value = 0.5 * math.log10(n) + log_inv_entry - log_pow
     params = {"n": n, "f": f, "nudged": nudged,

@@ -16,7 +16,8 @@ Two inverse variants are provided side by side:
 
 All knot products are accumulated as (log10 magnitude, phase) pairs so that
 entries spanning hundreds of decades never overflow; conversion to complex
-floats happens only at API boundaries.
+floats happens only at API boundaries.  Tables, single cells and
+`bounds.bound_cv` read their entries from the one walk of `inverse_blocks`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from .errors import KnotCollision, RangeOverflow
 from .knotgen import DISTINCT_TOL, KnotVector, unit_roots
 from .logdomain import (RANGE_LOG10, LogComplex, check_disjoint, diff_blocks,
-                        log_products, pow_diff_logs, self_derivative_logs,
-                        wrap_phase)
+                        log_magnitudes, log_products, pow_diff_logs,
+                        self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
 from .structmat import DenseMatrix, cv_knots
 
@@ -66,50 +67,59 @@ def cauchy_det(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> LogCo
     return LogComplex(mag, wrap_phase(ph))
 
 
-def inverse_factors(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
-                    tol: float, cv_f=None):
-    """(row_mag, row_ph, col_mag, col_ph): the O(n) factors of the closed form.
+def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
+                   tol: float, cv_f=None, *, phase: bool = True):
+    """Yield (lo, mag, ph): rows lo.. of the closed-form inverse's log tables.
 
-    Entry (i, j) of the corrected inverse, (j, i) of the paper one, is
-    row_i / (t_i - s_j) * col_j in (log10 magnitude, raw phase).  Rows are
-    s(t_i), over t'(t_i) if corrected, times (-1)**n for paper.  Columns are
-    t(s_j), or x**n - f**n in closed form with `cv_f`, over s'(s_j) if corrected.
+    Entry (i, j), of the corrected inverse or the transposed paper one, is
+    row_i - log10|t_i - s_j| + col_j in (log10 magnitude, raw phase).
+    Rows are s(t_i), over t'(t_i) if corrected, times (-1)**n for paper;
+    columns are t(s_j), or x**n - f**n with `cv_f`, over s'(s_j) if
+    corrected.  Columns, s' and t' come first; then each block of one walk
+    over t_i - s_j is checked for collisions, summed into s(t_i) and turned
+    into entries.  Without `phase`, ph is None and no angle is taken.
+    Phases stay unwrapped: wrapping costs more than the rest of the walk.
     """
     n = len(sp)
     if len(tp) != n:
         raise ValueError("inverse requires a square matrix")
-    check_disjoint(sp, tp, tol)
-    row_mag, row_ph = log_products(tp, sp)
-    col_mag, col_ph = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
-    if variant is InverseVariant.PAPER:
-        return row_mag, row_ph + math.pi * n, col_mag, col_ph
-    sp_mag, sp_ph = self_derivative_logs(sp)
-    if cv_f is None:
-        tp_mag, tp_ph = self_derivative_logs(tp)
+    if cv_f is not None:
+        col = pow_diff_logs(sp, cv_f, n)
     else:
-        # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
-        tp_mag = math.log10(n) + (n - 1) * np.log10(np.abs(tp))
-        tp_ph = (n - 1) * np.angle(tp)
-    return row_mag - tp_mag, row_ph - tp_ph, col_mag - sp_mag, col_ph - sp_ph
+        col = log_products(sp, tp) if phase else (log_magnitudes(sp, tp), None)
+    corrected = variant is InverseVariant.CORRECTED
+    if corrected:
+        sder = self_derivative_logs(sp)
+        col = col[0] - sder[0], (col[1] - sder[1] if phase else None)
+        if cv_f is None:
+            tder = self_derivative_logs(tp)
+        else:
+            # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
+            tder = (math.log10(n) + (n - 1) * np.log10(np.abs(tp)),
+                    (n - 1) * np.angle(tp))
+    for lo, d in diff_blocks(tp, sp):
+        mag = np.abs(d)
+        if mag.min() <= tol:
+            check_disjoint(sp, tp, tol)
+        block = np.log10(mag, out=mag), (np.angle(d) if phase else None)
+        for k, x in enumerate(block[:1 + phase]):
+            row = np.sum(x, axis=1)
+            if corrected:
+                row -= tder[k][lo:lo + len(d)]
+            elif k:
+                row += math.pi * n
+            np.subtract(row[:, None], x, out=x)  # in place: no n x n scratch
+            x += col[k]
+        yield lo, *block
 
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
                   tol: float, cv_f=None):
-    """(log10 magnitude, wrapped phase) tables of every inverse entry.
-
-    Filled from `inverse_factors` one row block of t_i - s_j at a time;
-    the paper variant reads the tables transposed.
-    """
-    row_mag, row_ph, col_mag, col_ph = inverse_factors(sp, tp, variant, tol, cv_f)
-    n = len(sp)
-    mag = np.empty((n, n))
-    ph = np.empty((n, n))
-    for lo, d in diff_blocks(tp, sp):
-        hi = lo + len(d)
-        np.subtract(row_mag[lo:hi, None], np.log10(np.abs(d)), out=mag[lo:hi])
-        mag[lo:hi] += col_mag
-        np.subtract(row_ph[lo:hi, None], np.angle(d), out=ph[lo:hi])
-        ph[lo:hi] += col_ph
+    """(log10 magnitude, wrapped phase) tables of every inverse entry."""
+    mag, ph = np.empty((2, len(sp), len(sp)))
+    for lo, block_mag, block_ph in inverse_blocks(sp, tp, variant, tol, cv_f):
+        mag[lo:lo + len(block_mag)] = block_mag
+        ph[lo:lo + len(block_ph)] = block_ph
     wrap_phase(ph, out=ph)
     return (mag, ph) if variant is InverseVariant.CORRECTED else (mag.T, ph.T)
 
@@ -131,19 +141,17 @@ def _materialize(mag: np.ndarray, ph: np.ndarray, params: dict) -> DenseMatrix:
 
 def _inverse_cell(sp: np.ndarray, tp: np.ndarray, i: int, j: int,
                   variant: InverseVariant, tol: float, cv_f=None) -> LogComplex:
-    """Entry (i, j) of the `_inverse_logs` tables from the O(n) factors alone.
+    """Entry (i, j) of the `_inverse_logs` tables, kept as their walk goes by.
 
-    The operations and their order are those of the table fill, so the
-    cell is equal to the table's; indices follow numpy's (negative ones
-    count from the end, out-of-range ones raise IndexError).
+    The walk runs to its end, so a collision in any row raises first.
     """
-    row_mag, row_ph, col_mag, col_ph = inverse_factors(sp, tp, variant, tol, cv_f)
+    n = len(sp)
     r, c = (i, j) if variant is InverseVariant.CORRECTED else (j, i)
-    r, c = range(len(sp))[r], range(len(sp))[c]
-    d = tp[r:r + 1] - sp[c:c + 1]
-    mag = row_mag[r] - np.log10(np.abs(d))[0] + col_mag[c]
-    ph = row_ph[r] - np.angle(d)[0] + col_ph[c]
-    return LogComplex(float(mag), wrap_phase(float(ph)))
+    for lo, mag, ph in inverse_blocks(sp, tp, variant, tol, cv_f):
+        if lo <= r % n < lo + len(mag):
+            cell = mag[r % n - lo, c % n], ph[r % n - lo, c % n]
+    range(n)[r], range(n)[c]  # IndexError after the walk: a collision wins
+    return LogComplex(float(cell[0]), wrap_phase(float(cell[1])))
 
 
 def cauchy_inverse_entry(s: KnotVector, t: KnotVector, i: int, j: int,
@@ -229,15 +237,14 @@ def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
     n = len(sp)
     full = poly_from_roots(s)  # ascending, monic, length n+1
     sp_mag, sp_ph = self_derivative_logs(sp)
+    # Column i is deflated by its root s_i, all at once, from the top.
     out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        # Deflate by the root s_i: synthetic division from the top coefficient.
-        q = np.empty(n, dtype=np.complex128)
-        q[n - 1] = full[n]
+    out[n - 1] = full[n]
+    # Overflow surfaces as non-finite coefficients, detected below.
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
-            q[k - 1] = full[k] + sp[i] * q[k]
-        deriv = 10.0 ** sp_mag[i] * np.exp(1j * sp_ph[i])
-        out[:, i] = q / deriv
+            out[k - 1] = full[k] + sp * out[k]
+        out /= 10.0 ** sp_mag * np.exp(1j * sp_ph)
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="lagrange coefficients")
     return DenseMatrix(out, "custom",

@@ -60,12 +60,10 @@ def _resolve_knots(args, parser) -> knotgen.KnotVector:
         return knotgen.read_knots(args.file)
     if args.n is None:
         parser.error(f"--gen {gen} requires --n")
-    if gen == "dft":
-        return knotgen.roots_of_unity(args.n)
-    if gen == "quasi-cyclic":
-        return knotgen.quasi_cyclic(args.n)
-    if gen == "van-der-corput":
-        return knotgen.van_der_corput(args.n)
+    plain = {"dft": knotgen.roots_of_unity, "quasi-cyclic": knotgen.quasi_cyclic,
+             "van-der-corput": knotgen.van_der_corput}
+    if gen in plain:
+        return plain[gen](args.n)
     if gen == "single-outlier":
         if args.s_last is None:
             parser.error("--gen single-outlier requires --s-last RE,IM")
@@ -115,16 +113,15 @@ def _print_entries(header: str, a: np.ndarray, b: np.ndarray) -> None:
 def _cmd_invert(args, parser) -> int:
     kv = _resolve_knots(args, parser)
     variant = cauchyinv.InverseVariant(args.variant)
-    f = args.f if args.f is not None else DEFAULT_F
     if args.method == "cauchy" and args.log_domain:
         # The CV-matrix inverse is native to the log domain.
         _print_entries("i,j,log10mag,phase",
-                       *cauchyinv.cv_inverse_log_entries(kv, f, variant))
+                       *cauchyinv.cv_inverse_log_entries(kv, args.f, variant))
         return 0
     if args.method == "cauchy":
-        data = cauchyinv.cv_inverse(kv, f, variant).data
+        data = cauchyinv.cv_inverse(kv, args.f, variant).data
     elif args.method == "cv":
-        data = cauchyinv.vandermonde_inverse_via_cv(kv, f, variant).data
+        data = cauchyinv.vandermonde_inverse_via_cv(kv, args.f, variant).data
     else:
         data = cauchyinv.vandermonde_inverse_lagrange(kv).data
     if args.log_domain:
@@ -159,10 +156,9 @@ def _report_line(report) -> str:
 
 def _cmd_bounds(args, parser) -> int:
     kv = _resolve_knots(args, parser)
-    f = args.f if args.f is not None else DEFAULT_F
-    if not (math.isfinite(f.real) and math.isfinite(f.imag)) or f == 0:
+    if not math.isfinite(math.hypot(args.f.real, args.f.imag)) or args.f == 0:
         parser.error("--f must be finite and nonzero")
-    f = f / abs(f)
+    f = args.f / abs(args.f)
     reports = []
 
     def attempt(bound_id, thunk):
@@ -235,8 +231,7 @@ def _cmd_build(args, parser) -> int:
     if args.matrix == "dft":
         M = dft(len(kv))
     elif args.matrix == "cv":
-        f = args.f if args.f is not None else DEFAULT_F
-        M = cv_matrix(kv, f)
+        M = cv_matrix(kv, args.f)
     else:
         M = vandermonde(kv)
     if args.block is not None:
@@ -275,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="corrected",
                    help="'paper': compact closed form exactly as stated; "
                         "'corrected': adjugate-exact entries")
-    p.add_argument("--f", type=parse_complex, metavar="RE,IM")
+    p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
     p.add_argument("--log-domain", action="store_true")
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("bounds", help="evaluate lower bounds, one JSON per line")
     _add_knot_source(p)
-    p.add_argument("--f", type=parse_complex, metavar="RE,IM")
+    p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
     p.add_argument("--eta-grid", type=parse_eta_grid, default=(1.1, 1.2, 1.5),
                    metavar="LIST")
     p.add_argument("--grid", type=int, default=0)
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_source(p)
     p.add_argument("--matrix", choices=["vandermonde", "dft", "cv"],
                    default="vandermonde")
-    p.add_argument("--f", type=parse_complex, metavar="RE,IM")
+    p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
     p.add_argument("--block", type=int, metavar="Q")
     p.add_argument("--dump", metavar="PATH")
     p.set_defaults(func=_cmd_build)

@@ -1,4 +1,4 @@
-"""Reference numerics: SVD spectra, norms, circle maximization, and GENP."""
+"""Reference numerics: SVD spectra, root polynomials, circle maxima, and GENP."""
 
 from __future__ import annotations
 
@@ -78,32 +78,29 @@ def singular_values(M: DenseMatrix) -> SpectrumSummary:
                            trustworthy=(kappa <= trust_cap))
 
 
-def norms(M: DenseMatrix):
-    """(column-sum, row-sum, spectral) norms."""
-    a = np.abs(M.data)
-    norm1 = float(a.sum(axis=0).max())
-    norm_inf = float(a.sum(axis=1).max())
-    norm2 = float(np.linalg.svd(M.data, compute_uv=False)[0])
-    return norm1, norm_inf, norm2
-
-
 def poly_from_roots(knots: KnotVector) -> np.ndarray:
-    """Monic coefficients of prod (x - s_i), ascending powers, length n+1."""
+    """Monic coefficients of prod (x - s_i), ascending powers, length n+1.
+
+    Factors go in Leja order (largest |s_i| first, then the root farthest
+    in product of distances from those taken), so partial products stay small.
+    """
     pts = knots.as_array()
     n = len(pts)
     if n > 4096:
         raise ValueError("degree capped at 4096")
     coeff = np.zeros(n + 1, dtype=np.complex128)
     coeff[0] = 1.0
-    deg = 0
-    # Overflow surfaces as non-finite coefficients, detected below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z in pts:
-            shifted = np.zeros(n + 1, dtype=np.complex128)
-            shifted[1:deg + 2] = coeff[:deg + 1]
-            shifted[:deg + 1] -= z * coeff[:deg + 1]
-            coeff = shifted
-            deg += 1
+    score = np.zeros(n)  # sum of log distances to the roots taken
+    k = int(np.argmax(np.abs(pts)))
+    # Overflow surfaces as non-finite coefficients, detected below; a root
+    # taken scores log 0 = -inf, so it is not taken again.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m in range(n):
+            z = pts[k]
+            coeff[1:m + 2] = coeff[:m + 1] - z * coeff[1:m + 2]
+            coeff[0] *= -z
+            score += np.log(np.abs(pts - z))
+            k = int(np.argmax(score))
     if not np.all(np.isfinite(coeff)):
         raise RangeOverflow(math.inf, where="polynomial coefficients")
     return coeff

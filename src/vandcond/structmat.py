@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -91,7 +91,7 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
     f = complex(f)
     if f == 0:
         raise ValueError("f must be nonzero")
-    if not cmath.isfinite(f):
+    if not math.isfinite(math.hypot(f.real, f.imag)):
         raise ValueError("f must be finite")
     return f * unit_roots(n)
 

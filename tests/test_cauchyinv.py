@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vandcond import cauchyinv, knotgen, structmat
+from vandcond import bounds, cauchyinv, knotgen, logdomain, structmat
 from vandcond.cauchyinv import InverseVariant, LogComplex
-from vandcond.errors import RangeOverflow
+from vandcond.errors import KnotCollision, RangeOverflow
 from vandcond.logdomain import (log_products, pow_diff_logs,
                                 self_derivative_logs, wrap_phase)
 
@@ -406,7 +406,7 @@ class TestLogEntryTables:
 
 
 class TestFactorForm:
-    """Entries from `inverse_factors` against the table-sum construction."""
+    """Entries from `inverse_blocks` against the table-sum construction."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
@@ -433,13 +433,78 @@ class TestFactorForm:
             dph = np.angle(np.exp(1j * (ph - ref_ph)))
             assert np.max(np.abs(dph)) <= 3e-14 * n * math.pi
 
-    def test_factors_are_vectors(self):
-        s = knotgen.van_der_corput(5)
-        for variant in (PAPER, CORRECTED):
-            f = cmath.exp(0.3j)
-            factors = cauchyinv.inverse_factors(
-                s.as_array(), structmat.cv_knots(5, f), variant, 1e-13, f)
-            assert [np.shape(x) for x in factors] == [(5,)] * 4
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_blocks_stay_within_chunk(self, monkeypatch, n, variant):
+        monkeypatch.setattr(logdomain, "CHUNK", 7)
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
+        if variant is PAPER:
+            mag, ph = mag.T, ph.T
+        for phase in (True, False):
+            row = 0
+            for lo, block_mag, block_ph in cauchyinv.inverse_blocks(
+                    s.as_array(), structmat.cv_knots(n, f), variant, 1e-13, f,
+                    phase=phase):
+                # At most CHUNK entries, or one row where a row is longer.
+                assert lo == row and 0 < block_mag.size <= max(logdomain.CHUNK, n)
+                assert np.array_equal(block_mag, mag[lo:lo + len(block_mag)])
+                if phase:  # the tables wrap what the walk leaves raw
+                    assert np.array_equal(wrap_phase(block_ph),
+                                          ph[lo:lo + len(block_ph)])
+                else:
+                    assert block_ph is None
+                row += len(block_mag)
+            assert row == n
+
+
+class TestOneWalk:
+    """Passes over an n x n difference table per call, counted at `diff_blocks`.
+
+    The entries, the collision check and the row products s(t_i) share one
+    walk; what is left are the O(n) factor sums formed before it.
+    """
+
+    N = 64
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        sizes = []
+        real = logdomain.diff_blocks
+
+        def counting(xs, knots):
+            sizes.append(len(xs) * len(knots))
+            return real(xs, knots)
+
+        for module in (logdomain, cauchyinv, bounds):
+            monkeypatch.setattr(module, "diff_blocks", counting)
+        return sizes
+
+    @pytest.mark.parametrize("call, variant, expected", [
+        ("bound_cv", PAPER, 1),
+        ("bound_cv", CORRECTED, 2),
+        ("cv_inverse_log_entries", CORRECTED, 2),
+        ("cv_inverse_entry", CORRECTED, 2),
+        ("cauchy_inverse_log_entries", CORRECTED, 4),
+        ("cauchy_inverse_entry", CORRECTED, 4),
+    ])
+    def test_walks_per_call(self, walks, call, variant, expected):
+        n = self.N
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        t = kv(list(0.5 * cmath.exp(0.05j) * s.as_array()))
+        walks.clear()  # the knot checks above walk too
+        run = {"bound_cv": lambda: bounds.bound_cv(s, f, variant),
+               "cv_inverse_log_entries":
+                   lambda: cauchyinv.cv_inverse_log_entries(s, f, variant),
+               "cv_inverse_entry": lambda: cauchyinv.cv_inverse_entry(s, f, 3, 5, variant),
+               "cauchy_inverse_log_entries":
+                   lambda: cauchyinv.cauchy_inverse_log_entries(s, t, variant),
+               "cauchy_inverse_entry":
+                   lambda: cauchyinv.cauchy_inverse_entry(s, t, 3, 5, variant)}
+        run[call]()
+        assert walks.count(n * n) == expected
 
 
 class TestSingleEntry:
@@ -484,6 +549,22 @@ class TestSingleEntry:
                 cauchyinv.cv_inverse_entry(s, f, i, j, variant)
             with pytest.raises(IndexError):
                 cauchyinv.cauchy_inverse_entry(s, t, i, j, variant)
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_collision_in_a_later_row_raises(self, monkeypatch, variant):
+        # Row 0 holds the requested cell and is clean; s_23 sits on grid
+        # point 23, which only a walk past the cell's own row block reaches.
+        monkeypatch.setattr(logdomain, "CHUNK", 7)
+        n, f = 30, cmath.exp(0.3j)
+        grid = structmat.cv_knots(n, f)
+        pts = list(0.5 * knotgen.van_der_corput(n).as_array())
+        pts[23] = complex(grid[23])
+        s, t = kv(pts), kv(list(grid))
+        for entry in (lambda: cauchyinv.cv_inverse_entry(s, f, 0, 0, variant),
+                      lambda: cauchyinv.cauchy_inverse_entry(s, t, 0, 0, variant)):
+            with pytest.raises(KnotCollision) as info:
+                entry()
+            assert (info.value.i, info.value.j, info.value.gap) == (23, 23, 0.0)
 
     def test_entry_memory_is_linear(self):
         # Two n x n float tables would be 36 MiB at n = 1536.
@@ -545,6 +626,17 @@ class TestVandermondeInverses:
             V = structmat.vandermonde(s).data
             inv = cauchyinv.vandermonde_inverse_via_cv(s, f, CORRECTED).data
             assert np.max(np.abs(V @ inv - np.eye(n))) <= 1e-7
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("gen", [knotgen.roots_of_unity, knotgen.quasi_cyclic,
+                                     knotgen.van_der_corput])
+    def test_lagrange_residual_on_the_circle(self, gen, n):
+        # Multiplied out in knot order, roots_of_unity(256) gave 2.7e48 and
+        # quasi_cyclic(256) 1.6e16; all of these knot sets have kappa near 1.
+        s = gen(n)
+        V = structmat.vandermonde(s).data
+        inv = cauchyinv.vandermonde_inverse_lagrange(s).data
+        assert np.max(np.abs(V @ inv - np.eye(n))) <= 1e-10
 
     def test_lagrange_two_knots(self):
         inv = cauchyinv.vandermonde_inverse_lagrange(kv([0, 1]))

@@ -146,6 +146,17 @@ class TestInvert:
         V = structmat.vandermonde(knotgen.van_der_corput(4)).data
         assert np.max(np.abs(V @ inv - np.eye(4))) < 1e-10
 
+    def test_default_method_inverts_the_dft(self, capsys):
+        # The inverse of V(omega^i) is its conjugate transpose over n; in knot
+        # order the Lagrange route printed entries near 1e29 to 1e46 here.
+        n = 256
+        code, out, _ = run(["invert", "--gen", "dft", "--n", str(n)], capsys)
+        assert code == 0
+        table = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        i, j = table[:, 0].astype(int), table[:, 1].astype(int)
+        want = np.conj(knotgen.roots_of_unity(n).as_array()[i * j % n]) / n
+        assert np.max(np.abs(table[:, 2] + 1j * table[:, 3] - want)) <= 1e-14
+
     def test_cauchy_log_domain(self, capsys):
         code, out, _ = run(["invert", "--gen", "van-der-corput", "--n", "3",
                             "--method", "cauchy", "--log-domain"], capsys)
@@ -229,6 +240,16 @@ class TestInvert:
         assert len(recwarn) == 0
 
 
+    @pytest.mark.parametrize("extra", [["--method", "cauchy", "--log-domain"],
+                                       ["--method", "cauchy"], ["--method", "cv"]])
+    def test_f_of_overflowing_modulus_is_invalid_argument(self, extra, capsys, recwarn):
+        # Each part is finite, but |f| is not: abs(f) raised OverflowError.
+        code, out, err = run(["invert", "--gen", "dft", "--n", "4",
+                              "--f=1.7e308,1.7e308", *extra], capsys)
+        assert (code, out, err) == (2, "", "error: f must be finite\n")
+        assert len(recwarn) == 0
+
+
 class TestBounds:
     def test_json_lines(self, capsys):
         code, out, _ = run(["bounds", "--gen", "quasi-cyclic", "--n", "48"],
@@ -282,7 +303,7 @@ class TestBounds:
         by_id = {r["bound_id"]: r for r in map(json.loads, out.splitlines())}
         assert math.isfinite(by_id["coeff-norm"]["log10value"])
 
-    @pytest.mark.parametrize("f", ["nan", "inf,0", "0,-inf", "0"])
+    @pytest.mark.parametrize("f", ["nan", "inf,0", "0,-inf", "0", "1.7e308,1.7e308"])
     def test_non_finite_or_zero_f_is_invalid_argument(self, f, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["bounds", "--gen", "quasi-cyclic", "--n", "12", "--f", f])

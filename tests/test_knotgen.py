@@ -289,6 +289,12 @@ class TestKnotBytes:
         want = complex(f) * np.array(reference_roots(n), dtype=np.complex128)
         assert structmat.cv_knots(n, f).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("f", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                   complex(1.7e308, 1.7e308)])
+    def test_cv_grid_needs_finite_modulus(self, f):
+        with pytest.raises(ValueError, match="f must be finite"):
+            structmat.cv_knots(4, f)
+
 
 class TestKnotFiles:
     def test_roundtrip(self, tmp_path):

@@ -44,28 +44,20 @@ class TestSingularValues:
         assert s.sigma1 == s.sigma[0] and s.sigma_min == s.sigma[-1]
 
 
-class TestNorms:
-    def test_identity(self):
-        M = structmat.DenseMatrix(np.eye(3, dtype=complex))
-        assert spectral.norms(M) == (1.0, 1.0, pytest.approx(1.0, abs=1e-14))
-
-    def test_dft_spectral(self):
-        assert abs(spectral.norms(structmat.dft(16))[2] - 4.0) < 1e-12
-
-    def test_outlier_row_sum_exact(self):
-        # Row of the knot 2 sums the geometric series 1 + 2 + ... + 128 = 255,
-        # which equals (s_+^n - 1) / (s_+ - 1) exactly in floating point.
-        M = structmat.vandermonde(knotgen.single_outlier(8, 2.0))
-        norm1, norm_inf, _ = spectral.norms(M)
-        assert norm_inf == 255.0
-
-
 class TestPolyFromRoots:
     def test_roots_of_unity(self):
         c = spectral.poly_from_roots(knotgen.roots_of_unity(8))
         assert abs(c[0] + 1.0) < 1e-13
         assert abs(c[8] - 1.0) < 1e-13
         assert np.max(np.abs(c[1:8])) < 1e-13
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_roots_of_unity_give_z_power_minus_one(self, n):
+        # In knot order the error was 8.7e-2 at n = 64 and 3.4e253 at 1024.
+        c = spectral.poly_from_roots(knotgen.roots_of_unity(n))
+        ref = np.zeros(n + 1, dtype=complex)
+        ref[0], ref[n] = -1.0, 1.0
+        assert np.max(np.abs(c - ref)) <= 4e-16 * n
 
     def test_two_knots(self):
         c = spectral.poly_from_roots(kv([0, 1]))
