@@ -15,7 +15,7 @@ from .cauchyinv import (InverseVariant, LogComplex, cauchy_det,
                         vandermonde_inverse_via_cv)
 from .spectral import (GenpStats, SpectrumSummary, genp_residual_experiment,
                        genp_solve, max_abs_on_circle, poly_from_roots,
-                       singular_values)
+                       singular_values, top_singular_value)
 from .bounds import (BoundReport, SeparationCertificate, arc_certificate,
                      best_arc_search, bound_arc, bound_circle_value,
                      bound_cluster, bound_coeff_norm, bound_cv,
@@ -34,7 +34,7 @@ __all__ = [
     "cauchy_inverse_entry", "cauchy_inverse", "cv_inverse_entry",
     "cv_inverse", "vandermonde_inverse_via_cv",
     "vandermonde_inverse_lagrange",
-    "SpectrumSummary", "GenpStats", "singular_values",
+    "SpectrumSummary", "GenpStats", "singular_values", "top_singular_value",
     "poly_from_roots", "max_abs_on_circle", "genp_solve",
     "genp_residual_experiment",
     "BoundReport", "SeparationCertificate", "bound_easy", "bound_cluster",

@@ -68,6 +68,28 @@ class TestBoundCluster:
         assert abs(10 ** rep.log10value - expect) < 1e-6 * expect
         assert abs(10 ** rep.log10value - 2.44e2) / 2.44e2 < 0.15
 
+    @pytest.mark.parametrize("n, method", [(bounds.SVD_MAX_N, "svd"),
+                                           (bounds.SVD_MAX_N + 1, "lanczos")])
+    def test_computed_norm_either_side_of_the_svd_crossover(self, n, method):
+        knots = knotgen.scaled_cluster(n, n // 8, 0.5)
+        rep = bounds.bound_cluster(knots, n // 8, 2.0, "computed-norm")
+        norm = np.linalg.svd(structmat.vandermonde(knots).data, compute_uv=False)[0]
+        assert rep.params["norm_method"] == method
+        assert (rep.params["lanczos_steps"] > 0) == (method == "lanczos")
+        assert abs(rep.params["log10_norm"] - math.log10(norm)) <= 1e-12
+        expect = math.log10(norm) + (n // 8 - 1) * math.log10(2.0) - (
+            0.5 * math.log10(n // 8) + math.log10(2.0))
+        assert abs(rep.log10value - expect) <= 1e-12
+
+    def test_unconverged_lanczos_falls_back_to_the_svd(self, monkeypatch):
+        n = bounds.SVD_MAX_N + 1
+        knots = knotgen.scaled_cluster(n, n // 8, 0.5)
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
+        rep = bounds.bound_cluster(knots, n // 8, 2.0, "computed-norm")
+        sigma1 = spectral.singular_values(structmat.vandermonde(knots)).sigma1
+        assert (rep.params["norm_method"], rep.params["lanczos_steps"]) == ("svd", 2)
+        assert rep.params["log10_norm"] == math.log10(sigma1)
+
     def test_degenerate_k1(self):
         knots = knotgen.scaled_cluster(4, 1, 0.5)
         rep = bounds.bound_cluster(knots, 1, 2.0, "literal")

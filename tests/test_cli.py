@@ -131,6 +131,24 @@ class TestColdStart:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-2:] == ["False", "True"]
 
+    def test_bounds_above_the_svd_crossover_stays_scipy_free(self):
+        # The cluster bound takes its norm from Lanczos here, not from scipy.
+        src = os.path.dirname(os.path.dirname(vandcond.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        code = ("import sys, vandcond.cli\n"
+                "assert vandcond.cli.main(['bounds', '--gen', 'scaled-cluster', '--n', '768',\n"
+                "                          '--k', '96', '--rho', '0.5']) == 0\n"
+                "print('scipy' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[-1] == "False"
+        norms = [json.loads(line)["params"] for line in lines[:-1]
+                 if json.loads(line)["params"].get("norm") == "spectral"]
+        assert [(p["norm_method"], p["lanczos_steps"] > 0) for p in norms] == [("lanczos", True)]
+
 
 class TestInvert:
     def test_lagrange_entries(self, capsys):
@@ -248,6 +266,24 @@ class TestInvert:
                               "--f=1.7e308,1.7e308", *extra], capsys)
         assert (code, out, err) == (2, "", "error: f must be finite\n")
         assert len(recwarn) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra, allowed", [(["--method", "cauchy", "--log-domain"], {0}),
+                                                (["--method", "cauchy"], {3}),
+                                                (["--method", "cv"], {0, 3})])
+    def test_f_of_modulus_near_the_float_limit(self, extra, allowed, capsys):
+        # |f| = 1.4e308 is finite; dividing by f used to overflow.  The CV
+        # inverse's entries reach 10^1231: the log domain prints them and the
+        # complex route refuses them.  The cv route refuses them today too,
+        # although V^-1 itself (entries of modulus 1/4) does not depend on f.
+        code, out, err = run(["invert", "--gen", "dft", "--n", "4",
+                              "--f=1e308,1e308", *extra], capsys)
+        assert code in allowed, err
+        if code:
+            assert err.startswith("error: log10 magnitude ") and err.count("\n") == 1
+        else:
+            table = np.loadtxt(out.splitlines()[1:], delimiter=",")
+            assert table.shape == (16, 4) and np.all(np.isfinite(table))
 
 
 class TestBounds:

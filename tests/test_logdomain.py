@@ -3,6 +3,7 @@ import cmath
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -98,6 +99,22 @@ class TestPowDiffLogs:
         mag, ph = pow_diff_logs(np.array([0.0]), cmath.exp(0.3j), 8)
         assert abs(mag[0]) <= 4 * EPS  # |0 - f^8| = 1
         assert abs(wrap_phase(ph[0] - (8 * 0.3 + math.pi))) <= 64 * EPS
+
+    @pytest.mark.parametrize("n", [1, 4, 192])
+    def test_modulus_near_the_float_limit(self, n):
+        # numpy's complex division by these overflowed ("overflow encountered
+        # in divide") in both factored branches.  The loop reference divides
+        # numpy scalars the same way, so mpmath is the oracle here.
+        big = complex(1e308, 1e308)
+        for z, f in (([0.0, 0.5j, cmath.exp(0.3j), 1e300], big),
+                     ([big, -big.conjugate()], cmath.exp(0.3j))):
+            mag, ph = pow_diff_logs(np.array(z), f, n)
+            with mpmath.workdps(40):
+                w = [mpmath.mpc(zi) ** n - mpmath.mpc(f) ** n for zi in z]
+                ref_mag = [float(mpmath.log10(abs(wi))) for wi in w]
+                ref_ph = [float(mpmath.arg(wi)) for wi in w]
+            assert np.allclose(mag, ref_mag, rtol=1e-14, atol=0)
+            assert np.all(np.abs(wrap_phase(ph - np.array(ref_ph))) <= 64 * n * EPS)
 
     def test_exact_hit_is_minus_inf(self):
         f = cmath.exp(0.3j)

@@ -44,6 +44,39 @@ class TestSingularValues:
         assert s.sigma1 == s.sigma[0] and s.sigma_min == s.sigma[-1]
 
 
+GENERATORS = {
+    "dft": knotgen.roots_of_unity,
+    "quasi-cyclic": knotgen.quasi_cyclic,
+    "van-der-corput": knotgen.van_der_corput,
+    "single-outlier": lambda n: knotgen.single_outlier(n, 1.5),
+    "scaled-cluster": lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.5),
+    "dft-plus-outlier": lambda n: knotgen.dft_plus_outlier(n, 1.5),
+}
+SIGMA1_CASES = [(gen, n, scale) for gen in GENERATORS
+                for n in (1, 2, 3, 7, 64, 192, 384) for scale in (1.0, 0.5)
+                if n > 1 or gen not in ("single-outlier", "scaled-cluster")]
+
+
+class TestTopSingularValue:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gen, n, scale", SIGMA1_CASES)
+    def test_matches_the_svd_and_repeats_bit_for_bit(self, gen, n, scale):
+        M = structmat.vandermonde(kv(scale * GENERATORS[gen](n).as_array()))
+        sigma1 = np.linalg.svd(M.data, compute_uv=False)[0]
+        value, steps, converged = spectral.top_singular_value(M)
+        assert abs(value / sigma1 - 1.0) <= 1e-12
+        assert converged and 1 <= steps <= min(M.rows, spectral.LANCZOS_MAX_STEPS)
+        assert spectral.top_singular_value(M) == (value, steps, converged)
+
+    def test_capped_run_stays_below_sigma1(self, monkeypatch):
+        M = structmat.vandermonde(knotgen.scaled_cluster(192, 24, 0.5))
+        sigma1 = np.linalg.svd(M.data, compute_uv=False)[0]
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
+        value, steps, converged = spectral.top_singular_value(M)
+        assert (steps, converged) == (2, False)
+        assert value <= sigma1 * (1.0 + 1e-13)
+
+
 class TestPolyFromRoots:
     def test_roots_of_unity(self):
         c = spectral.poly_from_roots(knotgen.roots_of_unity(8))
