@@ -19,7 +19,7 @@ from .cauchyinv import InverseVariant, inverse_blocks
 from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
                      NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
                      VacuousCertificate)
-from .knotgen import DISTINCT_TOL, KnotVector, unit_roots
+from .knotgen import KnotVector, unit_roots
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values, top_singular_value
 from .structmat import cv_knots, vandermonde
@@ -180,8 +180,7 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
                         "log10_kappa_bound": value - 0.5 * math.log10(n)})
 
 
-def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
-             tol: float = DISTINCT_TOL) -> BoundReport:
+def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
     """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
 
     ||Cinv|| is lower-bounded by the largest inverse-entry magnitude under
@@ -197,7 +196,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant,
     n = len(sp)
 
     def largest_entry(f):
-        blocks = inverse_blocks(sp, _cv_grid(n, f), variant, tol, f, phase=False)
+        blocks = inverse_blocks(sp, _cv_grid(n, f), variant, f, phase=False)
         return max(float(np.max(mag)) for _, mag, _ in blocks)
 
     nudged = False

@@ -28,10 +28,10 @@ import math
 import numpy as np
 
 from .errors import KnotCollision, RangeOverflow
-from .knotgen import DISTINCT_TOL, KnotVector, unit_roots
-from .logdomain import (RANGE_LOG10, LogComplex, check_disjoint, diff_blocks,
-                        log_magnitudes, log_products, pow_diff_logs,
-                        self_derivative_logs, wrap_phase)
+from .knotgen import KnotVector, unit_roots
+from .logdomain import (DISTINCT_TOL, RANGE_LOG10, LogComplex, check_disjoint,
+                        diff_blocks, log_magnitudes, log_products,
+                        pow_diff_logs, self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
 from .structmat import DenseMatrix, cv_knots
 
@@ -49,12 +49,12 @@ def log_root_product(knots: KnotVector, x: complex) -> LogComplex:
     return LogComplex(float(mag[0]), wrap_phase(float(ph[0])))
 
 
-def cauchy_det(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> LogComplex:
+def cauchy_det(s: KnotVector, t: KnotVector) -> LogComplex:
     """det C = prod_{i<j} (s_j - s_i)(t_i - t_j) / prod_{i,j} (s_i - t_j)."""
     sp, tp = s.as_array(), t.as_array()
     if len(sp) != len(tp):
         raise ValueError("determinant requires a square matrix")
-    check_disjoint(sp, tp, tol)
+    check_disjoint(sp, tp)
     n = len(sp)
     cross_mag, cross_ph = log_products(sp, tp)
     mag, ph = -float(np.sum(cross_mag)), -float(np.sum(cross_ph))
@@ -68,7 +68,7 @@ def cauchy_det(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> LogCo
 
 
 def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
-                   tol: float, cv_f=None, *, phase: bool = True):
+                   cv_f=None, *, phase: bool = True):
     """Yield (lo, mag, ph): rows lo.. of the closed-form inverse's log tables.
 
     Entry (i, j), of the corrected inverse or the transposed paper one, is
@@ -99,8 +99,8 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
                     (n - 1) * np.angle(tp))
     for lo, d in diff_blocks(tp, sp):
         mag = np.abs(d)
-        if mag.min() <= tol:
-            check_disjoint(sp, tp, tol)
+        if mag.min() <= DISTINCT_TOL:
+            check_disjoint(sp, tp)
         block = np.log10(mag, out=mag), (np.angle(d) if phase else None)
         for k, x in enumerate(block[:1 + phase]):
             row = np.sum(x, axis=1)
@@ -114,17 +114,17 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
 
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
-                  tol: float, cv_f=None):
+                  cv_f=None):
     """(log10 magnitude, wrapped phase) tables of every inverse entry."""
     mag, ph = np.empty((2, len(sp), len(sp)))
-    for lo, block_mag, block_ph in inverse_blocks(sp, tp, variant, tol, cv_f):
+    for lo, block_mag, block_ph in inverse_blocks(sp, tp, variant, cv_f):
         mag[lo:lo + len(block_mag)] = block_mag
         ph[lo:lo + len(block_ph)] = block_ph
     wrap_phase(ph, out=ph)
     return (mag, ph) if variant is InverseVariant.CORRECTED else (mag.T, ph.T)
 
 
-def _materialize(mag: np.ndarray, ph: np.ndarray, params: dict) -> DenseMatrix:
+def _materialize(mag: np.ndarray, ph: np.ndarray) -> DenseMatrix:
     """Matrix of entries 10**mag * exp(i ph), built over the engine's tables."""
     peak = float(np.max(mag))
     if peak > RANGE_LOG10:
@@ -136,18 +136,18 @@ def _materialize(mag: np.ndarray, ph: np.ndarray, params: dict) -> DenseMatrix:
     np.sin(ph, out=out.imag)
     out.real *= mag
     out.imag *= mag
-    return DenseMatrix(out, "custom", params, copy=False)
+    return DenseMatrix(out, copy=False)
 
 
 def _inverse_cell(sp: np.ndarray, tp: np.ndarray, i: int, j: int,
-                  variant: InverseVariant, tol: float, cv_f=None) -> LogComplex:
+                  variant: InverseVariant, cv_f=None) -> LogComplex:
     """Entry (i, j) of the `_inverse_logs` tables, kept as their walk goes by.
 
     The walk runs to its end, so a collision in any row raises first.
     """
     n = len(sp)
     r, c = (i, j) if variant is InverseVariant.CORRECTED else (j, i)
-    for lo, mag, ph in inverse_blocks(sp, tp, variant, tol, cv_f):
+    for lo, mag, ph in inverse_blocks(sp, tp, variant, cv_f):
         if lo <= r % n < lo + len(mag):
             cell = mag[r % n - lo, c % n], ph[r % n - lo, c % n]
     range(n)[r], range(n)[c]  # IndexError after the walk: a collision wins
@@ -155,52 +155,44 @@ def _inverse_cell(sp: np.ndarray, tp: np.ndarray, i: int, j: int,
 
 
 def cauchy_inverse_entry(s: KnotVector, t: KnotVector, i: int, j: int,
-                         variant: InverseVariant,
-                         tol: float = DISTINCT_TOL) -> LogComplex:
+                         variant: InverseVariant) -> LogComplex:
     """Entry (i, j) of the chosen inverse variant, in the log domain."""
-    return _inverse_cell(s.as_array(), t.as_array(), i, j, variant, tol)
+    return _inverse_cell(s.as_array(), t.as_array(), i, j, variant)
 
 
 def cv_inverse_entry(s: KnotVector, f: complex, i: int, j: int,
-                     variant: InverseVariant,
-                     tol: float = DISTINCT_TOL) -> LogComplex:
+                     variant: InverseVariant) -> LogComplex:
     """Entry (i, j) of the CV inverse, with t(x) = x**n - f**n substituted."""
-    return _inverse_cell(s.as_array(), cv_knots(len(s), f), i, j, variant, tol,
+    return _inverse_cell(s.as_array(), cv_knots(len(s), f), i, j, variant,
                          complex(f))
 
 
-def cauchy_inverse(s: KnotVector, t: KnotVector, variant: InverseVariant,
-                   tol: float = DISTINCT_TOL) -> DenseMatrix:
+def cauchy_inverse(s: KnotVector, t: KnotVector,
+                   variant: InverseVariant) -> DenseMatrix:
     """Full inverse assembled entrywise from the chosen closed form."""
-    logs = _inverse_logs(s.as_array(), t.as_array(), variant, tol)
-    return _materialize(*logs, {"inverse_of": "cauchy", "variant": variant.value})
+    return _materialize(*_inverse_logs(s.as_array(), t.as_array(), variant))
 
 
-def cv_inverse(s: KnotVector, f: complex, variant: InverseVariant,
-               tol: float = DISTINCT_TOL) -> DenseMatrix:
+def cv_inverse(s: KnotVector, f: complex, variant: InverseVariant) -> DenseMatrix:
     """Full CV inverse; the column polynomial is t(x) = x**n - f**n."""
-    logs = _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, tol, complex(f))
-    return _materialize(*logs, {"inverse_of": "cv", "variant": variant.value,
-                                "f": complex(f)})
+    return _materialize(*_inverse_logs(s.as_array(), cv_knots(len(s), f), variant,
+                                       complex(f)))
 
 
 def cv_inverse_log_entries(s: KnotVector, f: complex,
-                           variant: InverseVariant,
-                           tol: float = DISTINCT_TOL):
+                           variant: InverseVariant):
     """(log10 magnitude, phase) tables of all CV inverse entries; overflow-free."""
-    return _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, tol, complex(f))
+    return _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, complex(f))
 
 
 def cauchy_inverse_log_entries(s: KnotVector, t: KnotVector,
-                               variant: InverseVariant,
-                               tol: float = DISTINCT_TOL):
+                               variant: InverseVariant):
     """(log10 magnitude, phase) tables of all Cauchy inverse entries."""
-    return _inverse_logs(s.as_array(), t.as_array(), variant, tol)
+    return _inverse_logs(s.as_array(), t.as_array(), variant)
 
 
 def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
-                               variant: InverseVariant,
-                               tol: float = DISTINCT_TOL) -> DenseMatrix:
+                               variant: InverseVariant) -> DenseMatrix:
     """Vandermonde inverse through the CV factorization.
 
     V^{-1} = diag(f^(n-1-j)) Omega^H diag(omega^-j) C^{-1} diag(1/(s_i^n - f^n)),
@@ -208,7 +200,7 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     """
     sp = s.as_array()
     n = len(sp)
-    cinv = cv_inverse(s, f, variant, tol).data
+    cinv = cv_inverse(s, f, variant).data
     f = complex(f)
     mag, ph = pow_diff_logs(sp, f, n)
     if np.any(np.isinf(mag) & (mag < 0)):
@@ -222,9 +214,7 @@ def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
     out = (f ** (n - 1 - np.arange(n)))[:, None] * out * right[None, :]
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="assembled inverse")
-    return DenseMatrix(out, "custom",
-                       {"inverse_of": "vandermonde", "route": "cv",
-                        "variant": variant.value, "f": f}, copy=False)
+    return DenseMatrix(out, copy=False)
 
 
 def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
@@ -247,6 +237,4 @@ def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
         out /= 10.0 ** sp_mag * np.exp(1j * sp_ph)
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="lagrange coefficients")
-    return DenseMatrix(out, "custom",
-                       {"inverse_of": "vandermonde", "route": "lagrange"},
-                       copy=False)
+    return DenseMatrix(out, copy=False)

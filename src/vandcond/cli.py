@@ -185,7 +185,7 @@ def _cmd_bounds(args, parser) -> int:
         attempt(bounds_mod.CV_INVERSE,
                 lambda v=variant: bounds_mod.bound_cv(kv, f, v))
     attempt(bounds_mod.CIRCLE_VALUE,
-            lambda: bounds_mod.bound_circle_value(kv, args.grid))
+            lambda: bounds_mod.bound_circle_value(kv))
     attempt(bounds_mod.COEFF_NORM, lambda: bounds_mod.bound_coeff_norm(kv))
     n = len(kv)
     if args.gen == "quasi-cyclic" and n % 3 == 0:
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
     p.add_argument("--eta-grid", type=parse_eta_grid, default=(1.1, 1.2, 1.5),
                    metavar="LIST")
-    p.add_argument("--grid", type=int, default=0)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table", help="run one of the experiment tables 1-5")

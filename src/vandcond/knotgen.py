@@ -14,11 +14,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DuplicateKnot, EmptyInput
-from .logdomain import closest_pair
-
-#: Default distinctness tolerance: above double rounding noise, below any
-#: knot gap that the generators here can produce.
-DISTINCT_TOL = 1e-13
+from .logdomain import DISTINCT_TOL, closest_pair
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,11 @@ from .errors import KnotCollision, RangeOverflow
 #: Conversions to complex refuse log10 magnitudes beyond this.
 RANGE_LOG10 = 300.0
 
+#: Points at most this far apart collide, within one knot vector or between
+#: the row and column knots of a Cauchy or CV matrix: above double rounding
+#: noise, below any knot gap that the generators can produce.
+DISTINCT_TOL = 1e-13
+
 #: Entries per row block of a difference table.
 CHUNK = 1 << 18
 
@@ -225,9 +230,9 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False,
     return gap, i, j
 
 
-def check_disjoint(sp: np.ndarray, tp: np.ndarray, tol: float,
+def check_disjoint(sp: np.ndarray, tp: np.ndarray,
                    out: np.ndarray | None = None) -> None:
-    """Raise KnotCollision at the `closest_pair` (i, j) when |s_i - t_j| <= tol."""
+    """Raise KnotCollision at the `closest_pair` (i, j) if |s_i - t_j| <= DISTINCT_TOL."""
     gap, i, j = closest_pair(sp, tp, out=out)
-    if gap <= tol:
+    if gap <= DISTINCT_TOL:
         raise KnotCollision(i, j, gap)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import BlockTooLarge, Overflow
-from .knotgen import DISTINCT_TOL, KnotVector, roots_of_unity, unit_roots
+from .knotgen import KnotVector, roots_of_unity, unit_roots
 from .logdomain import check_disjoint
 
 #: Entries above 10**OVERFLOW_LOG10 are refused up front.
@@ -17,7 +17,7 @@ OVERFLOW_LOG10 = 307.5
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Complex dense matrix plus a descriptor recording how it was built.
+    """A read-only, finite complex128 matrix.
 
     The matrix keeps its own read-only copy of `data`, so later writes to
     the caller's array never reach it.  With `copy=False` a freshly built
@@ -26,8 +26,6 @@ class DenseMatrix:
     """
 
     data: np.ndarray
-    descriptor: str = "custom"
-    params: dict = field(default_factory=dict)
     copy: InitVar[bool] = True
 
     def __post_init__(self, copy: bool):
@@ -56,34 +54,38 @@ def vandermonde(s: KnotVector) -> DenseMatrix:
     s_plus = float(np.max(np.abs(pts)))
     if n > 1 and s_plus > 1.0 and (n - 1) * np.log10(s_plus) > OVERFLOW_LOG10:
         raise Overflow((n - 1) * np.log10(s_plus))
-    V = np.ones((n, n), dtype=np.complex128)
-    for j in range(1, n):
-        V[:, j] = V[:, j - 1] * pts
+    # Powers lo.. fill the rows of a 64-row band (contiguous writes), and
+    # each band is copied into its columns of V: the same products as a
+    # column-by-column fill, bit for bit, with no second n x n array.
+    V = np.empty((n, n), dtype=np.complex128)
+    band = np.ones((min(n, 64), n), dtype=np.complex128)
+    for lo in range(0, n, len(band)):
+        if lo:
+            np.multiply(band[-1], pts, out=band[0])
+        rows = band[:n - lo]
+        for k in range(1, len(rows)):
+            np.multiply(rows[k - 1], pts, out=rows[k])
+        V[:, lo:lo + len(rows)] = rows.T
     if not np.all(np.isfinite(V)):
         raise Overflow((n - 1) * np.log10(max(s_plus, 1.0)))
-    return DenseMatrix(V, "vandermonde", {"label": s.label, "n": n}, copy=False)
+    return DenseMatrix(V, copy=False)
 
 
 def dft(n: int) -> DenseMatrix:
     """The n-point Fourier matrix: Vandermonde on the n-th roots of 1."""
-    M = vandermonde(roots_of_unity(n))
-    return DenseMatrix(M.data, "dft", {"n": n}, copy=False)
+    return vandermonde(roots_of_unity(n))
 
 
-def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray, tol: float, descriptor: str,
-                   params: dict) -> DenseMatrix:
+def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray) -> DenseMatrix:
     """1 / (sp[i] - tp[j]), filled in the same pass as the collision check."""
     data = np.empty((len(sp), len(tp)), dtype=np.complex128)
-    check_disjoint(sp, tp, tol, out=data)
-    return DenseMatrix(data, descriptor, params, copy=False)
+    check_disjoint(sp, tp, out=data)
+    return DenseMatrix(data, copy=False)
 
 
-def cauchy(s: KnotVector, t: KnotVector, tol: float = DISTINCT_TOL) -> DenseMatrix:
+def cauchy(s: KnotVector, t: KnotVector) -> DenseMatrix:
     """Matrix with entry (i, j) = 1 / (s_i - t_j); rectangular shapes allowed."""
-    sp, tp = s.as_array(), t.as_array()
-    return _cauchy_matrix(sp, tp, tol, "cauchy",
-                          {"s_label": s.label, "t_label": t.label,
-                           "rows": len(sp), "cols": len(tp)})
+    return _cauchy_matrix(s.as_array(), t.as_array())
 
 
 def cv_knots(n: int, f: complex) -> np.ndarray:
@@ -96,11 +98,9 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
     return f * unit_roots(n)
 
 
-def cv_matrix(s: KnotVector, f: complex, tol: float = DISTINCT_TOL) -> DenseMatrix:
+def cv_matrix(s: KnotVector, f: complex) -> DenseMatrix:
     """Cauchy matrix whose column knots are the roots-of-unity grid scaled by f."""
-    n = len(s)
-    return _cauchy_matrix(s.as_array(), cv_knots(n, f), tol, "cv",
-                          {"s_label": s.label, "f": complex(f), "n": n})
+    return _cauchy_matrix(s.as_array(), cv_knots(len(s), f))
 
 
 def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
@@ -109,8 +109,7 @@ def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
     if q < 1 or q > top:
         raise BlockTooLarge(f"q={q} is outside 1..{top} for the "
                             f"{M.rows}x{M.cols} matrix")
-    return DenseMatrix(M.data[:q, :q], "block-of",
-                       {"parent": M.descriptor, "q": q, **M.params}, copy=False)
+    return DenseMatrix(M.data[:q, :q], copy=False)
 
 
 def dump_matrix(M: DenseMatrix, fh) -> None:

@@ -186,11 +186,11 @@ class TestBoundCv:
         # One grid for the inverse, plus one for the failed first try when
         # nudged.
         if nudged:
-            # With f = 1 the grid is the knots themselves, so even a tol far
-            # below the default makes the first try collide.
-            s, f, tol = knotgen.roots_of_unity(n), 1.0, 1e-15
+            # With f = 1 the grid is the knots themselves: the first try
+            # collides at gap 0.
+            s, f = knotgen.roots_of_unity(n), 1.0
         else:
-            s, f, tol = knotgen.quasi_cyclic(n), cmath.exp(0.3j), knotgen.DISTINCT_TOL
+            s, f = knotgen.quasi_cyclic(n), cmath.exp(0.3j)
         made = []
 
         def counting(m, f):
@@ -198,7 +198,7 @@ class TestBoundCv:
             return structmat.cv_knots(m, f)
 
         monkeypatch.setattr(bounds, "cv_knots", counting)
-        rep = bounds.bound_cv(s, f, CORRECTED, tol)
+        rep = bounds.bound_cv(s, f, CORRECTED)
         assert rep.params["nudged"] is nudged
         assert made == [n] * calls
 

@@ -445,7 +445,7 @@ class TestFactorForm:
         for phase in (True, False):
             row = 0
             for lo, block_mag, block_ph in cauchyinv.inverse_blocks(
-                    s.as_array(), structmat.cv_knots(n, f), variant, 1e-13, f,
+                    s.as_array(), structmat.cv_knots(n, f), variant, f,
                     phase=phase):
                 # At most CHUNK entries, or one row where a row is longer.
                 assert lo == row and 0 < block_mag.size <= max(logdomain.CHUNK, n)

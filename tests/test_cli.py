@@ -447,3 +447,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             cli.main(["--version"])
         assert err.value.code == 0
+
+    def test_bounds_has_no_grid_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bounds", "--gen", "quasi-cyclic", "--n", "12", "--grid", "64"])
+        assert err.value.code == 2

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from vandcond import knotgen, logdomain
+from vandcond import cauchyinv, knotgen, logdomain, structmat
 from vandcond.errors import DuplicateKnot, KnotCollision
 from vandcond.logdomain import (check_disjoint, log_magnitudes, log_products,
                                 pow_diff_logs, self_derivative_logs, wrap_phase)
@@ -216,21 +216,20 @@ class TestBlockedKernels:
         sp, tp = self.points(10, 4), self.points(6, 5)
         tp[2] = sp[7] + 1e-15
         with pytest.raises(KnotCollision) as info:
-            check_disjoint(sp, tp, 1e-13)
+            check_disjoint(sp, tp)
         assert (info.value.i, info.value.j) == (7, 2)
-        check_disjoint(sp, tp, 1e-16)  # the same pair is outside a tighter tol
 
     def test_check_disjoint_fills_reciprocals(self, tiny_blocks):
         sp, tp = self.points(10, 4), self.points(6, 5)
         out = np.empty((10, 6), dtype=complex)
-        check_disjoint(sp, tp, 1e-13, out=out)
+        check_disjoint(sp, tp, out=out)
         assert np.array_equal(out, 1.0 / (sp[:, None] - tp[None, :]))
 
     def test_check_disjoint_tie_goes_to_first_row(self, tiny_blocks):
         sp, tp = self.points(10, 4), self.points(6, 5)
         tp[2], tp[0] = sp[7], sp[8]
         with pytest.raises(KnotCollision) as info:
-            check_disjoint(sp, tp, 1e-13)
+            check_disjoint(sp, tp)
         assert (info.value.i, info.value.j, info.value.gap) == (7, 2, 0.0)
 
     def test_distinctness_exact_duplicates(self, tiny_blocks):
@@ -258,6 +257,33 @@ class TestBlockedKernels:
         assert distinctness_agrees([2j], 1e-13) is None
         assert distinctness_agrees([1, 1 + 1e-16], 1e-13) == (0, 1, 0.0)
         assert distinctness_agrees([1, -1], 1e-13) is None
+
+
+class TestOneCollisionThreshold:
+    """Knot distinctness and row/column collisions share one constant."""
+
+    def test_knotgen_default_is_the_logdomain_constant(self):
+        assert knotgen.DISTINCT_TOL is logdomain.DISTINCT_TOL == 1e-13
+
+    @pytest.mark.parametrize("gap, collides", [(0.0, True), (5e-14, True),
+                                               (1e-13, True), (2e-13, False)])
+    def test_every_check_splits_at_the_same_gap(self, gap, collides):
+        s = knotgen.KnotVector([0, 1])
+        t = knotgen.KnotVector([gap, 5])
+        # The CV grid of n = 2, f = 1 is [1, -1]; the first knot sits gap past 1.
+        near_grid = knotgen.KnotVector([1 + gap, 0.5j])
+        checks = [lambda: knotgen.KnotVector([0, gap]),
+                  lambda: check_disjoint(s.as_array(), t.as_array()),
+                  lambda: structmat.cv_matrix(near_grid, 1.0),
+                  lambda: cauchyinv.cauchy_inverse_entry(
+                      s, t, 0, 0, cauchyinv.InverseVariant.CORRECTED),
+                  lambda: cauchyinv.cauchy_det(s, t)]
+        for check, error in zip(checks, [DuplicateKnot] + [KnotCollision] * 4):
+            if collides:
+                with pytest.raises(error):
+                    check()
+            else:
+                check()
 
 
 def _package_import_violations(path: pathlib.Path):

@@ -27,6 +27,18 @@ class TestVandermonde:
         sigma = np.linalg.svd(V.data, compute_uv=False)
         assert np.allclose(sigma, 4.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 128, 130])
+    def test_bits_of_a_column_by_column_fill(self, n):
+        # The build goes by bands of rows of the transpose; the products,
+        # their order and the C layout must match the plain column recurrence.
+        s = knotgen.scaled_cluster(n, max(1, n // 8), 0.5)
+        ref = np.ones((n, n), dtype=complex)
+        for j in range(1, n):
+            ref[:, j] = ref[:, j - 1] * s.as_array()
+        V = structmat.vandermonde(s).data
+        assert V.flags.c_contiguous
+        assert V.tobytes() == ref.tobytes()
+
     def test_overflow(self):
         pts = 1e5 * knotgen.roots_of_unity(80).as_array()
         with pytest.raises(Overflow):
