@@ -215,16 +215,6 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
     return BoundReport(CV_INVERSE, value, variant.value, params)
 
 
-def _log10_l2_on_roots(pts: np.ndarray, N: int) -> float:
-    """log10 of the 2-norm of s(x) = prod (x - pts) at omega_N^i, i = 0..len(pts)."""
-    logmags = log_magnitudes(unit_roots(N)[np.arange(len(pts) + 1) % N], pts)
-    finite = logmags[np.isfinite(logmags)]
-    if finite.size == 0:
-        return -math.inf
-    peak = float(np.max(finite))
-    return peak + 0.5 * math.log10(float(np.sum(10.0 ** (2.0 * (finite - peak)))))
-
-
 def _outside_disc(s_plus: float) -> str:
     """Why a unit-disc bound does not apply, or '' when every knot has |s| <= 1."""
     ok = s_plus <= 1.0 + 1e-12
@@ -236,31 +226,30 @@ def bound_circle_value(s: KnotVector, grid: int = 0) -> BoundReport:
 
     Applicable only when all knots lie in the closed unit disc (the
     divisor 2 caps |s_i - f| there); the gate is recorded, not enforced.
-    Params carry the sampled-norm variant ||v|| / 2 on both the n-point and
-    the (n+1)-point root grids since the sampling index is ambiguous.
     """
-    pts = s.as_array()
-    n = len(pts)
+    n = len(s)
     f_star, log_max = max_abs_on_circle(s, grid)
     value = 0.5 * math.log10(n) + log_max - _LOG2
     s_plus = s.max_modulus()
     reason = _outside_disc(s_plus)
     return BoundReport(
         CIRCLE_VALUE, value, InverseVariant.PAPER.value,
-        {"n": n, "f_star": f_star, "log10_circle_max": log_max,
-         "log10_halfnorm_grid_n": _log10_l2_on_roots(pts, n) - _LOG2,
-         "log10_halfnorm_grid_n1": _log10_l2_on_roots(pts, n + 1) - _LOG2,
-         "s_plus": s_plus},
+        {"n": n, "f_star": f_star, "log10_circle_max": log_max, "s_plus": s_plus},
         applicable=not reason, reason=reason)
 
 
 def bound_coeff_norm(s: KnotVector) -> BoundReport:
     """kappa >= 0.5 ||coeff|| sqrt(n+1) for the monic coefficient vector.
 
-    By Parseval ||coeff|| sqrt(n+1) is the 2-norm of s on the (n+1)-th roots of 1.
+    By Parseval ||coeff|| sqrt(n+1) is the 2-norm of s on the (n+1)-th roots
+    of 1, summed in log10.  At most n of those n+1 points are knots, where
+    s is 0 (log -inf), so the sum has a finite term.
     """
     n = len(s)
-    log_l2 = _log10_l2_on_roots(s.as_array(), n + 1)
+    logmags = log_magnitudes(unit_roots(n + 1), s.as_array())
+    finite = logmags[np.isfinite(logmags)]
+    peak = float(np.max(finite))
+    log_l2 = peak + 0.5 * math.log10(float(np.sum(10.0 ** (2.0 * (finite - peak)))))
     value = log_l2 - _LOG2
     s_plus = s.max_modulus()
     reason = _outside_disc(s_plus)
@@ -331,8 +320,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
 def bound_dft_block(n: int, mode: str) -> BoundReport:
     """Lower bounds for the half-size leading block of the n-point DFT matrix.
 
-    base:     2^(n/4 - 1) sqrt(n) as stated; params also carry the
-              2^(q/2) sqrt(q) form the reference column actually prints.
+    base:     2^(n/4 - 1) sqrt(n) as stated.
     integral: exp(q * 2 G / pi) with q = n/2 (closed form), the kappa' analogue.
     """
     if mode not in ("base", "integral"):
@@ -340,13 +328,12 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
     if n % 2 != 0 or n < 2:
         raise OddSize(f"n must be even and >= 2, got {n}")
     q = n // 2
-    params = {"n": n, "q": q, "mode": mode}
     if mode == "base":
         value = (n / 4.0 - 1.0) * _LOG2 + 0.5 * math.log10(n)
-        params["log10_table_column"] = (q / 2.0) * _LOG2 + 0.5 * math.log10(q)
     else:
         value = _staging_integral_log10(q)
-    return BoundReport(DFT_BLOCK, value, InverseVariant.PAPER.value, params)
+    return BoundReport(DFT_BLOCK, value, InverseVariant.PAPER.value,
+                       {"n": n, "q": q, "mode": mode})
 
 
 def is_separated(S: KnotVector, T: KnotVector, eta: float, c: complex) -> bool:

@@ -9,7 +9,7 @@ knots are accurate to about 1 ulp.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -23,12 +23,11 @@ class KnotVector:
 
     `knots` is a read-only complex128 copy of the points, checked to be
     non-empty, finite and pairwise further apart than `tol`.  `label` names
-    the generator and `params` its arguments, so reports can cite their input.
+    the generator; knot files carry it in their header.
     """
 
     knots: np.ndarray
     label: str = "custom"
-    params: dict = field(default_factory=dict)
     tol: InitVar[float] = DISTINCT_TOL
 
     def __post_init__(self, tol: float):
@@ -42,7 +41,6 @@ class KnotVector:
             raise DuplicateKnot(i, j, gap)
         arr.flags.writeable = False
         object.__setattr__(self, "knots", arr)
-        object.__setattr__(self, "params", dict(self.params))
 
     def __len__(self):
         return len(self.knots)
@@ -62,7 +60,7 @@ class KnotVector:
 
 def make_knot_vector(points, tol: float = DISTINCT_TOL) -> KnotVector:
     """Wrap an explicit point list, verifying pairwise distinctness."""
-    return KnotVector(points, "custom", {"tol": tol}, tol)
+    return KnotVector(points, "custom", tol)
 
 
 def _turn(fracs) -> np.ndarray:
@@ -79,7 +77,7 @@ def roots_of_unity(n: int) -> KnotVector:
     """The n-th roots of 1 in counter-clockwise order starting at 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return KnotVector(unit_roots(n), "dft", {"n": n})
+    return KnotVector(unit_roots(n), "dft")
 
 
 def quasi_cyclic_fractions(n: int) -> list:
@@ -105,7 +103,7 @@ def quasi_cyclic(n: int) -> KnotVector:
     """Unit-circle knots ordered by the quasi-cyclic fraction sequence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return KnotVector(_turn(quasi_cyclic_fractions(n)), "quasi-cyclic", {"n": n})
+    return KnotVector(_turn(quasi_cyclic_fractions(n)), "quasi-cyclic")
 
 
 def radical_inverse(i: int) -> float:
@@ -128,8 +126,7 @@ def van_der_corput(n: int) -> KnotVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return KnotVector(_turn([radical_inverse(i) for i in range(n)]),
-                      "van-der-corput", {"n": n})
+    return KnotVector(_turn([radical_inverse(i) for i in range(n)]), "van-der-corput")
 
 
 def single_outlier(n: int, s_last: complex) -> KnotVector:
@@ -142,7 +139,7 @@ def single_outlier(n: int, s_last: complex) -> KnotVector:
     if n < 2:
         raise ValueError("n must be >= 2")
     pts = np.append(unit_roots(n)[:-1], complex(s_last))
-    return KnotVector(pts, "single-outlier", {"n": n, "s_last": complex(s_last)})
+    return KnotVector(pts, "single-outlier")
 
 
 def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
@@ -154,7 +151,7 @@ def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = np.append(unit_roots(n), complex(s_extra))
-    return KnotVector(pts, "dft-plus-outlier", {"n": n, "s_extra": complex(s_extra)})
+    return KnotVector(pts, "dft-plus-outlier")
 
 
 def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
@@ -168,7 +165,7 @@ def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     pts = np.concatenate((unit_roots(n - k), rho * unit_roots(k)))
-    return KnotVector(pts, "scaled-cluster", {"n": n, "k": k, "rho": rho})
+    return KnotVector(pts, "scaled-cluster")
 
 
 def read_knots(path) -> KnotVector:
@@ -186,7 +183,7 @@ def read_knots(path) -> KnotVector:
                 raise ValueError(f"{path}:{lineno}: bad knot line {text!r}") from exc
     if not pts:
         raise EmptyInput(f"{path}: no knots found")
-    return KnotVector(pts, "file", {"path": str(path)})
+    return KnotVector(pts, "file")
 
 
 def dump_knots(kv: KnotVector, fh) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -44,25 +45,6 @@ T4_SIZES = (8, 16, 32, 64)
 T5_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 
 _LOG2 = math.log10(2.0)
-
-#: Column kinds: int (plain), real (sci cell + log10 shadow),
-#: kappa (real plus a trustworthy flag column).
-_COLUMN_SPECS = {
-    "T1": (("n", "int"), ("s_last", "real"), ("kappa", "kappa"),
-           ("easy_bound", "real")),
-    "T2": (("n", "int"), ("k", "int"),
-           ("kappa_rho34", "kappa"), ("kappa_minus_rho34", "real"),
-           ("kappa_minus_literal_rho34", "real"),
-           ("kappa_rho12", "kappa"), ("kappa_minus_rho12", "real"),
-           ("kappa_minus_literal_rho12", "real")),
-    "T3": (("n", "int"), ("q", "int"), ("kappa", "kappa"),
-           ("kappa_refined", "real"), ("kappa_table", "real"),
-           ("kappa_prime", "real")),
-    "T4": (("n", "int"), ("q", "int"), ("kappa", "kappa"),
-           ("kappa_minus", "real"), ("kappa_minus_table", "real"),
-           ("kappa_prime_minus", "real")),
-    "T5": (("n", "int"), ("mean", "real"), ("std", "real")),
-}
 
 
 @dataclass
@@ -110,10 +92,19 @@ def _t2_fill(row, n, k):
                   bound_cluster(knots, k, nu, "literal").log10value)
 
 
+# The printed bound columns of T3 and T4 are the reference tables' own
+# forms, not stated bounds, so they live here and not in `bounds`.
+
 def _qc_table_column_log10(q: int) -> float:
     # Discrete two-level staging: sqrt(2) on half the grid points and 2 on
     # the other half, less one half-step: 2^((3q - 2) / 4) * sqrt(3q).
     return (3 * q - 2) / 4.0 * _LOG2 + 0.5 * math.log10(3 * q)
+
+
+def _dft_table_column_log10(q: int) -> float:
+    # 2^(q/2) sqrt(q), the form the reference column prints; the stated
+    # bound, `bound_dft_block(n, "base")`, is 2^(n/4 - 1) sqrt(n).
+    return (q / 2.0) * _LOG2 + 0.5 * math.log10(q)
 
 
 def _t3_fill(row, q):
@@ -125,10 +116,10 @@ def _t3_fill(row, q):
 
 def _t4_fill(row, n):
     q = n // 2
-    base = bound_dft_block(n, "base")
+    base = bound_dft_block(n, "base")  # refuses an odd n before any cell is set
     _set_kappa(row, "kappa", singular_values(leading_block(dft(n), q)))
     _set_real(row, "kappa_minus", base.log10value)
-    _set_real(row, "kappa_minus_table", base.params["log10_table_column"])
+    _set_real(row, "kappa_minus_table", _dft_table_column_log10(q))
     _set_real(row, "kappa_prime_minus",
               bound_dft_block(n, "integral").log10value)
 
@@ -141,25 +132,48 @@ def _t5_fill(row, n, trials, seed):
               if stats.std_rn > 0 else -math.inf)
 
 
-def _row_plan(table_id, sizes, trials, seed):
-    """(identity cells, fill function) per grid point, in declared order."""
-    if table_id == "T1":
-        return [({"n": int(n)}, lambda r, n=n, v=v: _t1_fill(r, n, v))
-                for n in (sizes or T1_SIZES) for v in T1_S_VALUES]
-    if table_id == "T2":
-        return [({"n": int(n), "k": int(k)},
-                 lambda r, n=n, k=k: _t2_fill(r, n, k))
-                for n in (sizes or T2_SIZES) for k in T2_K_VALUES]
-    if table_id == "T3":
-        return [({"n": 3 * int(q), "q": int(q)},
-                 lambda r, q=q: _t3_fill(r, q))
-                for q in (sizes or T3_Q_VALUES)]
-    if table_id == "T4":
-        return [({"n": int(n), "q": int(n) // 2},
-                 lambda r, n=n: _t4_fill(r, n))
-                for n in (sizes or T4_SIZES)]
-    return [({"n": int(n)}, lambda r, n=n: _t5_fill(r, n, trials, seed))
-            for n in (sizes or T5_SIZES)]
+#: One entry per table: `kinds`, the (column, cell kind) pair of every
+#: expanded column in order; `sizes`, the default grid; and `rows`, which maps
+#: (grid point, trials, seed) to the (identity cells, fill) rows of that point.
+_Table = namedtuple("_Table", "kinds sizes rows")
+
+
+def _table(sizes, rows, *columns) -> _Table:
+    """Expand the declared columns once: int (plain), real (sci cell plus
+    log10 shadow), kappa (real plus a trustworthy flag), then the error cell."""
+    kinds = []
+    for name, kind in columns:
+        kinds.append((name, "int" if kind == "int" else "real"))
+        if kind == "kappa":
+            kinds.append((f"{name}_trustworthy", "bool"))
+        if kind != "int":
+            kinds.append((f"{name}_log10", "log10"))
+    return _Table(tuple(kinds) + (("error", "str"),), sizes, rows)
+
+
+_TABLES = {
+    "T1": _table(T1_SIZES, lambda n, trials, seed: [
+        ({"n": int(n)}, lambda r, v=v: _t1_fill(r, n, v)) for v in T1_S_VALUES],
+        ("n", "int"), ("s_last", "real"), ("kappa", "kappa"), ("easy_bound", "real")),
+    "T2": _table(T2_SIZES, lambda n, trials, seed: [
+        ({"n": int(n), "k": int(k)}, lambda r, k=k: _t2_fill(r, n, k))
+        for k in T2_K_VALUES],
+        ("n", "int"), ("k", "int"), ("kappa_rho34", "kappa"),
+        ("kappa_minus_rho34", "real"), ("kappa_minus_literal_rho34", "real"),
+        ("kappa_rho12", "kappa"), ("kappa_minus_rho12", "real"),
+        ("kappa_minus_literal_rho12", "real")),
+    "T3": _table(T3_Q_VALUES, lambda q, trials, seed: [
+        ({"n": 3 * int(q), "q": int(q)}, lambda r: _t3_fill(r, q))],
+        ("n", "int"), ("q", "int"), ("kappa", "kappa"), ("kappa_refined", "real"),
+        ("kappa_table", "real"), ("kappa_prime", "real")),
+    "T4": _table(T4_SIZES, lambda n, trials, seed: [
+        ({"n": int(n), "q": int(n) // 2}, lambda r: _t4_fill(r, n))],
+        ("n", "int"), ("q", "int"), ("kappa", "kappa"), ("kappa_minus", "real"),
+        ("kappa_minus_table", "real"), ("kappa_prime_minus", "real")),
+    "T5": _table(T5_SIZES, lambda n, trials, seed: [
+        ({"n": int(n)}, lambda r: _t5_fill(r, n, trials, seed))],
+        ("n", "int"), ("mean", "real"), ("std", "real")),
+}
 
 
 def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
@@ -169,26 +183,26 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     `trials` (T5), and `seed`.  Anything else raises InvalidOverride.
     """
     table_id = table_id.upper()
-    if table_id not in _COLUMN_SPECS:
+    if table_id not in _TABLES:
         raise ValueError(f"unknown table {table_id!r}")
+    spec = _TABLES[table_id]
     overrides = dict(overrides or {})
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
         raise InvalidOverride(f"unsupported overrides: {sorted(unknown)}")
     seed = int(overrides.get("seed", DEFAULT_SEED))
     trials = int(overrides.get("trials", DEFAULT_TRIALS))
-    sizes = overrides.get("sizes")
 
-    kinds = _column_kinds(table_id)
     rows = []
-    for identity, fill in _row_plan(table_id, sizes, trials, seed):
-        row = {name: "" if kind == "str" else None for name, kind in kinds}
-        row.update(identity)
-        try:
-            fill(row)
-        except (VandcondError, ValueError) as exc:  # the row keeps the table shape
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+    for point in overrides.get("sizes") or spec.sizes:
+        for identity, fill in spec.rows(point, trials, seed):
+            row = {name: "" if kind == "str" else None for name, kind in spec.kinds}
+            row.update(identity)
+            try:
+                fill(row)
+            except (VandcondError, ValueError) as exc:  # the row keeps the table shape
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
 
     metadata = {
         "table": table_id,
@@ -197,7 +211,7 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    return ExperimentTable(table_id, [name for name, _ in kinds], rows, metadata)
+    return ExperimentTable(table_id, [name for name, _ in spec.kinds], rows, metadata)
 
 
 def format_sci(log10v) -> str:
@@ -237,19 +251,6 @@ def _cell_text(row: dict, name: str, kind: str) -> str:
     return format_sci(row.get(f"{name}_log10"))
 
 
-def _column_kinds(table_id: str) -> list:
-    """(column, cell kind) for every expanded column of the table, in order."""
-    kinds = []
-    for name, kind in _COLUMN_SPECS[table_id]:
-        kinds.append((name, "int" if kind == "int" else "real"))
-        if kind == "kappa":
-            kinds.append((f"{name}_trustworthy", "bool"))
-        if kind in ("real", "kappa"):
-            kinds.append((f"{name}_log10", "log10"))
-    kinds.append(("error", "str"))
-    return kinds
-
-
 def emit(table: ExperimentTable, fmt: str = "markdown") -> str:
     """Serialize a table as csv, markdown (no `_log10` columns), or json text."""
     if fmt == "json":
@@ -257,7 +258,7 @@ def emit(table: ExperimentTable, fmt: str = "markdown") -> str:
                            "rows": table.rows, "metadata": table.metadata})
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
-    kinds = [(name, kind) for name, kind in _column_kinds(table.table_id)
+    kinds = [(name, kind) for name, kind in _TABLES[table.table_id].kinds
              if fmt == "csv" or kind != "log10"]
     names = [name for name, _ in kinds]
     rows = [[_cell_text(row, name, kind) for name, kind in kinds]

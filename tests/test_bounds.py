@@ -245,6 +245,8 @@ class TestBoundCircleValue:
         rep = bounds.bound_circle_value(knotgen.quasi_cyclic(48))
         assert rep.log10value >= math.log10(1773.6)
         assert rep.applicable
+        # No sampled half-norm rides along: each cost an O(n^2) log walk.
+        assert set(rep.params) == {"n", "f_star", "log10_circle_max", "s_plus"}
 
     def test_uniform_knot_probe(self):
         # log10 2 from the circle maximum cancels the divisor 2, leaving
@@ -276,14 +278,11 @@ class TestBoundCoeffNorm:
 
     def test_parseval_relation(self):
         # Sampling the polynomial on the (n+1)-point root grid is a scaled
-        # unitary map of the coefficients, so the two half-norms coincide,
-        # and the coefficient bound never exceeds the circle bound by more
-        # than the sqrt((n+1)/n) grid factor.
+        # unitary map of the coefficients, so the coefficient bound never
+        # exceeds the circle bound by more than the sqrt((n+1)/n) grid factor.
         knots = knotgen.quasi_cyclic(24)
         coeff = bounds.bound_coeff_norm(knots)
         circ = bounds.bound_circle_value(knots)
-        assert abs(coeff.log10value
-                   - circ.params["log10_halfnorm_grid_n1"]) < 1e-9
         slack = 0.5 * (math.log10(25) - math.log10(24))
         assert coeff.log10value <= circ.log10value + slack + 1e-12
 
@@ -308,13 +307,11 @@ class TestBoundCoeffNorm:
         knotgen.scaled_cluster(192, 24, 0.5), knotgen.scaled_cluster(768, 96, 0.5),
         knotgen.single_outlier(768, 1.5 * cmath.exp(2.1j))],
         ids=lambda k: f"{k.label}-{len(k)}")
-    def test_finite_and_equal_to_circle_halfnorm(self, knots, recwarn):
+    def test_finite_with_no_warning(self, knots, recwarn):
         # Inputs whose expanded coefficients overflowed or lost every digit.
         rep = bounds.bound_coeff_norm(knots)
         assert math.isfinite(rep.log10value)
         assert len(recwarn) == 0
-        circ = bounds.bound_circle_value(knots)
-        assert rep.log10value == circ.params["log10_halfnorm_grid_n1"]
 
     def test_no_degree_cap(self):
         rep = bounds.bound_coeff_norm(knotgen.van_der_corput(4097))
@@ -367,8 +364,7 @@ class TestBoundDftBlock:
     def test_base_as_stated(self):
         rep = bounds.bound_dft_block(8, "base")
         assert abs(10 ** rep.log10value - 2 * math.sqrt(8)) < 1e-9
-        # The reference column variant 2^(q/2) sqrt(q) prints 8.00 here.
-        assert abs(10 ** rep.params["log10_table_column"] - 8.0) < 1e-9
+        assert set(rep.params) == {"n", "q", "mode"}
 
     def test_integral_value(self):
         rep = bounds.bound_dft_block(32, "integral")

@@ -68,11 +68,9 @@ class TestKnotArray:
 
     def test_direct_construction_copies_and_freezes(self):
         arr = np.array([1, 2j, -3], dtype=complex)
-        params = {"n": 3}
-        kv = knotgen.KnotVector(arr, "direct", params)
+        kv = knotgen.KnotVector(arr, "direct")
         arr[0] = 7
-        params["n"] = 4
-        assert kv[0] == 1 and kv.params == {"n": 3}
+        assert kv[0] == 1 and kv.label == "direct"
         assert not kv.knots.flags.writeable
         with pytest.raises(DuplicateKnot):
             knotgen.KnotVector([0, 1e-3], tol=1e-2)

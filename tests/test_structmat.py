@@ -44,6 +44,19 @@ class TestVandermonde:
         with pytest.raises(Overflow):
             structmat.vandermonde(knotgen.make_knot_vector(list(pts)))
 
+    @pytest.mark.parametrize("n", [2, 80, 1024])
+    @pytest.mark.parametrize("offset", [0.0, 0.37], ids=["on-grid", "off-grid"])
+    def test_largest_radius_that_passes_builds_finite(self, n, offset):
+        # The precheck caps every |s_i**j| at 10**OVERFLOW_LOG10, which leaves
+        # the complex products room below the float range.
+        unit = np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+        r = 10.0 ** (structmat.OVERFLOW_LOG10 / (n - 1))
+        while (n - 1) * np.log10(np.max(np.abs(r * unit))) > structmat.OVERFLOW_LOG10:
+            r = np.nextafter(r, 0.0)
+        V = structmat.vandermonde(kv(r * unit)).data
+        assert np.all(np.isfinite(V))
+        assert abs(np.log10(np.max(np.abs(V))) - structmat.OVERFLOW_LOG10) < 1e-9
+
     def test_immutable(self):
         V = structmat.vandermonde(kv([0, 1]))
         with pytest.raises(ValueError):

@@ -41,6 +41,10 @@ class TestRunTable:
         row = next(r for r in t4.rows if r["n"] == 8)
         assert abs(row["kappa"] - 15.3) / 15.3 < 0.02
         assert row["kappa_trustworthy"] is True
+        # The printed bound column is 2^(q/2) sqrt(q), not the stated
+        # 2^(n/4 - 1) sqrt(n): at n = 8 it prints 8.00.
+        assert abs(row["kappa_minus_table"] - 8.0) < 1e-9
+        assert format_sci(row["kappa_minus_table_log10"]) == "8.00E+00"
 
     def test_t3_reference_row(self, t3):
         row = next(r for r in t3.rows if r["n"] == 12)
@@ -113,6 +117,37 @@ class TestRunTable:
         assert abs(row["kappa_rho12"] - 6.90e2) / 6.90e2 < 0.05
         assert abs(row["kappa_minus_rho12"] - 2.44e2) / 2.44e2 < 0.15
         assert abs(row["kappa_minus_literal_rho12"] - 5.66) < 0.01
+
+
+class TestColumns:
+    # Every expanded column as run_table returns it, in order.
+    EXPANDED = {
+        "T1": ["n", "s_last", "s_last_log10", "kappa", "kappa_trustworthy",
+               "kappa_log10", "easy_bound", "easy_bound_log10", "error"],
+        "T2": ["n", "k", "kappa_rho34", "kappa_rho34_trustworthy",
+               "kappa_rho34_log10", "kappa_minus_rho34",
+               "kappa_minus_rho34_log10", "kappa_minus_literal_rho34",
+               "kappa_minus_literal_rho34_log10", "kappa_rho12",
+               "kappa_rho12_trustworthy", "kappa_rho12_log10",
+               "kappa_minus_rho12", "kappa_minus_rho12_log10",
+               "kappa_minus_literal_rho12", "kappa_minus_literal_rho12_log10",
+               "error"],
+        "T3": ["n", "q", "kappa", "kappa_trustworthy", "kappa_log10",
+               "kappa_refined", "kappa_refined_log10", "kappa_table",
+               "kappa_table_log10", "kappa_prime", "kappa_prime_log10", "error"],
+        "T4": ["n", "q", "kappa", "kappa_trustworthy", "kappa_log10",
+               "kappa_minus", "kappa_minus_log10", "kappa_minus_table",
+               "kappa_minus_table_log10", "kappa_prime_minus",
+               "kappa_prime_minus_log10", "error"],
+        "T5": ["n", "mean", "mean_log10", "std", "std_log10", "error"],
+    }
+    SMALL = {"T1": [64], "T2": [64], "T3": [4], "T4": [8], "T5": [2]}
+
+    @pytest.mark.parametrize("table_id", sorted(EXPANDED))
+    def test_expanded_columns(self, table_id):
+        table = run_table(table_id, {"sizes": self.SMALL[table_id], "trials": 1})
+        assert table.columns == self.EXPANDED[table_id]
+        assert all(list(row) == table.columns for row in table.rows)
 
 
 class TestEmit:
