@@ -22,7 +22,7 @@ from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
 from .knotgen import KnotVector, unit_roots
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values, top_singular_value
-from .structmat import cv_knots, vandermonde
+from .structmat import check_unit_circle, cv_knots, vandermonde
 
 #: Catalan's constant G to 18 digits: the staging integral is q 2G/pi in closed form.
 CATALAN = 0.915965594177219015
@@ -95,9 +95,8 @@ def _safe_log10(x: float) -> float:
 
 
 def _cv_grid(n: int, f: complex) -> np.ndarray:
-    """`cv_knots(n, f)` for a kappa bound; ValueError unless |f| is 1 within 1e-12."""
-    if not abs(abs(complex(f)) - 1.0) <= 1e-12:
-        raise ValueError("f must lie on the unit circle")
+    """`cv_knots(n, f)` for a kappa bound; f = 0 or nan is refused as off the circle."""
+    check_unit_circle(f)
     return cv_knots(n, f)
 
 

@@ -27,13 +27,13 @@ import math
 
 import numpy as np
 
-from .errors import KnotCollision, RangeOverflow
-from .knotgen import KnotVector, unit_roots
+from .errors import RangeOverflow
+from .knotgen import KnotVector
 from .logdomain import (DISTINCT_TOL, RANGE_LOG10, LogComplex, check_disjoint,
-                        diff_blocks, log_magnitudes, log_products,
-                        pow_diff_logs, self_derivative_logs, wrap_phase)
+                        diff_blocks, log_products, pow_diff_logs,
+                        self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
-from .structmat import DenseMatrix, cv_knots
+from .structmat import DenseMatrix, check_unit_circle, cv_knots
 
 
 class InverseVariant(enum.Enum):
@@ -77,20 +77,17 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
     columns are t(s_j), or x**n - f**n with `cv_f`, over s'(s_j) if
     corrected.  Columns, s' and t' come first; then each block of one walk
     over t_i - s_j is checked for collisions, summed into s(t_i) and turned
-    into entries.  Without `phase`, ph is None and no angle is taken.
+    into entries.  Without `phase`, ph is None and the walk takes no angle.
     Phases stay unwrapped: wrapping costs more than the rest of the walk.
     """
     n = len(sp)
     if len(tp) != n:
         raise ValueError("inverse requires a square matrix")
-    if cv_f is not None:
-        col = pow_diff_logs(sp, cv_f, n)
-    else:
-        col = log_products(sp, tp) if phase else (log_magnitudes(sp, tp), None)
+    col = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
     corrected = variant is InverseVariant.CORRECTED
     if corrected:
         sder = self_derivative_logs(sp)
-        col = col[0] - sder[0], (col[1] - sder[1] if phase else None)
+        col = col[0] - sder[0], col[1] - sder[1]
         if cv_f is None:
             tder = self_derivative_logs(tp)
         else:
@@ -115,12 +112,11 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
                   cv_f=None):
-    """(log10 magnitude, wrapped phase) tables of every inverse entry."""
+    """(log10 magnitude, raw phase) tables of every inverse entry."""
     mag, ph = np.empty((2, len(sp), len(sp)))
     for lo, block_mag, block_ph in inverse_blocks(sp, tp, variant, cv_f):
         mag[lo:lo + len(block_mag)] = block_mag
         ph[lo:lo + len(block_ph)] = block_ph
-    wrap_phase(ph, out=ph)
     return (mag, ph) if variant is InverseVariant.CORRECTED else (mag.T, ph.T)
 
 
@@ -182,38 +178,37 @@ def cv_inverse(s: KnotVector, f: complex, variant: InverseVariant) -> DenseMatri
 def cv_inverse_log_entries(s: KnotVector, f: complex,
                            variant: InverseVariant):
     """(log10 magnitude, phase) tables of all CV inverse entries; overflow-free."""
-    return _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, complex(f))
+    mag, ph = _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, complex(f))
+    return mag, wrap_phase(ph, out=ph)
 
 
 def cauchy_inverse_log_entries(s: KnotVector, t: KnotVector,
                                variant: InverseVariant):
     """(log10 magnitude, phase) tables of all Cauchy inverse entries."""
-    return _inverse_logs(s.as_array(), t.as_array(), variant)
+    mag, ph = _inverse_logs(s.as_array(), t.as_array(), variant)
+    return mag, wrap_phase(ph, out=ph)
 
 
 def vandermonde_inverse_via_cv(s: KnotVector, f: complex,
                                variant: InverseVariant) -> DenseMatrix:
-    """Vandermonde inverse through the CV factorization.
+    """Vandermonde inverse through the CV factorization; |f| must be 1.
 
-    V^{-1} = diag(f^(n-1-j)) Omega^H diag(omega^-j) C^{-1} diag(1/(s_i^n - f^n)),
+    V^{-1} = diag(f^(n-1-k)) Omega^H diag(omega^-j) C^{-1} diag(1/(s_i^n - f^n)),
     with C the CV matrix of (s, f) and the chosen inverse variant plugged in.
+    The right diagonal is applied in log10, before the one conversion, and
+    Omega^H diag(omega^-j) is the DFT shifted up a row (omega^-kj omega^-j =
+    omega^-(k+1)j).  Off the unit circle this cancels |f|^(n-1-k) in floats.
     """
     sp = s.as_array()
     n = len(sp)
-    cinv = cv_inverse(s, f, variant).data
-    f = complex(f)
-    mag, ph = pow_diff_logs(sp, f, n)
-    if np.any(np.isinf(mag) & (mag < 0)):
-        bad = int(np.argmin(mag))
-        raise KnotCollision(bad, 0, 0.0)
-    if np.max(np.abs(mag)) > RANGE_LOG10:
-        raise RangeOverflow(float(np.max(np.abs(mag))), where="diag(s^n - f^n)")
-    right = 10.0 ** (-mag) * np.exp(-1j * ph)
-    # Omega^H y is the DFT of y.
-    out = np.fft.fft(unit_roots(n).conj()[:, None] * cinv, axis=0)
-    out = (f ** (n - 1 - np.arange(n)))[:, None] * out * right[None, :]
-    if not np.all(np.isfinite(out)):
-        raise RangeOverflow(math.inf, where="assembled inverse")
+    tp = cv_knots(n, f)
+    check_unit_circle(f)
+    mag, ph = _inverse_logs(sp, tp, variant, f)
+    pow_mag, pow_ph = pow_diff_logs(sp, f, n)
+    mag -= pow_mag
+    ph -= pow_ph
+    out = np.roll(np.fft.fft(_materialize(mag, ph).data, axis=0), -1, axis=0)
+    out *= (complex(f) ** (n - 1 - np.arange(n)))[:, None]
     return DenseMatrix(out, copy=False)
 
 

@@ -208,12 +208,10 @@ def pow_diff_logs(z: np.ndarray, f: complex, n: int):
     return mag, ph
 
 
-def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False,
-                 out: np.ndarray | None = None):
+def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False):
     """(gap, i, j) of the smallest |s_i - t_j|, the first such pair in row-major order.
 
     skip_self leaves out i == j, for one vector scanned against itself.
-    With `out`, 1 / (s_i - t_j) is written into it in the same pass.
     """
     gap, i, j = math.inf, 0, 0
     for lo, d in diff_blocks(sp, tp):
@@ -224,15 +222,11 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False,
         k = int(a.argmin())
         if a.flat[k] < gap:
             gap, i, j = float(a.flat[k]), lo + k // a.shape[1], k % a.shape[1]
-        if out is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(1.0, d, out=out[lo:lo + len(d)])
     return gap, i, j
 
 
-def check_disjoint(sp: np.ndarray, tp: np.ndarray,
-                   out: np.ndarray | None = None) -> None:
+def check_disjoint(sp: np.ndarray, tp: np.ndarray) -> None:
     """Raise KnotCollision at the `closest_pair` (i, j) if |s_i - t_j| <= DISTINCT_TOL."""
-    gap, i, j = closest_pair(sp, tp, out=out)
+    gap, i, j = closest_pair(sp, tp)
     if gap <= DISTINCT_TOL:
         raise KnotCollision(i, j, gap)

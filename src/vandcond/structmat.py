@@ -9,10 +9,13 @@ import numpy as np
 
 from .errors import BlockTooLarge, Overflow
 from .knotgen import KnotVector, roots_of_unity, unit_roots
-from .logdomain import check_disjoint
+from .logdomain import DISTINCT_TOL, check_disjoint, diff_blocks
 
 #: Entries above 10**OVERFLOW_LOG10 are refused up front.
 OVERFLOW_LOG10 = 307.5
+
+#: The CV paths that hold only for |f| = 1 accept |f| this far from 1.
+UNIT_F_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,12 @@ def dft(n: int) -> DenseMatrix:
 
 
 def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray) -> DenseMatrix:
-    """1 / (sp[i] - tp[j]), filled in the same pass as the collision check."""
+    """1 / (sp[i] - tp[j]); a block with a gap <= DISTINCT_TOL runs the check."""
     data = np.empty((len(sp), len(tp)), dtype=np.complex128)
-    check_disjoint(sp, tp, out=data)
+    for lo, d in diff_blocks(sp, tp):
+        if np.abs(d).min() <= DISTINCT_TOL:
+            check_disjoint(sp, tp)
+        np.divide(1.0, d, out=data[lo:lo + len(d)])
     return DenseMatrix(data, copy=False)
 
 
@@ -96,6 +102,12 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
     if not math.isfinite(math.hypot(f.real, f.imag)):
         raise ValueError("f must be finite")
     return f * unit_roots(n)
+
+
+def check_unit_circle(f: complex) -> None:
+    """ValueError unless |f| is 1 within UNIT_F_TOL, for CV paths exact only there."""
+    if not abs(np.abs(complex(f)) - 1.0) <= UNIT_F_TOL:  # inf, not OverflowError
+        raise ValueError("f must lie on the unit circle")
 
 
 def cv_matrix(s: KnotVector, f: complex) -> DenseMatrix:

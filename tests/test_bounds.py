@@ -625,7 +625,7 @@ class TestCheckedCvGrid:
     """Arc bounds use the CV grid of cv_knots and hold only for |f| = 1."""
 
     OFF_CIRCLE = (0.5, 2.0, 0.5 * cmath.exp(0.3j), complex(math.nan, 0.0),
-                  complex(math.inf, 0.0), 0.0)
+                  complex(math.inf, 0.0), 0.0, complex(1.7e308, 1.7e308))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("f", OFF_CIRCLE)

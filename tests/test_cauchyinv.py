@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -588,6 +589,26 @@ class TestVandermondeInverses:
         got = cauchyinv.vandermonde_inverse_via_cv(s, f, variant).data
         ref = reference_via_cv_dense(s, f, variant)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_via_cv_outlier_far_outside_the_circle(self):
+        # V holds entries of 10^299 and s_i^n - f^n reaches 10^312; the route
+        # used to refuse that diagonal, though no entry of V^-1 exceeds 1/12.
+        n = 24
+        s = knotgen.single_outlier(n, 1e13)
+        with mpmath.workdps(320):
+            V = mpmath.matrix([[mpmath.mpc(z) ** j for j in range(n)]
+                               for z in s.as_array()])
+            ref = np.array((V ** -1).tolist(), dtype=complex)
+        got = cauchyinv.vandermonde_inverse_via_cv(s, cmath.exp(0.3j), CORRECTED).data
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_via_cv_refuses_f_off_the_circle(self, variant):
+        # At f = 2 the transform cancels 2^(n-1-k): entries up to 456 came
+        # out where the DFT knots' V^-1 has 1/64.
+        with pytest.raises(ValueError, match="unit circle"):
+            cauchyinv.vandermonde_inverse_via_cv(knotgen.roots_of_unity(64), 2.0,
+                                                 variant)
 
     def test_via_cv_trivial(self):
         inv = cauchyinv.vandermonde_inverse_via_cv(kv([2.0]), np.exp(0.3j),

@@ -257,6 +257,12 @@ class TestInvert:
         assert (code, out, err) == (2, "", "error: f must be nonzero\n")
         assert len(recwarn) == 0
 
+    def test_cv_route_refuses_f_off_the_circle(self, capsys, recwarn):
+        # At f = 2 the route printed entries up to 456 where V^-1 has 1/64.
+        code, out, err = run(["invert", "--gen", "dft", "--n", "64",
+                              "--method", "cv", "--f", "2"], capsys)
+        assert (code, out, err) == (2, "", "error: f must lie on the unit circle\n")
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("extra", [["--method", "cauchy", "--log-domain"],
                                        ["--method", "cauchy"], ["--method", "cv"]])
@@ -270,16 +276,18 @@ class TestInvert:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extra, allowed", [(["--method", "cauchy", "--log-domain"], {0}),
                                                 (["--method", "cauchy"], {3}),
-                                                (["--method", "cv"], {0, 3})])
+                                                (["--method", "cv"], {2})])
     def test_f_of_modulus_near_the_float_limit(self, extra, allowed, capsys):
         # |f| = 1.4e308 is finite; dividing by f used to overflow.  The CV
         # inverse's entries reach 10^1231: the log domain prints them and the
-        # complex route refuses them.  The cv route refuses them today too,
-        # although V^-1 itself (entries of modulus 1/4) does not depend on f.
+        # complex route refuses them.  The cv route takes f on the unit circle
+        # only: at |f| != 1 its transform cancels |f|^(n-1-k) in floating point.
         code, out, err = run(["invert", "--gen", "dft", "--n", "4",
                               "--f=1e308,1e308", *extra], capsys)
         assert code in allowed, err
-        if code:
+        if code == 2:
+            assert err == "error: f must lie on the unit circle\n"
+        elif code:
             assert err.startswith("error: log10 magnitude ") and err.count("\n") == 1
         else:
             table = np.loadtxt(out.splitlines()[1:], delimiter=",")

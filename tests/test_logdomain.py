@@ -219,12 +219,6 @@ class TestBlockedKernels:
             check_disjoint(sp, tp)
         assert (info.value.i, info.value.j) == (7, 2)
 
-    def test_check_disjoint_fills_reciprocals(self, tiny_blocks):
-        sp, tp = self.points(10, 4), self.points(6, 5)
-        out = np.empty((10, 6), dtype=complex)
-        check_disjoint(sp, tp, out=out)
-        assert np.array_equal(out, 1.0 / (sp[:, None] - tp[None, :]))
-
     def test_check_disjoint_tie_goes_to_first_row(self, tiny_blocks):
         sp, tp = self.points(10, 4), self.points(6, 5)
         tp[2], tp[0] = sp[7], sp[8]

@@ -127,13 +127,15 @@ class TestCauchy:
         C = structmat.cauchy(kv([2]), kv([0]))
         assert C.data[0, 0] == 0.5
 
-    def test_filled_in_blocks_with_the_check(self, monkeypatch):
+    @pytest.mark.parametrize("cols", [4, 3])
+    def test_filled_in_blocks_with_the_check(self, monkeypatch, cols):
+        # CHUNK = 7 gives blocks of one row for 4 columns, of two for 3.
         monkeypatch.setattr(logdomain, "CHUNK", 7)
         rng = np.random.Generator(np.random.Philox(8))
         sp = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         tp = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 5
-        C = structmat.cauchy(kv(sp), kv(tp))
-        assert np.array_equal(C.data, 1.0 / (sp[:, None] - tp[None, :]))
+        C = structmat.cauchy(kv(sp), kv(tp[:cols]))
+        assert np.array_equal(C.data, 1.0 / (sp[:, None] - tp[None, :cols]))
         tp[3] = sp[6]  # an exact hit in a later block raises, no warning
         with pytest.raises(KnotCollision) as info:
             structmat.cauchy(kv(sp), kv(tp))
