@@ -109,6 +109,15 @@ def bound_easy(s: KnotVector) -> BoundReport:
     return BoundReport(EASY, value, None, {"n": n, "s_plus": s_plus})
 
 
+def cluster_log10(log10_norm: float, k: int, nu: float, norm_mode: str) -> float:
+    """log10 of the cluster estimate |V| nu^(k-1) / (sqrt(k) d), given log10 |V|;
+    d = max(k, nu/(nu-1)) for `literal` and nu/(nu-1) for `computed-norm`."""
+    if norm_mode not in ("literal", "computed-norm"):
+        raise ValueError(f"unknown norm_mode {norm_mode!r}")
+    d = max(k, nu / (nu - 1.0)) if norm_mode == "literal" else nu / (nu - 1.0)
+    return log10_norm + (k - 1) * math.log10(nu) - (0.5 * math.log10(k) + math.log10(d))
+
+
 def bound_cluster(s: KnotVector, k: int, nu: float,
                   norm_mode: str = "literal") -> BoundReport:
     """Lower bound driven by k knots of modulus at most 1/nu.
@@ -139,7 +148,6 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     n = len(s)
     if norm_mode == "literal":
         log_norm = max(0.0, (n - 1) * _safe_log10(s.max_modulus()))
-        log_div = 0.5 * math.log10(k) + math.log10(max(k, nu / (nu - 1.0)))
         norm_tag = "max-entry"
         div_tag = "max(k, nu/(nu-1))"
         extra = {}
@@ -151,12 +159,10 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
         if not converged:
             sigma1 = singular_values(V).sigma1
         log_norm = math.log10(sigma1)
-        log_div = 0.5 * math.log10(k) + math.log10(nu / (nu - 1.0))
         norm_tag = "spectral"
         div_tag = "nu/(nu-1)"
         extra = {"norm_method": "lanczos" if converged else "svd", "lanczos_steps": steps}
-    value = log_norm + (k - 1) * math.log10(nu) - log_div
-    return BoundReport(CLUSTER, value, None,
+    return BoundReport(CLUSTER, cluster_log10(log_norm, k, nu, norm_mode), None,
                        {"n": n, "k": k, "nu": nu, "norm": norm_tag,
                         "denominator": div_tag, "log10_norm": log_norm, **extra})
 

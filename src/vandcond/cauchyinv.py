@@ -229,7 +229,10 @@ def vandermonde_inverse_lagrange(s: KnotVector) -> DenseMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
             out[k - 1] = full[k] + sp * out[k]
-        out /= 10.0 ** sp_mag * np.exp(1j * sp_ph)
+        # s'(s_i) in two halves: |s'(s_i)| alone may pass 10^308.
+        half = 10.0 ** (sp_mag / 2)
+        out /= half
+        out /= half * np.exp(1j * sp_ph)
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(math.inf, where="lagrange coefficients")
     return DenseMatrix(out, copy=False)

@@ -87,16 +87,9 @@ def quasi_cyclic_fractions(n: int) -> list:
     2^(k+1)-st roots one by one in counter-clockwise order: for
     2^k <= i < 2^(k+1) the fraction is (2(i - 2^k) + 1) / 2^(k+1).
     """
-    fracs = [0.0]
-    k = 0
-    while len(fracs) < n:
-        start = 1 << k
-        for i in range(start, 2 * start):
-            fracs.append((2 * (i - start) + 1) / (2 * start))
-            if len(fracs) == n:
-                break
-        k += 1
-    return fracs[:n]
+    i = np.arange(1, n)
+    p = np.ldexp(1.0, np.frexp(i)[1] - 1)  # the 2^k with 2^k <= i < 2^(k+1), exact
+    return np.append(0.0, (2 * (i - p) + 1) / (2 * p)).tolist()[:n]
 
 
 def quasi_cyclic(n: int) -> KnotVector:

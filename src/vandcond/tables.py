@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .bounds import (bound_cluster, bound_dft_block, bound_easy,
-                     bound_quasi_cyclic)
+                     bound_quasi_cyclic, cluster_log10)
 from .errors import InvalidOverride, VandcondError
 from .knotgen import dft_plus_outlier, quasi_cyclic, scaled_cluster, single_outlier
 from .spectral import genp_residual_experiment, singular_values
@@ -84,10 +84,11 @@ def _t1_fill(row, n, s_val):
 def _t2_fill(row, n, k):
     for rho, tag in zip(T2_RHO_VALUES, ("rho34", "rho12")):
         knots = scaled_cluster(n, k, rho)
-        _set_kappa(row, f"kappa_{tag}", singular_values(vandermonde(knots)))
+        summary = singular_values(vandermonde(knots))
+        _set_kappa(row, f"kappa_{tag}", summary)
         nu = 1.0 / rho
         _set_real(row, f"kappa_minus_{tag}",
-                  bound_cluster(knots, k, nu, "computed-norm").log10value)
+                  cluster_log10(math.log10(summary.sigma1), k, nu, "computed-norm"))
         _set_real(row, f"kappa_minus_literal_{tag}",
                   bound_cluster(knots, k, nu, "literal").log10value)
 

@@ -11,7 +11,7 @@ from vandcond.bounds import SeparationCertificate
 from vandcond.cauchyinv import InverseVariant
 from vandcond.errors import (ArcTooLong, BadShape, NoPositiveBound,
                              NotEnoughSmallKnots, NotSeparated, OddSize,
-                             UnitRadius, VacuousCertificate)
+                             UnitRadius, VacuousCertificate, VandcondError)
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
@@ -89,6 +89,15 @@ class TestBoundCluster:
         sigma1 = spectral.singular_values(structmat.vandermonde(knots)).sigma1
         assert (rep.params["norm_method"], rep.params["lanczos_steps"]) == ("svd", 2)
         assert rep.params["log10_norm"] == math.log10(sigma1)
+
+    @pytest.mark.parametrize("mode", ["literal", "computed-norm"])
+    def test_value_is_the_formula_applied_to_its_norm(self, mode):
+        rep = bounds.bound_cluster(knotgen.scaled_cluster(64, 8, 0.5), 8, 2.0, mode)
+        assert rep.log10value == bounds.cluster_log10(rep.params["log10_norm"], 8, 2.0, mode)
+
+    def test_formula_refuses_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown norm_mode 'spectral'"):
+            bounds.cluster_log10(1.0, 8, 2.0, "spectral")
 
     def test_degenerate_k1(self):
         knots = knotgen.scaled_cluster(4, 1, 0.5)
@@ -684,3 +693,44 @@ class TestEmpiricalDominance:
         s = knotgen.quasi_cyclic(96)
         _, rep = bounds.best_arc_search(s, cmath.exp(0.3j))
         assert measured_log10_kappa(s) >= rep.log10value
+
+    def test_every_conservative_report_below_the_svd(self):
+        # Every applicable report that is not a paper variant, as `vandcond
+        # bounds` lists it, against the SVD kappa wherever that is trusted;
+        # refined-norm is compared through its kappa bound.
+        gens = [knotgen.roots_of_unity, knotgen.quasi_cyclic, knotgen.van_der_corput,
+                lambda n: knotgen.single_outlier(n, 1.5),
+                lambda n: knotgen.single_outlier(n, 0.5),
+                lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.75),
+                lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.5)]
+        checked, violations = 0, []
+        for gen in gens:
+            for n in (8, 16, 48, 96, 192):
+                s = gen(n)
+                sv = spectral.singular_values(structmat.vandermonde(s))
+                if not sv.trustworthy:
+                    continue
+                thunks = [lambda: bounds.bound_easy(s), lambda: bounds.bound_refined_norm(s)]
+                moduli = np.abs(s.as_array())
+                small = moduli[moduli < 1.0 - 1e-9]
+                if small.size:
+                    k, nu = int(small.size), 1.0 / float(small.max())
+                    thunks += [lambda m=m: bounds.bound_cluster(s, k, nu, m)
+                               for m in ("literal", "computed-norm")]
+                for f in (cmath.exp(0.3j), cmath.exp(0.5j)):
+                    thunks += [lambda f=f: bounds.bound_cv(s, f, CORRECTED),
+                               lambda f=f: bounds.best_arc_search(s, f)[1]]
+                for thunk in thunks:
+                    try:
+                        rep = thunk()
+                    except VandcondError:
+                        continue
+                    if not rep.applicable or rep.variant == PAPER.value:
+                        continue
+                    checked += 1
+                    value = rep.params.get("log10_kappa_bound", rep.log10value)
+                    if value > sv.log10kappa + 1e-9 * max(1.0, abs(sv.log10kappa)):
+                        violations.append((s.label, n, rep.bound_id, rep.params.get("norm"),
+                                           value, sv.log10kappa))
+        assert violations == []
+        assert checked == 128

@@ -659,6 +659,18 @@ class TestVandermondeInverses:
         inv = cauchyinv.vandermonde_inverse_lagrange(s).data
         assert np.max(np.abs(V @ inv - np.eye(n))) <= 1e-10
 
+    def test_lagrange_outlier_far_outside_the_circle(self):
+        # |s'(s_i)| reaches 10^322 at the outlier, past the float range, while
+        # no entry of V^-1 exceeds 1/12: the divisor used to come out inf.
+        n = 24
+        s = knotgen.single_outlier(n, 1e14)
+        with mpmath.workdps(340):
+            V = mpmath.matrix([[mpmath.mpc(z) ** j for j in range(n)]
+                               for z in s.as_array()])
+            ref = np.array((V ** -1).tolist(), dtype=complex)
+        got = cauchyinv.vandermonde_inverse_lagrange(s).data
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_lagrange_two_knots(self):
         inv = cauchyinv.vandermonde_inverse_lagrange(kv([0, 1]))
         assert np.allclose(inv.data, [[1, 0], [-1, 1]], atol=1e-14)

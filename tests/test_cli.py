@@ -175,6 +175,16 @@ class TestInvert:
         want = np.conj(knotgen.roots_of_unity(n).as_array()[i * j % n]) / n
         assert np.max(np.abs(table[:, 2] + 1j * table[:, 3] - want)) <= 1e-14
 
+    @pytest.mark.filterwarnings("error")
+    def test_default_method_inverts_a_far_outlier(self, capsys):
+        # log10 |s'(s_i)| is 312 at the outlier; every entry of V^-1 stays below 1.
+        code, out, _ = run(["invert", "--gen", "single-outlier", "--n", "40",
+                            "--s-last", "1e8,0"], capsys)
+        assert code == 0
+        table = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert table.shape == (1600, 4) and np.all(np.isfinite(table))
+        assert np.max(np.hypot(table[:, 2], table[:, 3])) < 1
+
     def test_cauchy_log_domain(self, capsys):
         code, out, _ = run(["invert", "--gen", "van-der-corput", "--n", "3",
                             "--method", "cauchy", "--log-domain"], capsys)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from vandcond import tables
+from vandcond import bounds, knotgen, tables
 from vandcond.errors import InvalidOverride
 from vandcond.tables import emit, format_sci, run_table, table_from_json
 
@@ -117,6 +117,31 @@ class TestRunTable:
         assert abs(row["kappa_rho12"] - 6.90e2) / 6.90e2 < 0.05
         assert abs(row["kappa_minus_rho12"] - 2.44e2) / 2.44e2 < 0.15
         assert abs(row["kappa_minus_literal_rho12"] - 5.66) < 0.01
+
+    def test_t2_builds_and_decomposes_each_matrix_once(self, monkeypatch):
+        # The computed-norm cells reuse the kappa cell's SVD; asking
+        # bound_cluster for sigma_1 again took 36 builds, 30 SVDs and 6 Lanczos runs.
+        calls = {"vandermonde": 0, "singular_values": 0, "top_singular_value": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in calls:
+            count(bounds, name)
+        count(tables, "vandermonde")
+        count(tables, "singular_values")
+        table = run_table("T2")
+        assert calls == {"vandermonde": 18, "singular_values": 18, "top_singular_value": 0}
+        for row in table.rows:
+            for rho, tag in zip(tables.T2_RHO_VALUES, ("rho34", "rho12")):
+                ref = bounds.bound_cluster(knotgen.scaled_cluster(row["n"], row["k"], rho),
+                                           row["k"], 1.0 / rho, "computed-norm")
+                assert abs(row[f"kappa_minus_{tag}_log10"] - ref.log10value) <= 1e-12
 
 
 class TestColumns:
