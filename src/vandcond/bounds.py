@@ -46,11 +46,6 @@ REFINED_NORM = "refined-norm"
 CV_INVERSE = "cv-inverse"
 CIRCLE_VALUE = "circle-value"
 COEFF_NORM = "coeff-norm"
-QC_BASE = "quasi-cyclic-base"
-QC_COARSE = "quasi-cyclic-coarse"
-QC_REFINED = "quasi-cyclic-refined"
-QC_PRODUCT = "quasi-cyclic-product"
-QC_INTEGRAL = "quasi-cyclic-integral"
 DFT_BLOCK = "dft-block"
 SEPARATION_SIGMA = "separation-sigma"
 ARC_CV = "arc-cv"
@@ -134,8 +129,8 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     (`norm_method`) and the Lanczos steps run (0 up to SVD_MAX_N).  The Ritz
     value never exceeds the norm, so the bound stays a lower bound.
     """
-    if nu <= 1.0:
-        raise ValueError("nu must exceed 1")
+    if not 1.0 < nu < math.inf:  # also refuses nan
+        raise ValueError(f"nu must be a finite number above 1, got {nu!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if norm_mode not in ("literal", "computed-norm"):
@@ -267,9 +262,6 @@ def bound_coeff_norm(s: KnotVector) -> BoundReport:
 
 QC_MODES = ("base", "coarse", "refined", "product", "integral")
 
-_QC_IDS = {"base": QC_BASE, "coarse": QC_COARSE, "refined": QC_REFINED,
-           "product": QC_PRODUCT, "integral": QC_INTEGRAL}
-
 
 def _is_pow2(q: int) -> bool:
     return q >= 1 and (q & (q - 1)) == 0
@@ -319,7 +311,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
         value = float(np.sum(np.log10(stages))) + half_log_n
     else:  # integral
         value = _staging_integral_log10(q)
-    return BoundReport(_QC_IDS[mode], value, InverseVariant.PAPER.value, params)
+    return BoundReport(f"quasi-cyclic-{mode}", value, InverseVariant.PAPER.value, params)
 
 
 def bound_dft_block(n: int, mode: str) -> BoundReport:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, cauchyinv, knotgen, spectral
 from .errors import VandcondError
-from .structmat import cv_matrix, dft, dump_matrix, leading_block, vandermonde
+from .structmat import cv_matrix, dump_matrix, leading_block, vandermonde
 from .tables import DEFAULT_SEED, DEFAULT_TRIALS, emit, run_table
 
 DEFAULT_F = complex(math.cos(0.3), math.sin(0.3))
@@ -29,31 +29,19 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
-def parse_eta_grid(text: str):
-    vals = tuple(float(x) for x in text.split(","))
-    if not vals:
-        raise argparse.ArgumentTypeError("empty eta grid")
-    return vals
-
-
-def _add_knot_source(p: argparse.ArgumentParser, with_knots: bool = True):
-    p.add_argument("--gen", choices=["dft", "quasi-cyclic", "van-der-corput",
-                                     "single-outlier", "scaled-cluster", "file"])
+def _add_knot_source(p: argparse.ArgumentParser):
+    p.add_argument("--gen", required=True,
+                   choices=["dft", "quasi-cyclic", "van-der-corput",
+                            "single-outlier", "scaled-cluster", "file"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--rho", type=float)
     p.add_argument("--s-last", type=parse_complex, metavar="RE,IM")
     p.add_argument("--file", metavar="PATH")
-    if with_knots:
-        p.add_argument("--knots", metavar="PATH")
 
 
 def _resolve_knots(args, parser) -> knotgen.KnotVector:
-    if getattr(args, "knots", None):
-        return knotgen.read_knots(args.knots)
     gen = args.gen
-    if gen is None:
-        parser.error("either --knots PATH or --gen NAME is required")
     if gen == "file":
         if not args.file:
             parser.error("--gen file requires --file PATH")
@@ -68,11 +56,9 @@ def _resolve_knots(args, parser) -> knotgen.KnotVector:
         if args.s_last is None:
             parser.error("--gen single-outlier requires --s-last RE,IM")
         return knotgen.single_outlier(args.n, args.s_last)
-    if gen == "scaled-cluster":
-        if args.k is None or args.rho is None:
-            parser.error("--gen scaled-cluster requires --k and --rho")
-        return knotgen.scaled_cluster(args.n, args.k, args.rho)
-    parser.error(f"unknown generator {gen!r}")
+    if args.k is None or args.rho is None:
+        parser.error("--gen scaled-cluster requires --k and --rho")
+    return knotgen.scaled_cluster(args.n, args.k, args.rho)
 
 
 def _cmd_gen_knots(args, parser) -> int:
@@ -175,7 +161,9 @@ def _cmd_bounds(args, parser) -> int:
     moduli = np.abs(kv.as_array())
     small = moduli[moduli < 1.0 - 1e-9]
     if small.size:
-        nu = 1.0 / float(small.max())
+        # A knot at 0 gives nu = inf, which bound_cluster refuses.
+        with np.errstate(divide="ignore"):
+            nu = float(np.divide(1.0, small.max()))
         k = int(small.size)
         attempt(bounds_mod.CLUSTER,
                 lambda: bounds_mod.bound_cluster(kv, k, nu, "literal"))
@@ -196,7 +184,7 @@ def _cmd_bounds(args, parser) -> int:
             attempt(f"quasi-cyclic-{mode}",
                     lambda m=mode: bounds_mod.bound_quasi_cyclic(q, m))
     attempt(bounds_mod.ARC_VANDERMONDE,
-            lambda: bounds_mod.best_arc_search(kv, f, args.eta_grid)[1])
+            lambda: bounds_mod.best_arc_search(kv, f)[1])
     for report in reports:
         print(_report_line(report))
     return 0
@@ -228,9 +216,7 @@ def _cmd_genp(args, parser) -> int:
 
 def _cmd_build(args, parser) -> int:
     kv = _resolve_knots(args, parser)
-    if args.matrix == "dft":
-        M = dft(len(kv))
-    elif args.matrix == "cv":
+    if args.matrix == "cv":
         M = cv_matrix(kv, args.f)
     else:
         M = vandermonde(kv)
@@ -253,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-knots", help="generate or rewrite a knot file")
-    _add_knot_source(p, with_knots=False)
+    _add_knot_source(p)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_gen_knots)
 
@@ -277,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate lower bounds, one JSON per line")
     _add_knot_source(p)
     p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
-    p.add_argument("--eta-grid", type=parse_eta_grid, default=(1.1, 1.2, 1.5),
-                   metavar="LIST")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table", help="run one of the experiment tables 1-5")
@@ -297,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a matrix and dump it (debug)")
     _add_knot_source(p)
-    p.add_argument("--matrix", choices=["vandermonde", "dft", "cv"],
+    p.add_argument("--matrix", choices=["vandermonde", "cv"],
                    default="vandermonde")
     p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
     p.add_argument("--block", type=int, metavar="Q")

@@ -27,18 +27,8 @@ class KnotCollision(VandcondError):
         super().__init__(f"row knot {i} collides with column knot {j} (gap {gap:.3e})")
 
 
-class Overflow(VandcondError):
-    """Matrix entries would exceed the double-precision range."""
-
-    def __init__(self, log10_magnitude: float):
-        self.log10_magnitude = log10_magnitude
-        super().__init__(
-            f"entry magnitude 1e{log10_magnitude:.1f} exceeds the floating range"
-        )
-
-
 class RangeOverflow(VandcondError):
-    """A log-domain scalar cannot be converted to a complex float."""
+    """A value would exceed the double-precision range."""
 
     def __init__(self, log10_magnitude: float, where: str = ""):
         self.log10_magnitude = log10_magnitude

@@ -99,15 +99,18 @@ def quasi_cyclic(n: int) -> KnotVector:
     return KnotVector(_turn(quasi_cyclic_fractions(n)), "quasi-cyclic")
 
 
-def radical_inverse(i: int) -> float:
-    """Binary radical inverse: bit-reverse i across the binary point."""
-    f, scale = 0.0, 0.5
-    while i:
-        if i & 1:
-            f += scale
-        i >>= 1
-        scale *= 0.5
-    return f
+def radical_inverse(i):
+    """Binary radical inverse: bit-reverse i across the binary point.
+
+    Takes an int (returns a float) or an int array (returns a float array),
+    one pass per bit.  Each result is a sum of distinct powers of two, so
+    it is exact whatever the order of addition.
+    """
+    bits = np.asarray(i, dtype=np.int64)
+    f = np.zeros(bits.shape)
+    for b in range(int(bits.max(initial=0)).bit_length()):
+        f += 0.5 ** (b + 1) * ((bits >> b) & 1)
+    return f if f.ndim else float(f)
 
 
 def van_der_corput(n: int) -> KnotVector:
@@ -119,7 +122,7 @@ def van_der_corput(n: int) -> KnotVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return KnotVector(_turn([radical_inverse(i) for i in range(n)]), "van-der-corput")
+    return KnotVector(_turn(radical_inverse(np.arange(n))), "van-der-corput")
 
 
 def single_outlier(n: int, s_last: complex) -> KnotVector:

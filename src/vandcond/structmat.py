@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import BlockTooLarge, Overflow
+from .errors import BlockTooLarge, RangeOverflow
 from .knotgen import KnotVector, roots_of_unity, unit_roots
 from .logdomain import DISTINCT_TOL, check_disjoint, diff_blocks
 
@@ -56,7 +56,7 @@ def vandermonde(s: KnotVector) -> DenseMatrix:
     n = len(pts)
     s_plus = float(np.max(np.abs(pts)))
     if n > 1 and s_plus > 1.0 and (n - 1) * np.log10(s_plus) > OVERFLOW_LOG10:
-        raise Overflow((n - 1) * np.log10(s_plus))
+        raise RangeOverflow((n - 1) * np.log10(s_plus), where="vandermonde")
     # Powers lo.. fill the rows of a 64-row band (contiguous writes), and
     # each band is copied into its columns of V: the same products as a
     # column-by-column fill, bit for bit, with no second n x n array.  The

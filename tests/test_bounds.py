@@ -108,6 +108,13 @@ class TestBoundCluster:
         with pytest.raises(NotEnoughSmallKnots):
             bounds.bound_cluster(knotgen.roots_of_unity(8), 2, 2.0)
 
+    @pytest.mark.parametrize("mode", ["literal", "computed-norm"])
+    @pytest.mark.parametrize("nu", [math.inf, math.nan, 1.0, 0.5])
+    def test_refuses_nu_not_finite_above_1(self, nu, mode):
+        # A knot at 0 gives nu = 1/0 = inf, and then nu/(nu - 1) is nan.
+        with pytest.raises(ValueError, match="nu must be a finite number above 1"):
+            bounds.bound_cluster(knotgen.single_outlier(8, 0), 1, nu, mode)
+
 
 class TestBoundRefinedNorm:
     def test_exact_geometric_sum(self):

@@ -80,7 +80,7 @@ class TestCond:
     def test_knot_file_source(self, tmp_path, capsys):
         path = tmp_path / "k.txt"
         knotgen.write_knots(knotgen.van_der_corput(8), path)
-        code, out, _ = run(["cond", "--knots", str(path)], capsys)
+        code, out, _ = run(["cond", "--gen", "file", "--file", str(path)], capsys)
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[3]) < 4.0
 
@@ -248,7 +248,8 @@ class TestInvert:
         with np.errstate(divide="ignore"):
             mag, ph = np.log10(np.abs(data)), np.angle(data)
         assert np.isneginf(mag).any()
-        code, out, _ = run(["invert", "--knots", str(path), "--log-domain"], capsys)
+        code, out, _ = run(["invert", "--gen", "file", "--file", str(path), "--log-domain"],
+                             capsys)
         assert code == 0
         assert out == reference_entries("i,j,log10mag,phase", mag, ph)
         assert ",-inf," in out
@@ -327,18 +328,13 @@ class TestBounds:
         ids = [json.loads(l)["bound_id"] for l in out.strip().splitlines()]
         assert "cluster" in ids
 
-    def test_eta_grid_argument(self, capsys):
-        code, out, _ = run(["bounds", "--gen", "dft", "--n", "16",
-                            "--eta-grid", "1.05,1.3"], capsys)
-        assert code == 0
-
     def test_degrades_per_report_on_extreme_knots(self, tmp_path, capsys):
         # s(x) = x^700 - 3^700 spans hundreds of decades; every report stays
         # finite, and the coefficient bound carries the unit-disc gate.
         path = tmp_path / "wild.txt"
         pts = 3.0 * knotgen.roots_of_unity(700).as_array()
         knotgen.write_knots(knotgen.make_knot_vector(list(pts)), path)
-        code, out, _ = run(["bounds", "--knots", str(path)], capsys)
+        code, out, _ = run(["bounds", "--gen", "file", "--file", str(path)], capsys)
         assert code == 0
         reports = [json.loads(l) for l in out.strip().splitlines()]
         by_id = {r["bound_id"]: r for r in reports}
@@ -348,6 +344,23 @@ class TestBounds:
         assert math.isfinite(coeff["log10value"])
         assert not coeff["applicable"]
         assert coeff["reason"] == "knots leave the unit disc (s_+ = 3)"
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_knot_at_origin_refuses_only_the_cluster_lines(self, n, capsys, recwarn):
+        # The only knot inside the unit disc is 0, so nu = 1/0: the listing
+        # goes on, with both cluster lines refused.
+        code, out, err = run(["bounds", "--gen", "single-outlier", "--n", str(n),
+                              "--s-last", "0,0"], capsys)
+        assert code == 0 and err == "" and len(recwarn) == 0
+        reports = [json.loads(l) for l in out.splitlines()]
+        cluster = [r for r in reports if r["bound_id"] == "cluster"]
+        assert len(cluster) == 2
+        for r in cluster:
+            assert not r["applicable"] and r["log10value"] is None
+            assert r["reason"].startswith("ValueError: nu must be a finite number")
+        assert [r["bound_id"] for r in reports] == [
+            "easy", "refined-norm", "cluster", "cluster", "cv-inverse",
+            "cv-inverse", "circle-value", "coeff-norm", "arc-vandermonde"]
 
     def test_scaled_cluster_quiet(self, capsys, recwarn):
         # Its expanded coefficients used to overflow with a RuntimeWarning.
@@ -370,7 +383,7 @@ class TestBounds:
         # bounds must still be listed, each line staying valid JSON.
         path = tmp_path / "uniform.txt"
         knotgen.write_knots(knotgen.roots_of_unity(64), path)
-        code, out, _ = run(["bounds", "--knots", str(path)], capsys)
+        code, out, _ = run(["bounds", "--gen", "file", "--file", str(path)], capsys)
         assert code == 0
         reports = [json.loads(l) for l in out.strip().splitlines()]
         by_id = {r["bound_id"]: r for r in reports}
@@ -458,7 +471,7 @@ class TestExitCodes:
         assert err.value.code == 2
 
     def test_missing_file_is_invalid_argument(self, capsys):
-        code = cli.main(["cond", "--knots", "/nonexistent/knots.txt"])
+        code = cli.main(["cond", "--gen", "file", "--file", "/nonexistent/knots.txt"])
         assert code == 2
 
     def test_version(self, capsys):
@@ -469,4 +482,18 @@ class TestExitCodes:
     def test_bounds_has_no_grid_option(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["bounds", "--gen", "quasi-cyclic", "--n", "12", "--grid", "64"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["cond", "--knots", "{path}"],
+        ["bounds", "--gen", "dft", "--n", "8", "--eta-grid", "1.1"],
+        ["build", "--gen", "dft", "--n", "4", "--matrix", "dft"]],
+        ids=["knots", "eta-grid", "matrix-dft"])
+    def test_no_second_spelling(self, argv, tmp_path, capsys):
+        # `--gen file --file`, the fixed arc-search grid and `--gen dft`
+        # already say what each of these would.
+        path = tmp_path / "k.txt"
+        knotgen.write_knots(knotgen.van_der_corput(8), path)
+        with pytest.raises(SystemExit) as err:
+            cli.main([a.format(path=path) for a in argv])
         assert err.value.code == 2

@@ -104,7 +104,7 @@ class TestNonFiniteKnots:
     def test_cli_exits_2_without_warning(self, tmp_path, capsys, recwarn, line):
         path = tmp_path / "knots.txt"
         path.write_text(f"1,0\n{line}\n")
-        assert cli.main(["bounds", "--knots", str(path)]) == 2
+        assert cli.main(["bounds", "--gen", "file", "--file", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
@@ -155,6 +155,20 @@ class TestVanDerCorput:
 
     def test_f0(self):
         assert knotgen.radical_inverse(0) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 300, 4096, 5000])
+    def test_array_form_equals_the_per_knot_loop(self, n):
+        def one(i):
+            f, scale = 0.0, 0.5
+            while i:
+                if i & 1:
+                    f += scale
+                i >>= 1
+                scale *= 0.5
+            return f
+
+        ref = np.exp(2j * np.pi * np.array([one(i) for i in range(n)]))
+        assert knotgen.van_der_corput(n).as_array().tobytes() == ref.tobytes()
 
     def test_prefix_property(self):
         full = knotgen.van_der_corput(64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vandcond import knotgen, logdomain, structmat
-from vandcond.errors import BlockTooLarge, KnotCollision, Overflow
+from vandcond.errors import BlockTooLarge, KnotCollision, RangeOverflow
 
 
 def kv(points):
@@ -41,7 +41,7 @@ class TestVandermonde:
 
     def test_overflow(self):
         pts = 1e5 * knotgen.roots_of_unity(80).as_array()
-        with pytest.raises(Overflow):
+        with pytest.raises(RangeOverflow):
             structmat.vandermonde(knotgen.make_knot_vector(list(pts)))
 
     @pytest.mark.parametrize("n", [2, 80, 1024])
