@@ -86,10 +86,10 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
     col = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
     corrected = variant is InverseVariant.CORRECTED
     if corrected:
-        sder = self_derivative_logs(sp)
-        col = col[0] - sder[0], col[1] - sder[1]
+        sder = self_derivative_logs(sp, phase)
+        col = [c - d for c, d in zip(col, sder[:1 + phase])]
         if cv_f is None:
-            tder = self_derivative_logs(tp)
+            tder = self_derivative_logs(tp, phase)
         else:
             # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
             tder = (math.log10(n) + (n - 1) * np.log10(np.abs(tp)),

@@ -29,6 +29,13 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_knot_source(p: argparse.ArgumentParser):
     p.add_argument("--gen", required=True,
                    choices=["dft", "quasi-cyclic", "van-der-corput",
@@ -268,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="run one of the experiment tables 1-5")
     p.add_argument("--id", type=int, choices=[1, 2, 3, 4, 5], required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--format", choices=["csv", "markdown", "json"])
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("genp", help="no-pivoting residual experiment")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_genp)
 

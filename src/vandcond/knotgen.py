@@ -22,8 +22,8 @@ class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
     `knots` is a read-only complex128 copy of the points, checked to be
-    non-empty, finite and pairwise further apart than `tol`.  `label` names
-    the generator; knot files carry it in their header.
+    non-empty, of finite modulus and pairwise further apart than `tol`.
+    `label` names the generator; knot files carry it in their header.
     """
 
     knots: np.ndarray
@@ -34,7 +34,8 @@ class KnotVector:
         arr = np.array(self.knots, dtype=np.complex128)
         if arr.size == 0:
             raise EmptyInput("knot vector must contain at least one knot")
-        if not np.all(np.isfinite(arr)):
+        # Finite parts are not enough: |1.5e308 + 1.5e308j| = inf.
+        if not np.all(np.isfinite(np.abs(arr))):
             raise ValueError("knots must be finite")
         gap, i, j = closest_pair(arr, arr, skip_self=True)
         if gap <= tol:

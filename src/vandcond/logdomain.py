@@ -126,10 +126,13 @@ def log_magnitudes(xs: np.ndarray, knots: np.ndarray) -> np.ndarray:
                      phase=False)[0]
 
 
-def self_derivative_logs(points: np.ndarray):
-    """log10 magnitude and raw phase of prod_{k != j} (p_j - p_k) for each j."""
+def self_derivative_logs(points: np.ndarray, phase: bool = True):
+    """log10 magnitude and raw phase of prod_{k != j} (p_j - p_k) for each j.
+
+    Without `phase` the phase is None and no angle is taken.
+    """
     points = np.asarray(points, dtype=np.complex128)
-    return _log_sums(points, points, skip_self=True)
+    return _log_sums(points, points, skip_self=True, phase=phase)
 
 
 def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool, phase: bool = True):

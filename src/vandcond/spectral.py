@@ -27,6 +27,10 @@ LANCZOS_MAX_STEPS = 64
 #: Ritz residual, relative to the Ritz value, at which `top_singular_value` stops.
 LANCZOS_TOL = 1e-13
 
+#: Relative margin of the circle scan's FFT screen, far above its rounding
+#: bound (see `max_abs_on_circle`).
+CIRCLE_SCREEN_TOL = 1e-6
+
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -171,13 +175,40 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     """Maximize |prod (f - s_i)| over f on the unit circle.
 
-    A scan of the `grid`-th roots of 1 (`knotgen.unit_roots`) picks the best
-    cell, then golden-section refinement narrows the angle to 1e-12; a scan
-    point that still wins is returned as that exact root.  The result
-    lower-bounds the true supremum by construction.  `grid=0` selects
-    max(1024, 16 n): the product has at most n oscillations around the
-    circle, so at least 16 samples per oscillation land in every cell
-    before refinement.
+    The scan grid is the `grid`-th roots of 1 (`knotgen.unit_roots`);
+    `grid=0` selects max(1024, 16 n): the product has at most n
+    oscillations around the circle, so at least 16 samples per oscillation
+    land in every cell before refinement.  The best grid point is the first
+    largest `log_magnitudes` value in grid order, and only the points where
+    it can lie are evaluated:
+
+    * On the circle T = |s|^2 = prod (1 + |s_i|^2 - 2 Re(conj(s_i) f)) is a
+      real trigonometric polynomial of degree n, so its values at the
+      m = 2n + 1 roots of 1 fix it.  These are computed exactly (2 n^2 log
+      terms, against 16 n^2 for the whole grid) and scaled by their largest.
+    * One FFT gives T's coefficients; frequency k goes to slot k mod `grid`
+      (so any grid >= 8 works, also one below m) and one inverse FFT gives
+      the interpolated T at every grid point.
+    * Each interpolated value is off by at most about
+      Lambda_m (2 ln(10) E + sqrt(m) log2(m) eps), with E the rounding of
+      one log10 sum (about n eps max |log10|f - s_i||) and
+      Lambda_m <= 1 + (2/pi) ln m the Lebesgue constant of the
+      interpolation: about 1e-10 at n = 1536 near the circle (4e-13
+      measured) and 1e-8 at n = 4096 with knots out to 1e300 (1e-9 measured).
+    * The exact argmax lies within twice that bound, plus 2 ln(10) E, of the
+      interpolated maximum.  Every point within `CIRCLE_SCREEN_TOL`
+      = 1e-6 of it, relative to the larger of it and the largest sample,
+      is kept and evaluated exactly: a margin of over a decade at the ends
+      of the supported range and over three near the circle.
+    * A row sum of logs does not depend on the other rows of its block, so
+      index, value and refinement are the same bits as a scan of the whole
+      grid.  Near ties are all kept: the roots of unity keep n points.  When
+      |s| is nearly constant on the circle (all knots packed near 0) every
+      point is kept, and the scan costs a whole-grid scan plus an eighth.
+
+    Golden-section refinement then narrows the angle around the best grid
+    point to 1e-12; a grid point that still wins is returned as that exact
+    root.  The result lower-bounds the true supremum by construction.
     """
     pts = knots.as_array()
     n = len(pts)
@@ -185,9 +216,21 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
         grid = max(1024, 16 * n)
     if grid < 8:
         raise ValueError("grid must be >= 8")
+    m = 2 * n + 1
+    logs = log_magnitudes(unit_roots(m), pts)
+    # 10^-inf = 0 at a knot on a sample point; underflow to 0 is harmless.
+    coef = np.fft.fft(10.0 ** (2.0 * (logs - np.max(logs))))
+    k = np.arange(m)
+    k[n + 1:] -= m  # slots n+1 .. 2n hold frequencies -n .. -1
+    folded = np.zeros(grid, dtype=np.complex128)
+    np.add.at(folded, k % grid, coef)
+    vals = np.fft.ifft(folded).real * (grid / m)
+    top = float(np.max(vals))
+    cand = np.flatnonzero(vals >= top - CIRCLE_SCREEN_TOL * max(top, 1.0))
     roots = unit_roots(grid)
-    mags = log_magnitudes(roots, pts)
-    best = int(np.argmax(mags))
+    exact = log_magnitudes(roots[cand], pts)
+    i = int(np.argmax(exact))
+    best, best_log = int(cand[i]), float(exact[i])
 
     def g(theta: float) -> float:
         return float(log_magnitudes(np.exp(1j * theta), pts)[0])
@@ -210,9 +253,9 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
             g1 = g(x1)
     theta_best = 0.5 * (a + b)
     g_best = g(theta_best)
-    if (g_best, theta_best) > (float(mags[best]), theta0):
+    if (g_best, theta_best) > (best_log, theta0):
         return complex(np.exp(1j * theta_best)), g_best
-    return complex(roots[best]), float(mags[best])
+    return complex(roots[best]), best_log
 
 
 def _genp_factor(a: np.ndarray):

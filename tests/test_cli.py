@@ -485,6 +485,18 @@ class TestExitCodes:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["table", "--id", "5", "--trials", "-1"],
+        ["table", "--id", "1", "--trials", "0"],
+        ["genp", "--n", "4", "--trials", "0"]])
+    def test_trials_below_1_is_invalid_argument(self, argv, capsys):
+        # `run_table` would turn it into an error cell per row, exit 3.
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert (err.value.code, out.out) == (2, "")
+        assert "argument --trials: must be >= 1" in out.err
+
+    @pytest.mark.parametrize("argv", [
         ["cond", "--knots", "{path}"],
         ["bounds", "--gen", "dft", "--n", "8", "--eta-grid", "1.1"],
         ["build", "--gen", "dft", "--n", "4", "--matrix", "dft"]],

@@ -93,6 +93,16 @@ class TestNonFiniteKnots:
         with pytest.raises(ValueError, match="finite"):
             knotgen.make_knot_vector(points)
 
+    @pytest.mark.parametrize("points", [[1, complex(1.5e308, 1.5e308)],
+                                        [complex(-1.7e308, 1.7e308)]])
+    def test_modulus_overflow(self, points, recwarn):
+        # Finite parts, but |s| = inf.
+        with pytest.raises(ValueError, match="knots must be finite"):
+            knotgen.make_knot_vector(points)
+        with pytest.raises(ValueError, match="knots must be finite"):
+            knotgen.single_outlier(8, points[-1])
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("line", ["nan,0", "inf,0", "0,-inf"])
     def test_read_knots(self, tmp_path, line):
         path = tmp_path / "knots.txt"
@@ -108,6 +118,14 @@ class TestNonFiniteKnots:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+        assert len(recwarn) == 0
+
+    def test_cli_refuses_an_overflowing_modulus(self, capsys, recwarn):
+        # Every bound used to be listed, four of them applicable with no value.
+        assert cli.main(["bounds", "--gen", "single-outlier", "--n", "8",
+                         "--s-last", "1.5e308,1.5e308"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: knots must be finite\n")
         assert len(recwarn) == 0
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from vandcond import cauchyinv, knotgen, spectral, structmat
 from vandcond.errors import RangeOverflow, ZeroPivot
-from vandcond.logdomain import log_products
+from vandcond.logdomain import log_magnitudes, log_products
 
 
 def kv(points):
@@ -146,6 +146,113 @@ class TestMaxAbsOnCircle:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             spectral.max_abs_on_circle(kv([0.5]), grid=4)
+
+
+def full_circle_scan(knots, grid=0):
+    """The circle maximum as it was found before the FFT screen: every grid point exact."""
+    pts = knots.as_array()
+    n = len(pts)
+    if grid <= 0:
+        grid = max(1024, 16 * n)
+    roots = knotgen.unit_roots(grid)
+    mags = log_magnitudes(roots, pts)
+    best = int(np.argmax(mags))
+
+    def g(theta):
+        return float(log_magnitudes(np.exp(1j * theta), pts)[0])
+
+    span = 2.0 * np.pi / grid
+    theta0 = 2.0 * np.pi * (best / grid)
+    a, b = theta0 - span, theta0 + span
+    x1 = b - spectral._GOLDEN * (b - a)
+    x2 = a + spectral._GOLDEN * (b - a)
+    g1, g2 = g(x1), g(x2)
+    while b - a > 1e-12:
+        if g1 < g2:
+            a, x1, g1 = x1, x2, g2
+            x2 = a + spectral._GOLDEN * (b - a)
+            g2 = g(x2)
+        else:
+            b, x2, g2 = x2, x1, g1
+            x1 = b - spectral._GOLDEN * (b - a)
+            g1 = g(x1)
+    theta_best = 0.5 * (a + b)
+    g_best = g(theta_best)
+    if (g_best, theta_best) > (float(mags[best]), theta0):
+        return complex(np.exp(1j * theta_best)), g_best
+    return complex(roots[best]), float(mags[best])
+
+
+def _seeded(kind, n):
+    rng = np.random.Generator(np.random.Philox(n))
+    turn = np.exp(2j * np.pi * rng.random(n))
+    if kind == "circle":
+        return kv(turn)
+    if kind == "annulus":
+        return kv(rng.uniform(0.5, 2.0, n) * turn)
+    if kind == "small-disc":
+        return kv(1e-3 * np.sqrt(rng.random(n)) * turn)
+    # jittered: each root of unity moved by up to a quarter grid step
+    return kv(np.exp(2j * np.pi * (np.arange(n) + 0.25 * rng.uniform(-1, 1, n)) / n))
+
+
+SCAN_CORPUS = {
+    "quasi-cyclic": knotgen.quasi_cyclic,
+    "van-der-corput": knotgen.van_der_corput,
+    "dft": knotgen.roots_of_unity,
+    "scaled-cluster": lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.5),
+    "outlier-0": lambda n: knotgen.single_outlier(n, 0.0),
+    "outlier-1e14": lambda n: knotgen.single_outlier(n, 1e14),
+    **{kind: (lambda n, kind=kind: _seeded(kind, n))
+       for kind in ("circle", "annulus", "small-disc", "jittered")},
+}
+
+
+def _bits(f_star, log_max):
+    return np.array([f_star]).tobytes() + np.array([log_max]).tobytes()
+
+
+class TestScreenedCircleScan:
+    # single_outlier and scaled_cluster need n >= 2.
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in SCAN_CORPUS for n in (1, 2, 3, 7, 24, 48, 192, 768)
+        if n > 1 or name in ("quasi-cyclic", "van-der-corput", "dft", "circle",
+                             "annulus", "small-disc", "jittered")])
+    def test_same_bits_as_the_full_scan(self, name, n):
+        knots = SCAN_CORPUS[name](n)
+        for grid in (8, 64, 0):
+            got = spectral.max_abs_on_circle(knots, grid)
+            assert _bits(*got) == _bits(*full_circle_scan(knots, grid)), grid
+
+    @pytest.mark.parametrize("n, grid", [(4, 8), (5, 64), (48, 0)])
+    def test_knots_on_the_scan_grid(self, n, grid):
+        # Scan values of -inf at the grid points that are knots.
+        g = grid or max(1024, 16 * n)
+        knots = kv(knotgen.unit_roots(g)[::g // n][:n])
+        got = spectral.max_abs_on_circle(knots, grid)
+        assert _bits(*got) == _bits(*full_circle_scan(knots, grid))
+
+    @pytest.mark.parametrize("n", [3, 24, 192])
+    def test_knots_on_the_samples(self, n):
+        # Samples of 0 at the n knots among the 2n + 1 roots of 1.
+        knots = kv(knotgen.unit_roots(2 * n + 1)[:n])
+        for grid in (8, 64, 0):
+            got = spectral.max_abs_on_circle(knots, grid)
+            assert _bits(*got) == _bits(*full_circle_scan(knots, grid))
+
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in ("quasi-cyclic", "van-der-corput") for n in (24, 192, 768)])
+    def test_screen_without_margin_still_finds_the_maximum(self, name, n, monkeypatch):
+        # With no margin the screen keeps its own maximum alone.  That point
+        # attains the grid maximum up to rounding, but among symmetric near
+        # ties it need not be the first: the margin is what makes the bits
+        # equal to the full scan's.
+        knots = SCAN_CORPUS[name](n)
+        grid_max = float(np.max(log_magnitudes(knotgen.unit_roots(max(1024, 16 * n)),
+                                               knots.as_array())))
+        monkeypatch.setattr(spectral, "CIRCLE_SCREEN_TOL", 0.0)
+        _, log_max = spectral.max_abs_on_circle(knots)
+        assert log_max >= grid_max - 1e-12
 
 
 class TestGenpSolve:
