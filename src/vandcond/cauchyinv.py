@@ -58,12 +58,20 @@ def cauchy_det(s: KnotVector, t: KnotVector) -> LogComplex:
     n = len(sp)
     cross_mag, cross_ph = log_products(sp, tp)
     mag, ph = -float(np.sum(cross_mag)), -float(np.sum(cross_ph))
-    # Row blocks hold s_j - s_i at column i < row j, t_i - t_j at column j > row i.
-    for pts, keep in ((sp, np.less), (tp, np.greater)):
-        for lo, d in diff_blocks(pts, pts):
-            d = d[keep(np.arange(n), np.arange(lo, lo + len(d))[:, None])]
-            mag += float(np.sum(np.log10(np.abs(d))))
-            ph += float(np.sum(np.angle(d)))
+    # Row i of a block keeps s_i - s_j left of the diagonal (j < i), takes
+    # t_i - t_j right of it (j > i) and 1 on it (log and angle 0): every row is
+    # summed whole inside one block, so the result does not depend on its size.
+    row_mag, row_ph = np.empty(n), np.empty(n)
+    for lo, d in diff_blocks(sp, sp):
+        hi = lo + len(d)
+        k = np.arange(len(d))
+        np.subtract(tp[lo:hi, None], tp[None, hi:], out=d[:, hi:])
+        np.copyto(d[:, lo:hi], tp[lo:hi, None] - tp[None, lo:hi], where=k[:, None] < k)
+        d[k, lo + k] = 1.0
+        row_mag[lo:hi] = np.sum(np.log10(np.abs(d)), axis=1)
+        row_ph[lo:hi] = np.sum(np.angle(d), axis=1)
+    mag += float(np.sum(row_mag))
+    ph += float(np.sum(row_ph))
     return LogComplex(mag, wrap_phase(ph))
 
 

@@ -29,11 +29,19 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _add_knot_source(p: argparse.ArgumentParser):
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="run one of the experiment tables 1-5")
     p.add_argument("--id", type=int, choices=[1, 2, 3, 4, 5], required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--format", choices=["csv", "markdown", "json"])
     p.add_argument("--out", metavar="PATH")
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genp", help="no-pivoting residual experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_genp)
 
     p = sub.add_parser("build", help="build a matrix and dump it (debug)")

@@ -3,7 +3,8 @@
 Knot products are kept as (log10 magnitude, phase) pairs, so products of
 thousands of factors spanning hundreds of decades never overflow.  Every
 difference table is formed in row blocks of at most `CHUNK` entries, so
-scratch memory stays at a few megabytes whatever the knot count.
+one block's scratch is 16 * CHUNK bytes of complex differences plus
+8 * CHUNK bytes of float magnitudes (384 KB), whatever the knot count.
 
 This module depends on numpy and the package's error types only.
 """
@@ -25,8 +26,13 @@ RANGE_LOG10 = 300.0
 #: noise, below any knot gap that the generators can produce.
 DISTINCT_TOL = 1e-13
 
-#: Entries per row block of a difference table.
-CHUNK = 1 << 18
+#: Entries per row block of a difference table: 256 KB of complex
+#: differences plus 128 KB of magnitudes, which stay in a 2 MB L2 cache and,
+#: in a warm process, come from freed heap memory.  Blocks of 2^18 entries
+#: (6 MB) missed L2 and page-faulted up to about 2,400 times per walk at
+#: n = 1536; 2^13 and smaller lost to per-block overhead.  No row's sum,
+#: minimum or count crosses a block, so results do not depend on this size.
+CHUNK = 1 << 14
 
 _TWO_PI = 2.0 * math.pi
 

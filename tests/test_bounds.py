@@ -194,7 +194,7 @@ class TestBoundCv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 4 * 2 ** 20
 
     @pytest.mark.parametrize("n, nudged, calls", [(384, False, 1), (768, False, 1),
                                                    (384, True, 2), (768, True, 2)])

@@ -210,7 +210,7 @@ class TestCauchyDet:
         n = 1536
         s = knotgen.van_der_corput(n)
         t = kv(list(structmat.cv_knots(n, cmath.exp(0.5j))))
-        assert traced_peak(lambda: cauchyinv.cauchy_det(s, t)) <= 16 * 2 ** 20
+        assert traced_peak(lambda: cauchyinv.cauchy_det(s, t)) <= 4 * 2 ** 20
 
 
 class TestInverseEntries:
@@ -575,9 +575,9 @@ class TestSingleEntry:
         t = kv(list(0.5 * s.as_array()))
         for variant in (PAPER, CORRECTED):
             assert traced_peak(lambda: cauchyinv.cv_inverse_entry(
-                s, f, 3, 5, variant)) <= 16 * 2 ** 20
+                s, f, 3, 5, variant)) <= 4 * 2 ** 20
             assert traced_peak(lambda: cauchyinv.cauchy_inverse_entry(
-                s, t, n - 1, 0, variant)) <= 16 * 2 ** 20
+                s, t, n - 1, 0, variant)) <= 4 * 2 ** 20
 
 
 class TestVandermondeInverses:

@@ -497,6 +497,17 @@ class TestExitCodes:
         assert "argument --trials: must be >= 1" in out.err
 
     @pytest.mark.parametrize("argv", [
+        ["table", "--id", "5", "--seed", "-1"],
+        ["genp", "--n", "4", "--seed", "-1"]])
+    def test_negative_seed_is_invalid_argument(self, argv, capsys):
+        # Refused by argparse, before `run_table` could make error cells of it.
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert (err.value.code, out.out) == (2, "")
+        assert "argument --seed: must be >= 0" in out.err
+
+    @pytest.mark.parametrize("argv", [
         ["cond", "--knots", "{path}"],
         ["bounds", "--gen", "dft", "--n", "8", "--eta-grid", "1.1"],
         ["build", "--gen", "dft", "--n", "4", "--matrix", "dft"]],

@@ -83,7 +83,7 @@ class TestKnotArray:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2 ** 20
+        assert peak <= 4 * 2 ** 20
 
 
 class TestNonFiniteKnots:

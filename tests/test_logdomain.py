@@ -2,12 +2,13 @@ import ast
 import cmath
 import math
 import pathlib
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 
-from vandcond import cauchyinv, knotgen, logdomain, structmat
+from vandcond import bounds, cauchyinv, knotgen, logdomain, spectral, structmat
 from vandcond.errors import DuplicateKnot, KnotCollision
 from vandcond.logdomain import (check_disjoint, log_magnitudes, log_products,
                                 pow_diff_logs, self_derivative_logs, wrap_phase)
@@ -251,6 +252,57 @@ class TestBlockedKernels:
         assert distinctness_agrees([2j], 1e-13) is None
         assert distinctness_agrees([1, 1 + 1e-16], 1e-13) == (0, 1, 0.0)
         assert distinctness_agrees([1, -1], 1e-13) is None
+
+
+class TestBlockSizeInvariance:
+    """No row's sum, minimum or count crosses a block, so `CHUNK` is free
+    to be sized for speed: every walk gives the same bits at any size."""
+
+    SIZES = (7, logdomain.CHUNK, 1 << 18)
+    GENERATORS = {"quasi-cyclic": knotgen.quasi_cyclic,
+                  "van-der-corput": knotgen.van_der_corput,
+                  "scaled-cluster": lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.5)}
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return pickle.dumps(fn())
+        except Exception as err:  # the same refusal at every size counts too
+            return type(err).__name__, str(err)
+
+    def walks(self, s):
+        sp = s.as_array()
+        n, f = len(sp), cmath.exp(0.3j)
+        t = knotgen.make_knot_vector(structmat.cv_knots(n, f))
+        paper, corrected = cauchyinv.InverseVariant.PAPER, cauchyinv.InverseVariant.CORRECTED
+        return {
+            "log_magnitudes": lambda: log_magnitudes(knotgen.unit_roots(2 * n + 1), sp),
+            "self_derivative_logs": lambda: self_derivative_logs(sp),
+            "self_derivative_mags": lambda: self_derivative_logs(sp, phase=False),
+            "closest_pair": lambda: logdomain.closest_pair(sp, t.as_array()),
+            "closest_pair_self": lambda: logdomain.closest_pair(sp, sp, skip_self=True),
+            "bound_cv_paper": lambda: bounds.bound_cv(s, f, paper),
+            "bound_cv_corrected": lambda: bounds.bound_cv(s, f, corrected),
+            "max_abs_on_circle": lambda: spectral.max_abs_on_circle(s),
+            "best_arc_search": lambda: bounds.best_arc_search(s, f),
+            "cv_inverse_paper": lambda: cauchyinv.cv_inverse_log_entries(s, f, paper),
+            "cv_inverse_corrected": lambda: cauchyinv.cv_inverse_log_entries(s, f, corrected),
+            "cauchy": lambda: structmat.cauchy(s, t).data,
+            "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
+        }
+
+    # n = 769 leaves a ragged last block; a cluster needs n >= 2.
+    @pytest.mark.parametrize("gen, n", [(gen, n) for gen in GENERATORS
+                                        for n in (1, 2, 7, 192, 769)
+                                        if gen != "scaled-cluster" or n > 1])
+    def test_same_bits_at_every_block_size(self, monkeypatch, gen, n):
+        make = self.GENERATORS[gen]
+        runs = []
+        for size in self.SIZES:
+            monkeypatch.setattr(logdomain, "CHUNK", size)
+            s = make(n)
+            runs.append({name: self.outcome(fn) for name, fn in self.walks(s).items()})
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestOneCollisionThreshold:
