@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .knotgen import (KnotVector, dft_plus_outlier, make_knot_vector,
-                      quasi_cyclic, read_knots, roots_of_unity,
-                      scaled_cluster, single_outlier, van_der_corput,
-                      write_knots)
+from .knotgen import (KnotVector, dft_plus_outlier, quasi_cyclic, read_knots,
+                      roots_of_unity, scaled_cluster, single_outlier,
+                      van_der_corput, write_knots)
 from .structmat import (DenseMatrix, cauchy, cv_matrix, dft, leading_block,
                         vandermonde)
 from .cauchyinv import (InverseVariant, LogComplex, cauchy_det,
@@ -25,7 +24,7 @@ from .tables import ExperimentTable, emit, run_table, table_from_json
 
 __all__ = [
     "__version__",
-    "KnotVector", "make_knot_vector", "roots_of_unity", "quasi_cyclic",
+    "KnotVector", "roots_of_unity", "quasi_cyclic",
     "van_der_corput", "single_outlier", "dft_plus_outlier", "scaled_cluster",
     "read_knots", "write_knots",
     "DenseMatrix", "vandermonde", "dft", "cauchy", "cv_matrix",

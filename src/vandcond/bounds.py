@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchyinv import InverseVariant, inverse_blocks
-from .errors import (ArcTooLong, BadShape, KnotCollision, NoPositiveBound,
-                     NotEnoughSmallKnots, NotSeparated, OddSize, UnitRadius,
-                     VacuousCertificate)
+from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots,
+                     NotSeparated, UnitRadius, VacuousCertificate)
 from .knotgen import KnotVector, unit_roots
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values, top_singular_value
@@ -294,7 +293,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
     half_log_n = 0.5 * math.log10(n)
     params = {"q": q, "n": n, "mode": mode}
     if mode in ("base", "product") and not _is_pow2(q):
-        raise BadShape(f"mode {mode!r} requires q to be a power of two (q={q})")
+        raise ValueError(f"mode {mode!r} requires q to be a power of two (q={q})")
     if mode == "base":
         value = (q / 2.0) * _LOG2 + half_log_n
     elif mode == "coarse":
@@ -323,7 +322,7 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
     if mode not in ("base", "integral"):
         raise ValueError(f"unknown mode {mode!r}")
     if n % 2 != 0 or n < 2:
-        raise OddSize(f"n must be even and >= 2, got {n}")
+        raise ValueError(f"n must be even and >= 2, got {n}")
     q = n // 2
     if mode == "base":
         value = (n / 4.0 - 1.0) * _LOG2 + 0.5 * math.log10(n)
@@ -407,7 +406,7 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
         raise ValueError("need 0 <= j_lo <= j_hi < n")
     l = j_hi - j_lo + 1
     if l > n / 2.0:
-        raise ArcTooLong(f"arc of {l} knots exceeds n/2 = {n / 2:g}")
+        raise ValueError(f"arc of {l} knots exceeds n/2 = {n / 2:g}")
     c, r = _chord(_cv_grid(n, f), j_lo, j_hi)
     m_minus = int(_count_inside(np.array([c]), np.array([r]), s.as_array(), (eta,))[0, 0])
     return SeparationCertificate(j_lo, j_hi, l, complex(c), r, float(eta),

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid arguments, 3 numeric failure.
+Exit codes: 0 success, 2 invalid arguments (`ValueError`, `OSError`, argparse),
+3 numeric or premise failure (`VandcondError`); `errors` states the rule.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, cauchyinv, knotgen, spectral
 from .errors import VandcondError
-from .structmat import cv_matrix, dump_matrix, leading_block, vandermonde
+from .structmat import (check_unit_circle, cv_matrix, dump_matrix,
+                        leading_block, vandermonde)
 from .tables import DEFAULT_SEED, DEFAULT_TRIALS, emit, run_table
 
 DEFAULT_F = complex(math.cos(0.3), math.sin(0.3))
@@ -113,7 +115,8 @@ def _print_entries(header: str, a: np.ndarray, b: np.ndarray) -> None:
 
 def _cmd_invert(args, parser) -> int:
     kv = _resolve_knots(args, parser)
-    variant = cauchyinv.InverseVariant(args.variant)
+    # Only the corrected variant is V^-1; paper-form numbers appear as bounds.
+    variant = cauchyinv.InverseVariant.CORRECTED
     if args.method == "cauchy" and args.log_domain:
         # The CV-matrix inverse is native to the log domain.
         _print_entries("i,j,log10mag,phase",
@@ -157,9 +160,7 @@ def _report_line(report) -> str:
 
 def _cmd_bounds(args, parser) -> int:
     kv = _resolve_knots(args, parser)
-    if not math.isfinite(math.hypot(args.f.real, args.f.imag)) or args.f == 0:
-        parser.error("--f must be finite and nonzero")
-    f = args.f / abs(args.f)
+    check_unit_circle(args.f)
     reports = []
 
     def attempt(bound_id, thunk):
@@ -186,7 +187,7 @@ def _cmd_bounds(args, parser) -> int:
                 lambda: bounds_mod.bound_cluster(kv, k, nu, "computed-norm"))
     for variant in cauchyinv.InverseVariant:
         attempt(bounds_mod.CV_INVERSE,
-                lambda v=variant: bounds_mod.bound_cv(kv, f, v))
+                lambda v=variant: bounds_mod.bound_cv(kv, args.f, v))
     attempt(bounds_mod.CIRCLE_VALUE,
             lambda: bounds_mod.bound_circle_value(kv))
     attempt(bounds_mod.COEFF_NORM, lambda: bounds_mod.bound_coeff_norm(kv))
@@ -194,12 +195,10 @@ def _cmd_bounds(args, parser) -> int:
     if args.gen == "quasi-cyclic" and n % 3 == 0:
         q = n // 3
         for mode in bounds_mod.QC_MODES:
-            if mode in ("base", "product") and (q & (q - 1)) != 0:
-                continue
             attempt(f"quasi-cyclic-{mode}",
                     lambda m=mode: bounds_mod.bound_quasi_cyclic(q, m))
     attempt(bounds_mod.ARC_VANDERMONDE,
-            lambda: bounds_mod.best_arc_search(kv, f)[1])
+            lambda: bounds_mod.best_arc_search(kv, args.f)[1])
     for report in reports:
         print(_report_line(report))
     return 0
@@ -267,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_source(p)
     p.add_argument("--method", choices=["lagrange", "cv", "cauchy"],
                    default="lagrange")
-    p.add_argument("--variant", choices=["paper", "corrected"],
-                   default="corrected",
-                   help="'paper': compact closed form exactly as stated; "
-                        "'corrected': adjugate-exact entries")
     p.add_argument("--f", type=parse_complex, default=DEFAULT_F, metavar="RE,IM")
     p.add_argument("--log-domain", action="store_true")
     p.set_defaults(func=_cmd_invert)

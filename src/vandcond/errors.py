@@ -1,14 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that picks one.
+
+Two kinds of refusal, one per CLI exit code:
+
+- `ValueError` means the function does not accept these arguments.  That is
+  decided from sizes, shapes, indices, modes, keys or emptiness alone,
+  before any numeric work.  The CLI exits 2.
+- `VandcondError` means the arguments are accepted but the numbers fail, or
+  a bound's premise fails for these knots.  The CLI exits 3.
+"""
 
 from __future__ import annotations
 
 
 class VandcondError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class EmptyInput(VandcondError):
-    pass
+    """Base class of the numeric and premise failures: accepted arguments
+    whose numbers fail, or knots outside a bound's premise."""
 
 
 class DuplicateKnot(VandcondError):
@@ -37,10 +43,6 @@ class RangeOverflow(VandcondError):
         super().__init__(f"log10 magnitude {log10_magnitude:.3f} out of range{tag}")
 
 
-class BlockTooLarge(VandcondError):
-    pass
-
-
 class ZeroPivot(VandcondError):
     """Elimination without pivoting hit a (numerically) zero pivot."""
 
@@ -61,19 +63,7 @@ class UnitRadius(VandcondError):
     """The refined norm bound is undefined when the largest knot modulus is 1."""
 
 
-class BadShape(VandcondError):
-    pass
-
-
-class OddSize(VandcondError):
-    pass
-
-
 class NotSeparated(VandcondError):
-    pass
-
-
-class ArcTooLong(VandcondError):
     pass
 
 
@@ -83,7 +73,3 @@ class VacuousCertificate(VandcondError):
 
 class NoPositiveBound(VandcondError):
     """No scanned arc certificate yields a bound exceeding 1."""
-
-
-class InvalidOverride(VandcondError):
-    pass

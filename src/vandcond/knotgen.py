@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DuplicateKnot, EmptyInput
+from .errors import DuplicateKnot
 from .logdomain import DISTINCT_TOL, closest_pair
 
 
@@ -33,7 +33,7 @@ class KnotVector:
     def __post_init__(self, tol: float):
         arr = np.array(self.knots, dtype=np.complex128)
         if arr.size == 0:
-            raise EmptyInput("knot vector must contain at least one knot")
+            raise ValueError("knot vector must contain at least one knot")
         # Finite parts are not enough: |1.5e308 + 1.5e308j| = inf.
         if not np.all(np.isfinite(np.abs(arr))):
             raise ValueError("knots must be finite")
@@ -57,11 +57,6 @@ class KnotVector:
 
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.knots)))
-
-
-def make_knot_vector(points, tol: float = DISTINCT_TOL) -> KnotVector:
-    """Wrap an explicit point list, verifying pairwise distinctness."""
-    return KnotVector(points, "custom", tol)
 
 
 def _turn(fracs) -> np.ndarray:
@@ -179,7 +174,7 @@ def read_knots(path) -> KnotVector:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad knot line {text!r}") from exc
     if not pts:
-        raise EmptyInput(f"{path}: no knots found")
+        raise ValueError(f"{path}: no knots found")
     return KnotVector(pts, "file")
 
 

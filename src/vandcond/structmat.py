@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import BlockTooLarge, RangeOverflow
+from .errors import RangeOverflow
 from .knotgen import KnotVector, roots_of_unity, unit_roots
 from .logdomain import DISTINCT_TOL, check_disjoint, diff_blocks
 
@@ -119,8 +119,8 @@ def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
     """The q x q top-left (northwestern) submatrix."""
     top = min(M.rows, M.cols)
     if q < 1 or q > top:
-        raise BlockTooLarge(f"q={q} is outside 1..{top} for the "
-                            f"{M.rows}x{M.cols} matrix")
+        raise ValueError(f"q={q} is outside 1..{top} for the "
+                         f"{M.rows}x{M.cols} matrix")
     return DenseMatrix(M.data[:q, :q], copy=False)
 
 

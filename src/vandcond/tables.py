@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .bounds import (bound_cluster, bound_dft_block, bound_easy,
                      bound_quasi_cyclic, cluster_log10)
-from .errors import InvalidOverride, VandcondError
+from .errors import VandcondError
 from .knotgen import dft_plus_outlier, quasi_cyclic, scaled_cluster, single_outlier
 from .spectral import genp_residual_experiment, singular_values
 from .structmat import dft, leading_block, vandermonde
@@ -181,7 +181,7 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     """Assemble one experiment table; failed rows carry an error cell.
 
     `overrides` may set `sizes` (the table's n grid, or q grid for T3),
-    `trials` (T5), and `seed`.  Anything else raises InvalidOverride.
+    `trials` (T5), and `seed`.  Anything else raises ValueError.
     """
     table_id = table_id.upper()
     if table_id not in _TABLES:
@@ -190,7 +190,7 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     overrides = dict(overrides or {})
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
-        raise InvalidOverride(f"unsupported overrides: {sorted(unknown)}")
+        raise ValueError(f"unsupported overrides: {sorted(unknown)}")
     seed = int(overrides.get("seed", DEFAULT_SEED))
     trials = int(overrides.get("trials", DEFAULT_TRIALS))
 

@@ -21,7 +21,7 @@ CORRECTED = InverseVariant.CORRECTED
 
 
 def kv(points):
-    return knotgen.make_knot_vector(points)
+    return knotgen.KnotVector(points)
 
 
 def _passed(name):

@@ -18,7 +18,7 @@ CORRECTED = InverseVariant.CORRECTED
 
 
 def kv(points):
-    return knotgen.make_knot_vector(points)
+    return knotgen.KnotVector(points)
 
 
 def random_annulus_knots(rng, count, r_lo=0.5, r_hi=2.0, gap=0.05):

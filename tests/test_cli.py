@@ -72,10 +72,11 @@ class TestCond:
 
     @pytest.mark.parametrize("q", ["0", "9"])
     def test_block_out_of_range(self, q, capsys):
+        # The block size is an argument: refused before any numeric work.
         code, out, err = run(["cond", "--gen", "dft", "--n", "8", "--block", q],
                              capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ") and "1..8" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: q={q} is outside 1..8 for the 8x8 matrix\n"
 
     def test_knot_file_source(self, tmp_path, capsys):
         path = tmp_path / "k.txt"
@@ -197,7 +198,7 @@ class TestInvert:
 
     def test_cv_matches_lagrange(self, capsys):
         code, a, _ = run(["invert", "--gen", "van-der-corput", "--n", "4",
-                          "--method", "cv", "--variant", "corrected",
+                          "--method", "cv",
                           "--f", "0.955336489125606,0.29552020666133955"],
                          capsys)
         code, b, _ = run(["invert", "--gen", "van-der-corput", "--n", "4",
@@ -333,7 +334,7 @@ class TestBounds:
         # finite, and the coefficient bound carries the unit-disc gate.
         path = tmp_path / "wild.txt"
         pts = 3.0 * knotgen.roots_of_unity(700).as_array()
-        knotgen.write_knots(knotgen.make_knot_vector(list(pts)), path)
+        knotgen.write_knots(knotgen.KnotVector(list(pts)), path)
         code, out, _ = run(["bounds", "--gen", "file", "--file", str(path)], capsys)
         assert code == 0
         reports = [json.loads(l) for l in out.strip().splitlines()]
@@ -371,12 +372,25 @@ class TestBounds:
         assert math.isfinite(by_id["coeff-norm"]["log10value"])
 
     @pytest.mark.parametrize("f", ["nan", "inf,0", "0,-inf", "0", "1.7e308,1.7e308"])
-    def test_non_finite_or_zero_f_is_invalid_argument(self, f, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["bounds", "--gen", "quasi-cyclic", "--n", "12", "--f", f])
-        out = capsys.readouterr()
-        assert (err.value.code, out.out) == (2, "")
-        assert "--f must be finite and nonzero" in out.err
+    def test_non_finite_or_zero_f_is_invalid_argument(self, f, capsys, recwarn):
+        # The library's own refusal, as for `invert --method cv`: no rescale.
+        code, out, err = run(["bounds", "--gen", "quasi-cyclic", "--n", "12",
+                              "--f", f], capsys)
+        assert (code, out, err) == (2, "", "error: f must lie on the unit circle\n")
+        assert len(recwarn) == 0
+
+    def test_quasi_cyclic_q_not_a_power_of_two_lists_the_refusals(self, capsys):
+        # q = 12: base and product are listed as refused, like any other bound.
+        code, out, _ = run(["bounds", "--gen", "quasi-cyclic", "--n", "36"], capsys)
+        assert code == 0
+        reports = {r["bound_id"]: r for r in map(json.loads, out.splitlines())}
+        for mode in ("base", "product"):
+            r = reports[f"quasi-cyclic-{mode}"]
+            assert not r["applicable"] and r["log10value"] is None
+            assert r["reason"] == (f"ValueError: mode {mode!r} requires q to be "
+                                   "a power of two (q=12)")
+        for mode in ("coarse", "refined", "integral"):
+            assert reports[f"quasi-cyclic-{mode}"]["applicable"]
 
     def test_raising_evaluator_keeps_the_listing(self, tmp_path, capsys):
         # The arc search raises on evenly spaced knots; the remaining
@@ -450,11 +464,66 @@ class TestBuild:
     def test_block_out_of_range(self, q, capsys):
         code, out, err = run(["build", "--gen", "dft", "--n", "8", "--block", q],
                              capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ") and "1..8" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: q={q} is outside 1..8 for the 8x8 matrix\n"
+
+
+#: One row per fault: argv (`{name}` is a knot file), exit code, stderr prefix.
+#: Exit 2 is an argument the command does not accept (ValueError, argparse);
+#: exit 3 is accepted arguments whose numbers fail (VandcondError).
+FAULTS = {
+    "cond-block-0": (["cond", "--gen", "dft", "--n", "8", "--block", "0"], 2,
+                     "error: q=0 is outside 1..8 for the 8x8 matrix"),
+    "cond-block-9": (["cond", "--gen", "dft", "--n", "8", "--block", "9"], 2,
+                     "error: q=9 is outside 1..8 for the 8x8 matrix"),
+    "build-block-0": (["build", "--gen", "dft", "--n", "8", "--block", "0"], 2,
+                      "error: q=0 is outside 1..8 for the 8x8 matrix"),
+    "build-block-9": (["build", "--gen", "dft", "--n", "8", "--block", "9"], 2,
+                      "error: q=9 is outside 1..8 for the 8x8 matrix"),
+    "empty-knot-file": (["cond", "--gen", "file", "--file", "{empty}"], 2,
+                        "error: {empty}: no knots found"),
+    "bad-knot-line": (["cond", "--gen", "file", "--file", "{bad}"], 2,
+                      "error: {bad}:2: bad knot line 'not-a-knot'"),
+    "bounds-f-2": (["bounds", "--gen", "dft", "--n", "8", "--f", "2"], 2,
+                   "error: f must lie on the unit circle"),
+    "bounds-f-nan": (["bounds", "--gen", "dft", "--n", "8", "--f", "nan"], 2,
+                     "error: f must lie on the unit circle"),
+    "bounds-f-0": (["bounds", "--gen", "dft", "--n", "8", "--f", "0"], 2,
+                   "error: f must lie on the unit circle"),
+    # `invert` prints V^-1, the corrected inverse, and has no `--variant`.
+    "invert-variant-paper": (["invert", "--gen", "dft", "--n", "4", "--variant", "paper"],
+                             2, "usage: vandcond"),
+    "invert-variant-corrected": (["invert", "--gen", "dft", "--n", "4", "--variant",
+                                  "corrected"], 2, "usage: vandcond"),
+    "duplicate-knots": (["cond", "--gen", "file", "--file", "{duplicate}"], 3,
+                        "error: knots 0 and 1 coincide within tolerance"),
+    "knot-on-f-grid": (["invert", "--gen", "dft", "--n", "8", "--method", "cauchy",
+                        "--f", "1,0"], 3,
+                       "error: row knot 0 collides with column knot 0"),
+    "range-overflow": (["invert", "--gen", "dft", "--n", "4", "--method", "cauchy",
+                        "--f=1e308,1e308"], 3, "error: log10 magnitude "),
+}
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault(self, fault, tmp_path, capsys, recwarn):
+        argv, want_code, prefix = FAULTS[fault]
+        files = {"empty": "# no knots\n", "bad": "1,0\nnot-a-knot\n",
+                 "duplicate": "1,0\n1,0\n"}
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        try:
+            code = cli.main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out) == (want_code, "")
+        assert out.err.startswith(prefix.format(**paths)), out.err
+        assert "Traceback" not in out.err and len(recwarn) == 0
+
     def test_invalid_arguments(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["table"])

@@ -1,12 +1,13 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from vandcond import cli, knotgen, structmat
-from vandcond.errors import DuplicateKnot, EmptyInput
+from vandcond.errors import DuplicateKnot, VandcondError
 
 # Frozen fraction sequences, checked term by term against the reference
 # display of the first 16 values.
@@ -20,25 +21,28 @@ def angles_of(kv):
     return np.angle(kv.as_array())
 
 
-class TestMakeKnotVector:
+class TestExplicitPoints:
     def test_singleton(self):
-        kv = knotgen.make_knot_vector([1])
+        kv = knotgen.KnotVector([1])
         assert len(kv) == 1
         assert kv[0] == 1
 
     def test_duplicate_below_tolerance(self):
         with pytest.raises(DuplicateKnot) as err:
-            knotgen.make_knot_vector([1, 1 + 1e-16], tol=1e-13)
+            knotgen.KnotVector([1, 1 + 1e-16], tol=1e-13)
         assert {err.value.i, err.value.j} == {0, 1}
 
     def test_distinct_reals(self):
-        kv = knotgen.make_knot_vector([0, 1, -1])
+        kv = knotgen.KnotVector([0, 1, -1])
         assert len(kv) == 3
         assert kv.label == "custom"
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            knotgen.make_knot_vector([])
+        # An argument error (exit 2), not a numeric failure.
+        with pytest.raises(ValueError,
+                           match=r"^knot vector must contain at least one knot$") as err:
+            knotgen.KnotVector([])
+        assert not isinstance(err.value, VandcondError)
 
 
 class TestKnotArray:
@@ -54,14 +58,14 @@ class TestKnotArray:
     def test_later_writes_to_caller_data_do_not_reach(self):
         pts = [1, 2j, -3]
         arr = np.array(pts, dtype=complex)
-        from_list, from_array = knotgen.make_knot_vector(pts), knotgen.make_knot_vector(arr)
+        from_list, from_array = knotgen.KnotVector(pts), knotgen.KnotVector(arr)
         pts[0] = 7
         arr[0] = 7
         assert from_list[0] == 1 and from_array[0] == 1
 
     @pytest.mark.parametrize("points, error", [
         ([1, 1, 2], DuplicateKnot), ([1, 2, complex("nan")], ValueError),
-        ([1, 1, complex("nan")], ValueError), ([], EmptyInput)])
+        ([1, 1, complex("nan")], ValueError), ([], ValueError)])
     def test_direct_construction_checks(self, points, error):
         with pytest.raises(error):
             knotgen.KnotVector(points)
@@ -89,16 +93,16 @@ class TestKnotArray:
 class TestNonFiniteKnots:
     @pytest.mark.parametrize("points", [[1, complex("nan")], [complex("nan")] * 2,
                                         [1, complex("inf")], [complex(0, float("-inf"))]])
-    def test_make_knot_vector(self, points):
+    def test_explicit_points(self, points):
         with pytest.raises(ValueError, match="finite"):
-            knotgen.make_knot_vector(points)
+            knotgen.KnotVector(points)
 
     @pytest.mark.parametrize("points", [[1, complex(1.5e308, 1.5e308)],
                                         [complex(-1.7e308, 1.7e308)]])
     def test_modulus_overflow(self, points, recwarn):
         # Finite parts, but |s| = inf.
         with pytest.raises(ValueError, match="knots must be finite"):
-            knotgen.make_knot_vector(points)
+            knotgen.KnotVector(points)
         with pytest.raises(ValueError, match="knots must be finite"):
             knotgen.single_outlier(8, points[-1])
         assert len(recwarn) == 0
@@ -350,5 +354,55 @@ class TestKnotFiles:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "knots.txt"
         path.write_text("# nothing here\n")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no knots found")) as err:
             knotgen.read_knots(path)
+        assert not isinstance(err.value, VandcondError)
+
+
+def assert_file_roundtrip_bit_exact(kv, path):
+    knotgen.write_knots(kv, path)
+    back = knotgen.read_knots(path)
+    # uint64 views tell -0.0 from 0.0 and every subnormal apart.
+    assert back.as_array().view(np.uint64).tolist() == kv.as_array().view(np.uint64).tolist()
+
+
+#: Signed zeros, subnormals and parts near the float limit, pairwise distinct
+#: and free of overflow in their differences.
+EDGE_KNOTS = [complex(0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0),
+              complex(-2.0, 0.0), complex(5e-324, -3.0),
+              complex(-2.2250738585072009e-308, 3.0),
+              complex(4.0, 2.2250738585072014e-308), complex(-4.0, -5e-324),
+              complex(1.7976931348623157e308, 0.0), complex(1e308, 5.0),
+              complex(0.0, 1.5e308), complex(7.0, 1.2345678901234567e307)]
+
+
+def philox_knots(seed, n, arbitrary):
+    """n knots: one part on a grid of step 4 (so the knots are distinct), the
+    other any finite double of one sign (so no difference overflows)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    wild = rng.integers(0, 2 ** 63, size=n, dtype=np.uint64).view(np.float64)
+    wild = np.where(np.isfinite(wild), wild, 1.0)
+    grid = 4.0 * (np.arange(n) - n // 2)
+    if arbitrary == "imag":
+        return grid + 1j * wild
+    return -wild + 1j * grid
+
+
+class TestKnotFileRoundTrip:
+    """read_knots(write_knots(kv)) gives back every bit of every knot."""
+
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in TestKnotBytes.GENERATORS for n in (1, 2, 7, 64, 1000)
+        if n > 1 or name not in ("single-outlier", "scaled-cluster")])
+    def test_every_generator(self, name, n, tmp_path):
+        gen, _ = TestKnotBytes.GENERATORS[name]
+        assert_file_roundtrip_bit_exact(gen(n), tmp_path / "k.txt")
+
+    def test_edge_values(self, tmp_path):
+        assert_file_roundtrip_bit_exact(knotgen.KnotVector(EDGE_KNOTS), tmp_path / "k.txt")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("arbitrary", ["real", "imag"])
+    def test_philox_points(self, seed, arbitrary, tmp_path):
+        kv = knotgen.KnotVector(philox_knots(seed, 512, arbitrary))
+        assert_file_roundtrip_bit_exact(kv, tmp_path / "k.txt")

@@ -173,7 +173,7 @@ def distinctness_agrees(points, tol):
     """(i, j, gap) of the DuplicateKnot raised, or None; must equal the reference."""
     want = check_distinct_reference(points, tol)
     try:
-        knotgen.make_knot_vector(points, tol)
+        knotgen.KnotVector(points, tol=tol)
         got = None
     except DuplicateKnot as err:
         got = err.i, err.j, err.gap
@@ -273,7 +273,7 @@ class TestBlockSizeInvariance:
     def walks(self, s):
         sp = s.as_array()
         n, f = len(sp), cmath.exp(0.3j)
-        t = knotgen.make_knot_vector(structmat.cv_knots(n, f))
+        t = knotgen.KnotVector(structmat.cv_knots(n, f))
         paper, corrected = cauchyinv.InverseVariant.PAPER, cauchyinv.InverseVariant.CORRECTED
         return {
             "log_magnitudes": lambda: log_magnitudes(knotgen.unit_roots(2 * n + 1), sp),

@@ -9,7 +9,7 @@ from vandcond.logdomain import log_magnitudes, log_products
 
 
 def kv(points):
-    return knotgen.make_knot_vector(points)
+    return knotgen.KnotVector(points)
 
 
 class TestSingularValues:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from vandcond import bounds, knotgen, tables
-from vandcond.errors import InvalidOverride
+from vandcond.errors import VandcondError
 from vandcond.tables import emit, format_sci, run_table, table_from_json
 
 
@@ -74,8 +74,10 @@ class TestRunTable:
         assert a.rows != b.rows
 
     def test_invalid_override(self):
-        with pytest.raises(InvalidOverride):
+        with pytest.raises(ValueError,
+                           match=r"^unsupported overrides: \['bogus'\]$") as err:
             run_table("T4", {"bogus": 1})
+        assert not isinstance(err.value, VandcondError)
 
     def test_failed_row_keeps_shape(self):
         # The failing row sits in the middle: later rows must survive and
@@ -83,16 +85,16 @@ class TestRunTable:
         table = run_table("T4", {"sizes": [8, 7, 16]})  # 7 is odd: bound fails
         assert len(table.rows) == 3
         assert table.rows[0]["error"] == ""
-        assert "OddSize" in table.rows[1]["error"]
+        assert table.rows[1]["error"] == "ValueError: n must be even and >= 2, got 7"
         assert table.rows[1]["kappa"] is None
         assert table.rows[1]["n"] == 7
         assert table.rows[2]["error"] == ""
         assert abs(table.rows[2]["kappa"] - 1.06e3) / 1.06e3 < 0.02
         # serialization must tolerate the blank cells of the failed row
         md = emit(table, "markdown")
-        assert "OddSize" in md
+        assert "ValueError: n must be even" in md
         csv = emit(table, "csv")
-        assert "OddSize" in csv
+        assert "ValueError: n must be even" in csv
 
     def test_programming_errors_escape(self, monkeypatch):
         def broken_fill(row, n):
@@ -210,12 +212,27 @@ class TestEmit:
         table = run_table("T1", {"sizes": [64]})
         assert table_from_json(emit(table, "json")) == table
 
+    @pytest.mark.parametrize("table_id, overrides", [
+        ("T1", {"sizes": [16]}), ("T2", {"sizes": [64]}), ("T3", {"sizes": [4, 8]}),
+        ("T4", {"sizes": [7, 8]}), ("T5", {"sizes": [8, 16], "trials": 3})])
+    def test_json_roundtrip_every_table(self, table_id, overrides):
+        table = run_table(table_id, overrides)
+        assert table_from_json(emit(table, "json")) == table
+
+    def test_json_roundtrip_error_row_and_inf_cell(self):
+        table = run_table("T4", {"sizes": [7, 8]})
+        assert table.rows[0]["error"].startswith("ValueError: ")
+        # A cell past the double range holds inf beside its log10 shadow.
+        tables._set_real(table.rows[1], "kappa_prime_minus", 400.0)
+        assert table.rows[1]["kappa_prime_minus"] == math.inf
+        assert table_from_json(emit(table, "json")) == table
+
     def test_csv_error_cell_keeps_columns(self):
-        # The OddSize message holds a comma; csv writes ';' in its place so
+        # The odd-n message holds a comma; csv writes ';' in its place so
         # the failed row keeps one cell per header column.
         table = run_table("T4", {"sizes": [7, 8]})
         message = table.rows[0]["error"]
-        assert message.startswith("OddSize: ") and message.endswith(", got 7")
+        assert message == "ValueError: n must be even and >= 2, got 7"
         lines = [l for l in emit(table, "csv").splitlines() if not l.startswith("#")]
         header, failed = lines[0].split(","), lines[1].split(",")
         assert len(failed) == len(header) == len(lines[2].split(","))
