@@ -221,16 +221,19 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False):
     """(gap, i, j) of the smallest |s_i - t_j|, the first such pair in row-major order.
 
     skip_self leaves out i == j, for one vector scanned against itself.
+    A difference past the float range (finite points of opposite signs near
+    1.8e308) is a gap of inf, which is the right answer here.
     """
     gap, i, j = math.inf, 0, 0
-    for lo, d in diff_blocks(sp, tp):
-        a = np.abs(d)
-        if skip_self:
-            k = np.arange(len(a))
-            a[k, lo + k] = np.inf
-        k = int(a.argmin())
-        if a.flat[k] < gap:
-            gap, i, j = float(a.flat[k]), lo + k // a.shape[1], k % a.shape[1]
+    with np.errstate(over="ignore"):
+        for lo, d in diff_blocks(sp, tp):
+            a = np.abs(d)
+            if skip_self:
+                k = np.arange(len(a))
+                a[k, lo + k] = np.inf
+            k = int(a.argmin())
+            if a.flat[k] < gap:
+                gap, i, j = float(a.flat[k]), lo + k // a.shape[1], k % a.shape[1]
     return gap, i, j
 
 

@@ -108,8 +108,18 @@ def top_singular_value(M: DenseMatrix):
     LANCZOS_MAX_STEPS) steps.  The value returned is ||M x|| recomputed for
     the unit Ritz vector x: a Rayleigh quotient, so up to the rounding of
     that product it never exceeds sigma_1, converged or not.  M is square.
+
+    Norms square the entries, so past 2^480 the iteration runs on 2^-e M,
+    an exact scaling applied to each vector M multiplies (no scaled copy
+    of M is built), and scales sigma_1 back; below that it runs on M
+    itself.  RangeOverflow is raised if sigma_1 leaves the float range.
     """
     A = M.data
+    # |entry| <= sqrt(2) max(|re|, |im|), read with no n x n temporary.
+    big = max(float(A.real.max()), -float(A.real.min()),
+              float(A.imag.max()), -float(A.imag.min()))
+    e = max(0, math.frexp(big)[1] - 480)
+    scale = math.ldexp(1.0, -e)  # 1.0 leaves every product bit-identical
     cap = min(M.cols, LANCZOS_MAX_STEPS)
     U = np.zeros((cap, A.shape[0]), dtype=np.complex128)
     V = np.zeros((cap, A.shape[1]), dtype=np.complex128)
@@ -122,23 +132,31 @@ def top_singular_value(M: DenseMatrix):
     for j in range(cap):
         V[j] = v
         # beta and U[-1] are still 0 when j = 0.
-        u = _orthogonalize(A @ v - beta * U[j - 1], U[:j])
+        u = _orthogonalize(A @ (scale * v) - beta * U[j - 1], U[:j])
         alpha = np.linalg.norm(u)
         if alpha == 0.0:  # A v lies in span U[:j]: nothing more to find
             break
         U[j] = u / alpha
         B[j, j] = alpha
         B[j - 1, j] = beta
-        w = _orthogonalize(np.conj(np.conj(U[j]) @ A) - alpha * v, V[:j + 1])
+        w = _orthogonalize(np.conj((scale * np.conj(U[j])) @ A) - alpha * v, V[:j + 1])
         beta = np.linalg.norm(w)
-        P, theta, QH = np.linalg.svd(B[:j + 1, :j + 1])
+        try:
+            P, theta, QH = np.linalg.svd(B[:j + 1, :j + 1])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
         q = QH[0].conj()
         if beta * abs(P[j, 0]) <= LANCZOS_TOL * theta[0]:
             converged = True
             break
         v = w / beta
     x = q @ V[:len(q)]
-    return float(np.linalg.norm(A @ (x / np.linalg.norm(x)))), len(q), converged
+    sigma1 = float(np.linalg.norm(A @ (scale * (x / np.linalg.norm(x)))))
+    try:
+        return math.ldexp(sigma1, e), len(q), converged
+    except OverflowError:
+        raise RangeOverflow(math.log10(sigma1) + e * math.log10(2.0),
+                            where="sigma_1") from None
 
 
 def poly_from_roots(knots: KnotVector) -> np.ndarray:
@@ -258,21 +276,37 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     return complex(roots[best]), best_log
 
 
+def _substitute(T: np.ndarray, B: np.ndarray, lower: bool, unit: bool) -> None:
+    """Solve T X = B in place in B, T triangular, one row of B at a time.
+
+    Reads only the triangle of T that `lower` names, plus its diagonal
+    unless `unit` (ones implied), so a packed LU block serves as either
+    factor.  B is 1-D or holds one right-hand side per column.  T has at
+    most `GENP_BLOCK` rows: each row costs one vector-matrix product with
+    the rows of B already solved.
+    """
+    n = T.shape[0]
+    for i in (range(n) if lower else range(n - 1, -1, -1)):
+        if lower:
+            B[i] -= T[i, :i] @ B[:i]
+        else:
+            B[i] -= T[i, i + 1:] @ B[i + 1:]
+        if not unit:
+            B[i] /= T[i, i]
+
+
 def _genp_factor(a: np.ndarray):
     """Blocked right-looking LU with no row or column interchange.
 
     Works in place on one packed copy of `a`: the unit-lower L sits below
     the diagonal (its ones are implied) and U on and above it.  Each block
     of `GENP_BLOCK` columns factors its diagonal block column by column;
-    one triangular solve each then forms the L21 column block and the U12
-    row block, and one matrix product applies the Schur update to the
-    trailing matrix.  Every pivot is checked as it is reached, and the
-    finished factor once for overflow, so solves on it need no finiteness
-    scan.  Returns (LU, min |pivot|).
+    `_substitute` then forms the L21 column block (solving U11^T against
+    A21^T) and the U12 row block, and one matrix product applies
+    the Schur update to the trailing matrix.  Every pivot is checked as it
+    is reached, and the finished factor once for overflow, so solves on it
+    need no finiteness scan.  Returns (LU, min |pivot|).
     """
-    # scipy.linalg costs about 0.35 s to import and only GENP needs it.
-    import scipy.linalg
-
     LU = np.array(a, dtype=np.complex128)
     n = LU.shape[0]
     min_pivot = math.inf
@@ -290,13 +324,9 @@ def _genp_factor(a: np.ndarray):
                                                    LU[k, k + 1:k1])
             if k1 < n:
                 diag = LU[k0:k1, k0:k1]
-                # L21 = A21 U11^-1 and U12 = L11^-1 A12.
-                LU[k1:, k0:k1] = scipy.linalg.solve_triangular(
-                    diag, LU[k1:, k0:k1].T, trans="T", lower=False,
-                    check_finite=False).T
-                LU[k0:k1, k1:] = scipy.linalg.solve_triangular(
-                    diag, LU[k0:k1, k1:], lower=True, unit_diagonal=True,
-                    check_finite=False)
+                # L21 = A21 U11^-1 and U12 = L11^-1 A12, both in place.
+                _substitute(diag.T, LU[k1:, k0:k1].T, lower=True, unit=False)
+                _substitute(diag, LU[k0:k1, k1:], lower=True, unit=True)
                 LU[k1:, k1:] -= LU[k1:, k0:k1] @ LU[k0:k1, k1:]
     if not np.all(np.isfinite(LU)):
         raise RangeOverflow(math.inf, where="GENP factor")
@@ -306,14 +336,25 @@ def _genp_factor(a: np.ndarray):
 def _genp_solve_packed(LU: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve with the packed factor for one or many right-hand-side columns.
 
-    The packed layout is LAPACK's getrf output, so identity pivots make
-    one getrs call do both triangular solves.  `_genp_factor` has checked
-    the factor finite.
+    A blocked forward solve with the unit-lower L, then a blocked back
+    solve with U: per `GENP_BLOCK` rows, one matrix product takes off the
+    blocks already solved and `_substitute` solves the diagonal block.
+    `_genp_factor` has checked the factor finite; a solution that leaves
+    the float range comes out non-finite, with no warning.
     """
-    import scipy.linalg
-
-    piv = np.arange(LU.shape[0], dtype=np.int32)
-    return scipy.linalg.lu_solve((LU, piv), b, check_finite=False)
+    n = LU.shape[0]
+    X = np.array(b, dtype=np.complex128)
+    starts = range(0, n, GENP_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in starts:
+            k1 = min(k0 + GENP_BLOCK, n)
+            X[k0:k1] -= LU[k0:k1, :k0] @ X[:k0]
+            _substitute(LU[k0:k1, k0:k1], X[k0:k1], lower=True, unit=True)
+        for k0 in reversed(starts):
+            k1 = min(k0 + GENP_BLOCK, n)
+            X[k0:k1] -= LU[k0:k1, k1:] @ X[k1:]
+            _substitute(LU[k0:k1, k0:k1], X[k0:k1], lower=False, unit=False)
+    return X
 
 
 def genp_solve(A: DenseMatrix, b):
@@ -342,10 +383,12 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     solved together as the columns of one n x trials right-hand side.
 
     Results are bit-reproducible for a fixed (n, trials, seed).  Residual
-    means at n >= 256 are dominated by rounding-order noise: once they
+    means at n >= 128 are dominated by rounding-order noise: once they
     reach about 1 they carry no reproducible digits across factorization
-    orders, and they moved when the factor became blocked (n=256 from
-    6.4e3 to 4.4e2 at seed 12345).
+    or solve orders.  They moved when the factor became blocked (n=256
+    from 6.4e3 to 4.4e2 at seed 12345), and at every n when the solve
+    became blocked substitution in numpy (seed 12345, n=16 1.11e-13 to
+    1.06e-13, n=128 19.0 to 14.4, n=256 444 to 385).
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -116,21 +116,50 @@ class TestPrintEntries:
         assert capsys.readouterr().out == reference_entries("i,j,log10mag,phase", mag, ph)
 
 
+#: The command lines of the bench's cli-session workload, with f = e^{0.3i}
+#: in place of its seeded f.
+CLI_SESSION = (
+    ["gen-knots", "--gen", "van-der-corput", "--n", "4096", "--out", "K"],
+    ["gen-knots", "--gen", "file", "--file", "K", "--out", "K2"],
+    ["cond", "--gen", "quasi-cyclic", "--n", "48"],
+    ["cond", "--gen", "van-der-corput", "--n", "768"],
+    ["bounds", "--gen", "quasi-cyclic", "--n", "768", "--f=0.955336489125606,0.29552020666133955"],
+    ["bounds", "--gen", "scaled-cluster", "--n", "768", "--k", "96", "--rho", "0.5",
+     "--f=0.955336489125606,0.29552020666133955"],
+    ["invert", "--gen", "quasi-cyclic", "--n", "384", "--method", "cv",
+     "--f=0.955336489125606,0.29552020666133955"],
+    ["invert", "--gen", "quasi-cyclic", "--n", "384", "--method", "cauchy", "--log-domain",
+     "--f=0.955336489125606,0.29552020666133955"],
+    ["table", "--id", "3"],
+    ["table", "--id", "4", "--format", "json"],
+    ["build", "--gen", "dft", "--n", "256", "--dump", "D"],
+    ["genp", "--n", "256", "--seed", "12345"],
+)
+
+
 class TestColdStart:
-    def test_scipy_is_imported_by_genp_only(self):
-        # A fresh interpreter: the CLI and a cond call leave scipy unloaded.
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        # A fresh interpreter in which `import scipy` fails runs the
+        # cli-session script, a blocked GENP (n = 130 > GENP_BLOCK) and every
+        # table, and ends with no scipy module loaded.
         src = os.path.dirname(os.path.dirname(vandcond.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        code = ("import sys, vandcond, vandcond.cli\n"
-                "assert vandcond.cli.main(['cond', '--gen', 'quasi-cyclic', '--n', '12']) == 0\n"
-                "print('scipy' in sys.modules)\n"
-                "vandcond.genp_residual_experiment(16, 2, 1)\n"
-                "print('scipy' in sys.modules)\n")
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120)
+        code = ("import contextlib, os, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import vandcond.cli, vandcond.tables\n"
+                f"argvs = {[*CLI_SESSION, ['genp', '--n', '130', '--trials', '3']]!r}\n"
+                "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+                "    for argv in argvs:\n"
+                "        assert vandcond.cli.main(argv) == 0, argv\n"
+                "for tid, size in (('T1', 64), ('T2', 64), ('T3', 4), ('T4', 8), ('T5', 16)):\n"
+                "    table = vandcond.tables.run_table(tid, {'sizes': (size,), 'trials': 3})\n"
+                "    assert table.rows and not any(r['error'] for r in table.rows), tid\n"
+                "print(sys.modules['scipy'], sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-2:] == ["False", "True"]
+        assert res.stdout.splitlines()[-1] == "None []"
 
     def test_bounds_above_the_svd_crossover_stays_scipy_free(self):
         # The cluster bound takes its norm from Lanczos here, not from scipy.

@@ -107,6 +107,18 @@ class TestNonFiniteKnots:
             knotgen.single_outlier(8, points[-1])
         assert len(recwarn) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_gap_past_the_float_range(self, tmp_path, capsys):
+        # 1.7e308 - (-1.7e308) overflows to a gap of inf: accepted, no warning.
+        points = [1.7e308, -1.7e308]
+        assert knotgen.KnotVector(points).as_array().tolist() == points
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text("1.7e308,0\n-1.7e308,0\n")
+        assert cli.main(["gen-knots", "--gen", "file", "--file", str(src),
+                         "--out", str(dst)]) == 0
+        assert capsys.readouterr().err == ""
+        assert knotgen.read_knots(dst).as_array().tolist() == points
+
     @pytest.mark.parametrize("line", ["nan,0", "inf,0", "0,-inf"])
     def test_read_knots(self, tmp_path, line):
         path = tmp_path / "knots.txt"

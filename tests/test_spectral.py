@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vandcond import cauchyinv, knotgen, spectral, structmat
-from vandcond.errors import RangeOverflow, ZeroPivot
+from vandcond.errors import ConvergenceFailure, RangeOverflow, ZeroPivot
 from vandcond.logdomain import log_magnitudes, log_products
 
 
@@ -76,6 +76,31 @@ class TestTopSingularValue:
         value, steps, converged = spectral.top_singular_value(M)
         assert (steps, converged) == (2, False)
         assert value <= sigma1 * (1.0 + 1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_past_the_square_range(self):
+        # 350 knots at radius 3 put 3^399 = 10^190.4 in V: the squares of the
+        # unscaled Lanczos vectors overflowed here.
+        pts = np.concatenate([0.5 * knotgen.unit_roots(50) * np.exp(0.01j),
+                              3.0 * knotgen.unit_roots(350)])
+        M = structmat.vandermonde(kv(pts))
+        value, _, converged = spectral.top_singular_value(M)
+        sigma1 = spectral.singular_values(M).sigma1
+        assert converged and math.log10(sigma1) > 190.0
+        assert abs(value / sigma1 - 1.0) <= 1e-12
+
+    def test_sigma1_past_the_float_range(self):
+        M = structmat.DenseMatrix(np.full((200, 200), 1e307, dtype=complex))
+        with pytest.raises(RangeOverflow) as err:
+            spectral.top_singular_value(M)
+        assert abs(err.value.log10_magnitude - (307.0 + math.log10(200.0))) < 1e-9
+
+    def test_bidiagonal_svd_failure_is_typed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(spectral.np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceFailure):
+            spectral.top_singular_value(structmat.vandermonde(knotgen.quasi_cyclic(12)))
 
 
 class TestPolyFromRoots:
@@ -299,6 +324,44 @@ def _dominant(n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a + 4.0 * n * np.eye(n)
+
+
+def _substitution_loop(T, B, lower, unit):
+    """Triangular solve one entry at a time: the reference for `_substitute`."""
+    n = T.shape[0]
+    X = np.array(B, dtype=np.complex128)
+    cols = X.reshape(n, -1)  # a view: 1-D B is one column
+    for i in (range(n) if lower else range(n - 1, -1, -1)):
+        for c in range(cols.shape[1]):
+            acc = cols[i, c]
+            for j in (range(i) if lower else range(i + 1, n)):
+                acc -= T[i, j] * cols[j, c]
+            cols[i, c] = acc if unit else acc / T[i, i]
+    return X
+
+
+class TestSubstitute:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("rhs", [None, 3])
+    def test_matches_dense_solve_and_entry_loop(self, n, lower, unit, rhs):
+        rng = np.random.Generator(np.random.Philox(n))
+        bshape = (n,) if rhs is None else (n, rhs)
+        T = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+        T[np.diag_indices(n)] = 2.0 + rng.uniform(0.0, 1.0, n)
+        B = rng.standard_normal(bshape) + 1j * rng.standard_normal(bshape)
+        # The dense triangle: off-diagonal entries of 1/n and a diagonal in
+        # [2, 3] keep kappa(T) near 1.  `_substitute` gets the full square,
+        # so it must read only its triangle (and no diagonal when unit).
+        dense = np.tril(T, -1) if lower else np.triu(T, 1)
+        dense += np.eye(n) if unit else np.diag(np.diag(T))
+        got = B.copy()
+        spectral._substitute(T, got, lower, unit)
+        scale = np.abs(got).max()
+        # Forward error of either solve: a few n eps kappa(T) |x|.
+        for ref in (np.linalg.solve(dense, B), _substitution_loop(T, B, lower, unit)):
+            assert np.abs(got - ref).max() <= 4.0 * n * np.finfo(float).eps * scale
 
 
 class TestGenpBlockedFactor:
