@@ -29,10 +29,12 @@ CATALAN = 0.915965594177219015
 _LOG2 = math.log10(2.0)
 
 #: Largest n at which the computed-norm cluster bound takes sigma_1 from the
-#: full SVD; above it `top_singular_value` is faster.  Best-of-40 on 2 cores,
-#: scaled_cluster(n, n // 8, rho): at n = 128 the two tie for rho = 3/4
-#: (SVD 3.9 ms, Lanczos 3.7-4.6) while Lanczos takes half the time for
-#: rho = 1/2; at n = 192 Lanczos takes 2.0-3.8 ms against the SVD's 9 ms.
+#: full SVD of V; above it the matrix-free `top_singular_value` is faster.
+#: Best-of-40 on 2 cores, scaled_cluster(n, n // 8, rho), two runs each,
+#: building V plus its SVD against Lanczos on the knots:
+#: n = 96: 3.0-3.4 ms against 4.8-5.3 (rho = 3/4) and 3.2-3.5 (rho = 1/2);
+#: n = 128: 5.7-6.1 ms against 4.2-5.1 and 2.2-2.3;
+#: n = 192: 11.5-12.7 ms against 5.8-7.6 and 2.8-4.1.
 SVD_MAX_N = 128
 
 #: Knots within this absolute distance of the inflated disc boundary count
@@ -123,8 +125,9 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     experiment column for scaled clusters (verified to a fraction of a
     percent) and is reported side by side with the literal form.  The norm
     comes from the full SVD up to n = SVD_MAX_N and from the Lanczos Ritz
-    value of `spectral.top_singular_value` above it, or again from the SVD
-    where Lanczos stops at its step cap unconverged; params record which
+    value of `spectral.top_singular_value` above it, which never forms V,
+    or from the SVD of V after all where Lanczos stops at its step cap
+    unconverged; V is built only for the SVD.  Params record which
     (`norm_method`) and the Lanczos steps run (0 up to SVD_MAX_N).  The Ritz
     value never exceeds the norm, so the bound stays a lower bound.
     """
@@ -146,12 +149,11 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
         div_tag = "max(k, nu/(nu-1))"
         extra = {}
     else:
-        V = vandermonde(s)
         steps, converged = 0, False
         if n > SVD_MAX_N:
-            sigma1, steps, converged = top_singular_value(V)
+            sigma1, steps, converged = top_singular_value(s)
         if not converged:
-            sigma1 = singular_values(V).sigma1
+            sigma1 = singular_values(vandermonde(s)).sigma1
         log_norm = math.log10(sigma1)
         norm_tag = "spectral"
         div_tag = "nu/(nu-1)"

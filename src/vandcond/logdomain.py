@@ -35,6 +35,7 @@ DISTINCT_TOL = 1e-13
 CHUNK = 1 << 14
 
 _TWO_PI = 2.0 * math.pi
+_LOG10_2 = math.log10(2.0)
 
 
 def wrap_phase(p, out=None):
@@ -145,15 +146,26 @@ def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool, phase: bool = 
     """Row sums of log10|x - knot| and angle(x - knot); skip_self drops x_j - x_j.
 
     Without `phase` the angle sums are skipped and None is returned for them.
+    A difference past the float range (finite points of opposite signs near
+    1.8e308) is taken again from the halved operands, exactly, as
+    log10|x/2 - knot/2| + log10 2; such a row sums to +inf or nan at first,
+    so rows that do not meet one keep their bits.
     """
     mag = np.empty(len(xs))
     ph = np.empty(len(xs)) if phase else None
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for lo, d in diff_blocks(xs, knots):
             if skip_self:
                 k = np.arange(len(d))
                 d[k, lo + k] = 1.0
-            mag[lo:lo + len(d)] = np.sum(np.log10(np.abs(d)), axis=1)
+            logs = np.log10(np.abs(d))
+            rows = np.sum(logs, axis=1)
+            if not np.all(rows < np.inf):
+                i, j = np.nonzero(logs == np.inf)
+                d[i, j] = 0.5 * xs[lo + i] - 0.5 * knots[j]
+                logs[i, j] = np.log10(np.abs(d[i, j])) + _LOG10_2
+                rows = np.sum(logs, axis=1)
+            mag[lo:lo + len(d)] = rows
             if phase:
                 ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
     return mag, ph

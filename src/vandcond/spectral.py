@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot
 from .knotgen import KnotVector, unit_roots
 from .logdomain import log_magnitudes
-from .structmat import DenseMatrix, dft
+from .structmat import DenseMatrix, check_vandermonde_range, dft
 
 #: Pivots at or below this magnitude signal a structurally singular block
 #: rather than mere ill-conditioning.
@@ -96,35 +96,84 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def top_singular_value(M: DenseMatrix):
-    """(sigma_1 of M, steps, converged) by Golub-Kahan-Lanczos bidiagonalization.
+def _vandermonde_operator(pts: np.ndarray, scale: float):
+    """Closures x -> scale V x and y -> scale V^H y for V = [s_i^j], never formed.
 
-    The start vector is fixed (Philox seed 0) and each new Lanczos vector is
-    orthogonalized twice against all earlier ones, so reruns give the same
-    bits.  After k steps the largest singular value theta of the k x k
-    bidiagonal B_k is the Ritz value, with residual beta_k |p_k| (p the left
-    singular vector of B_k).  The iteration stops once that residual is at
-    most LANCZOS_TOL * theta (`converged`), or after min(n,
-    LANCZOS_MAX_STEPS) steps.  The value returned is ||M x|| recomputed for
-    the unit Ritz vector x: a Rayleigh quotient, so up to the rounding of
-    that product it never exceeds sigma_1, converged or not.  M is square.
-
-    Norms square the entries, so past 2^480 the iteration runs on 2^-e M,
-    an exact scaling applied to each vector M multiplies (no scaled copy
-    of M is built), and scales sigma_1 back; below that it runs on M
-    itself.  RangeOverflow is raised if sigma_1 leaves the float range.
+    With m = ceil(sqrt(n)) and p = ceil(n / m), columns r + m k (r < m) of
+    V are D^k P^T, where P[r] = s^r holds the first m powers and
+    D = diag(s^m): V = [P^T | D P^T | D^2 P^T | ...].
+    - V x is one product X P, X the p x m matrix of x (zero-padded, row k
+      holding x[m k : m k + m]); Horner's rule in s^m then sums its p rows.
+    - V^H y is Y conj(P)^T read row by row, with Y[k] = conj(s^m)^k y.  It is
+      taken as the conjugate of conj(Y) P^T, so no conjugate of P is kept.
+    Each closure is one p x m x n matrix product plus p - 1 elementwise
+    steps over n entries.  The operator keeps P, and each call makes one
+    p x n array: O(n sqrt n) memory.  `scale` multiplies the argument first;
+    the caller picks it so that every product stays within the range
+    `top_singular_value` squares.
     """
-    A = M.data
-    # |entry| <= sqrt(2) max(|re|, |im|), read with no n x n temporary.
-    big = max(float(A.real.max()), -float(A.real.min()),
-              float(A.imag.max()), -float(A.imag.min()))
+    n = len(pts)
+    m = math.isqrt(n - 1) + 1
+    p = -(-n // m)
+    P = np.ones((m, n), dtype=np.complex128)
+    for r in range(1, m):
+        np.multiply(P[r - 1], pts, out=P[r])
+    d = P[-1] * pts
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        X = np.zeros(p * m, dtype=np.complex128)
+        X[:n] = scale * x
+        Z = X.reshape(p, m) @ P
+        acc = Z[-1]
+        for k in range(p - 2, -1, -1):
+            acc *= d
+            acc += Z[k]
+        return acc
+
+    def rmatvec(y: np.ndarray) -> np.ndarray:
+        Y = np.empty((p, n), dtype=np.complex128)
+        np.conj(scale * y, out=Y[0])
+        for k in range(1, p):
+            np.multiply(Y[k - 1], d, out=Y[k])
+        return np.conj(Y @ P.T).reshape(-1)[:n]
+
+    return matvec, rmatvec
+
+
+def top_singular_value(s: KnotVector):
+    """(sigma_1 of V, steps, converged) for V = [s_i^j] by Golub-Kahan-Lanczos
+    bidiagonalization, with no n x n array.
+
+    V multiplies vectors through `_vandermonde_operator`, in O(n sqrt n)
+    memory; with the Lanczos vectors the run holds
+    O(n (sqrt n + LANCZOS_MAX_STEPS)).  The start vector is fixed (Philox
+    seed 0) and each new Lanczos vector is orthogonalized twice against all
+    earlier ones, so reruns give the same bits.  After k steps the largest
+    singular value theta of the k x k bidiagonal B_k is the Ritz value, with
+    residual beta_k |p_k| (p the left singular vector of B_k).  The
+    iteration stops once that residual is at most LANCZOS_TOL * theta
+    (`converged`), or after min(n, LANCZOS_MAX_STEPS) steps.  The value
+    returned is ||V x|| recomputed for the unit Ritz vector x: a Rayleigh
+    quotient, so up to the rounding of that product it never exceeds
+    sigma_1, converged or not.
+
+    Knots past `structmat.check_vandermonde_range` are refused as for
+    `vandermonde`.  Norms square the entries, so once the largest entry
+    max(1, s_+)^(n-1) passes 2^480 the iteration runs on 2^-e V, an exact
+    scaling of each vector V multiplies, and scales sigma_1 back; below that
+    it runs on V itself.  RangeOverflow is raised if sigma_1 leaves the
+    float range.
+    """
+    check_vandermonde_range(s)
+    n = len(s)
+    big = max(1.0, s.max_modulus()) ** (n - 1)
     e = max(0, math.frexp(big)[1] - 480)
-    scale = math.ldexp(1.0, -e)  # 1.0 leaves every product bit-identical
-    cap = min(M.cols, LANCZOS_MAX_STEPS)
-    U = np.zeros((cap, A.shape[0]), dtype=np.complex128)
-    V = np.zeros((cap, A.shape[1]), dtype=np.complex128)
+    matvec, rmatvec = _vandermonde_operator(s.as_array(), math.ldexp(1.0, -e))
+    cap = min(n, LANCZOS_MAX_STEPS)
+    U = np.zeros((cap, n), dtype=np.complex128)
+    V = np.zeros((cap, n), dtype=np.complex128)
     B = np.zeros((cap, cap))  # alpha on the diagonal, beta above it
-    v = np.random.Generator(np.random.Philox(0)).standard_normal(A.shape[1])
+    v = np.random.Generator(np.random.Philox(0)).standard_normal(n)
     v = v / np.linalg.norm(v)
     beta = 0.0
     q = np.ones(1)  # the Ritz vector's coefficients in the rows of V
@@ -132,14 +181,14 @@ def top_singular_value(M: DenseMatrix):
     for j in range(cap):
         V[j] = v
         # beta and U[-1] are still 0 when j = 0.
-        u = _orthogonalize(A @ (scale * v) - beta * U[j - 1], U[:j])
+        u = _orthogonalize(matvec(v) - beta * U[j - 1], U[:j])
         alpha = np.linalg.norm(u)
-        if alpha == 0.0:  # A v lies in span U[:j]: nothing more to find
+        if alpha == 0.0:  # matvec(v) lies in span U[:j]: nothing more to find
             break
         U[j] = u / alpha
         B[j, j] = alpha
         B[j - 1, j] = beta
-        w = _orthogonalize(np.conj((scale * np.conj(U[j])) @ A) - alpha * v, V[:j + 1])
+        w = _orthogonalize(rmatvec(U[j]) - alpha * v, V[:j + 1])
         beta = np.linalg.norm(w)
         try:
             P, theta, QH = np.linalg.svd(B[:j + 1, :j + 1])
@@ -151,7 +200,7 @@ def top_singular_value(M: DenseMatrix):
             break
         v = w / beta
     x = q @ V[:len(q)]
-    sigma1 = float(np.linalg.norm(A @ (scale * (x / np.linalg.norm(x)))))
+    sigma1 = float(np.linalg.norm(matvec(x / np.linalg.norm(x))))
     try:
         return math.ldexp(sigma1, e), len(q), converged
     except OverflowError:
@@ -362,6 +411,8 @@ def genp_solve(A: DenseMatrix, b):
 
     Returns the solution and the smallest pivot magnitude encountered, the
     standard diagnostic for singular or ill-conditioned leading blocks.
+    RangeOverflow is raised if the factor or the solution leaves the float
+    range.
     """
     if A.rows != A.cols:
         raise ValueError("matrix must be square")
@@ -371,7 +422,10 @@ def genp_solve(A: DenseMatrix, b):
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
     LU, min_pivot = _genp_factor(A.data)
-    return _genp_solve_packed(LU, b), min_pivot
+    x = _genp_solve_packed(LU, b)
+    if not np.all(np.isfinite(x)):
+        raise RangeOverflow(math.inf, where="GENP solve")
+    return x, min_pivot
 
 
 def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:

@@ -50,17 +50,26 @@ class DenseMatrix:
         return self.data.shape[1]
 
 
-def vandermonde(s: KnotVector) -> DenseMatrix:
-    """Square matrix with entry (i, j) = s_i**j, powers by repeated multiplication."""
-    pts = s.as_array()
-    n = len(pts)
-    s_plus = float(np.max(np.abs(pts)))
+def check_vandermonde_range(s: KnotVector) -> None:
+    """RangeOverflow unless every |s_i**j|, j < n, is at most 10**OVERFLOW_LOG10.
+
+    The largest of them is max(1, s_+)**(n - 1), so s_+ alone decides.
+    """
+    n = len(s)
+    s_plus = s.max_modulus()
     if n > 1 and s_plus > 1.0 and (n - 1) * np.log10(s_plus) > OVERFLOW_LOG10:
         raise RangeOverflow((n - 1) * np.log10(s_plus), where="vandermonde")
+
+
+def vandermonde(s: KnotVector) -> DenseMatrix:
+    """Square matrix with entry (i, j) = s_i**j, powers by repeated multiplication."""
+    check_vandermonde_range(s)
+    pts = s.as_array()
+    n = len(pts)
     # Powers lo.. fill the rows of a 64-row band (contiguous writes), and
     # each band is copied into its columns of V: the same products as a
     # column-by-column fill, bit for bit, with no second n x n array.  The
-    # check above caps every |s_i**j| at 10**OVERFLOW_LOG10, so no product
+    # range check caps every |s_i**j| at 10**OVERFLOW_LOG10, so no product
     # overflows; DenseMatrix makes the one finiteness scan.
     V = np.empty((n, n), dtype=np.complex128)
     band = np.ones((min(n, 64), n), dtype=np.complex128)

@@ -90,6 +90,19 @@ class TestBoundCluster:
         assert (rep.params["norm_method"], rep.params["lanczos_steps"]) == ("svd", 2)
         assert rep.params["log10_norm"] == math.log10(sigma1)
 
+    @pytest.mark.parametrize("n, budget_mb", [(1536, 10), (4096, 32)])
+    def test_computed_norm_never_holds_v(self, n, budget_mb):
+        # V alone is 16 n^2 bytes: 37.7 MB at n = 1536, 268 MB at n = 4096.
+        knots = knotgen.scaled_cluster(n, n // 8, 0.5)
+        tracemalloc.start()
+        try:
+            rep = bounds.bound_cluster(knots, n // 8, 2.0, "computed-norm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.params["norm_method"] == "lanczos"
+        assert peak <= budget_mb * 1e6
+
     @pytest.mark.parametrize("mode", ["literal", "computed-norm"])
     def test_value_is_the_formula_applied_to_its_norm(self, mode):
         rep = bounds.bound_cluster(knotgen.scaled_cluster(64, 8, 0.5), 8, 2.0, mode)

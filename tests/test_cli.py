@@ -375,6 +375,20 @@ class TestBounds:
         assert not coeff["applicable"]
         assert coeff["reason"] == "knots leave the unit disc (s_+ = 3)"
 
+    def test_knots_near_the_float_limit_list_no_applicable_null(self, tmp_path, capsys,
+                                                                 recwarn):
+        # s_1 - s_2 = 3.4e308 overflowed inside the corrected CV inverse,
+        # which then printed an applicable line with a null value.
+        path = tmp_path / "huge.txt"
+        path.write_text("1.7e308,0\n-1.7e308,0\n")
+        code, out, err = run(["bounds", "--gen", "file", "--file", str(path)], capsys)
+        assert code == 0 and err == "" and len(recwarn) == 0
+        reports = [json.loads(l) for l in out.splitlines()]
+        assert not [r for r in reports if r["applicable"] and r["log10value"] is None]
+        # Largest corrected entry a^2 / 4 against max |s_i^2 - f^2| = a^2.
+        cv = {r["variant"]: r for r in reports if r["bound_id"] == "cv-inverse"}
+        assert abs(cv["corrected"]["log10value"] - (0.5 - 2.0) * math.log10(2.0)) < 1e-12
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_knot_at_origin_refuses_only_the_cluster_lines(self, n, capsys, recwarn):
         # The only knot inside the unit disc is 0, so nu = 1/0: the listing

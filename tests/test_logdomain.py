@@ -213,6 +213,27 @@ class TestBlockedKernels:
             assert abs(mag[j] - math.log10(abs(direct))) < 1e-13
             assert abs(wrap_phase(ph[j] - cmath.phase(direct))) < 1e-13
 
+    @pytest.mark.filterwarnings("error")
+    def test_differences_past_the_float_range(self, tiny_blocks):
+        # Finite points of opposite signs near 1.8e308 differ by more than
+        # the float range, in a real part, an imaginary part or a modulus.
+        p = np.array([1.7e308, -1.7e308, 1.5e308j, -1.2e308 + 1.2e308j,
+                      -1.2e308 - 1.2e308j, 0.5 - 2j, 3.0, 1e-300])
+        mp = [mpmath.mpc(z.real, z.imag) for z in p]
+        mag, ph = self_derivative_logs(p)
+        for j in range(len(p)):
+            prod = mpmath.fprod(mp[j] - mp[k] for k in range(len(p)) if k != j)
+            want = float(mpmath.log10(abs(prod)))  # up to 1542: a relative tolerance
+            assert abs(mag[j] - want) <= 1e-14 * max(1.0, abs(want))
+            assert abs(wrap_phase(ph[j] - float(mpmath.arg(prod)))) < 1e-13
+        mag2, ph2 = log_products(p[:3], p[3:])
+        assert np.array_equal(log_magnitudes(p[:3], p[3:]), mag2)
+        for j in range(3):
+            prod = mpmath.fprod(mp[j] - mp[k] for k in range(3, len(p)))
+            want = float(mpmath.log10(abs(prod)))
+            assert abs(mag2[j] - want) <= 1e-14 * max(1.0, abs(want))
+            assert abs(wrap_phase(ph2[j] - float(mpmath.arg(prod)))) < 1e-13
+
     def test_check_disjoint_reports_closest_pair(self, tiny_blocks):
         sp, tp = self.points(10, 4), self.points(6, 5)
         tp[2] = sp[7] + 1e-15

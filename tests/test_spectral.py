@@ -62,18 +62,28 @@ class TestTopSingularValue:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gen, n, scale", SIGMA1_CASES)
     def test_matches_the_svd_and_repeats_bit_for_bit(self, gen, n, scale):
-        M = structmat.vandermonde(kv(scale * GENERATORS[gen](n).as_array()))
-        sigma1 = np.linalg.svd(M.data, compute_uv=False)[0]
-        value, steps, converged = spectral.top_singular_value(M)
+        s = kv(scale * GENERATORS[gen](n).as_array())
+        sigma1 = np.linalg.svd(structmat.vandermonde(s).data, compute_uv=False)[0]
+        value, steps, converged = spectral.top_singular_value(s)
         assert abs(value / sigma1 - 1.0) <= 1e-12
-        assert converged and 1 <= steps <= min(M.rows, spectral.LANCZOS_MAX_STEPS)
-        assert spectral.top_singular_value(M) == (value, steps, converged)
+        assert converged and 1 <= steps <= min(len(s), spectral.LANCZOS_MAX_STEPS)
+        assert spectral.top_singular_value(s) == (value, steps, converged)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [65, 400])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.01])
+    def test_closed_form_on_scaled_roots_of_unity(self, n, r):
+        # s = r omega^i gives V = F diag(r^j), with F's columns orthogonal
+        # of norm sqrt(n): the singular values are sqrt(n) r^j.
+        value, _, converged = spectral.top_singular_value(kv(r * knotgen.unit_roots(n)))
+        assert converged
+        assert abs(value / (math.sqrt(n) * max(1.0, r) ** (n - 1)) - 1.0) <= 1e-12
 
     def test_capped_run_stays_below_sigma1(self, monkeypatch):
-        M = structmat.vandermonde(knotgen.scaled_cluster(192, 24, 0.5))
-        sigma1 = np.linalg.svd(M.data, compute_uv=False)[0]
+        s = knotgen.scaled_cluster(192, 24, 0.5)
+        sigma1 = np.linalg.svd(structmat.vandermonde(s).data, compute_uv=False)[0]
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
-        value, steps, converged = spectral.top_singular_value(M)
+        value, steps, converged = spectral.top_singular_value(s)
         assert (steps, converged) == (2, False)
         assert value <= sigma1 * (1.0 + 1e-13)
 
@@ -81,26 +91,60 @@ class TestTopSingularValue:
     def test_entries_past_the_square_range(self):
         # 350 knots at radius 3 put 3^399 = 10^190.4 in V: the squares of the
         # unscaled Lanczos vectors overflowed here.
-        pts = np.concatenate([0.5 * knotgen.unit_roots(50) * np.exp(0.01j),
-                              3.0 * knotgen.unit_roots(350)])
-        M = structmat.vandermonde(kv(pts))
-        value, _, converged = spectral.top_singular_value(M)
-        sigma1 = spectral.singular_values(M).sigma1
+        s = kv(np.concatenate([0.5 * knotgen.unit_roots(50) * np.exp(0.01j),
+                               3.0 * knotgen.unit_roots(350)]))
+        value, _, converged = spectral.top_singular_value(s)
+        sigma1 = spectral.singular_values(structmat.vandermonde(s)).sigma1
         assert converged and math.log10(sigma1) > 190.0
         assert abs(value / sigma1 - 1.0) <= 1e-12
 
     def test_sigma1_past_the_float_range(self):
-        M = structmat.DenseMatrix(np.full((200, 200), 1e307, dtype=complex))
+        # r^(n-1) = 10^307.4 passes the Vandermonde range check, but
+        # sigma_1 = sqrt(n) r^(n-1) = 10^308.55 does not fit a float.
+        n = 200
+        r = 10.0 ** (307.4 / (n - 1))
         with pytest.raises(RangeOverflow) as err:
-            spectral.top_singular_value(M)
-        assert abs(err.value.log10_magnitude - (307.0 + math.log10(200.0))) < 1e-9
+            spectral.top_singular_value(kv(r * knotgen.unit_roots(n)))
+        assert err.value.where == "sigma_1"
+        want = (n - 1) * math.log10(r) + 0.5 * math.log10(n)
+        assert abs(err.value.log10_magnitude - want) < 1e-9
+
+    def test_entries_past_the_vandermonde_range_are_refused(self):
+        with pytest.raises(RangeOverflow) as err:
+            spectral.top_singular_value(kv(2.0 * knotgen.unit_roots(1100)))
+        assert err.value.where == "vandermonde"
+        assert abs(err.value.log10_magnitude - 1099 * math.log10(2.0)) < 1e-9
 
     def test_bidiagonal_svd_failure_is_typed(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
         monkeypatch.setattr(spectral.np.linalg, "svd", fail)
         with pytest.raises(ConvergenceFailure):
-            spectral.top_singular_value(structmat.vandermonde(knotgen.quasi_cyclic(12)))
+            spectral.top_singular_value(knotgen.quasi_cyclic(12))
+
+
+class TestVandermondeOperator:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 400])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.02])
+    def test_products_match_the_dense_matrix(self, n, r):
+        pts = r * GENERATORS["van-der-corput"](n).as_array()
+        V = structmat.vandermonde(kv(pts)).data
+        matvec, rmatvec = spectral._vandermonde_operator(pts, 1.0)
+        rng = np.random.Generator(np.random.Philox(n))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for got, A in ((matvec(x), V), (rmatvec(x), V.conj().T)):
+            # Rounding of a length-n dot product, entry by entry.
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - A @ x) <= 1e-13 * (np.abs(A) @ np.abs(x)))
+
+    def test_power_of_two_scale_is_exact(self):
+        pts = 1.02 * knotgen.van_der_corput(129).as_array()
+        x = np.random.Generator(np.random.Philox(1)).standard_normal(129) + 0j
+        plain = spectral._vandermonde_operator(pts, 1.0)
+        scaled = spectral._vandermonde_operator(pts, 0.125)
+        for f, g in zip(plain, scaled):
+            assert np.array_equal(g(x), 0.125 * f(x))
 
 
 class TestPolyFromRoots:
@@ -407,6 +451,14 @@ class TestGenpBlockedFactor:
                                            dtype=complex))
         with pytest.raises(RangeOverflow):
             spectral.genp_solve(A, np.ones(2))
+
+    def test_solution_overflow_raises(self):
+        # The factor is finite (multiplier 1e200, U22 = -1e200), but the
+        # forward solve meets 1e200 * 1e300.
+        A = structmat.DenseMatrix(np.array([[1e-200, 1], [1, 0]], dtype=complex))
+        with pytest.raises(RangeOverflow) as err:
+            spectral.genp_solve(A, [1e300, 0])
+        assert err.value.where == "GENP solve"
 
     def test_nonfinite_rhs_rejected(self):
         with pytest.raises(ValueError):
