@@ -16,8 +16,9 @@ Two inverse variants are provided side by side:
 
 All knot products are accumulated as (log10 magnitude, phase) pairs so that
 entries spanning hundreds of decades never overflow; conversion to complex
-floats happens only at API boundaries.  Tables, single cells and
-`bounds.bound_cv` read their entries from the one walk of `inverse_blocks`.
+floats happens only at API boundaries.  Every entry comes from the one walk
+of `inverse_blocks`: the tables (`*_inverse`, `*_log_entries`) and the
+magnitude-only blocks of `bounds.bound_cv`.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ from .structmat import DenseMatrix, check_unit_circle, cv_knots
 class InverseVariant(enum.Enum):
     PAPER = "paper"
     CORRECTED = "corrected"
-
-
-def log_root_product(knots: KnotVector, x: complex) -> LogComplex:
-    """prod_i (x - s_i) as a LogComplex; exactly zero when x is a knot."""
-    mag, ph = log_products(np.array([complex(x)]), knots.as_array())
-    if not np.isfinite(mag[0]):
-        return LogComplex(-math.inf, 0.0)
-    return LogComplex(float(mag[0]), wrap_phase(float(ph[0])))
 
 
 def cauchy_det(s: KnotVector, t: KnotVector) -> LogComplex:
@@ -141,34 +134,6 @@ def _materialize(mag: np.ndarray, ph: np.ndarray) -> DenseMatrix:
     out.real *= mag
     out.imag *= mag
     return DenseMatrix(out, copy=False)
-
-
-def _inverse_cell(sp: np.ndarray, tp: np.ndarray, i: int, j: int,
-                  variant: InverseVariant, cv_f=None) -> LogComplex:
-    """Entry (i, j) of the `_inverse_logs` tables, kept as their walk goes by.
-
-    The walk runs to its end, so a collision in any row raises first.
-    """
-    n = len(sp)
-    r, c = (i, j) if variant is InverseVariant.CORRECTED else (j, i)
-    for lo, mag, ph in inverse_blocks(sp, tp, variant, cv_f):
-        if lo <= r % n < lo + len(mag):
-            cell = mag[r % n - lo, c % n], ph[r % n - lo, c % n]
-    range(n)[r], range(n)[c]  # IndexError after the walk: a collision wins
-    return LogComplex(float(cell[0]), wrap_phase(float(cell[1])))
-
-
-def cauchy_inverse_entry(s: KnotVector, t: KnotVector, i: int, j: int,
-                         variant: InverseVariant) -> LogComplex:
-    """Entry (i, j) of the chosen inverse variant, in the log domain."""
-    return _inverse_cell(s.as_array(), t.as_array(), i, j, variant)
-
-
-def cv_inverse_entry(s: KnotVector, f: complex, i: int, j: int,
-                     variant: InverseVariant) -> LogComplex:
-    """Entry (i, j) of the CV inverse, with t(x) = x**n - f**n substituted."""
-    return _inverse_cell(s.as_array(), cv_knots(len(s), f), i, j, variant,
-                         complex(f))
 
 
 def cauchy_inverse(s: KnotVector, t: KnotVector,

@@ -91,8 +91,8 @@ def singular_values(M: DenseMatrix) -> SpectrumSummary:
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """w less its projection on the orthonormal rows of `basis`, taken twice."""
-    for _ in range(2):
-        w = w - (basis.conj() @ w) @ basis
+    for _ in range(2):  # conj(basis) w, conjugating vectors rather than basis
+        w = w - np.conj(basis @ np.conj(w)) @ basis
     return w
 
 

@@ -1,5 +1,7 @@
 import cmath
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -139,30 +141,6 @@ class TestLogComplex:
             LogComplex.from_complex(1) / LogComplex.from_complex(0)
 
 
-class TestLogRootProduct:
-    def test_roots_of_unity_at_zero(self):
-        x = cauchyinv.log_root_product(knotgen.roots_of_unity(7), 0.0)
-        assert abs(x.log10mag) < 1e-12  # |0^7 - 1| = 1
-
-    def test_roots_of_unity_at_two(self):
-        x = cauchyinv.log_root_product(knotgen.roots_of_unity(4), 2.0)
-        assert abs(x.to_complex() - 15.0) < 1e-12  # 2^4 - 1
-
-    def test_exact_zero_at_knot(self):
-        x = cauchyinv.log_root_product(kv([1, 2, 3]), 2.0)
-        assert x.is_zero()
-
-    def test_quasi_cyclic_witness(self):
-        # At the stationary probe point the magnitude reaches 2^(q/2 + 1).
-        q = 16
-        s = knotgen.quasi_cyclic(3 * q)
-        probe = -1j * cmath.exp(2j * cmath.pi / (4 * q))
-        x = cauchyinv.log_root_product(s, probe)
-        direct = np.prod(probe - s.as_array())
-        assert abs(x.log10mag - math.log10(abs(direct))) < 1e-10
-        assert 10 ** x.log10mag >= 2 ** (q / 2 + 1) - 1e-9
-
-
 class TestCauchyDet:
     def test_one_by_one(self):
         d = cauchyinv.cauchy_det(kv([2]), kv([0]))
@@ -217,28 +195,27 @@ class TestInverseEntries:
     def test_one_by_one_both_variants(self):
         s, t = kv([2]), kv([0.5j])
         for variant in (PAPER, CORRECTED):
-            e = cauchyinv.cauchy_inverse_entry(s, t, 0, 0, variant)
-            assert abs(10 ** e.log10mag - abs(2 - 0.5j)) < 1e-12
-        e = cauchyinv.cauchy_inverse_entry(s, t, 0, 0, CORRECTED)
-        assert abs(e.to_complex() - (2 - 0.5j)) < 1e-12
+            mag, _ = cauchyinv.cauchy_inverse_log_entries(s, t, variant)
+            assert abs(10 ** mag[0, 0] - abs(2 - 0.5j)) < 1e-12
+        inv = cauchyinv.cauchy_inverse(s, t, CORRECTED).data
+        assert abs(inv[0, 0] - (2 - 0.5j)) < 1e-12
 
     def test_corrected_matches_adjugate_two_by_two(self):
         s, t = kv([1, -1]), kv([1j, -1j])
         C = structmat.cauchy(s, t).data
         adj = np.linalg.inv(C)
+        inv = cauchyinv.cauchy_inverse(s, t, CORRECTED).data
         for i in range(2):
             for j in range(2):
-                e = cauchyinv.cauchy_inverse_entry(s, t, i, j, CORRECTED)
-                assert abs(e.to_complex() - adj[i, j]) < 1e-12
-        assert abs(cauchyinv.cauchy_inverse_entry(s, t, 0, 0, CORRECTED)
-                   .to_complex() - (0.5 - 0.5j)) < 1e-12
+                assert abs(inv[i, j] - adj[i, j]) < 1e-12
+        assert abs(inv[0, 0] - (0.5 - 0.5j)) < 1e-12
 
     def test_variants_disagree_by_derivative_factors(self):
         s, t = kv([1, -1]), kv([1j, -1j])
-        paper10 = cauchyinv.cauchy_inverse_entry(s, t, 1, 0, PAPER)
-        corr10 = cauchyinv.cauchy_inverse_entry(s, t, 1, 0, CORRECTED)
-        assert abs(10 ** paper10.log10mag - 2 * math.sqrt(2)) < 1e-12
-        assert abs(10 ** corr10.log10mag - 1 / math.sqrt(2)) < 1e-12
+        paper, _ = cauchyinv.cauchy_inverse_log_entries(s, t, PAPER)
+        corr, _ = cauchyinv.cauchy_inverse_log_entries(s, t, CORRECTED)
+        assert abs(10 ** paper[1, 0] - 2 * math.sqrt(2)) < 1e-12
+        assert abs(10 ** corr[1, 0] - 1 / math.sqrt(2)) < 1e-12
 
     def test_magnitude_identity_random(self):
         # |paper(i,j)| = |corrected(j,i)| * |s'(s_i)| * |t'(t_j)| exactly.
@@ -247,14 +224,14 @@ class TestInverseEntries:
             sp = np.array(random_annulus_knots(rng, n))
             tp = np.array(random_annulus_knots(rng, n, gap=0.09))
             s, t = kv(sp), kv(tp)
+            paper, _ = cauchyinv.cauchy_inverse_log_entries(s, t, PAPER)
+            corr, _ = cauchyinv.cauchy_inverse_log_entries(s, t, CORRECTED)
             for i in range(n):
                 for j in range(n):
-                    p = cauchyinv.cauchy_inverse_entry(s, t, i, j, PAPER)
-                    c = cauchyinv.cauchy_inverse_entry(s, t, j, i, CORRECTED)
                     sprime = np.prod(sp[i] - np.delete(sp, i))
                     tprime = np.prod(tp[j] - np.delete(tp, j))
-                    lhs = p.log10mag
-                    rhs = (c.log10mag + math.log10(abs(sprime))
+                    lhs = paper[i, j]
+                    rhs = (corr[j, i] + math.log10(abs(sprime))
                            + math.log10(abs(tprime)))
                     assert abs(lhs - rhs) < 1e-10
 
@@ -265,10 +242,10 @@ class TestInverseEntries:
         sp = np.array(random_annulus_knots(rng, n))
         tp = np.array(random_annulus_knots(rng, n, gap=0.09))
         s, t = kv(sp), kv(tp)
-        e = cauchyinv.cauchy_inverse_entry(s, t, n - 1, 0, PAPER)
+        mag, _ = cauchyinv.cauchy_inverse_log_entries(s, t, PAPER)
         direct = (np.prod(tp[0] - sp) * np.prod(sp[n - 1] - tp)
                   / (tp[0] - sp[n - 1]))
-        assert abs(e.log10mag - math.log10(abs(direct))) < 1e-12
+        assert abs(mag[n - 1, 0] - math.log10(abs(direct))) < 1e-12
 
 
 class TestCauchyInverse:
@@ -312,8 +289,8 @@ class TestCvInverseEntry:
     def test_one_by_one(self):
         s = kv([2.0])
         for variant in (PAPER, CORRECTED):
-            e = cauchyinv.cv_inverse_entry(s, 1.0, 0, 0, variant)
-            assert abs(10 ** e.log10mag - 1.0) < 1e-12  # |s0 - f| = 1
+            mag, _ = cauchyinv.cv_inverse_log_entries(s, 1.0, variant)
+            assert abs(10 ** mag[0, 0] - 1.0) < 1e-12  # |s0 - f| = 1
 
     def test_agrees_with_general_path(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -322,11 +299,11 @@ class TestCvInverseEntry:
         f = np.exp(0.41j)
         grid = kv(list(f * knotgen.roots_of_unity(n).as_array()))
         for variant in (PAPER, CORRECTED):
+            a, _ = cauchyinv.cv_inverse_log_entries(s, f, variant)
+            b, _ = cauchyinv.cauchy_inverse_log_entries(s, grid, variant)
             for i in range(n):
                 for j in range(n):
-                    a = cauchyinv.cv_inverse_entry(s, f, i, j, variant)
-                    b = cauchyinv.cauchy_inverse_entry(s, grid, i, j, variant)
-                    assert abs(a.log10mag - b.log10mag) < 1e-12
+                    assert abs(a[i, j] - b[i, j]) < 1e-12
 
     def test_dft_knots_entries_small(self):
         # On the root grid every corrected entry obeys 2*2/(gap*n*n) and the
@@ -349,11 +326,10 @@ class TestDegenerateF:
     @pytest.mark.parametrize("call", [
         lambda s, f, v: structmat.cv_matrix(s, f),
         lambda s, f, v: cauchyinv.cv_inverse(s, f, v),
-        lambda s, f, v: cauchyinv.cv_inverse_entry(s, f, 1, 2, v),
         lambda s, f, v: cauchyinv.cv_inverse_log_entries(s, f, v),
         lambda s, f, v: cauchyinv.vandermonde_inverse_via_cv(s, f, v),
-    ], ids=["cv_matrix", "cv_inverse", "cv_inverse_entry",
-            "cv_inverse_log_entries", "vandermonde_inverse_via_cv"])
+    ], ids=["cv_matrix", "cv_inverse", "cv_inverse_log_entries",
+            "vandermonde_inverse_via_cv"])
     @pytest.mark.parametrize("f, message", [(0, "f must be nonzero"),
                                             (math.nan, "f must be finite"),
                                             (complex(0, math.inf), "f must be finite")])
@@ -366,18 +342,6 @@ class TestDegenerateF:
 
 
 class TestLogEntryTables:
-    def test_tables_match_scalar_entries(self):
-        rng = np.random.Generator(np.random.Philox(14))
-        s = kv(random_annulus_knots(rng, 4))
-        t = kv(random_annulus_knots(rng, 4, gap=0.09))
-        for variant in (PAPER, CORRECTED):
-            mag, ph = cauchyinv.cauchy_inverse_log_entries(s, t, variant)
-            for i in range(4):
-                for j in range(4):
-                    e = cauchyinv.cauchy_inverse_entry(s, t, i, j, variant)
-                    assert abs(mag[i, j] - e.log10mag) < 1e-12
-                    assert abs(ph[i, j] - e.phase) < 1e-12
-
     def test_phases_wrapped(self):
         s = knotgen.van_der_corput(16)
         mag, ph = cauchyinv.cv_inverse_log_entries(s, np.exp(0.3j), CORRECTED)
@@ -404,6 +368,49 @@ class TestLogEntryTables:
             assert np.max(np.abs(mag - ref_mag)) < 1e-9
             dph = np.angle(np.exp(1j * (ph - ref_ph)))
             assert np.max(np.abs(dph)) < 1e-9
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_collision_in_a_later_row_raises(self, monkeypatch, variant):
+        # The first row blocks are clean; s_23 sits on grid point 23, which
+        # only a block past them reaches, and the walk checks block by block.
+        monkeypatch.setattr(logdomain, "CHUNK", 7)
+        n, f = 30, cmath.exp(0.3j)
+        grid = structmat.cv_knots(n, f)
+        pts = list(0.5 * knotgen.van_der_corput(n).as_array())
+        pts[23] = complex(grid[23])
+        s, t = kv(pts), kv(list(grid))
+        for tables in (lambda: cauchyinv.cv_inverse_log_entries(s, f, variant),
+                       lambda: cauchyinv.cauchy_inverse_log_entries(s, t, variant)):
+            with pytest.raises(KnotCollision) as info:
+                tables()
+            assert (info.value.i, info.value.j, info.value.gap) == (23, 23, 0.0)
+
+    @staticmethod
+    def check_dense_equals_cells(dense, mag, ph):
+        # Same walk: the dense entry is 10**mag at the raw phase, which the
+        # table wraps, so the phases agree to the rounding of a sum of n angles.
+        eps = np.finfo(float).eps
+        n = len(mag)
+        assert np.max(np.abs(np.abs(dense) / 10.0 ** mag - 1)) <= 4 * eps
+        dph = np.angle(dense * np.exp(-1j * ph))
+        assert np.max(np.abs(dph)) <= 4 * eps * max(1.0, n * math.pi)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_cv_dense_equals_table_cells(self, n, variant):
+        s = knotgen.van_der_corput(n)
+        f = cmath.exp(0.3j)
+        self.check_dense_equals_cells(cauchyinv.cv_inverse(s, f, variant).data,
+                                      *cauchyinv.cv_inverse_log_entries(s, f, variant))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_cauchy_dense_equals_table_cells(self, n, variant):
+        s = knotgen.van_der_corput(n)
+        t = kv(list(0.5 * cmath.exp(0.05j) * s.as_array()))
+        self.check_dense_equals_cells(
+            cauchyinv.cauchy_inverse(s, t, variant).data,
+            *cauchyinv.cauchy_inverse_log_entries(s, t, variant))
 
 
 class TestFactorForm:
@@ -485,10 +492,13 @@ class TestOneWalk:
     @pytest.mark.parametrize("call, variant, expected", [
         ("bound_cv", PAPER, 1),
         ("bound_cv", CORRECTED, 2),
+        ("cv_inverse_log_entries", PAPER, 1),
         ("cv_inverse_log_entries", CORRECTED, 2),
-        ("cv_inverse_entry", CORRECTED, 2),
+        ("cauchy_inverse_log_entries", PAPER, 2),
         ("cauchy_inverse_log_entries", CORRECTED, 4),
-        ("cauchy_inverse_entry", CORRECTED, 4),
+        ("cv_inverse", CORRECTED, 2),
+        ("cauchy_inverse", CORRECTED, 4),
+        ("vandermonde_inverse_via_cv", CORRECTED, 2),
     ])
     def test_walks_per_call(self, walks, call, variant, expected):
         n = self.N
@@ -499,85 +509,14 @@ class TestOneWalk:
         run = {"bound_cv": lambda: bounds.bound_cv(s, f, variant),
                "cv_inverse_log_entries":
                    lambda: cauchyinv.cv_inverse_log_entries(s, f, variant),
-               "cv_inverse_entry": lambda: cauchyinv.cv_inverse_entry(s, f, 3, 5, variant),
                "cauchy_inverse_log_entries":
                    lambda: cauchyinv.cauchy_inverse_log_entries(s, t, variant),
-               "cauchy_inverse_entry":
-                   lambda: cauchyinv.cauchy_inverse_entry(s, t, 3, 5, variant)}
+               "cv_inverse": lambda: cauchyinv.cv_inverse(s, f, variant),
+               "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, variant),
+               "vandermonde_inverse_via_cv":
+                   lambda: cauchyinv.vandermonde_inverse_via_cv(s, f, variant)}
         run[call]()
         assert walks.count(n * n) == expected
-
-
-class TestSingleEntry:
-    """`*_inverse_entry` forms one cell from the O(n) factors, no table."""
-
-    @staticmethod
-    def cells(n):
-        rng = np.random.default_rng(n)
-        if n <= 7:
-            return [(i, j) for i in range(n) for j in range(n)]
-        picks = rng.integers(0, n, size=(16, 2)).tolist()
-        return [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)] + picks
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
-    def test_entries_equal_table_cells(self, n, variant):
-        s = knotgen.van_der_corput(n)
-        f = cmath.exp(0.3j)
-        t = kv(list(0.5 * cmath.exp(0.05j) * s.as_array()))
-        cv_mag, cv_ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
-        c_mag, c_ph = cauchyinv.cauchy_inverse_log_entries(s, t, variant)
-        for i, j in self.cells(n):
-            assert (cauchyinv.cv_inverse_entry(s, f, i, j, variant)
-                    == LogComplex(cv_mag[i, j], cv_ph[i, j]))
-            assert (cauchyinv.cauchy_inverse_entry(s, t, i, j, variant)
-                    == LogComplex(c_mag[i, j], c_ph[i, j]))
-
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
-    def test_indexing_matches_the_tables(self, variant):
-        n = 7
-        s = knotgen.van_der_corput(n)
-        f = cmath.exp(0.3j)
-        mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
-        for i, j in ((-1, 0), (2, -3), (-7, -7), (-1, -1)):
-            assert (cauchyinv.cv_inverse_entry(s, f, i, j, variant)
-                    == LogComplex(mag[i, j], ph[i, j]))
-        t = kv(list(0.5 * s.as_array()))
-        for i, j in ((7, 0), (0, 7), (-8, 0), (0, -8)):
-            with pytest.raises(IndexError):
-                mag[i, j]
-            with pytest.raises(IndexError):
-                cauchyinv.cv_inverse_entry(s, f, i, j, variant)
-            with pytest.raises(IndexError):
-                cauchyinv.cauchy_inverse_entry(s, t, i, j, variant)
-
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
-    def test_collision_in_a_later_row_raises(self, monkeypatch, variant):
-        # Row 0 holds the requested cell and is clean; s_23 sits on grid
-        # point 23, which only a walk past the cell's own row block reaches.
-        monkeypatch.setattr(logdomain, "CHUNK", 7)
-        n, f = 30, cmath.exp(0.3j)
-        grid = structmat.cv_knots(n, f)
-        pts = list(0.5 * knotgen.van_der_corput(n).as_array())
-        pts[23] = complex(grid[23])
-        s, t = kv(pts), kv(list(grid))
-        for entry in (lambda: cauchyinv.cv_inverse_entry(s, f, 0, 0, variant),
-                      lambda: cauchyinv.cauchy_inverse_entry(s, t, 0, 0, variant)):
-            with pytest.raises(KnotCollision) as info:
-                entry()
-            assert (info.value.i, info.value.j, info.value.gap) == (23, 23, 0.0)
-
-    def test_entry_memory_is_linear(self):
-        # Two n x n float tables would be 36 MiB at n = 1536.
-        n = 1536
-        s = knotgen.van_der_corput(n)
-        f = cmath.exp(0.3j)
-        t = kv(list(0.5 * s.as_array()))
-        for variant in (PAPER, CORRECTED):
-            assert traced_peak(lambda: cauchyinv.cv_inverse_entry(
-                s, f, 3, 5, variant)) <= 4 * 2 ** 20
-            assert traced_peak(lambda: cauchyinv.cauchy_inverse_entry(
-                s, t, n - 1, 0, variant)) <= 4 * 2 ** 20
 
 
 class TestVandermondeInverses:
@@ -689,3 +628,44 @@ class TestVandermondeInverses:
         inv = cauchyinv.vandermonde_inverse_lagrange(knotgen.van_der_corput(8))
         norm2 = np.linalg.svd(inv.data, compute_uv=False)[0]
         assert norm2 >= np.max(np.abs(inv.data)) - 1e-12
+
+
+class TestPublicSurface:
+    """Every inverse entry is read from the tables of one walk."""
+
+    def test_package_exports(self):
+        import vandcond
+        assert set(vandcond.__all__) == {
+            "__version__",
+            "KnotVector", "roots_of_unity", "quasi_cyclic", "van_der_corput",
+            "single_outlier", "dft_plus_outlier", "scaled_cluster",
+            "read_knots", "write_knots",
+            "DenseMatrix", "vandermonde", "dft", "cauchy", "cv_matrix",
+            "leading_block",
+            "InverseVariant", "LogComplex", "cauchy_det", "cauchy_inverse",
+            "cv_inverse", "vandermonde_inverse_via_cv",
+            "vandermonde_inverse_lagrange",
+            "SpectrumSummary", "GenpStats", "singular_values",
+            "top_singular_value", "poly_from_roots", "max_abs_on_circle",
+            "genp_solve", "genp_residual_experiment",
+            "BoundReport", "SeparationCertificate", "bound_easy",
+            "bound_cluster", "bound_refined_norm", "bound_cv",
+            "bound_circle_value", "bound_coeff_norm", "bound_quasi_cyclic",
+            "bound_dft_block", "is_separated", "sigma_bound_separated",
+            "arc_certificate", "bound_arc", "best_arc_search",
+            "ExperimentTable", "run_table", "emit", "table_from_json",
+        }
+
+    def test_no_single_cell_readers(self):
+        for name in ("cauchy_inverse_entry", "cv_inverse_entry", "_inverse_cell",
+                     "log_root_product"):
+            assert not hasattr(cauchyinv, name)
+
+    def test_bench_trace_targets_resolve(self):
+        path = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, name in tracing.EXTRA_TARGETS:
+            assert callable(getattr(importlib.import_module(f"vandcond.{module}"),
+                                    name))

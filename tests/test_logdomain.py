@@ -50,6 +50,32 @@ def wrap_phase_scalar(p):
     return r
 
 
+class TestLogRootProduct:
+    """`log_products` at one point x: prod_i (x - s_i) in the log domain."""
+
+    def test_roots_of_unity_at_zero(self):
+        mag, _ = log_products(0.0, knotgen.roots_of_unity(7).as_array())
+        assert abs(mag[0]) < 1e-12  # |0^7 - 1| = 1
+
+    def test_roots_of_unity_at_two(self):
+        mag, ph = log_products(2.0, knotgen.roots_of_unity(4).as_array())
+        assert abs(10 ** mag[0] * cmath.exp(1j * ph[0]) - 15.0) < 1e-12  # 2^4 - 1
+
+    def test_exact_zero_at_knot(self):
+        mag, _ = log_products(2.0, np.array([1, 2, 3], dtype=complex))
+        assert mag[0] == -math.inf
+
+    def test_quasi_cyclic_witness(self):
+        # At the stationary probe point the magnitude reaches 2^(q/2 + 1).
+        q = 16
+        s = knotgen.quasi_cyclic(3 * q)
+        probe = -1j * cmath.exp(2j * cmath.pi / (4 * q))
+        mag, _ = log_products(probe, s.as_array())
+        direct = np.prod(probe - s.as_array())
+        assert abs(mag[0] - math.log10(abs(direct))) < 1e-10
+        assert 10 ** mag[0] >= 2 ** (q / 2 + 1) - 1e-9
+
+
 class TestPowDiffLogs:
     def check_against_loop(self, z, f, n):
         mag, ph = pow_diff_logs(z, f, n)
@@ -342,8 +368,8 @@ class TestOneCollisionThreshold:
         checks = [lambda: knotgen.KnotVector([0, gap]),
                   lambda: check_disjoint(s.as_array(), t.as_array()),
                   lambda: structmat.cv_matrix(near_grid, 1.0),
-                  lambda: cauchyinv.cauchy_inverse_entry(
-                      s, t, 0, 0, cauchyinv.InverseVariant.CORRECTED),
+                  lambda: cauchyinv.cauchy_inverse_log_entries(
+                      s, t, cauchyinv.InverseVariant.CORRECTED),
                   lambda: cauchyinv.cauchy_det(s, t)]
         for check, error in zip(checks, [DuplicateKnot] + [KnotCollision] * 4):
             if collides:
