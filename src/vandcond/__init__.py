@@ -7,8 +7,7 @@ from .knotgen import (KnotVector, dft_plus_outlier, quasi_cyclic, read_knots,
                       van_der_corput, write_knots)
 from .structmat import (DenseMatrix, cauchy, cv_matrix, dft, leading_block,
                         vandermonde)
-from .cauchyinv import (InverseVariant, LogComplex, cauchy_det,
-                        cauchy_inverse, cv_inverse,
+from .cauchyinv import (InverseVariant, cauchy_det, cauchy_inverse, cv_inverse,
                         vandermonde_inverse_lagrange,
                         vandermonde_inverse_via_cv)
 from .spectral import (GenpStats, SpectrumSummary, genp_residual_experiment,
@@ -28,8 +27,8 @@ __all__ = [
     "read_knots", "write_knots",
     "DenseMatrix", "vandermonde", "dft", "cauchy", "cv_matrix",
     "leading_block",
-    "InverseVariant", "LogComplex", "cauchy_det", "cauchy_inverse",
-    "cv_inverse", "vandermonde_inverse_via_cv", "vandermonde_inverse_lagrange",
+    "InverseVariant", "cauchy_det", "cauchy_inverse", "cv_inverse",
+    "vandermonde_inverse_via_cv", "vandermonde_inverse_lagrange",
     "SpectrumSummary", "GenpStats", "singular_values", "top_singular_value",
     "poly_from_roots", "max_abs_on_circle", "genp_solve",
     "genp_residual_experiment",

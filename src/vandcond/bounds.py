@@ -336,8 +336,8 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
 
 def is_separated(S: KnotVector, T: KnotVector, eta: float, c: complex) -> bool:
     """True iff |t - c| <= |s - c| / eta for every s in S, t in T."""
-    if eta <= 1.0:
-        raise ValueError("eta must exceed 1")
+    if not 1.0 < eta < math.inf:  # also refuses nan
+        raise ValueError(f"eta must be a finite number above 1, got {eta!r}")
     ds = np.abs(S.as_array() - complex(c))
     dt = np.abs(T.as_array() - complex(c))
     return bool(np.max(dt) <= np.min(ds) / eta)
@@ -401,8 +401,8 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
     row knots strictly inside the disc of radius eta*r count toward
     m_minus, knots on the boundary (within 1e-14) count as exterior.
     """
-    if eta <= 1.0:
-        raise ValueError("eta must exceed 1")
+    if not 1.0 < eta < math.inf:  # also refuses nan
+        raise ValueError(f"eta must be a finite number above 1, got {eta!r}")
     n = len(s)
     if not (0 <= j_lo <= j_hi < n):
         raise ValueError("need 0 <= j_lo <= j_hi < n")
@@ -458,8 +458,8 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     """
     n = len(s)
     eta_grid = tuple(float(e) for e in eta_grid)
-    if not eta_grid or any(e <= 1.0 for e in eta_grid):
-        raise ValueError("eta_grid values must all exceed 1")
+    if not eta_grid or not all(1.0 < e < math.inf for e in eta_grid):
+        raise ValueError(f"eta_grid values must be finite and above 1, got {eta_grid}")
     stride = max(1, n // 64)
     t = _cv_grid(n, f)
     arcs = [(j_lo, j_hi) + _chord(t, j_lo, j_hi) for j_lo in range(0, n, stride)

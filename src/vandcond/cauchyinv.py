@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import RangeOverflow
 from .knotgen import KnotVector
-from .logdomain import (DISTINCT_TOL, RANGE_LOG10, LogComplex, check_disjoint,
-                        diff_blocks, log_products, pow_diff_logs,
-                        self_derivative_logs, wrap_phase)
+from .logdomain import (DISTINCT_TOL, check_disjoint, diff_blocks, log_products,
+                        pow_diff_logs, self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
 from .structmat import DenseMatrix, check_unit_circle, cv_knots
 
@@ -42,8 +41,11 @@ class InverseVariant(enum.Enum):
     CORRECTED = "corrected"
 
 
-def cauchy_det(s: KnotVector, t: KnotVector) -> LogComplex:
-    """det C = prod_{i<j} (s_j - s_i)(t_i - t_j) / prod_{i,j} (s_i - t_j)."""
+def cauchy_det(s: KnotVector, t: KnotVector) -> tuple[float, float]:
+    """(log10 magnitude, phase in (-pi, pi]) of det C.
+
+    det C = prod_{i<j} (s_j - s_i)(t_i - t_j) / prod_{i,j} (s_i - t_j).
+    """
     sp, tp = s.as_array(), t.as_array()
     if len(sp) != len(tp):
         raise ValueError("determinant requires a square matrix")
@@ -65,7 +67,7 @@ def cauchy_det(s: KnotVector, t: KnotVector) -> LogComplex:
         row_ph[lo:hi] = np.sum(np.angle(d), axis=1)
     mag += float(np.sum(row_mag))
     ph += float(np.sum(row_ph))
-    return LogComplex(mag, wrap_phase(ph))
+    return mag, wrap_phase(ph)
 
 
 def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
@@ -119,6 +121,10 @@ def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
         mag[lo:lo + len(block_mag)] = block_mag
         ph[lo:lo + len(block_ph)] = block_ph
     return (mag, ph) if variant is InverseVariant.CORRECTED else (mag.T, ph.T)
+
+
+#: The conversion to complex floats refuses log10 magnitudes beyond this.
+RANGE_LOG10 = 300.0
 
 
 def _materialize(mag: np.ndarray, ph: np.ndarray) -> DenseMatrix:

@@ -177,8 +177,9 @@ def _cmd_bounds(args, parser) -> int:
     moduli = np.abs(kv.as_array())
     small = moduli[moduli < 1.0 - 1e-9]
     if small.size:
-        # A knot at 0 gives nu = inf, which bound_cluster refuses.
-        with np.errstate(divide="ignore"):
+        # A knot at 0 or of subnormal modulus gives nu = inf, which
+        # bound_cluster refuses.
+        with np.errstate(divide="ignore", over="ignore"):
             nu = float(np.divide(1.0, small.max()))
         k = int(small.size)
         attempt(bounds_mod.CLUSTER,

@@ -12,14 +12,10 @@ This module depends on numpy and the package's error types only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KnotCollision, RangeOverflow
-
-#: Conversions to complex refuse log10 magnitudes beyond this.
-RANGE_LOG10 = 300.0
+from .errors import KnotCollision
 
 #: Points at most this far apart collide, within one knot vector or between
 #: the row and column knots of a Cauchy or CV matrix: above double rounding
@@ -49,65 +45,6 @@ def wrap_phase(p, out=None):
     np.subtract(r, _TWO_PI, out=r, where=r > math.pi)
     np.add(r, _TWO_PI, out=r, where=r <= -math.pi)
     return float(r) if r.ndim == 0 else r
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex scalar stored as log10 of its magnitude plus a phase.
-
-    Products add the components, so chains of thousands of factors stay
-    exact in magnitude where ordinary doubles would overflow or underflow.
-    A log10 magnitude of -inf encodes an exact zero.
-    """
-
-    log10mag: float
-    phase: float = 0.0
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls(-math.inf, 0.0)
-        return cls(math.log10(abs(z)), math.atan2(z.imag, z.real))
-
-    @classmethod
-    def one(cls) -> "LogComplex":
-        return cls(0.0, 0.0)
-
-    def is_zero(self) -> bool:
-        return self.log10mag == -math.inf
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero() or other.is_zero():
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log10mag + other.log10mag,
-                          wrap_phase(self.phase + other.phase))
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero():
-            raise ZeroDivisionError("division by a zero LogComplex")
-        if self.is_zero():
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log10mag - other.log10mag,
-                          wrap_phase(self.phase - other.phase))
-
-    def __neg__(self) -> "LogComplex":
-        if self.is_zero():
-            return self
-        return LogComplex(self.log10mag, wrap_phase(self.phase + math.pi))
-
-    def __pow__(self, k: int) -> "LogComplex":
-        if self.is_zero():
-            return LogComplex(0.0, 0.0) if k == 0 else LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log10mag * k, wrap_phase(self.phase * k))
-
-    def to_complex(self) -> complex:
-        if self.is_zero():
-            return 0j
-        if abs(self.log10mag) > RANGE_LOG10:
-            raise RangeOverflow(self.log10mag)
-        mag = 10.0 ** self.log10mag
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
 
 
 def diff_blocks(xs: np.ndarray, knots: np.ndarray):

@@ -181,7 +181,8 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     """Assemble one experiment table; failed rows carry an error cell.
 
     `overrides` may set `sizes` (the table's n grid, or q grid for T3),
-    `trials` (T5), and `seed`.  Anything else raises ValueError.
+    `trials` (T5), and `seed`.  Anything else, an empty grid, a seed below 0
+    or trials below 1 raises ValueError before any row runs.
     """
     table_id = table_id.upper()
     if table_id not in _TABLES:
@@ -193,9 +194,16 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
     seed = int(overrides.get("seed", DEFAULT_SEED))
     trials = int(overrides.get("trials", DEFAULT_TRIALS))
+    sizes = overrides.get("sizes", spec.sizes)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not len(sizes):
+        raise ValueError("sizes must not be empty")
 
     rows = []
-    for point in overrides.get("sizes") or spec.sizes:
+    for point in sizes:
         for identity, fill in spec.rows(point, trials, seed):
             row = {name: "" if kind == "str" else None for name, kind in spec.kinds}
             row.update(identity)

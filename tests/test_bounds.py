@@ -446,6 +446,23 @@ class TestSeparation:
                                            0.0, 1)
         assert rep.log10value < -8.0
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_is_invalid_argument(self, eta):
+        # nan passed `eta <= 1.0`: a certificate with rho_bar = 6, a report
+        # with a nan value, and NotSeparated in place of an argument error.
+        s, f = knotgen.quasi_cyclic(48), cmath.exp(0.3j)
+        message = r"^eta must be a finite number above 1, got (nan|inf)$"
+        calls = [lambda: bounds.is_separated(kv([2]), kv([0]), eta, 0.0),
+                 lambda: bounds.sigma_bound_separated(kv([2]), kv([0]), eta, 0.0, 1),
+                 lambda: bounds.arc_certificate(s, f, 30, 41, eta)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message) as err:
+                call()
+            assert not isinstance(err.value, VandcondError)
+        with pytest.raises(ValueError, match=r"^eta_grid values must be finite") as err:
+            bounds.best_arc_search(s, 1.0, (1.2, eta))
+        assert not isinstance(err.value, VandcondError)
+
     def test_random_suite_against_svd(self):
         rng = np.random.Generator(np.random.Philox(31))
         for _ in range(100):

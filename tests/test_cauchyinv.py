@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vandcond import bounds, cauchyinv, knotgen, logdomain, structmat
-from vandcond.cauchyinv import InverseVariant, LogComplex
+from vandcond.cauchyinv import InverseVariant
 from vandcond.errors import KnotCollision, RangeOverflow
 from vandcond.logdomain import (log_products, pow_diff_logs,
                                 self_derivative_logs, wrap_phase)
@@ -90,75 +90,24 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-class TestLogComplex:
-    def test_roundtrip_random(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        for _ in range(200):
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            if z == 0:
-                continue
-            x = LogComplex.from_complex(z)
-            assert abs(x.to_complex() - z) <= 1e-14 * abs(z)
-            assert abs(abs(x.to_complex()) - 10 ** x.log10mag) <= 1e-14 * abs(z)
-
-    def test_zero(self):
-        x = LogComplex.from_complex(0)
-        assert x.is_zero()
-        assert x.to_complex() == 0
-
-    def test_multiplication_adds_components(self):
-        a = LogComplex.from_complex(3 + 4j)
-        b = LogComplex.from_complex(-2 + 1j)
-        prod = a * b
-        assert abs(prod.to_complex() - (3 + 4j) * (-2 + 1j)) < 1e-13
-
-    def test_phase_normalized(self):
-        a = LogComplex(0.0, 3.0)
-        sq = a * a  # raw phase 6.0 must wrap into (-pi, pi]
-        assert -math.pi < sq.phase <= math.pi
-        assert abs(sq.phase - (6.0 - 2 * math.pi)) < 1e-15
-
-    def test_huge_product_no_overflow(self):
-        x = LogComplex.one()
-        for _ in range(500):
-            x = x * LogComplex.from_complex(1e5)
-        assert abs(x.log10mag - 2500.0) < 1e-9
-        with pytest.raises(RangeOverflow):
-            x.to_complex()
-
-    def test_division_and_negation(self):
-        a = LogComplex.from_complex(2 + 2j)
-        b = LogComplex.from_complex(1 - 1j)
-        assert abs((a / b).to_complex() - (2 + 2j) / (1 - 1j)) < 1e-14
-        assert abs((-a).to_complex() + (2 + 2j)) < 1e-14
-
-    def test_integer_powers(self):
-        a = LogComplex.from_complex(1 + 1j)
-        assert abs((a ** 4).to_complex() - (1 + 1j) ** 4) < 1e-13
-        assert abs((a ** 0).to_complex() - 1.0) < 1e-15
-        assert abs((a ** -2).to_complex() - (1 + 1j) ** -2) < 1e-14
-        with pytest.raises(ZeroDivisionError):
-            LogComplex.from_complex(1) / LogComplex.from_complex(0)
-
-
 class TestCauchyDet:
     def test_one_by_one(self):
-        d = cauchyinv.cauchy_det(kv([2]), kv([0]))
-        assert abs(d.to_complex() - 0.5) < 1e-15
+        mag, ph = cauchyinv.cauchy_det(kv([2]), kv([0]))
+        assert abs(10 ** mag * cmath.exp(1j * ph) - 0.5) < 1e-15
 
     def test_two_by_two_direct(self):
         # Direct 2x2 determinant oracle: 1/4 - 1/3 = -1/12.
-        d = cauchyinv.cauchy_det(kv([2, 3]), kv([0, 1]))
-        assert abs(d.to_complex() - (-1 / 12)) < 1e-14
+        mag, ph = cauchyinv.cauchy_det(kv([2, 3]), kv([0, 1]))
+        assert abs(10 ** mag * cmath.exp(1j * ph) - (-1 / 12)) < 1e-14
 
     def test_matches_lu_determinant(self):
         rng = np.random.Generator(np.random.Philox(2))
         s = kv(random_annulus_knots(rng, 6))
         t = kv(random_annulus_knots(rng, 6, gap=0.07))
-        d = cauchyinv.cauchy_det(s, t)
+        mag, ph = cauchyinv.cauchy_det(s, t)
         lu = np.linalg.det(structmat.cauchy(s, t).data)
-        assert abs(d.log10mag - math.log10(abs(lu))) < 1e-10
-        assert abs(cmath.exp(1j * d.phase) - lu / abs(lu)) < 1e-9
+        assert abs(mag - math.log10(abs(lu))) < 1e-10
+        assert abs(cmath.exp(1j * ph) - lu / abs(lu)) < 1e-9
 
     def test_larger_sizes_against_lu(self):
         # Interleaved jittered circle knots keep kappa(C) near 1, so the LU
@@ -168,20 +117,20 @@ class TestCauchyDet:
             js = np.arange(n)
             s = kv(np.exp(2j * np.pi * (js + 0.2 + 0.2 * rng.uniform(size=n)) / n))
             t = kv(np.exp(2j * np.pi * (js + 0.7 + 0.2 * rng.uniform(size=n)) / n))
-            d = cauchyinv.cauchy_det(s, t)
+            mag, _ = cauchyinv.cauchy_det(s, t)
             lu = np.linalg.det(structmat.cauchy(s, t).data)
-            assert abs(d.log10mag - math.log10(abs(lu))) < 1e-9 * max(1, abs(d.log10mag))
+            assert abs(mag - math.log10(abs(lu))) < 1e-9 * max(1, abs(mag))
 
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     def test_blocked_pairs_match_triu_reference(self, n):
         s = knotgen.van_der_corput(n)
         t = kv(list(2.0 * structmat.cv_knots(n, cmath.exp(0.3j))))
-        d = cauchyinv.cauchy_det(s, t)
+        d_mag, d_ph = cauchyinv.cauchy_det(s, t)
         mag, ph = reference_cauchy_det(s.as_array(), t.as_array())
         # The raw phase is a sum of about n**2 / 2 angles before wrapping.
-        assert abs(d.log10mag - mag) <= 3e-14 * max(1.0, abs(mag))
-        assert abs(cmath.phase(cmath.exp(1j * (d.phase - ph)))) <= 3e-14 * n * n
+        assert abs(d_mag - mag) <= 3e-14 * max(1.0, abs(mag))
+        assert abs(cmath.phase(cmath.exp(1j * (d_ph - ph)))) <= 3e-14 * n * n
 
     def test_pair_products_use_blocked_memory(self):
         # np.triu_indices over the i < j pairs traced 72 MB at this size.
@@ -642,7 +591,7 @@ class TestPublicSurface:
             "read_knots", "write_knots",
             "DenseMatrix", "vandermonde", "dft", "cauchy", "cv_matrix",
             "leading_block",
-            "InverseVariant", "LogComplex", "cauchy_det", "cauchy_inverse",
+            "InverseVariant", "cauchy_det", "cauchy_inverse",
             "cv_inverse", "vandermonde_inverse_via_cv",
             "vandermonde_inverse_lagrange",
             "SpectrumSummary", "GenpStats", "singular_values",
@@ -657,9 +606,13 @@ class TestPublicSurface:
         }
 
     def test_no_single_cell_readers(self):
+        import vandcond
         for name in ("cauchy_inverse_entry", "cv_inverse_entry", "_inverse_cell",
                      "log_root_product"):
             assert not hasattr(cauchyinv, name)
+        # A knot product is a (log10 magnitude, phase) pair, never a scalar class.
+        for module in (vandcond, logdomain, cauchyinv):
+            assert not hasattr(module, "LogComplex")
 
     def test_bench_trace_targets_resolve(self):
         path = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"

@@ -406,6 +406,20 @@ class TestBounds:
             "easy", "refined-norm", "cluster", "cluster", "cv-inverse",
             "cv-inverse", "circle-value", "coeff-norm", "arc-vandermonde"]
 
+    def test_knot_of_subnormal_modulus_refuses_only_the_cluster_lines(
+            self, tmp_path, capsys, recwarn):
+        # 1 / 1e-320 overflows to nu = inf, as 1 / 0 does: no warning.
+        path = tmp_path / "subnormal.txt"
+        path.write_text("1e-320,0\n1,0\n-1,0\n")
+        code, out, err = run(["bounds", "--gen", "file", "--file", str(path)], capsys)
+        assert code == 0 and err == "" and len(recwarn) == 0
+        cluster = [r for r in map(json.loads, out.splitlines())
+                   if r["bound_id"] == "cluster"]
+        assert len(cluster) == 2
+        for r in cluster:
+            assert not r["applicable"] and r["log10value"] is None
+            assert r["reason"].startswith("ValueError: nu must be a finite number")
+
     def test_scaled_cluster_quiet(self, capsys, recwarn):
         # Its expanded coefficients used to overflow with a RuntimeWarning.
         code, out, err = run(["bounds", "--gen", "scaled-cluster", "--n", "768",
@@ -601,7 +615,7 @@ class TestExitCodes:
         ["table", "--id", "1", "--trials", "0"],
         ["genp", "--n", "4", "--trials", "0"]])
     def test_trials_below_1_is_invalid_argument(self, argv, capsys):
-        # `run_table` would turn it into an error cell per row, exit 3.
+        # Refused by argparse, as `run_table` refuses it, before any row runs.
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         out = capsys.readouterr()
@@ -612,7 +626,7 @@ class TestExitCodes:
         ["table", "--id", "5", "--seed", "-1"],
         ["genp", "--n", "4", "--seed", "-1"]])
     def test_negative_seed_is_invalid_argument(self, argv, capsys):
-        # Refused by argparse, before `run_table` could make error cells of it.
+        # Refused by argparse, as `run_table` refuses it, before any row runs.
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         out = capsys.readouterr()

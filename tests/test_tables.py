@@ -79,6 +79,24 @@ class TestRunTable:
             run_table("T4", {"bogus": 1})
         assert not isinstance(err.value, VandcondError)
 
+    @pytest.mark.parametrize("table_id, overrides, message", [
+        ("T5", {"sizes": [16], "trials": 0}, r"^trials must be >= 1, got 0$"),
+        ("T1", {"sizes": [64], "trials": -3}, r"^trials must be >= 1, got -3$"),
+        ("T5", {"sizes": [16], "seed": -1}, r"^seed must be >= 0, got -1$"),
+        ("T5", {"sizes": []}, r"^sizes must not be empty$"),
+        ("T3", {"sizes": ()}, r"^sizes must not be empty$")])
+    def test_invalid_whole_table_argument_raises(self, table_id, overrides, message,
+                                                 monkeypatch):
+        # An argument refusal, not an error row, and raised before any row runs.
+        def no_rows(*args):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(tables, "_TABLES", {
+            tid: spec._replace(rows=no_rows) for tid, spec in tables._TABLES.items()})
+        with pytest.raises(ValueError, match=message) as err:
+            run_table(table_id, overrides)
+        assert not isinstance(err.value, VandcondError)
+
     def test_failed_row_keeps_shape(self):
         # The failing row sits in the middle: later rows must survive and
         # the failed row must keep its grid identity cells.
