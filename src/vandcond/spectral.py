@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot
 from .knotgen import KnotVector, unit_roots
 from .logdomain import log_magnitudes
-from .structmat import DenseMatrix, check_vandermonde_range, dft
+from .structmat import DenseMatrix, check_vandermonde_range, vandermonde_array
 
 #: Pivots at or below this magnitude signal a structurally singular block
 #: rather than mere ill-conditioning.
@@ -345,41 +345,45 @@ def _substitute(T: np.ndarray, B: np.ndarray, lower: bool, unit: bool) -> None:
 
 
 def _genp_factor(a: np.ndarray):
-    """Blocked right-looking LU with no row or column interchange.
+    """Blocked right-looking LU with no row or column interchange, in place.
 
-    Works in place on one packed copy of `a`: the unit-lower L sits below
-    the diagonal (its ones are implied) and U on and above it.  Each block
-    of `GENP_BLOCK` columns factors its diagonal block column by column;
-    `_substitute` then forms the L21 column block (solving U11^T against
-    A21^T) and the U12 row block, and one matrix product applies
-    the Schur update to the trailing matrix.  Every pivot is checked as it
-    is reached, and the finished factor once for overflow, so solves on it
-    need no finiteness scan.  Returns (LU, min |pivot|).
+    Overwrites `a`, a writable complex128 square array, with the packed
+    factor: the unit-lower L below the diagonal (its ones implied) and U on
+    and above it.  Each block of `GENP_BLOCK` columns factors its diagonal
+    block column by column.  `_substitute` then forms the L21 column block
+    on a contiguous copy of A21^T (solving U11^T against it) and the U12 row
+    block in place, and the Schur update goes to the trailing matrix in
+    panels of at most 4 * GENP_BLOCK columns, so no temporary exceeds
+    (n - k1) x 4 * GENP_BLOCK.  Every pivot is checked as it is reached, and
+    the finished factor once, one block row at a time, for overflow, so
+    solves on it need no finiteness scan.  Returns (a, min |pivot|).
     """
-    LU = np.array(a, dtype=np.complex128)
-    n = LU.shape[0]
+    n = a.shape[0]
     min_pivot = math.inf
     # Overflow surfaces as non-finite entries, detected below.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, GENP_BLOCK):
             k1 = min(k0 + GENP_BLOCK, n)
             for k in range(k0, k1):
-                mag = abs(LU[k, k])
+                mag = abs(a[k, k])
                 if mag <= ZERO_PIVOT_TOL:
                     raise ZeroPivot(k, mag)
                 min_pivot = min(min_pivot, mag)
-                LU[k + 1:k1, k] /= LU[k, k]
-                LU[k + 1:k1, k + 1:k1] -= np.outer(LU[k + 1:k1, k],
-                                                   LU[k, k + 1:k1])
+                a[k + 1:k1, k] /= a[k, k]
+                a[k + 1:k1, k + 1:k1] -= np.outer(a[k + 1:k1, k], a[k, k + 1:k1])
             if k1 < n:
-                diag = LU[k0:k1, k0:k1]
-                # L21 = A21 U11^-1 and U12 = L11^-1 A12, both in place.
-                _substitute(diag.T, LU[k1:, k0:k1].T, lower=True, unit=False)
-                _substitute(diag, LU[k0:k1, k1:], lower=True, unit=True)
-                LU[k1:, k1:] -= LU[k1:, k0:k1] @ LU[k0:k1, k1:]
-    if not np.all(np.isfinite(LU)):
+                diag = a[k0:k1, k0:k1]
+                # L21 = A21 U11^-1 and U12 = L11^-1 A12.
+                L21T = np.ascontiguousarray(a[k1:, k0:k1].T)
+                _substitute(diag.T, L21T, lower=True, unit=False)
+                a[k1:, k0:k1] = L21T.T
+                _substitute(diag, a[k0:k1, k1:], lower=True, unit=True)
+                for j0 in range(k1, n, 4 * GENP_BLOCK):
+                    j1 = min(j0 + 4 * GENP_BLOCK, n)
+                    a[k1:, j0:j1] -= L21T.T @ a[k0:k1, j0:j1]
+    if not all(np.isfinite(a[k:k + GENP_BLOCK]).all() for k in range(0, n, GENP_BLOCK)):
         raise RangeOverflow(math.inf, where="GENP factor")
-    return LU, min_pivot
+    return a, min_pivot
 
 
 def _genp_solve_packed(LU: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,8 +415,9 @@ def genp_solve(A: DenseMatrix, b):
 
     Returns the solution and the smallest pivot magnitude encountered, the
     standard diagnostic for singular or ill-conditioned leading blocks.
-    RangeOverflow is raised if the factor or the solution leaves the float
-    range.
+    The factor is made in place in one copy of A.data; neither A nor b is
+    written.  RangeOverflow is raised if the factor or the solution leaves
+    the float range.
     """
     if A.rows != A.cols:
         raise ValueError("matrix must be square")
@@ -421,7 +426,7 @@ def genp_solve(A: DenseMatrix, b):
         raise ValueError("right-hand side length mismatch")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
-    LU, min_pivot = _genp_factor(A.data)
+    LU, min_pivot = _genp_factor(np.array(A.data, dtype=np.complex128))
     x = _genp_solve_packed(LU, b)
     if not np.all(np.isfinite(x)):
         raise RangeOverflow(math.inf, where="GENP solve")
@@ -434,7 +439,10 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     Each trial draws a real standard normal right-hand side from a Philox
     stream spawned off (seed, trial index) and records ||A x - b|| / ||b||.
     All trials share one blocked LU factor (see `_genp_factor`) and are
-    solved together as the columns of one n x trials right-hand side.
+    solved together as the columns of one n x trials right-hand side.  The
+    DFT matrix is built straight into the buffer that is factored, and built
+    again for the residual once the factor is freed, so the run holds one
+    n x n array at a time.
 
     Results are bit-reproducible for a fixed (n, trials, seed).  Residual
     means at n >= 128 are dominated by rounding-order noise: once they
@@ -442,24 +450,27 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     or solve orders.  They moved when the factor became blocked (n=256
     from 6.4e3 to 4.4e2 at seed 12345), and at every n when the solve
     became blocked substitution in numpy (seed 12345, n=16 1.11e-13 to
-    1.06e-13, n=128 19.0 to 14.4, n=256 444 to 385).
+    1.06e-13, n=128 19.0 to 14.4, n=256 444 to 385).  The Schur update in
+    column panels moved them again for n > 64 (seed 12345: n=128 14.4 to
+    14.5, n=256 385 to 300, n=512 6.02e3 to 3.21e3, n=1024 5.64e4 to 2.81e4).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    A = dft(n)
-    LU, min_pivot = _genp_factor(A.data)
+    LU, min_pivot = _genp_factor(vandermonde_array(unit_roots(n)))
     streams = np.random.SeedSequence(seed).spawn(trials)
     B = np.empty((n, trials), dtype=np.complex128)
     for t in range(trials):
         B[:, t] = np.random.Generator(np.random.Philox(streams[t])).standard_normal(n)
     X = _genp_solve_packed(LU, B)
-    rns = np.linalg.norm(A.data @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+    bands = range(0, n, GENP_BLOCK)
+    # max|U| one block row at a time: np.triu of the whole factor would copy it.
+    u_max = max(float(np.abs(np.triu(LU[k:k + GENP_BLOCK, k:])).max()) for k in bands)
+    del LU  # the residual's A takes the factor's place
+    A = vandermonde_array(unit_roots(n))
+    rns = np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
     mean = float(rns.mean())
     std = float(rns.std(ddof=1)) if trials > 1 else 0.0
-    # max|U| one block row at a time: np.triu of the whole factor would copy it.
-    u_max = max(float(np.abs(np.triu(LU[k:k + GENP_BLOCK, k:])).max())
-                for k in range(0, n, GENP_BLOCK))
-    growth = u_max / float(np.abs(A.data).max())
+    growth = u_max / max(float(np.abs(A[k:k + GENP_BLOCK]).max()) for k in bands)
     return GenpStats(n, trials, seed, mean, std, min_pivot, growth)

@@ -61,16 +61,16 @@ def check_vandermonde_range(s: KnotVector) -> None:
         raise RangeOverflow((n - 1) * np.log10(s_plus), where="vandermonde")
 
 
-def vandermonde(s: KnotVector) -> DenseMatrix:
-    """Square matrix with entry (i, j) = s_i**j, powers by repeated multiplication."""
-    check_vandermonde_range(s)
-    pts = s.as_array()
+def vandermonde_array(pts: np.ndarray) -> np.ndarray:
+    """A fresh writable n x n array with entry (i, j) = pts[i]**j, powers by
+    repeated multiplication.
+
+    Powers lo.. fill the rows of a 64-row band (contiguous writes), and
+    each band is copied into its columns: the same products as a
+    column-by-column fill, bit for bit, with no second n x n array.  No
+    range or finiteness check is made; `vandermonde` adds both.
+    """
     n = len(pts)
-    # Powers lo.. fill the rows of a 64-row band (contiguous writes), and
-    # each band is copied into its columns of V: the same products as a
-    # column-by-column fill, bit for bit, with no second n x n array.  The
-    # range check caps every |s_i**j| at 10**OVERFLOW_LOG10, so no product
-    # overflows; DenseMatrix makes the one finiteness scan.
     V = np.empty((n, n), dtype=np.complex128)
     band = np.ones((min(n, 64), n), dtype=np.complex128)
     for lo in range(0, n, len(band)):
@@ -80,7 +80,17 @@ def vandermonde(s: KnotVector) -> DenseMatrix:
         for k in range(1, len(rows)):
             np.multiply(rows[k - 1], pts, out=rows[k])
         V[:, lo:lo + len(rows)] = rows.T
-    return DenseMatrix(V, copy=False)
+    return V
+
+
+def vandermonde(s: KnotVector) -> DenseMatrix:
+    """Square matrix with entry (i, j) = s_i**j (see `vandermonde_array`).
+
+    The range check caps every |s_i**j| at 10**OVERFLOW_LOG10, so no product
+    overflows; DenseMatrix makes the one finiteness scan.
+    """
+    check_vandermonde_range(s)
+    return DenseMatrix(vandermonde_array(s.as_array()), copy=False)
 
 
 def dft(n: int) -> DenseMatrix:

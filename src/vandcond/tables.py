@@ -19,6 +19,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -131,6 +132,10 @@ def _t5_fill(row, n, trials, seed):
               if stats.mean_rn > 0 else -math.inf)
     _set_real(row, "std", math.log10(stats.std_rn)
               if stats.std_rn > 0 else -math.inf)
+    # Both logs are finite: every pivot exceeds ZERO_PIVOT_TOL, and growth >= 1
+    # since U's first row is the DFT matrix's, whose entries all have modulus 1.
+    _set_real(row, "min_pivot", math.log10(stats.min_pivot))
+    _set_real(row, "growth", math.log10(stats.growth))
 
 
 #: One entry per table: `kinds`, the (column, cell kind) pair of every
@@ -173,16 +178,27 @@ _TABLES = {
         ("kappa_minus_table", "real"), ("kappa_prime_minus", "real")),
     "T5": _table(T5_SIZES, lambda n, trials, seed: [
         ({"n": int(n)}, lambda r: _t5_fill(r, n, trials, seed))],
-        ("n", "int"), ("mean", "real"), ("std", "real")),
+        ("n", "int"), ("mean", "real"), ("std", "real"), ("min_pivot", "real"),
+        ("growth", "real")),
 }
+
+
+def _integer_override(overrides: dict, name: str, default: int) -> int:
+    """overrides[name] as an int; ValueError unless it is an integer type."""
+    value = overrides.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     """Assemble one experiment table; failed rows carry an error cell.
 
     `overrides` may set `sizes` (the table's n grid, or q grid for T3),
-    `trials` (T5), and `seed`.  Anything else, an empty grid, a seed below 0
-    or trials below 1 raises ValueError before any row runs.
+    `trials` (T5), and `seed`.  Anything else, an empty grid, a `seed` or
+    `trials` that is not an int or numpy integer (a bool, float or string
+    is refused, not truncated), a seed below 0 or trials below 1 raises
+    ValueError before any row runs.
     """
     table_id = table_id.upper()
     if table_id not in _TABLES:
@@ -192,8 +208,8 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    seed = int(overrides.get("seed", DEFAULT_SEED))
-    trials = int(overrides.get("trials", DEFAULT_TRIALS))
+    seed = _integer_override(overrides, "seed", DEFAULT_SEED)
+    trials = _integer_override(overrides, "trials", DEFAULT_TRIALS)
     sizes = overrides.get("sizes", spec.sizes)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,10 +438,11 @@ class TestGenpBlockedFactor:
             spectral.genp_solve(structmat.DenseMatrix(a), np.ones(n))
         assert (err.value.step, err.value.magnitude) == (step, 0.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    # 5 B + 7: the first trailing update spans two panels, the last 7 columns wide.
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 5 * B + 7])
     def test_packed_factor_rebuilds_matrix(self, n):
         a = _dominant(n, n)
-        LU, min_pivot = spectral._genp_factor(a)
+        LU, min_pivot = spectral._genp_factor(np.array(a))
         L = np.tril(LU, -1) + np.eye(n)
         U = np.triu(LU)
         err = np.linalg.norm(L @ U - a, 2)
@@ -452,6 +454,26 @@ class TestGenpBlockedFactor:
         _, min_pivot = spectral.genp_solve(structmat.dft(n), np.ones(n))
         assert min_pivot == _column_loop_min_pivot(structmat.dft(n).data)
         assert spectral.genp_residual_experiment(n, 3, 5).min_pivot == min_pivot
+
+    def test_solve_leaves_inputs_unchanged(self):
+        a = _dominant(150, 4)
+        A = structmat.DenseMatrix(a)
+        b = np.arange(150.0) + 2j
+        data, rhs = A.data.copy(), b.copy()
+        spectral.genp_solve(A, b)
+        assert np.array_equal(A.data, data) and np.array_equal(b, rhs)
+
+    def test_solve_memory_one_copy(self):
+        # One n x n complex copy to factor (16 MiB at n = 1024) plus the
+        # O(GENP_BLOCK n) panels; the input is allocated before tracing.
+        A, b = structmat.dft(1024), np.ones(1024, dtype=complex)
+        tracemalloc.start()
+        try:
+            spectral.genp_solve(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 16 * 2**20
 
     def test_solution_matches_dense_solver(self):
         a = _dominant(150, 9)
@@ -496,10 +518,21 @@ class TestGenpExperiment:
         for n in (16, 100):
             stats = spectral.genp_residual_experiment(n, 4, 3)
             a = structmat.dft(n).data
-            LU, min_pivot = spectral._genp_factor(a)
+            LU, min_pivot = spectral._genp_factor(np.array(a))
             assert stats.min_pivot == min_pivot
             assert stats.growth == np.abs(np.triu(LU)).max() / np.abs(a).max()
             assert stats.growth >= 1.0
+
+    def test_memory_one_matrix(self):
+        # The factored DFT matrix (16 MiB at n = 1024), then A rebuilt in its
+        # place for the residual; never both, nor a full-size temporary.
+        tracemalloc.start()
+        try:
+            spectral.genp_residual_experiment(1024, 100, 12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_reference_scales(self):
         m16 = spectral.genp_residual_experiment(16, 100, 12345).mean_rn

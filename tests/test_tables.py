@@ -1,8 +1,10 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
-from vandcond import bounds, knotgen, tables
+from vandcond import bounds, knotgen, spectral, tables
 from vandcond.errors import VandcondError
 from vandcond.tables import emit, format_sci, run_table, table_from_json
 
@@ -84,7 +86,11 @@ class TestRunTable:
         ("T1", {"sizes": [64], "trials": -3}, r"^trials must be >= 1, got -3$"),
         ("T5", {"sizes": [16], "seed": -1}, r"^seed must be >= 0, got -1$"),
         ("T5", {"sizes": []}, r"^sizes must not be empty$"),
-        ("T3", {"sizes": ()}, r"^sizes must not be empty$")])
+        ("T3", {"sizes": ()}, r"^sizes must not be empty$")] + [
+        # Refused, not truncated by int().
+        ("T5", {"sizes": [16], name: value},
+         rf"^{name} must be an integer, got {re.escape(repr(value))}$")
+        for name in ("trials", "seed") for value in (2.9, 1.7, 0.5, "3", True)])
     def test_invalid_whole_table_argument_raises(self, table_id, overrides, message,
                                                  monkeypatch):
         # An argument refusal, not an error row, and raised before any row runs.
@@ -96,6 +102,19 @@ class TestRunTable:
         with pytest.raises(ValueError, match=message) as err:
             run_table(table_id, overrides)
         assert not isinstance(err.value, VandcondError)
+
+    def test_numpy_integer_overrides_accepted(self):
+        a = run_table("T5", {"sizes": [8], "trials": np.int64(3), "seed": np.uint16(2)})
+        b = run_table("T5", {"sizes": [8], "trials": 3, "seed": 2})
+        assert a.rows == b.rows
+        assert (type(a.metadata["trials"]), type(a.metadata["seed"])) == (int, int)
+
+    def test_t5_genp_diagnostics(self):
+        row = run_table("T5", {"sizes": [100], "trials": 4, "seed": 3}).rows[0]
+        stats = spectral.genp_residual_experiment(100, 4, 3)
+        assert row["min_pivot_log10"] == math.log10(stats.min_pivot)
+        assert row["growth_log10"] == math.log10(stats.growth)
+        assert row["growth"] >= 1.0
 
     def test_failed_row_keeps_shape(self):
         # The failing row sits in the middle: later rows must survive and
@@ -184,7 +203,8 @@ class TestColumns:
                "kappa_minus", "kappa_minus_log10", "kappa_minus_table",
                "kappa_minus_table_log10", "kappa_prime_minus",
                "kappa_prime_minus_log10", "error"],
-        "T5": ["n", "mean", "mean_log10", "std", "std_log10", "error"],
+        "T5": ["n", "mean", "mean_log10", "std", "std_log10", "min_pivot",
+               "min_pivot_log10", "growth", "growth_log10", "error"],
     }
     SMALL = {"T1": [64], "T2": [64], "T3": [4], "T4": [8], "T5": [2]}
 
