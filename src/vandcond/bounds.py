@@ -21,7 +21,7 @@ from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots,
 from .knotgen import KnotVector, unit_roots
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values, top_singular_value
-from .structmat import check_unit_circle, cv_knots, vandermonde
+from .structmat import UNIT_F_TOL, check_unit_circle, cv_knots, vandermonde
 
 #: Catalan's constant G to 18 digits: the staging integral is q 2G/pi in closed form.
 CATALAN = 0.915965594177219015
@@ -172,7 +172,7 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
     """
     n = len(s)
     s_plus = s.max_modulus()
-    if abs(s_plus - 1.0) < 1e-12:
+    if abs(s_plus - 1.0) < UNIT_F_TOL:
         raise UnitRadius("largest knot modulus is 1; geometric sum degenerates")
     log_num = float(pow_diff_logs(np.array([s_plus]), 1.0, n)[0][0])
     value = log_num - math.log10(abs(s_plus - 1.0)) - 0.5 * math.log10(n)
@@ -218,7 +218,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
 
 def _outside_disc(s_plus: float) -> str:
     """Why a unit-disc bound does not apply, or '' when every knot has |s| <= 1."""
-    ok = s_plus <= 1.0 + 1e-12
+    ok = s_plus <= 1.0 + UNIT_F_TOL
     return "" if ok else f"knots leave the unit disc (s_+ = {s_plus:.6g})"
 
 
@@ -483,3 +483,32 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
             "knots are evenly spaced or n is too small")
     cert = arc_certificate(s, f, *best[1:])
     return cert, bound_arc(s, cert, form="vandermonde")
+
+
+def evaluators(s: KnotVector, f: complex) -> list:
+    """(label, bound_id, thunk) for each line of `vandcond bounds`; none runs yet.
+
+    ValueError unless |f| = 1.  Cluster lines need knots inside the unit circle;
+    quasi-cyclic lines need `s.label == "quasi-cyclic"` and 3 | n.
+    """
+    check_unit_circle(f)
+    out = [("easy", EASY, lambda: bound_easy(s)),
+           ("refined-norm", REFINED_NORM, lambda: bound_refined_norm(s))]
+    moduli = np.abs(s.as_array())
+    small = moduli[moduli < 1.0 - 1e-9]
+    if small.size:
+        # k knots inside, nu = 1/their largest modulus: inf for a knot at 0
+        # or of subnormal modulus, which bound_cluster refuses.
+        with np.errstate(divide="ignore", over="ignore"):
+            k, nu = small.size, float(np.divide(1.0, small.max()))
+        out += [(f"cluster-{m}", CLUSTER, lambda m=m: bound_cluster(s, k, nu, m))
+                for m in ("literal", "computed-norm")]
+    out += [(f"cv-inverse-{v.value}", CV_INVERSE, lambda v=v: bound_cv(s, f, v))
+            for v in InverseVariant]
+    out += [("circle-value", CIRCLE_VALUE, lambda: bound_circle_value(s)),
+            ("coeff-norm", COEFF_NORM, lambda: bound_coeff_norm(s))]
+    if s.label == "quasi-cyclic" and len(s) % 3 == 0:
+        out += [(f"quasi-cyclic-{m}", f"quasi-cyclic-{m}",
+                 lambda m=m: bound_quasi_cyclic(len(s) // 3, m)) for m in QC_MODES]
+    out.append(("arc", ARC_VANDERMONDE, lambda: best_arc_search(s, f)[1]))
+    return out

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, cauchyinv, knotgen, spectral
 from .errors import VandcondError
-from .structmat import (check_unit_circle, cv_matrix, dump_matrix,
-                        leading_block, vandermonde)
+from .structmat import cv_matrix, dump_matrix, leading_block, vandermonde
 from .tables import DEFAULT_SEED, DEFAULT_TRIALS, emit, run_table
 
 DEFAULT_F = complex(math.cos(0.3), math.sin(0.3))
@@ -160,10 +159,8 @@ def _report_line(report) -> str:
 
 def _cmd_bounds(args, parser) -> int:
     kv = _resolve_knots(args, parser)
-    check_unit_circle(args.f)
     reports = []
-
-    def attempt(bound_id, thunk):
+    for _, bound_id, thunk in bounds_mod.evaluators(kv, args.f):
         # One failing evaluator must not silence the rest of the listing.
         try:
             reports.append(thunk())
@@ -171,37 +168,7 @@ def _cmd_bounds(args, parser) -> int:
             reports.append(bounds_mod.BoundReport(
                 bound_id, -math.inf, None, {},
                 applicable=False, reason=f"{type(exc).__name__}: {exc}"))
-
-    attempt(bounds_mod.EASY, lambda: bounds_mod.bound_easy(kv))
-    attempt(bounds_mod.REFINED_NORM, lambda: bounds_mod.bound_refined_norm(kv))
-    moduli = np.abs(kv.as_array())
-    small = moduli[moduli < 1.0 - 1e-9]
-    if small.size:
-        # A knot at 0 or of subnormal modulus gives nu = inf, which
-        # bound_cluster refuses.
-        with np.errstate(divide="ignore", over="ignore"):
-            nu = float(np.divide(1.0, small.max()))
-        k = int(small.size)
-        attempt(bounds_mod.CLUSTER,
-                lambda: bounds_mod.bound_cluster(kv, k, nu, "literal"))
-        attempt(bounds_mod.CLUSTER,
-                lambda: bounds_mod.bound_cluster(kv, k, nu, "computed-norm"))
-    for variant in cauchyinv.InverseVariant:
-        attempt(bounds_mod.CV_INVERSE,
-                lambda v=variant: bounds_mod.bound_cv(kv, args.f, v))
-    attempt(bounds_mod.CIRCLE_VALUE,
-            lambda: bounds_mod.bound_circle_value(kv))
-    attempt(bounds_mod.COEFF_NORM, lambda: bounds_mod.bound_coeff_norm(kv))
-    n = len(kv)
-    if args.gen == "quasi-cyclic" and n % 3 == 0:
-        q = n // 3
-        for mode in bounds_mod.QC_MODES:
-            attempt(f"quasi-cyclic-{mode}",
-                    lambda m=mode: bounds_mod.bound_quasi_cyclic(q, m))
-    attempt(bounds_mod.ARC_VANDERMONDE,
-            lambda: bounds_mod.best_arc_search(kv, args.f)[1])
-    for report in reports:
-        print(_report_line(report))
+    print("\n".join(map(_report_line, reports)))
     return 0
 
 

@@ -14,7 +14,7 @@ from .logdomain import DISTINCT_TOL, check_disjoint, diff_blocks
 #: Entries above 10**OVERFLOW_LOG10 are refused up front.
 OVERFLOW_LOG10 = 307.5
 
-#: The CV paths that hold only for |f| = 1 accept |f| this far from 1.
+#: How far from 1 |f|, or a largest knot modulus, may be and count as on the unit circle.
 UNIT_F_TOL = 1e-12
 
 

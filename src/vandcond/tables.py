@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -183,9 +184,8 @@ _TABLES = {
 }
 
 
-def _integer_override(overrides: dict, name: str, default: int) -> int:
-    """overrides[name] as an int; ValueError unless it is an integer type."""
-    value = overrides.get(name, default)
+def _as_int(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer type (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -194,11 +194,11 @@ def _integer_override(overrides: dict, name: str, default: int) -> int:
 def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     """Assemble one experiment table; failed rows carry an error cell.
 
-    `overrides` may set `sizes` (the table's n grid, or q grid for T3),
-    `trials` (T5), and `seed`.  Anything else, an empty grid, a `seed` or
-    `trials` that is not an int or numpy integer (a bool, float or string
-    is refused, not truncated), a seed below 0 or trials below 1 raises
-    ValueError before any row runs.
+    `overrides` may set `sizes` (the table's n grid, or q grid for T3, as a
+    list, tuple or range), `trials` (T5), and `seed`.  Anything else, an
+    empty grid, a grid entry, `seed` or `trials` that is not an int or numpy
+    integer (a bool, float or string is refused, not truncated), a seed
+    below 0 or trials below 1 raises ValueError before any row runs.
     """
     table_id = table_id.upper()
     if table_id not in _TABLES:
@@ -208,14 +208,17 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    seed = _integer_override(overrides, "seed", DEFAULT_SEED)
-    trials = _integer_override(overrides, "trials", DEFAULT_TRIALS)
+    seed = _as_int("seed", overrides.get("seed", DEFAULT_SEED))
+    trials = _as_int("trials", overrides.get("trials", DEFAULT_TRIALS))
     sizes = overrides.get("sizes", spec.sizes)
+    if isinstance(sizes, (str, bytes)) or not isinstance(sizes, Sequence):
+        raise ValueError(f"sizes must be a sequence of integers, got {sizes!r}")
+    sizes = [_as_int("sizes entry", point) for point in sizes]
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not len(sizes):
+    if not sizes:
         raise ValueError("sizes must not be empty")
 
     rows = []

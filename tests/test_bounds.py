@@ -704,6 +704,78 @@ class TestCheckedCvGrid:
             assert cert.c == 0.5 * (t[cert.j_lo] + t[cert.j_hi])
 
 
+class TestEvaluators:
+    """`bounds.evaluators` is the listing `vandcond bounds` prints."""
+
+    F = cmath.exp(0.3j)
+    HEAD = [("easy", "easy"), ("refined-norm", "refined-norm")]
+    CLUSTER = [("cluster-literal", "cluster"), ("cluster-computed-norm", "cluster")]
+    MIDDLE = [("cv-inverse-paper", "cv-inverse"), ("cv-inverse-corrected", "cv-inverse"),
+              ("circle-value", "circle-value"), ("coeff-norm", "coeff-norm")]
+    QC = [(f"quasi-cyclic-{m}", f"quasi-cyclic-{m}")
+          for m in ("base", "coarse", "refined", "product", "integral")]
+    ARC = [("arc", "arc-vandermonde")]
+
+    @pytest.mark.parametrize("make, lines", [
+        (lambda: knotgen.quasi_cyclic(48), HEAD + MIDDLE + QC + ARC),
+        (lambda: knotgen.quasi_cyclic(47), HEAD + MIDDLE + ARC),
+        (lambda: knotgen.scaled_cluster(96, 12, 0.5), HEAD + CLUSTER + MIDDLE + ARC),
+        (lambda: knotgen.single_outlier(8, 0), HEAD + CLUSTER + MIDDLE + ARC),
+        # The staging lines follow the generator label, not the points.
+        (lambda: kv(knotgen.quasi_cyclic(48).as_array()), HEAD + MIDDLE + ARC)],
+        ids=["quasi-cyclic-48", "quasi-cyclic-47", "scaled-cluster-96", "outlier-at-0",
+             "custom-48"])
+    def test_labels_and_ids(self, make, lines):
+        listing = bounds.evaluators(make(), self.F)
+        assert [(label, bound_id) for label, bound_id, _ in listing] == lines
+
+    @pytest.mark.parametrize("f", [2.0, 0.0, math.nan])
+    def test_f_off_the_circle_refused(self, f):
+        with pytest.raises(ValueError, match="unit circle"):
+            bounds.evaluators(knotgen.quasi_cyclic(48), f)
+
+    def test_building_runs_no_evaluator(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("an evaluator ran")
+
+        monkeypatch.setattr(bounds, "bound_cv", boom)
+        listing = bounds.evaluators(knotgen.quasi_cyclic(48), self.F)
+        with pytest.raises(AssertionError, match="an evaluator ran"):
+            {label: thunk for label, _, thunk in listing}["cv-inverse-paper"]()
+
+    @pytest.mark.parametrize("argv", [
+        "--gen quasi-cyclic --n 48", "--gen quasi-cyclic --n 36",
+        "--gen quasi-cyclic --n 47", "--gen van-der-corput --n 192",
+        "--gen scaled-cluster --n 96 --k 12 --rho 0.5",
+        "--gen single-outlier --n 8 --s-last 0,0",
+        "--gen single-outlier --n 40 --s-last 1.5,0.2", "--gen dft --n 64",
+        "--gen file --file subnormal.txt", "--gen file --file huge.txt",
+        "--gen quasi-cyclic --n 12 --f 2"])
+    def test_cli_prints_the_listing(self, argv, tmp_path, monkeypatch, capsys):
+        from vandcond import cli
+        (tmp_path / "subnormal.txt").write_text("1e-320,0\n1,0\n-1,0\n")
+        (tmp_path / "huge.txt").write_text("1.7e308,0\n-1.7e308,0\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["bounds", *argv.split()]
+        parser = cli.build_parser()
+        args = parser.parse_args(argv)
+        expected = []
+        try:
+            listing = bounds.evaluators(cli._resolve_knots(args, parser), args.f)
+        except ValueError:
+            listing = []
+        for _, bound_id, thunk in listing:
+            try:
+                report = thunk()
+            except (VandcondError, ValueError) as exc:
+                report = bounds.BoundReport(bound_id, -math.inf, None, {}, applicable=False,
+                                            reason=f"{type(exc).__name__}: {exc}")
+            expected.append(cli._report_line(report) + "\n")
+        code = cli.main(argv)
+        assert code == (0 if listing else 2)
+        assert capsys.readouterr().out == "".join(expected)
+
+
 class TestEmpiricalDominance:
     """Measured condition numbers dominate all conservative bounds."""
 
@@ -737,9 +809,9 @@ class TestEmpiricalDominance:
         assert measured_log10_kappa(s) >= rep.log10value
 
     def test_every_conservative_report_below_the_svd(self):
-        # Every applicable report that is not a paper variant, as `vandcond
-        # bounds` lists it, against the SVD kappa wherever that is trusted;
-        # refined-norm is compared through its kappa bound.
+        # Every applicable report that is not a paper variant, from the
+        # listing `vandcond bounds` prints, against the SVD kappa wherever
+        # that is trusted; refined-norm is compared through its kappa bound.
         gens = [knotgen.roots_of_unity, knotgen.quasi_cyclic, knotgen.van_der_corput,
                 lambda n: knotgen.single_outlier(n, 1.5),
                 lambda n: knotgen.single_outlier(n, 0.5),
@@ -752,16 +824,10 @@ class TestEmpiricalDominance:
                 sv = spectral.singular_values(structmat.vandermonde(s))
                 if not sv.trustworthy:
                     continue
-                thunks = [lambda: bounds.bound_easy(s), lambda: bounds.bound_refined_norm(s)]
-                moduli = np.abs(s.as_array())
-                small = moduli[moduli < 1.0 - 1e-9]
-                if small.size:
-                    k, nu = int(small.size), 1.0 / float(small.max())
-                    thunks += [lambda m=m: bounds.bound_cluster(s, k, nu, m)
-                               for m in ("literal", "computed-norm")]
-                for f in (cmath.exp(0.3j), cmath.exp(0.5j)):
-                    thunks += [lambda f=f: bounds.bound_cv(s, f, CORRECTED),
-                               lambda f=f: bounds.best_arc_search(s, f)[1]]
+                # The whole listing at one f; at a second f only the lines that use f.
+                thunks = [thunk for _, _, thunk in bounds.evaluators(s, cmath.exp(0.3j))]
+                thunks += [thunk for label, _, thunk in bounds.evaluators(s, cmath.exp(0.5j))
+                           if label in ("cv-inverse-paper", "cv-inverse-corrected", "arc")]
                 for thunk in thunks:
                     try:
                         rep = thunk()

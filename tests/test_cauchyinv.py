@@ -601,7 +601,7 @@ class TestPublicSurface:
             "bound_cluster", "bound_refined_norm", "bound_cv",
             "bound_circle_value", "bound_coeff_norm", "bound_quasi_cyclic",
             "bound_dft_block", "is_separated", "sigma_bound_separated",
-            "arc_certificate", "bound_arc", "best_arc_search",
+            "arc_certificate", "bound_arc", "best_arc_search", "evaluators",
             "ExperimentTable", "run_table", "emit", "table_from_json",
         }
 

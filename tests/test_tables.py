@@ -90,7 +90,15 @@ class TestRunTable:
         # Refused, not truncated by int().
         ("T5", {"sizes": [16], name: value},
          rf"^{name} must be an integer, got {re.escape(repr(value))}$")
-        for name in ("trials", "seed") for value in (2.9, 1.7, 0.5, "3", True)])
+        for name in ("trials", "seed") for value in (2.9, 1.7, 0.5, "3", True)] + [
+        # A grid entry is refused, not truncated, and a grid must be a sequence.
+        ("T1", {"sizes": [64.5]}, r"^sizes entry must be an integer, got 64\.5$"),
+        ("T5", {"sizes": [16.5]}, r"^sizes entry must be an integer, got 16\.5$"),
+        ("T4", {"sizes": [8.0]}, r"^sizes entry must be an integer, got 8\.0$"),
+        ("T4", {"sizes": ["8"]}, r"^sizes entry must be an integer, got '8'$"),
+        ("T3", {"sizes": [True]}, r"^sizes entry must be an integer, got True$"),
+        ("T1", {"sizes": 64}, r"^sizes must be a sequence of integers, got 64$"),
+        ("T1", {"sizes": "64"}, r"^sizes must be a sequence of integers, got '64'$")])
     def test_invalid_whole_table_argument_raises(self, table_id, overrides, message,
                                                  monkeypatch):
         # An argument refusal, not an error row, and raised before any row runs.
@@ -104,9 +112,11 @@ class TestRunTable:
         assert not isinstance(err.value, VandcondError)
 
     def test_numpy_integer_overrides_accepted(self):
-        a = run_table("T5", {"sizes": [8], "trials": np.int64(3), "seed": np.uint16(2)})
+        a = run_table("T5", {"sizes": [np.int32(8)], "trials": np.int64(3),
+                             "seed": np.uint16(2)})
         b = run_table("T5", {"sizes": [8], "trials": 3, "seed": 2})
         assert a.rows == b.rows
+        assert type(a.rows[0]["n"]) is int
         assert (type(a.metadata["trials"]), type(a.metadata["seed"])) == (int, int)
 
     def test_t5_genp_diagnostics(self):
