@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchyinv import InverseVariant, inverse_blocks
 from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots,
-                     NotSeparated, UnitRadius, VacuousCertificate)
+                     NotSeparated, UnitRadius, VacuousCertificate, VandcondError)
 from .knotgen import KnotVector, unit_roots
 from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
 from .spectral import max_abs_on_circle, singular_values, top_singular_value
@@ -49,7 +49,6 @@ CIRCLE_VALUE = "circle-value"
 COEFF_NORM = "coeff-norm"
 DFT_BLOCK = "dft-block"
 SEPARATION_SIGMA = "separation-sigma"
-ARC_CV = "arc-cv"
 ARC_VANDERMONDE = "arc-vandermonde"
 
 
@@ -125,11 +124,12 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     experiment column for scaled clusters (verified to a fraction of a
     percent) and is reported side by side with the literal form.  The norm
     comes from the full SVD up to n = SVD_MAX_N and from the Lanczos Ritz
-    value of `spectral.top_singular_value` above it, which never forms V,
-    or from the SVD of V after all where Lanczos stops at its step cap
-    unconverged; V is built only for the SVD.  Params record which
-    (`norm_method`) and the Lanczos steps run (0 up to SVD_MAX_N).  The Ritz
-    value never exceeds the norm, so the bound stays a lower bound.
+    value of `spectral.top_singular_value` above it, converged or not, so V
+    is built only when n <= SVD_MAX_N.  Params record which (`norm_method`,
+    "svd" exactly when n <= SVD_MAX_N) and the Lanczos steps run (0 up to
+    SVD_MAX_N; `spectral.LANCZOS_MAX_STEPS` means the run stopped at its
+    cap).  The Ritz value never exceeds the norm, so the bound stays a
+    lower bound.
     """
     if not 1.0 < nu < math.inf:  # also refuses nan
         raise ValueError(f"nu must be a finite number above 1, got {nu!r}")
@@ -149,15 +149,14 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
         div_tag = "max(k, nu/(nu-1))"
         extra = {}
     else:
-        steps, converged = 0, False
-        if n > SVD_MAX_N:
-            sigma1, steps, converged = top_singular_value(s)
-        if not converged:
-            sigma1 = singular_values(vandermonde(s)).sigma1
+        if n <= SVD_MAX_N:
+            method, sigma1, steps = "svd", singular_values(vandermonde(s)).sigma1, 0
+        else:
+            method, (sigma1, steps, _) = "lanczos", top_singular_value(s)
         log_norm = math.log10(sigma1)
         norm_tag = "spectral"
         div_tag = "nu/(nu-1)"
-        extra = {"norm_method": "lanczos" if converged else "svd", "lanczos_steps": steps}
+        extra = {"norm_method": method, "lanczos_steps": steps}
     return BoundReport(CLUSTER, cluster_log10(log_norm, k, nu, norm_mode), None,
                        {"n": n, "k": k, "nu": nu, "norm": norm_tag,
                         "denominator": div_tag, "log10_norm": log_norm, **extra})
@@ -415,30 +414,23 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
                                  m_minus, n - m_minus, l - m_minus)
 
 
-def bound_arc(s: KnotVector, cert: SeparationCertificate,
-              form: str = "vandermonde") -> BoundReport:
-    """Arc bound: log10 ||Cinv|| >= rho_bar log10(eta) + log10((eta-1) r).
+def bound_arc(s: KnotVector, cert: SeparationCertificate) -> BoundReport:
+    """Arc bound on kappa for unit-disc knots, from the certificate.
 
-    The `vandermonde` form adds 0.5 log10(n) - log10(2), turning the CV
-    inverse-norm bound into a condition-number bound for unit-disc knots.
+    log10 ||Cinv|| >= rho_bar log10(eta) + log10((eta-1) r) bounds the CV
+    inverse; adding 0.5 log10(n) - log10(2) turns it into a condition-number
+    bound, applicable when every knot has |s| <= 1 and r > 0.
     """
-    if form not in ("cv", "vandermonde"):
-        raise ValueError(f"unknown form {form!r}")
     if cert.rho_bar <= 0:
         raise VacuousCertificate(f"rho_bar = {cert.rho_bar} is not positive")
     n = len(s)
     value = _arc_score(cert.rho_bar, cert.eta, cert.r) if cert.r > 0.0 else -math.inf
+    value = value + 0.5 * math.log10(n) - _LOG2
+    s_plus = s.max_modulus()
     params = {"n": n, "j_lo": cert.j_lo, "j_hi": cert.j_hi, "l": cert.l,
               "eta": cert.eta, "r": cert.r, "c": cert.c,
               "m_minus": cert.m_minus, "m_plus": cert.m_plus,
-              "rho_bar": cert.rho_bar}
-    if form == "cv":
-        ok = math.isfinite(value)
-        return BoundReport(ARC_CV, value, None, params, applicable=ok,
-                           reason="" if ok else "degenerate arc (r = 0)")
-    value = value + 0.5 * math.log10(n) - _LOG2
-    s_plus = s.max_modulus()
-    params["s_plus"] = s_plus
+              "rho_bar": cert.rho_bar, "s_plus": s_plus}
     reason = _outside_disc(s_plus) if math.isfinite(value) else "degenerate arc (r = 0)"
     return BoundReport(ARC_VANDERMONDE, value, None, params,
                        applicable=not reason, reason=reason)
@@ -482,14 +474,29 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
             "no arc certificate yields a bound above 1; "
             "knots are evenly spaced or n is too small")
     cert = arc_certificate(s, f, *best[1:])
-    return cert, bound_arc(s, cert, form="vandermonde")
+    return cert, bound_arc(s, cert)
+
+
+def _refusing(bound_id: str, evaluate):
+    """`evaluate` as a thunk whose VandcondError or ValueError becomes a refusal
+    report: value -inf, not applicable, the error in `reason`."""
+    def thunk() -> BoundReport:
+        try:
+            return evaluate()
+        except (VandcondError, ValueError) as exc:
+            return BoundReport(bound_id, -math.inf, None, {}, applicable=False,
+                               reason=f"{type(exc).__name__}: {exc}")
+    return thunk
 
 
 def evaluators(s: KnotVector, f: complex) -> list:
     """(label, bound_id, thunk) for each line of `vandcond bounds`; none runs yet.
 
-    ValueError unless |f| = 1.  Cluster lines need knots inside the unit circle;
-    quasi-cyclic lines need `s.label == "quasi-cyclic"` and 3 | n.
+    Each thunk returns its evaluator's report, or the refusal report when the
+    evaluator raises VandcondError or ValueError; any other exception
+    propagates.  ValueError unless |f| = 1, before any thunk exists.  Cluster
+    lines need knots inside the unit circle; quasi-cyclic lines need
+    `s.label == "quasi-cyclic"` and 3 | n.
     """
     check_unit_circle(f)
     out = [("easy", EASY, lambda: bound_easy(s)),
@@ -511,4 +518,5 @@ def evaluators(s: KnotVector, f: complex) -> list:
         out += [(f"quasi-cyclic-{m}", f"quasi-cyclic-{m}",
                  lambda m=m: bound_quasi_cyclic(len(s) // 3, m)) for m in QC_MODES]
     out.append(("arc", ARC_VANDERMONDE, lambda: best_arc_search(s, f)[1]))
-    return out
+    return [(label, bound_id, _refusing(bound_id, evaluate))
+            for label, bound_id, evaluate in out]

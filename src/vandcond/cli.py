@@ -159,16 +159,8 @@ def _report_line(report) -> str:
 
 def _cmd_bounds(args, parser) -> int:
     kv = _resolve_knots(args, parser)
-    reports = []
-    for _, bound_id, thunk in bounds_mod.evaluators(kv, args.f):
-        # One failing evaluator must not silence the rest of the listing.
-        try:
-            reports.append(thunk())
-        except (VandcondError, ValueError) as exc:
-            reports.append(bounds_mod.BoundReport(
-                bound_id, -math.inf, None, {},
-                applicable=False, reason=f"{type(exc).__name__}: {exc}"))
-    print("\n".join(map(_report_line, reports)))
+    listing = bounds_mod.evaluators(kv, args.f)
+    print("\n".join(_report_line(thunk()) for _, _, thunk in listing))
     return 0
 
 

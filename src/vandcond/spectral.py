@@ -365,7 +365,7 @@ def _genp_factor(a: np.ndarray):
         for k0 in range(0, n, GENP_BLOCK):
             k1 = min(k0 + GENP_BLOCK, n)
             for k in range(k0, k1):
-                mag = abs(a[k, k])
+                mag = float(abs(a[k, k]))
                 if mag <= ZERO_PIVOT_TOL:
                     raise ZeroPivot(k, mag)
                 min_pivot = min(min_pivot, mag)
@@ -447,12 +447,9 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     Results are bit-reproducible for a fixed (n, trials, seed).  Residual
     means at n >= 128 are dominated by rounding-order noise: once they
     reach about 1 they carry no reproducible digits across factorization
-    or solve orders.  They moved when the factor became blocked (n=256
-    from 6.4e3 to 4.4e2 at seed 12345), and at every n when the solve
-    became blocked substitution in numpy (seed 12345, n=16 1.11e-13 to
-    1.06e-13, n=128 19.0 to 14.4, n=256 444 to 385).  The Schur update in
-    column panels moved them again for n > 64 (seed 12345: n=128 14.4 to
-    14.5, n=256 385 to 300, n=512 6.02e3 to 3.21e3, n=1024 5.64e4 to 2.81e4).
+    or solve orders.  At seed 12345 with 100 trials they read n=16 1.06e-13,
+    n=32 8.09e-10, n=64 2.70e-3, n=128 14.5, n=256 300, n=512 3.21e3 and
+    n=1024 2.81e4.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

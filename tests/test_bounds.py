@@ -81,19 +81,20 @@ class TestBoundCluster:
             0.5 * math.log10(n // 8) + math.log10(2.0))
         assert abs(rep.log10value - expect) <= 1e-12
 
-    def test_unconverged_lanczos_falls_back_to_the_svd(self, monkeypatch):
-        n = bounds.SVD_MAX_N + 1
-        knots = knotgen.scaled_cluster(n, n // 8, 0.5)
-        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
-        rep = bounds.bound_cluster(knots, n // 8, 2.0, "computed-norm")
-        sigma1 = spectral.singular_values(structmat.vandermonde(knots)).sigma1
-        assert (rep.params["norm_method"], rep.params["lanczos_steps"]) == ("svd", 2)
-        assert rep.params["log10_norm"] == math.log10(sigma1)
+    # V alone is 16 n^2 bytes: 16.8 MB at n = 1024, 37.7 MB at n = 1536,
+    # 268 MB at n = 4096.  With the step cap at 2 Lanczos stops unconverged
+    # and its Ritz value is the norm all the same.
+    @pytest.mark.parametrize("n, budget, cap", [(1536, 10e6, None), (4096, 32e6, None),
+                                                (1024, 4 * 2 ** 20, 2)],
+                             ids=["1536-10", "4096-32", "1024-capped"])
+    def test_computed_norm_never_holds_v(self, n, budget, cap, monkeypatch):
+        def no_svd(*args):
+            raise AssertionError("the SVD ran above SVD_MAX_N")
 
-    @pytest.mark.parametrize("n, budget_mb", [(1536, 10), (4096, 32)])
-    def test_computed_norm_never_holds_v(self, n, budget_mb):
-        # V alone is 16 n^2 bytes: 37.7 MB at n = 1536, 268 MB at n = 4096.
         knots = knotgen.scaled_cluster(n, n // 8, 0.5)
+        monkeypatch.setattr(bounds, "singular_values", no_svd)
+        if cap is not None:
+            monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", cap)
         tracemalloc.start()
         try:
             rep = bounds.bound_cluster(knots, n // 8, 2.0, "computed-norm")
@@ -101,7 +102,13 @@ class TestBoundCluster:
         finally:
             tracemalloc.stop()
         assert rep.params["norm_method"] == "lanczos"
-        assert peak <= budget_mb * 1e6
+        assert peak <= budget
+        if cap is not None:
+            assert rep.params["lanczos_steps"] == cap
+            monkeypatch.undo()
+            sigma1, _, converged = spectral.top_singular_value(knots)
+            assert converged
+            assert rep.params["log10_norm"] <= math.log10(sigma1)
 
     @pytest.mark.parametrize("mode", ["literal", "computed-norm"])
     def test_value_is_the_formula_applied_to_its_norm(self, mode):
@@ -536,34 +543,37 @@ class TestBoundArc:
         with pytest.raises(VacuousCertificate):
             bounds.bound_arc(knotgen.roots_of_unity(8), cert)
 
-    def test_cv_form_below_inverse_norm(self):
+    def test_inverse_norm_part_below_the_svd(self):
         # Knots on the upper semicircle, arc on the lower: the inflated disc
-        # is empty, the certificate is sharp, and the bound stays below the
-        # SVD-computed inverse norm.
+        # is empty, the certificate is sharp, and the bound on ||Cinv||, the
+        # value less 0.5 log10(n) - log10(2), stays below the SVD-computed
+        # inverse norm.
         rng = np.random.Generator(np.random.Philox(32))
         angles = np.sort(rng.uniform(0.2, math.pi - 0.2, 8))
         s = kv(list(np.exp(1j * angles)))
         f = 1.0
         cert = bounds.arc_certificate(s, f, 5, 6, 1.2)
         assert cert.rho_bar == 2
-        rep = bounds.bound_arc(s, cert, form="cv")
+        rep = bounds.bound_arc(s, cert)
         C = structmat.cv_matrix(s, f)
         sigma = np.linalg.svd(C.data, compute_uv=False)
-        assert rep.log10value <= -math.log10(sigma[-1]) + 1e-9
+        inv_part = rep.log10value - 0.5 * math.log10(8) + math.log10(2)
+        assert inv_part <= -math.log10(sigma[-1]) + 1e-9
 
-    def test_vandermonde_form_adds_scale(self):
+    def test_value_is_the_closed_form_of_the_certificate(self):
         s = knotgen.quasi_cyclic(48)
         cert = bounds.arc_certificate(s, cmath.exp(0.3j), 30, 41, 1.2)
-        cv = bounds.bound_arc(s, cert, form="cv")
-        vm = bounds.bound_arc(s, cert, form="vandermonde")
-        assert abs(vm.log10value - (cv.log10value + 0.5 * math.log10(48)
-                                    - math.log10(2))) < 1e-12
+        rep = bounds.bound_arc(s, cert)
+        closed = (cert.eta ** cert.rho_bar * (cert.eta - 1.0) * cert.r
+                  * math.sqrt(48) / 2.0)
+        assert cert.rho_bar > 0 and rep.applicable
+        assert abs(rep.log10value - math.log10(closed)) < 1e-12
 
     def test_unit_disc_gate(self):
         s = knotgen.single_outlier(16, 2.0)
         cert = bounds.arc_certificate(s, cmath.exp(0.3j), 0, 5, 1.2)
         if cert.rho_bar > 0:
-            rep = bounds.bound_arc(s, cert, form="vandermonde")
+            rep = bounds.bound_arc(s, cert)
             assert not rep.applicable
 
 
@@ -601,7 +611,7 @@ def reference_arc_search(s, f, eta_grid=(1.1, 1.2, 1.5), exhaustive=False):
                     best = (value, l, j_lo, eta, cert)
     if best is None or best[0] <= 0.0:
         raise NoPositiveBound("no arc certificate yields a bound above 1")
-    return best[4], bounds.bound_arc(s, best[4], form="vandermonde")
+    return best[4], bounds.bound_arc(s, best[4])
 
 
 def arc_corpus():
@@ -740,8 +750,27 @@ class TestEvaluators:
 
         monkeypatch.setattr(bounds, "bound_cv", boom)
         listing = bounds.evaluators(knotgen.quasi_cyclic(48), self.F)
+        # Only VandcondError and ValueError become refusals; this propagates.
         with pytest.raises(AssertionError, match="an evaluator ran"):
             {label: thunk for label, _, thunk in listing}["cv-inverse-paper"]()
+
+    @pytest.mark.parametrize("make, label, reason", [
+        (lambda: knotgen.single_outlier(8, 0), "cluster-computed-norm",
+         "ValueError: nu must be a finite number above 1, got inf"),
+        (lambda: knotgen.quasi_cyclic(36), "quasi-cyclic-base",
+         "ValueError: mode 'base' requires q to be a power of two (q=12)"),
+        (lambda: knotgen.roots_of_unity(8), "refined-norm",
+         "UnitRadius: largest knot modulus is 1; geometric sum degenerates"),
+        (lambda: knotgen.roots_of_unity(8), "arc",
+         "NoPositiveBound: no arc certificate yields a bound above 1; "
+         "knots are evenly spaced or n is too small")],
+        ids=["cluster-nu-inf", "qc-base-q12", "refined-unit-radius", "arc-no-bound"])
+    def test_thunk_returns_its_refusal(self, make, label, reason):
+        listing = {lab: (bound_id, thunk)
+                   for lab, bound_id, thunk in bounds.evaluators(make(), self.F)}
+        bound_id, thunk = listing[label]
+        assert thunk() == bounds.BoundReport(bound_id, -math.inf, None, {},
+                                             applicable=False, reason=reason)
 
     @pytest.mark.parametrize("argv", [
         "--gen quasi-cyclic --n 48", "--gen quasi-cyclic --n 36",
@@ -759,18 +788,11 @@ class TestEvaluators:
         argv = ["bounds", *argv.split()]
         parser = cli.build_parser()
         args = parser.parse_args(argv)
-        expected = []
         try:
             listing = bounds.evaluators(cli._resolve_knots(args, parser), args.f)
         except ValueError:
             listing = []
-        for _, bound_id, thunk in listing:
-            try:
-                report = thunk()
-            except (VandcondError, ValueError) as exc:
-                report = bounds.BoundReport(bound_id, -math.inf, None, {}, applicable=False,
-                                            reason=f"{type(exc).__name__}: {exc}")
-            expected.append(cli._report_line(report) + "\n")
+        expected = [cli._report_line(thunk()) + "\n" for _, _, thunk in listing]
         code = cli.main(argv)
         assert code == (0 if listing else 2)
         assert capsys.readouterr().out == "".join(expected)
@@ -829,10 +851,7 @@ class TestEmpiricalDominance:
                 thunks += [thunk for label, _, thunk in bounds.evaluators(s, cmath.exp(0.5j))
                            if label in ("cv-inverse-paper", "cv-inverse-corrected", "arc")]
                 for thunk in thunks:
-                    try:
-                        rep = thunk()
-                    except VandcondError:
-                        continue
+                    rep = thunk()
                     if not rep.applicable or rep.variant == PAPER.value:
                         continue
                     checked += 1

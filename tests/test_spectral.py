@@ -455,6 +455,11 @@ class TestGenpBlockedFactor:
         assert min_pivot == _column_loop_min_pivot(structmat.dft(n).data)
         assert spectral.genp_residual_experiment(n, 3, 5).min_pivot == min_pivot
 
+    def test_min_pivot_is_a_python_float(self):
+        _, min_pivot = spectral.genp_solve(structmat.dft(16), np.ones(16))
+        assert type(min_pivot) is float
+        assert type(spectral.genp_residual_experiment(16, 3, 1).min_pivot) is float
+
     def test_solve_leaves_inputs_unchanged(self):
         a = _dominant(150, 4)
         A = structmat.DenseMatrix(a)
