@@ -31,7 +31,7 @@ import numpy as np
 from .errors import RangeOverflow
 from .knotgen import KnotVector
 from .logdomain import (DISTINCT_TOL, check_disjoint, diff_blocks, log_products,
-                        pow_diff_logs, self_derivative_logs, wrap_phase)
+                        log_row_sums, pow_diff_logs, self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
 from .structmat import DenseMatrix, check_unit_circle, cv_knots
 
@@ -56,15 +56,21 @@ def cauchy_det(s: KnotVector, t: KnotVector) -> tuple[float, float]:
     # Row i of a block keeps s_i - s_j left of the diagonal (j < i), takes
     # t_i - t_j right of it (j > i) and 1 on it (log and angle 0): every row is
     # summed whole inside one block, so the result does not depend on its size.
+    def operands(i, j):  # of the block at row lo: s left of the diagonal, t right
+        left = j < lo + i
+        return (np.where(left, sp[lo + i], tp[lo + i]),
+                np.where(left, sp[j], tp[j]))
+
     row_mag, row_ph = np.empty(n), np.empty(n)
-    for lo, d in diff_blocks(sp, sp):
-        hi = lo + len(d)
-        k = np.arange(len(d))
-        np.subtract(tp[lo:hi, None], tp[None, hi:], out=d[:, hi:])
-        np.copyto(d[:, lo:hi], tp[lo:hi, None] - tp[None, lo:hi], where=k[:, None] < k)
-        d[k, lo + k] = 1.0
-        row_mag[lo:hi] = np.sum(np.log10(np.abs(d)), axis=1)
-        row_ph[lo:hi] = np.sum(np.angle(d), axis=1)
+    with np.errstate(over="ignore"):
+        for lo, d in diff_blocks(sp, sp):
+            hi = lo + len(d)
+            k = np.arange(len(d))
+            np.subtract(tp[lo:hi, None], tp[None, hi:], out=d[:, hi:])
+            np.copyto(d[:, lo:hi], tp[lo:hi, None] - tp[None, lo:hi], where=k[:, None] < k)
+            d[k, lo + k] = 1.0
+            row_mag[lo:hi] = log_row_sums(d, np.log10(np.abs(d)), operands)
+            row_ph[lo:hi] = np.sum(np.angle(d), axis=1)
     mag += float(np.sum(row_mag))
     ph += float(np.sum(row_ph))
     return mag, wrap_phase(ph)
@@ -97,20 +103,26 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
             # t(x) = x**n - f**n, so t'(t_i) = n * t_i**(n-1) analytically.
             tder = (math.log10(n) + (n - 1) * np.log10(np.abs(tp)),
                     (n - 1) * np.angle(tp))
-    for lo, d in diff_blocks(tp, sp):
-        mag = np.abs(d)
-        if mag.min() <= DISTINCT_TOL:
-            check_disjoint(sp, tp)
-        block = np.log10(mag, out=mag), (np.angle(d) if phase else None)
-        for k, x in enumerate(block[:1 + phase]):
-            row = np.sum(x, axis=1)
-            if corrected:
-                row -= tder[k][lo:lo + len(d)]
-            elif k:
-                row += math.pi * n
-            np.subtract(row[:, None], x, out=x)  # in place: no n x n scratch
-            x += col[k]
-        yield lo, *block
+    # A difference past the float range comes out infinite, with no warning
+    # (the setting also holds in the consumer between blocks); log_row_sums
+    # takes it again before any angle is taken.
+    with np.errstate(over="ignore"):
+        for lo, d in diff_blocks(tp, sp):
+            mag = np.abs(d)
+            if mag.min() <= DISTINCT_TOL:
+                check_disjoint(sp, tp)
+            np.log10(mag, out=mag)
+            row_mag = log_row_sums(d, mag, lambda i, j: (tp[lo + i], sp[j]))
+            block = mag, (np.angle(d) if phase else None)
+            for k, x in enumerate(block[:1 + phase]):
+                row = np.sum(x, axis=1) if k else row_mag
+                if corrected:
+                    row -= tder[k][lo:lo + len(d)]
+                elif k:
+                    row += math.pi * n
+                np.subtract(row[:, None], x, out=x)  # in place: no n x n scratch
+                x += col[k]
+            yield lo, *block
 
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,

@@ -79,14 +79,42 @@ def self_derivative_logs(points: np.ndarray, phase: bool = True):
     return _log_sums(points, points, skip_self=True, phase=phase)
 
 
+def retake_halved(d: np.ndarray, redo: np.ndarray, operands):
+    """Take the differences of a block that `redo` marks again, halved.
+
+    d is a block of differences x - k of finite points; a difference past
+    the float range (points of opposite signs near 1.8e308) came out
+    infinite.  operands(i, j) gives the (x, k) of block entries (i, j); each
+    marked one is written back as x/2 - k/2, exactly half the difference,
+    with its angle.  Returns the block indices (i, j) taken again.
+    """
+    i, j = np.nonzero(redo)
+    x, k = operands(i, j)
+    d[i, j] = 0.5 * x - 0.5 * k
+    return i, j
+
+
+def log_row_sums(d: np.ndarray, logs: np.ndarray, operands) -> np.ndarray:
+    """Row sums of logs = log10|d| for a block of differences d, none past the float range.
+
+    A difference past the float range has a log10 magnitude of +inf, so its
+    row sums to +inf, or nan beside an exact hit.  Only then are those
+    entries halved by `retake_halved` (operands as there) and given
+    log10|x/2 - k/2| + log10 2; rows that meet none keep their bits.
+    """
+    rows = np.sum(logs, axis=1)
+    if rows.max() < np.inf:
+        return rows
+    i, j = retake_halved(d, logs == np.inf, operands)
+    logs[i, j] = np.log10(np.abs(d[i, j])) + _LOG10_2
+    return np.sum(logs, axis=1)
+
+
 def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool, phase: bool = True):
     """Row sums of log10|x - knot| and angle(x - knot); skip_self drops x_j - x_j.
 
     Without `phase` the angle sums are skipped and None is returned for them.
-    A difference past the float range (finite points of opposite signs near
-    1.8e308) is taken again from the halved operands, exactly, as
-    log10|x/2 - knot/2| + log10 2; such a row sums to +inf or nan at first,
-    so rows that do not meet one keep their bits.
+    A difference past the float range is taken again by `log_row_sums`.
     """
     mag = np.empty(len(xs))
     ph = np.empty(len(xs)) if phase else None
@@ -96,13 +124,7 @@ def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool, phase: bool = 
                 k = np.arange(len(d))
                 d[k, lo + k] = 1.0
             logs = np.log10(np.abs(d))
-            rows = np.sum(logs, axis=1)
-            if not np.all(rows < np.inf):
-                i, j = np.nonzero(logs == np.inf)
-                d[i, j] = 0.5 * xs[lo + i] - 0.5 * knots[j]
-                logs[i, j] = np.log10(np.abs(d[i, j])) + _LOG10_2
-                rows = np.sum(logs, axis=1)
-            mag[lo:lo + len(d)] = rows
+            mag[lo:lo + len(d)] = log_row_sums(d, logs, lambda i, j: (xs[lo + i], knots[j]))
             if phase:
                 ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
     return mag, ph

@@ -436,8 +436,9 @@ def genp_solve(A: DenseMatrix, b):
 def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     """Relative residuals of no-pivot solves on the n-point Fourier matrix.
 
-    Each trial draws a real standard normal right-hand side from a Philox
-    stream spawned off (seed, trial index) and records ||A x - b|| / ||b||.
+    One Philox stream of `seed` draws a trials x n block of real standard
+    normals, row t being trial t's right-hand side b, so fewer trials read a
+    prefix of the same draws.  Each trial records ||A x - b|| / ||b||.
     All trials share one blocked LU factor (see `_genp_factor`) and are
     solved together as the columns of one n x trials right-hand side.  The
     DFT matrix is built straight into the buffer that is factored, and built
@@ -447,19 +448,17 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     Results are bit-reproducible for a fixed (n, trials, seed).  Residual
     means at n >= 128 are dominated by rounding-order noise: once they
     reach about 1 they carry no reproducible digits across factorization
-    or solve orders.  At seed 12345 with 100 trials they read n=16 1.06e-13,
-    n=32 8.09e-10, n=64 2.70e-3, n=128 14.5, n=256 300, n=512 3.21e3 and
-    n=1024 2.81e4.
+    or solve orders.  At seed 12345 with 100 trials they read n=16 1.01e-13,
+    n=32 7.91e-10, n=64 2.73e-3, n=128 13.9, n=256 282, n=512 3.04e3 and
+    n=1024 2.71e4.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     LU, min_pivot = _genp_factor(vandermonde_array(unit_roots(n)))
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    B = np.empty((n, trials), dtype=np.complex128)
-    for t in range(trials):
-        B[:, t] = np.random.Generator(np.random.Philox(streams[t])).standard_normal(n)
+    rng = np.random.Generator(np.random.Philox(seed))
+    B = rng.standard_normal((trials, n)).T.astype(np.complex128, order="C")
     X = _genp_solve_packed(LU, B)
     bands = range(0, n, GENP_BLOCK)
     # max|U| one block row at a time: np.triu of the whole factor would copy it.

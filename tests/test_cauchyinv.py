@@ -290,6 +290,62 @@ class TestDegenerateF:
                 call(knotgen.roots_of_unity(4), f, variant)
 
 
+def mp_inverse_entry(sp, tp, variant, i, j):
+    """Entry (i, j) of the variant's closed form, as products in mpmath."""
+    S, T = [mpmath.mpc(x) for x in sp], [mpmath.mpc(y) for y in tp]
+
+    def s_of(x):
+        return mpmath.fprod(x - y for y in S)
+
+    def t_of(x):
+        return mpmath.fprod(x - y for y in T)
+
+    if variant is PAPER:
+        return (-1) ** len(S) * s_of(T[j]) * t_of(S[i]) / (T[j] - S[i])
+    sder = mpmath.fprod(S[j] - y for k, y in enumerate(S) if k != j)
+    tder = mpmath.fprod(T[i] - y for k, y in enumerate(T) if k != i)
+    return s_of(T[i]) * t_of(S[j]) / ((T[i] - S[j]) * sder * tder)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPastTheFloatRange:
+    """Finite knots of opposite signs near 1.8e308 differ by more than the
+    float range; each walk takes such a difference again from its halves."""
+
+    S = [1.7e308, -1.7e308]
+    F = complex(1e308, 1e308)
+
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    @pytest.mark.parametrize("route", ["cv", "cauchy"])
+    def test_inverse_log_entries_match_mpmath(self, route, variant):
+        # t_i - s_j reaches 2.7e308 in its real part.
+        tp = structmat.cv_knots(2, self.F)
+        if route == "cv":
+            mag, ph = cauchyinv.cv_inverse_log_entries(kv(self.S), self.F, variant)
+        else:
+            mag, ph = cauchyinv.cauchy_inverse_log_entries(kv(self.S), kv(tp), variant)
+        for i in range(2):
+            for j in range(2):
+                want = mp_inverse_entry(self.S, tp, variant, i, j)
+                log_want = float(mpmath.log10(abs(want)))
+                assert abs(mag[i, j] - log_want) <= 1e-12 * abs(log_want)
+                assert abs(wrap_phase(ph[i, j] - float(mpmath.arg(want)))) < 1e-12
+
+    @pytest.mark.parametrize("s, t", [(S, [0.5, 1.0]), ([0.5, 1.0], S),
+                                      ([1.7e308, 2.0, -1.7e308], [0.5, 1e308j, 1.0])])
+    def test_cauchy_det_matches_mpmath(self, s, t):
+        # s_j - s_i past the range sits left of the diagonal, t_i - t_j right.
+        mag, ph = cauchyinv.cauchy_det(kv(s), kv(t))
+        S, T = [mpmath.mpc(x) for x in s], [mpmath.mpc(y) for y in t]
+        n = len(S)
+        want = (mpmath.fprod((S[j] - S[i]) * (T[i] - T[j])
+                             for i in range(n) for j in range(i + 1, n))
+                / mpmath.fprod(x - y for x in S for y in T))
+        log_want = float(mpmath.log10(abs(want)))
+        assert abs(mag - log_want) <= 1e-12 * abs(log_want)
+        assert abs(wrap_phase(ph - float(mpmath.arg(want)))) < 1e-12
+
+
 class TestLogEntryTables:
     def test_phases_wrapped(self):
         s = knotgen.van_der_corput(16)

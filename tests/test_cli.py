@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 import vandcond
 from vandcond import cauchyinv, cli, knotgen, structmat
+from vandcond.logdomain import wrap_phase
 
 
 def run(argv, capsys):
@@ -297,6 +299,27 @@ class TestInvert:
                               *extra], capsys)
         assert (code, out, err) == (2, "", "error: f must be nonzero\n")
         assert len(recwarn) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_cauchy_log_domain_past_the_float_range(self, tmp_path, capsys):
+        # t_i - s_j = 1e308 + 1.7e308 overflowed: inf and nan were printed.
+        path = tmp_path / "huge.txt"
+        path.write_text("1.7e308,0\n-1.7e308,0\n")
+        code, out, err = run(["invert", "--gen", "file", "--file", str(path),
+                              "--method", "cauchy", "--log-domain", "--f=1e308,1e308"], capsys)
+        assert (code, err) == (0, "")
+        with mpmath.workdps(50):
+            s = [mpmath.mpf(1.7e308), mpmath.mpf(-1.7e308)]
+            t = [mpmath.mpc(z) for z in structmat.cv_knots(2, complex(1e308, 1e308))]
+            inv = mpmath.inverse(mpmath.matrix([[1 / (x - y) for y in t] for x in s]))
+        lines = out.splitlines()
+        assert lines[0] == "i,j,log10mag,phase" and len(lines) == 5
+        for line in lines[1:]:
+            i, j, mag, ph = line.split(",")
+            want = inv[int(i), int(j)]
+            log_want = float(mpmath.log10(abs(want)))
+            assert abs(float(mag) - log_want) <= 1e-12 * abs(log_want)
+            assert abs(wrap_phase(float(ph) - float(mpmath.arg(want)))) < 1e-12
 
     def test_cv_route_refuses_f_off_the_circle(self, capsys, recwarn):
         # At f = 2 the route printed entries up to 456 where V^-1 has 1/64.

@@ -334,6 +334,9 @@ class TestBlockSizeInvariance:
             "best_arc_search": lambda: bounds.best_arc_search(s, f),
             "cv_inverse_paper": lambda: cauchyinv.cv_inverse_log_entries(s, f, paper),
             "cv_inverse_corrected": lambda: cauchyinv.cv_inverse_log_entries(s, f, corrected),
+            "cauchy_inverse_paper": lambda: cauchyinv.cauchy_inverse_log_entries(s, t, paper),
+            "cauchy_inverse_corrected":
+                lambda: cauchyinv.cauchy_inverse_log_entries(s, t, corrected),
             "cauchy": lambda: structmat.cauchy(s, t).data,
             "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
         }

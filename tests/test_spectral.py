@@ -539,6 +539,19 @@ class TestGenpExperiment:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
 
+    @pytest.mark.parametrize("n, trials", [(16, 1), (100, 1), (16, 4), (100, 3)])
+    def test_trial_t_reads_row_t_of_one_stream(self, n, trials):
+        # Trial t solves with normals t*n .. (t+1)*n - 1 of Philox(seed), all
+        # trials as the columns of one right-hand side.
+        seed = 11
+        normals = np.random.Generator(np.random.Philox(seed)).standard_normal(trials * n)
+        B = np.ascontiguousarray(normals.reshape(trials, n).T)
+        A = structmat.dft(n)
+        X, _ = spectral.genp_solve(A, B)
+        rns = np.linalg.norm(A.data @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+        stats = spectral.genp_residual_experiment(n, trials, seed)
+        assert stats.mean_rn == pytest.approx(float(rns.mean()), rel=1e-12, abs=0)
+
     def test_reference_scales(self):
         m16 = spectral.genp_residual_experiment(16, 100, 12345).mean_rn
         assert 8.88e-15 < m16 < 8.88e-13

@@ -1,6 +1,7 @@
 import io
 import types
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -178,6 +179,19 @@ class TestCauchy:
     def test_collision(self):
         with pytest.raises(KnotCollision):
             structmat.cauchy(kv([1, 2]), kv([2 + 1e-15, 5]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, t", [
+        ([1.7e308], [-1.7e308]),                  # the difference overflows
+        ([1e308 + 1e308j], [-1e308 - 1e308j]),    # so does x/2 - k/2's divisor
+        ([1e308 + 1e308j], [0.0]),                # only numpy's divisor does
+        ([1.2e308 + 1.2e308j, 3.0], [-5e307, 1e308j, 2.0])])
+    def test_entries_near_the_float_range_match_mpmath(self, s, t):
+        C = structmat.cauchy(kv(s), kv(t)).data
+        for i, x in enumerate(s):
+            for j, k in enumerate(t):
+                want = 1 / (mpmath.mpc(x) - mpmath.mpc(k))
+                assert abs(mpmath.mpc(C[i, j]) - want) <= 1e-12 * abs(want)
 
 
 class TestCvMatrix:
