@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchyinv import InverseVariant, inverse_blocks
+from .cauchyinv import InverseVariant, cv_column_peaks
 from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots,
                      NotSeparated, UnitRadius, VacuousCertificate, VandcondError)
-from .knotgen import KnotVector, unit_roots
-from .logdomain import diff_blocks, log_magnitudes, pow_diff_logs
-from .spectral import max_abs_on_circle, singular_values, top_singular_value
+from .knotgen import KnotVector
+from .logdomain import diff_blocks, pow_diff_logs, self_derivative_logs
+from .spectral import max_abs_on_circle, root_logs, singular_values, top_singular_value
 from .structmat import UNIT_F_TOL, check_unit_circle, cv_knots, vandermonde
 
 #: Catalan's constant G to 18 digits: the staging integral is q 2G/pi in closed form.
@@ -180,34 +180,66 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
                         "log10_kappa_bound": value - 0.5 * math.log10(n)})
 
 
-def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
-    """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
+#: The last `_cv_peaks` call: its knot vector, repr(f) and result.  One
+#: entry, so the two cv-inverse lines of a knot set share one walk and no
+#: more than O(n) floats are held; KnotVector is immutable and the entry
+#: keeps it alive, so identity is a safe key, and repr tells -0.0 from 0.0.
+_cv_memo = (None, "", None)
 
-    ||Cinv|| is lower-bounded by the largest inverse-entry magnitude under
-    the chosen variant, in log10 from one magnitude-only walk of
-    `cauchyinv.inverse_blocks`, so any scale works.  No SVD runs and no
-    n x n array is built, at any n: past small n a double-precision SVD of
-    C floors far below the certified entry bound.
-    The grid is `cv_knots(n, f)`, and ValueError is raised unless |f| = 1.
-    On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
+
+def _cv_peaks(s: KnotVector, f: complex):
+    """(f, nudged, log10|s_j^n - f^n|, paper peaks, corrected peaks) for `bound_cv`.
+
+    The peaks are `cauchyinv.cv_column_peaks` on the grid `cv_knots(n, f)`;
+    on a grid collision f turns once by (3 - sqrt 5)/2 of a grid step and
+    the walk runs again.  Memoised on the last (s, f); a refusal is not.
     """
-    f = complex(f)
+    global _cv_memo
+    key = repr(f)
+    held, held_key, out = _cv_memo  # one read: another thread may replace it
+    if held is s and held_key == key:
+        return out
     sp = s.as_array()
     n = len(sp)
-
-    def largest_entry(f):
-        blocks = inverse_blocks(sp, _cv_grid(n, f), variant, f, phase=False)
-        return max(float(np.max(mag)) for _, mag, _ in blocks)
-
     nudged = False
     try:
-        log_inv_entry = largest_entry(f)
+        peaks = cv_column_peaks(sp, _cv_grid(n, f))
     except KnotCollision:
         step = math.pi * (3.0 - math.sqrt(5.0)) / n
         f *= complex(math.cos(step), math.sin(step))
         nudged = True
-        log_inv_entry = largest_entry(f)
-    log_pow = float(np.max(pow_diff_logs(sp, f, n)[0]))
+        peaks = cv_column_peaks(sp, _cv_grid(n, f))
+    out = (f, nudged, pow_diff_logs(sp, f, n)[0], *peaks)
+    _cv_memo = s, key, out
+    return out
+
+
+def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
+    """kappa >= sqrt(n) * ||Cinv|| / max_i |s_i^n - f^n| for the CV matrix.
+
+    ||Cinv|| is lower-bounded by the largest inverse-entry magnitude under
+    the chosen variant, in log10, so any scale works.  No SVD runs and no
+    n x n array is built, at any n: past small n a double-precision SVD of
+    C floors far below the certified entry bound.
+    The grid is `cv_knots(n, f)`, and ValueError is raised unless |f| = 1.
+    On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
+
+    The n x n walk over t_i - s_j runs once per (s, f) for both variants:
+    the first line on a knot set pays for it, through `_cv_peaks`, and
+    keeps max_i (r_i - log10|t_i - s_j|) per column for each variant's row
+    term r_i.  Rounded addition is monotone, so adding the column term
+    afterwards, log10|s_j^n - f^n| (over s'(s_j) if corrected), gives the
+    largest table entry bit for bit.  The corrected line also pays for its
+    own n x n walk over s_i - s_k, for s'(s_j); the paper line needs none.
+    """
+    f, nudged, pow_mag, paper, corrected = _cv_peaks(s, complex(f))
+    n = len(s)
+    if variant is InverseVariant.CORRECTED:
+        peaks, col = corrected, pow_mag - self_derivative_logs(s.as_array(), phase=False)[0]
+    else:
+        peaks, col = paper, pow_mag
+    log_inv_entry = float(np.max(peaks + col))
+    log_pow = float(np.max(pow_mag))
     value = 0.5 * math.log10(n) + log_inv_entry - log_pow
     params = {"n": n, "f": f, "nudged": nudged,
               "log10_inv_norm_entry": log_inv_entry,
@@ -243,10 +275,13 @@ def bound_coeff_norm(s: KnotVector) -> BoundReport:
 
     By Parseval ||coeff|| sqrt(n+1) is the 2-norm of s on the (n+1)-th roots
     of 1, summed in log10.  At most n of those n+1 points are knots, where
-    s is 0 (log -inf), so the sum has a finite term.
+    s is 0 (log -inf), so the sum has a finite term.  The logs come from
+    `spectral.root_logs`: after `bound_circle_value` on the same knot
+    vector, whose scan holds them as its even samples, no walk runs here;
+    run first, this pays for the (n+1) x n walk and the scan reads it.
     """
     n = len(s)
-    logmags = log_magnitudes(unit_roots(n + 1), s.as_array())
+    logmags = root_logs(s)
     finite = logmags[np.isfinite(logmags)]
     peak = float(np.max(finite))
     log_l2 = peak + 0.5 * math.log10(float(np.sum(10.0 ** (2.0 * (finite - peak)))))

@@ -239,6 +239,29 @@ def poly_from_roots(knots: KnotVector) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+#: The last `root_logs` call: its knot vector and logs.  One entry, so
+#: circle-value and coeff-norm on a knot set share one walk and no more than
+#: n + 1 floats are held; KnotVector is immutable and the entry keeps it
+#: alive, so identity is a safe key.
+_root_memo = (None, None)
+
+
+def root_logs(knots: KnotVector) -> np.ndarray:
+    """log10|s(w)| at the n + 1 roots of 1 w, read-only, memoised on the last knots.
+
+    These are the even samples of `max_abs_on_circle` and the Parseval
+    points of `bounds.bound_coeff_norm`; the first of the two to run on a
+    knot vector pays for the (n+1) x n walk, the other reads its result.
+    """
+    global _root_memo
+    held, logs = _root_memo  # one read: another thread may replace it
+    if held is not knots:
+        logs = log_magnitudes(unit_roots(len(knots) + 1), knots.as_array())
+        logs.flags.writeable = False
+        _root_memo = knots, logs
+    return logs
+
+
 def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     """Maximize |prod (f - s_i)| over f on the unit circle.
 
@@ -251,11 +274,17 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
 
     * On the circle T = |s|^2 = prod (1 + |s_i|^2 - 2 Re(conj(s_i) f)) is a
       real trigonometric polynomial of degree n, so its values at the
-      m = 2n + 1 roots of 1 fix it.  These are computed exactly (2 n^2 log
+      m = 2n + 2 roots of 1 fix it.  These are computed exactly (2 n^2 log
       terms, against 16 n^2 for the whole grid) and scaled by their largest.
+      The even half of them is the n + 1 roots of 1 bit for bit, read from
+      `root_logs`, which `bounds.bound_coeff_norm` reads too: whichever of
+      the two runs first on a knot vector pays for that (n+1) x n walk, and
+      the scan itself always walks the odd half.
     * One FFT gives T's coefficients; frequency k goes to slot k mod `grid`
       (so any grid >= 8 works, also one below m) and one inverse FFT gives
-      the interpolated T at every grid point.
+      the interpolated T at every grid point.  Slot n + 1 of the FFT is the
+      Nyquist frequency n + 1, which T lacks: it holds only rounding, so it
+      is zeroed rather than folded onto either side.
     * Each interpolated value is off by at most about
       Lambda_m (2 ln(10) E + sqrt(m) log2(m) eps), with E the rounding of
       one log10 sum (about n eps max |log10|f - s_i||) and
@@ -283,12 +312,15 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
         grid = max(1024, 16 * n)
     if grid < 8:
         raise ValueError("grid must be >= 8")
-    m = 2 * n + 1
-    logs = log_magnitudes(unit_roots(m), pts)
+    m = 2 * n + 2
+    logs = np.empty(m)
+    logs[0::2] = root_logs(knots)
+    logs[1::2] = log_magnitudes(unit_roots(m)[1::2], pts)
     # 10^-inf = 0 at a knot on a sample point; underflow to 0 is harmless.
     coef = np.fft.fft(10.0 ** (2.0 * (logs - np.max(logs))))
+    coef[n + 1] = 0.0  # the Nyquist slot: rounding only, T has degree n
     k = np.arange(m)
-    k[n + 1:] -= m  # slots n+1 .. 2n hold frequencies -n .. -1
+    k[n + 2:] -= m  # slots n+2 .. 2n+1 hold frequencies -n .. -1
     folded = np.zeros(grid, dtype=np.complex128)
     np.add.at(folded, k % grid, coef)
     vals = np.fft.ifft(folded).real * (grid / m)

@@ -276,6 +276,104 @@ class TestBoundCv:
             bounds.bound_cv(knotgen.roots_of_unity(8), 2.0, PAPER)
 
 
+class TestMemoScope:
+    """The cv-inverse lines share one walk per (knot vector, f), circle-value
+    and coeff-norm one per knot vector; no report depends on which ran first."""
+
+    # single_outlier and scaled_cluster need n >= 2.
+    CASES = [(gen, n) for gen in ("quasi-cyclic", "van-der-corput", "scaled-cluster",
+                                  "single-outlier")
+             for n in (1, 7, 192, 769) if n > 1 or gen in ("quasi-cyclic", "van-der-corput")]
+
+    @staticmethod
+    def make(gen, n):
+        return {"quasi-cyclic": knotgen.quasi_cyclic,
+                "van-der-corput": knotgen.van_der_corput,
+                "scaled-cluster": lambda n: knotgen.scaled_cluster(n, max(1, n // 8), 0.5),
+                "single-outlier": lambda n: knotgen.single_outlier(n, 1.5 * cmath.exp(0.4j)),
+                }[gen](n)
+
+    @staticmethod
+    def cold(monkeypatch):
+        monkeypatch.setattr(bounds, "_cv_memo", (None, "", None))
+        monkeypatch.setattr(spectral, "_root_memo", (None, None))
+
+    @staticmethod
+    def lines(s, f):
+        return {"paper": lambda: bounds.bound_cv(s, f, PAPER),
+                "corrected": lambda: bounds.bound_cv(s, f, CORRECTED),
+                "circle": lambda: bounds.bound_circle_value(s),
+                "coeff": lambda: bounds.bound_coeff_norm(s)}
+
+    @pytest.mark.parametrize("gen, n", CASES)
+    def test_same_reports_in_any_order_and_cold(self, monkeypatch, gen, n):
+        s, f = self.make(gen, n), cmath.exp(0.3j)
+        lines = self.lines(s, f)
+        runs = []
+        for order in (list(lines), list(lines)[::-1]):
+            self.cold(monkeypatch)
+            runs.append({name: repr(lines[name]()) for name in order})
+        cold = {}
+        for name, line in lines.items():
+            self.cold(monkeypatch)
+            cold[name] = repr(line())
+        assert runs[0] == runs[1] == cold
+
+    def test_equal_knots_or_another_f_recompute(self, monkeypatch):
+        peaks, roots = [], []
+        real_peaks, real_roots = bounds.cv_column_peaks, spectral.log_magnitudes
+        monkeypatch.setattr(bounds, "cv_column_peaks",
+                            lambda sp, tp: peaks.append(tp[0]) or real_peaks(sp, tp))
+        monkeypatch.setattr(spectral, "log_magnitudes",
+                            lambda xs, knots: roots.append(len(xs)) or real_roots(xs, knots))
+        s = knotgen.van_der_corput(7)
+        twin = knotgen.KnotVector(s.as_array(), s.label)
+        f, g = cmath.exp(0.3j), cmath.exp(0.4j)
+        reps = [bounds.bound_cv(s, f, PAPER), bounds.bound_cv(s, f, CORRECTED),
+                bounds.bound_cv(twin, f, PAPER), bounds.bound_cv(twin, g, PAPER)]
+        assert peaks == [f, f, g]
+        assert repr(reps[0]) == repr(reps[2]) != repr(reps[3])
+        bounds.bound_coeff_norm(s)
+        bounds.bound_coeff_norm(s)
+        bounds.bound_coeff_norm(twin)
+        assert roots == [8, 8]
+
+    def test_signed_zero_of_f_is_its_own_key(self, monkeypatch):
+        s = kv([0.5, 0.5j, -0.5])
+        plus, minus = complex(1.0, 0.0), complex(1.0, -0.0)
+        warm = [repr(bounds.bound_cv(s, f, PAPER)) for f in (plus, minus)]
+        self.cold(monkeypatch)
+        assert warm[1] == repr(bounds.bound_cv(s, minus, PAPER)) != warm[0]
+
+    def test_nudged_lines_agree(self):
+        # f = 1 puts the grid on the knots: both lines take the one nudge.
+        s = knotgen.roots_of_unity(64)
+        paper, corrected = (bounds.bound_cv(s, 1.0, v) for v in (PAPER, CORRECTED))
+        assert paper.params["nudged"] is corrected.params["nudged"] is True
+        assert paper.params["f"] == corrected.params["f"] != 1.0
+
+    def test_refusal_is_not_memoised(self):
+        s = knotgen.roots_of_unity(8)
+        bounds.bound_cv(s, cmath.exp(0.3j), PAPER)
+        held = bounds._cv_memo
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bounds.bound_cv(s, 2.0, PAPER)
+            assert bounds._cv_memo is held
+
+    def test_pairs_hold_no_n_by_n_table(self):
+        # Both cv lines and both circle lines on one knot set, in one window.
+        s, f = knotgen.quasi_cyclic(1536), cmath.exp(0.5j)
+        tracemalloc.start()
+        try:
+            for line in self.lines(s, f).values():
+                line()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
+
 class TestBoundCircleValue:
     def test_quasi_cyclic_48(self):
         rep = bounds.bound_circle_value(knotgen.quasi_cyclic(48))

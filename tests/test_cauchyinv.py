@@ -455,21 +455,19 @@ class TestFactorForm:
         mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
         if variant is PAPER:
             mag, ph = mag.T, ph.T
-        for phase in (True, False):
-            row = 0
-            for lo, block_mag, block_ph in cauchyinv.inverse_blocks(
-                    s.as_array(), structmat.cv_knots(n, f), variant, f,
-                    phase=phase):
-                # At most CHUNK entries, or one row where a row is longer.
-                assert lo == row and 0 < block_mag.size <= max(logdomain.CHUNK, n)
-                assert np.array_equal(block_mag, mag[lo:lo + len(block_mag)])
-                if phase:  # the tables wrap what the walk leaves raw
-                    assert np.array_equal(wrap_phase(block_ph),
-                                          ph[lo:lo + len(block_ph)])
-                else:
-                    assert block_ph is None
-                row += len(block_mag)
-            assert row == n
+        row = 0
+        for lo, block_mag, block_ph in cauchyinv.inverse_blocks(
+                s.as_array(), structmat.cv_knots(n, f), variant, f):
+            # At most CHUNK entries, or one row where a row is longer.
+            assert lo == row and 0 < block_mag.size <= max(logdomain.CHUNK, n)
+            assert np.array_equal(block_mag, mag[lo:lo + len(block_mag)])
+            # the tables wrap what the walk leaves raw
+            assert np.array_equal(wrap_phase(block_ph), ph[lo:lo + len(block_ph)])
+            row += len(block_mag)
+        assert row == n
+        # The bound's column peaks cross the same small blocks.
+        rep = bounds.bound_cv(s, f, variant)
+        assert rep.params["log10_inv_norm_entry"] == float(np.max(mag))
 
 
 class TestOneWalk:
@@ -483,16 +481,17 @@ class TestOneWalk:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        sizes = []
+        """Every walk as ("self" or "cross", rows, columns)."""
+        seen = []
         real = logdomain.diff_blocks
 
         def counting(xs, knots):
-            sizes.append(len(xs) * len(knots))
+            seen.append(("self" if xs is knots else "cross", len(xs), len(knots)))
             return real(xs, knots)
 
         for module in (logdomain, cauchyinv, bounds):
             monkeypatch.setattr(module, "diff_blocks", counting)
-        return sizes
+        return seen
 
     @pytest.mark.parametrize("call, variant, expected", [
         ("bound_cv", PAPER, 1),
@@ -521,7 +520,47 @@ class TestOneWalk:
                "vandermonde_inverse_via_cv":
                    lambda: cauchyinv.vandermonde_inverse_via_cv(s, f, variant)}
         run[call]()
-        assert walks.count(n * n) == expected
+        assert [rows * cols for _, rows, cols in walks].count(n * n) == expected
+
+    @pytest.mark.parametrize("order", [(PAPER, CORRECTED), (CORRECTED, PAPER)],
+                             ids=["paper-first", "corrected-first"])
+    def test_both_cv_lines_share_the_cross_walk(self, walks, order):
+        # Each line alone walks t - s, and the corrected one also s - s; back
+        # to back on one (s, f), the first line walks t - s for both.
+        n = self.N
+        s, f = knotgen.van_der_corput(n), cmath.exp(0.3j)
+        walks.clear()
+        first, second = (bounds.bound_cv(s, f, v) for v in order)
+        assert [k for k in walks if k[1:] == (n, n)] == [("cross", n, n), ("self", n, n)]
+        assert first.params["f"] == second.params["f"]
+
+    def test_paper_line_walks_no_self_differences(self, walks):
+        n = self.N
+        s, f = knotgen.van_der_corput(n), cmath.exp(0.3j)
+        walks.clear()
+        bounds.bound_cv(s, f, PAPER)
+        assert walks == [("cross", n, n)]
+
+    def test_coeff_norm_after_circle_value_walks_nothing(self, walks):
+        n = self.N
+        s = knotgen.van_der_corput(n)
+        walks.clear()
+        bounds.bound_circle_value(s)
+        # The scan's even samples (the n + 1 roots of 1) and its odd ones.
+        assert [k for k in walks if k[1:] == (n + 1, n)] == [("cross", n + 1, n)] * 2
+        walks.clear()
+        bounds.bound_coeff_norm(s)
+        assert walks == []
+
+    def test_circle_value_after_coeff_norm_walks_the_odd_samples(self, walks):
+        n = self.N
+        s = knotgen.van_der_corput(n)
+        walks.clear()
+        bounds.bound_coeff_norm(s)
+        assert walks == [("cross", n + 1, n)]
+        walks.clear()
+        bounds.bound_circle_value(s)
+        assert [k for k in walks if k[1:] == (n + 1, n)] == [("cross", n + 1, n)]
 
 
 class TestVandermondeInverses:

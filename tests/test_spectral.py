@@ -318,8 +318,8 @@ class TestScreenedCircleScan:
 
     @pytest.mark.parametrize("n", [3, 24, 192])
     def test_knots_on_the_samples(self, n):
-        # Samples of 0 at the n knots among the 2n + 1 roots of 1.
-        knots = kv(knotgen.unit_roots(2 * n + 1)[:n])
+        # Samples of 0 at the n knots among the 2n + 2 roots of 1.
+        knots = kv(knotgen.unit_roots(2 * n + 2)[:n])
         for grid in (8, 64, 0):
             got = spectral.max_abs_on_circle(knots, grid)
             assert _bits(*got) == _bits(*full_circle_scan(knots, grid))
