@@ -10,6 +10,7 @@ bounds carrying ``variant="corrected"`` or no variant are conservative.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .cauchyinv import InverseVariant, cv_column_peaks
 from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots,
                      NotSeparated, UnitRadius, VacuousCertificate, VandcondError)
 from .knotgen import KnotVector
-from .logdomain import diff_blocks, pow_diff_logs, self_derivative_logs
+from .logdomain import block_rows, diff_blocks, pow_diff_logs, self_derivative_logs
 from .spectral import max_abs_on_circle, root_logs, singular_values, top_singular_value
 from .structmat import UNIT_F_TOL, check_unit_circle, cv_knots, vandermonde
 
@@ -425,6 +426,163 @@ def _count_inside(centers, radii, pts, eta_grid) -> np.ndarray:
     return counts
 
 
+#: Unit roundoff of double precision, the unit of the arc counts' error bound.
+_U = 2.0 ** -53
+
+
+def _lattice_place(x, n: int, stride: int, starts: int):
+    """Place points x in (0, 3n) among the arc starts j = k*stride, taken mod n.
+
+    Returns (g, k, below, above): g indexes the start nearest below x,
+    counted on from j = 0 across periods of `starts`; that start is k and
+    the one nearest above is k + 1, both mod `starts`, at distances below
+    and above from x.
+    """
+    if n % stride == 0:
+        k = np.floor(x / stride)
+        below = np.subtract(x, k * stride, out=x)
+        return k, k, below, stride - below
+    m = np.floor(x / n)
+    y = x - m * n
+    k = np.floor(y / stride)
+    return starts * m + k, k, y - k * stride, np.minimum(k * stride + stride, n) - y
+
+
+def _rotation_counts(pts: np.ndarray, f: complex, n: int, stride: int, eta_grid):
+    """`_count_inside` of every strided arc, by rotation, and the arcs it leaves open.
+
+    Returns (counts[i, k, e], open[i, k]) for the arc of chord step
+    d = 1 + i*stride from j = k*stride, at eta_grid[e]; starts with
+    k*stride + d >= n are no arcs and their counts mean nothing.  Where
+    open[i, k] is set the count is not settled and `_count_inside` must
+    take that arc.  `best_arc_search` states the geometry and the band;
+    below, b = 2^-46 and M = m0 + b rho, lo_t and hi_t bound the moduli
+    that rho alone settles, and delta = p_row / rho + q_row.
+    """
+    steps = np.arange(1, n // 2, stride)
+    starts = -(-n // stride)
+    width = 3 * starts + 1
+    counts = np.zeros((len(steps), starts, len(eta_grid)), dtype=np.int64)
+    unsettled = np.zeros((len(steps), starts), dtype=bool)
+    f = complex(f)
+    to_j = n / (2.0 * math.pi)
+    b = 128.0 * _U
+    band0 = 4.0 * _U * to_j + 32.0 * n * _U
+    rho = np.abs(pts)
+    # 1/rho is taken at the smallest normal float for a knot at 0 or of
+    # subnormal modulus; a row that such a knot straddles is opened.
+    tiny = np.finfo(float).tiny
+    inv_rho = 1.0 / np.maximum(rho, tiny)
+    rho_tiny = rho[rho < tiny].max(initial=-1.0)
+    rho_sorted = np.sort(rho)
+    # Knot angle less arg f, in grid steps, in [n, 2n].
+    base = np.mod((np.angle(pts) - cmath.phase(f)) * to_j, n) + n
+    rows = block_rows(len(pts))
+    # kappa and the band overflow, and sqrt(w) is nan, only off the
+    # straddling entries, which nothing reads.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(steps), rows):
+            d = steps[lo:lo + rows]
+            hi = lo + len(d)
+            cm = abs(f) * np.cos(math.pi * d / n)
+            half = abs(f) * np.sin(math.pi * d / n)
+            centre = base - 0.5 * d[:, None]
+            shift = (np.arange(len(d)) * width + 1.0)[:, None]
+            for e, eta in enumerate(eta_grid):
+                big_r = eta * half - BOUNDARY_TOL
+                m0 = b * (1.0 + eta)
+                near = cm - big_r
+                lo_t = (np.abs(near) - m0) / (1.0 + b)
+                hi_t = (cm + big_r + m0) / (1.0 - b)
+                m_row = m0 + b * hi_t
+                g = near * (cm + big_r) / (2.0 * cm)
+                p_row = m_row * (2.0 * big_r + m_row) / (2.0 * cm) + 16.0 * _U * np.abs(g)
+                q_row = 8.0 * _U * hi_t / cm + 2.0 * _U
+                wild = ~np.isfinite(g + p_row + q_row) | (lo_t <= rho_tiny)
+                if wild.any():
+                    g, p_row, q_row = (np.where(wild, 0.0, v) for v in (g, p_row, q_row))
+                below = rho < lo_t[:, None]
+                crossing = ~below & (rho <= hi_t[:, None])
+                kappa = rho * (0.5 / cm)[:, None] + g[:, None] * inv_rho
+                delta = p_row[:, None] * inv_rho + q_row[:, None]
+                w = (1.0 - delta) - np.abs(kappa)
+                ok = w > 0.0
+                straddle = crossing & ok
+                unsettled[lo:hi] |= (wild | (crossing & ~ok).any(axis=1))[:, None]
+                h = np.arccos(np.clip(kappa, -1.0, 1.0, out=kappa), out=kappa)
+                h *= to_j
+                h *= straddle
+                band = np.divide(delta, np.sqrt(w, out=w), out=delta)
+                band *= to_j
+                band += band0
+                ends = []
+                for x in (centre - h, centre + h):
+                    gx, k, under, over = _lattice_place(x, n, stride, starts)
+                    edge = straddle & (np.minimum(under, over) <= band)
+                    if edge.any():
+                        i, j = np.nonzero(edge)
+                        unsettled[lo + i[band[i, j] >= 0.5]] = True
+                        for kk, gap in ((k, under), (k + 1.0, over)):
+                            hit = gap[i, j] <= band[i, j]
+                            unsettled[lo + i[hit], kk[i[hit], j[hit]].astype(np.intp) % starts] = True
+                    ends.append((gx + shift).astype(np.intp).ravel())
+                diff = (np.bincount(ends[0], minlength=len(d) * width)
+                        - np.bincount(ends[1], minlength=len(d) * width))
+                cum = np.cumsum(diff.reshape(len(d), width), axis=1)
+                full = np.where(near < 0.0, np.searchsorted(rho_sorted, lo_t), 0)
+                counts[lo:hi, :, e] = (cum[:, :starts] + cum[:, starts:2 * starts]
+                                       + cum[:, 2 * starts:3 * starts] + full[:, None])
+    return counts, unsettled
+
+
+def _arc_counts(t: np.ndarray, pts: np.ndarray, f: complex, stride: int, eta_grid):
+    """(j_lo, j_hi, m_minus[a, e]) for the arcs `best_arc_search` scans, in its order.
+
+    The arcs run on the grid t = `cv_knots(n, f)` from j_lo = 0, stride, ...
+    over j_hi = j_lo + 1, j_lo + 1 + stride, ... below min(n, j_lo + n // 2).
+    m_minus is `_count_inside` on each arc's `_chord`: formed by
+    `_rotation_counts`, with the arcs it leaves open counted again directly.
+    """
+    counts, unsettled = _rotation_counts(pts, f, len(t), stride, eta_grid)
+    steps = 1 + stride * np.arange(counts.shape[0])
+    k, i = np.nonzero(stride * np.arange(counts.shape[1])[:, None] + steps < len(t))
+    j_lo = stride * k
+    j_hi = j_lo + steps[i]
+    m_minus = counts[i, k]
+    redo = np.flatnonzero(unsettled[i, k])
+    if redo.size:
+        chords = [_chord(t, j_lo[a], j_hi[a]) for a in redo]
+        m_minus[redo] = _count_inside(np.array([c for c, _ in chords]),
+                                      np.array([r for _, r in chords]), pts, eta_grid)
+    return j_lo, j_hi, m_minus
+
+
+def _best_arc(t: np.ndarray, pts: np.ndarray, f: complex, eta_grid):
+    """((value, -l, -j_lo, -eta), j_lo, j_hi, eta) of the best (arc, eta) on the grid
+    t for `best_arc_search`, or None when no arc has fewer knots inside than its length.
+
+    Only such an arc can score.  Its r comes from the scalar `_chord`, and
+    the key is unique per (arc, eta), so the best does not depend on the
+    order of the scan.
+    """
+    n = len(t)
+    lows, highs, m_minus = _arc_counts(t, pts, f, max(1, n // 64), eta_grid)
+    scoring = np.flatnonzero(np.any(m_minus < (highs - lows + 1)[:, None], axis=1))
+    half_log_n = 0.5 * math.log10(n)
+    best = None
+    for j_lo, j_hi, counts in zip(lows[scoring].tolist(), highs[scoring].tolist(),
+                                  m_minus[scoring].tolist()):
+        l = j_hi - j_lo + 1
+        r = _chord(t, j_lo, j_hi)[1]
+        for eta, count in zip(eta_grid, counts):
+            if count < l:
+                value = _arc_score(l - count, eta, r) + half_log_n - _LOG2
+                key = (value, -l, -j_lo, -eta)
+                if best is None or key > best[0]:
+                    best = (key, j_lo, j_hi, eta)
+    return best
+
+
 def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
                     eta: float) -> SeparationCertificate:
     """Build the separation witness for the arc t_{j_lo} .. t_{j_hi}.
@@ -482,28 +640,44 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     smaller l, then j_lo, then eta.
     Raises NoPositiveBound when no certificate produces a bound above 1
     (log10 value > 0), which is the expected outcome for evenly spaced knots.
+
+    Every m_minus equals what `_count_inside` gives on that arc's rounded
+    `_chord`, but it is counted by rotation.  With t_j = f w^j, w = e^(2 pi
+    i/n), the arc from j of chord step d has centre c = f w^j e^(i pi d/n)
+    cos(pi d/n), |c| = |f| cos(pi d/n), and counting radius
+    R = eta |f| sin(pi d/n) - BOUNDARY_TOL, whatever j.  A knot rho e^(i phi)
+    lies inside when cos(phi - arg c) > kappa = rho/(2|c|) + (|c|^2 - R^2) /
+    (2 rho |c|), a form in which rho^2 cannot overflow.  So for each (d, eta)
+    the starts that count the knot form one open interval of half-width
+    acos(kappa) n/(2 pi) grid steps around its angle, and one difference
+    array over the starts, mod n, gives every count of that (d, eta) in
+    O(n + n/stride) work, not O(n^2/stride).  Rows of d are taken in blocks
+    of at most `logdomain.CHUNK` entries.
+
+    The band.  `_count_inside` and this model of it differ by at most
+    37u + 3.5u rho + 66u eta in |p - c| - R (u = 2^-53: the grid point
+    25u, the chord midpoint 27u and half-length 54u, the difference and
+    numpy's |.| 2.5u (rho + 1), and the model's own rho, |c| and R u rho, 8u
+    and 10u eta); M = 2^-46 (1 + rho + eta) covers it twice over, and with
+    it the rounding of the tests that follow.  A knot with
+    |rho - |c|| - R > M or rho + |c| < R - M is settled by rho alone.
+    Elsewhere |p - c| - R within M of 0 needs cos(theta) within
+    M (2R + M) / (2 rho |c|) of kappa; adding kappa's rounding,
+    16u (rho/(2|c|) + ||c|^2 - R^2| / (2 rho |c|)), gives delta.  As
+    |acos'(x)| = 1/sqrt(1 - x^2) grows with |x|, the angles where the two
+    can disagree lie within delta / sqrt(1 - |kappa| - delta) of
+    acos(kappa), plus 4u for acos, and 32nu grid steps cover the angle
+    arithmetic.  An arc whose start lies in such a band of some knot is
+    counted again by `_count_inside`, and so is its whole row of starts when
+    that band is half a grid step or wider, when some knot of the row has
+    |kappa| + delta >= 1 (near tangency, or rho |c| tiny), or when the
+    row's own bounds leave the float range (eta near 1e300).
     """
     n = len(s)
     eta_grid = tuple(float(e) for e in eta_grid)
     if not eta_grid or not all(1.0 < e < math.inf for e in eta_grid):
         raise ValueError(f"eta_grid values must be finite and above 1, got {eta_grid}")
-    stride = max(1, n // 64)
-    t = _cv_grid(n, f)
-    arcs = [(j_lo, j_hi) + _chord(t, j_lo, j_hi) for j_lo in range(0, n, stride)
-            for j_hi in range(j_lo + 1, min(n, j_lo + n // 2), stride)]
-    m_minus = _count_inside(np.array([a[2] for a in arcs]),
-                            np.array([a[3] for a in arcs]), s.as_array(), eta_grid)
-    half_log_n = 0.5 * math.log10(n)
-    best = None  # ((value, -l, -j_lo, -eta), j_lo, j_hi, eta)
-    for (j_lo, j_hi, _, r), counts in zip(arcs, m_minus.tolist()):
-        l = j_hi - j_lo + 1
-        for eta, count in zip(eta_grid, counts):
-            if count < l:
-                value = _arc_score(l - count, eta, r) + half_log_n - _LOG2
-                key = (value, -l, -j_lo, -eta)
-                if best is None or key > best[0]:
-                    best = (key, j_lo, j_hi, eta)
-    del arcs, m_minus  # a caller keeping NoPositiveBound would keep them
+    best = _best_arc(_cv_grid(n, f), s.as_array(), f, eta_grid)
     if best is None or best[0][0] <= 0.0:
         raise NoPositiveBound(
             "no arc certificate yields a bound above 1; "

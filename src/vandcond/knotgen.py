@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import DuplicateKnot
-from .logdomain import DISTINCT_TOL, closest_pair
+from .logdomain import DISTINCT_TOL, closest_pair, screen_distinct
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,6 +24,13 @@ class KnotVector:
     `knots` is a read-only complex128 copy of the points, checked to be
     non-empty, of finite modulus and pairwise further apart than `tol`.
     `label` names the generator; knot files carry it in their header.
+
+    Distinctness is screened first: `logdomain.screen_distinct` sorts the
+    real parts and measures only the pairs whose real parts lie within
+    2 tol, O(n log n).  When it finds no pair within 2 tol the knots are
+    distinct and no n x n walk runs; otherwise `logdomain.closest_pair`
+    walks every pair and decides, so DuplicateKnot(i, j, gap) names the
+    first closest pair in row-major order, as the walk alone would.
     """
 
     knots: np.ndarray
@@ -37,9 +44,10 @@ class KnotVector:
         # Finite parts are not enough: |1.5e308 + 1.5e308j| = inf.
         if not np.all(np.isfinite(np.abs(arr))):
             raise ValueError("knots must be finite")
-        gap, i, j = closest_pair(arr, arr, skip_self=True)
-        if gap <= tol:
-            raise DuplicateKnot(i, j, gap)
+        if not screen_distinct(arr, tol):
+            gap, i, j = closest_pair(arr, arr, skip_self=True)
+            if gap <= tol:
+                raise DuplicateKnot(i, j, gap)
         arr.flags.writeable = False
         object.__setattr__(self, "knots", arr)
 

@@ -47,9 +47,14 @@ def wrap_phase(p, out=None):
     return float(r) if r.ndim == 0 else r
 
 
+def block_rows(width: int) -> int:
+    """Rows of `width` entries per block: as many as fit in CHUNK, at least one."""
+    return max(1, CHUNK // max(1, width))
+
+
 def diff_blocks(xs: np.ndarray, knots: np.ndarray):
     """Yield (lo, xs[lo:hi, None] - knots[None, :]) in blocks of <= CHUNK entries."""
-    rows = max(1, CHUNK // max(1, len(knots)))
+    rows = block_rows(len(knots))
     for lo in range(0, len(xs), rows):
         yield lo, xs[lo:lo + rows, None] - knots[None, :]
 
@@ -206,6 +211,41 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False):
             if a.flat[k] < gap:
                 gap, i, j = float(a.flat[k]), lo + k // a.shape[1], k % a.shape[1]
     return gap, i, j
+
+
+#: Candidate pairs per knot past which `screen_distinct` leaves the answer
+#: to `closest_pair`: the screen stays O(n) in memory and time.
+_SCREEN_PAIRS = 8
+
+
+def screen_distinct(sp: np.ndarray, tol: float) -> bool:
+    """True when no two points of sp lie within tol, found without the n x n walk.
+
+    Sorted by real part, a point's partners within 2 tol lie in the window
+    re_j <= re_i + 2 tol, which `searchsorted` finds.  A pair whose gap, as
+    `closest_pair` computes it, is at most tol has |fl(re_i - re_j)| <= tol:
+    numpy's |z| is never below |Re z|, and rounding is monotone, so the
+    rounded re_j cannot pass the rounded re_i + 2 tol.  The screen measures
+    |s_i - s_j| for the window pairs only, and any gap up to 2 tol, the
+    window's own width, answers False, so that no last-bit agreement with
+    `closest_pair` is needed.  False also when the windows hold more than
+    `_SCREEN_PAIRS` pairs per point (many equal real parts, or a wide tol):
+    then `closest_pair` must decide, at the cost of the full walk.
+    """
+    n = len(sp)
+    s = sp[np.argsort(sp.real)]
+    with np.errstate(over="ignore"):
+        reach = np.searchsorted(s.real, s.real + 2.0 * tol, side="right")
+    span = np.maximum(reach - np.arange(1, n + 1), 0)  # a negative tol reaches no one
+    total = int(span.sum())
+    if total > _SCREEN_PAIRS * n:
+        return False
+    # Pair each sorted point with the span[i] points after it.
+    first = np.repeat(np.arange(n), span)
+    second = first + 1 + np.arange(total) - np.repeat(np.cumsum(span) - span, span)
+    with np.errstate(over="ignore"):
+        gap = np.abs(s[first] - s[second])
+    return not bool(np.any(gap <= 2.0 * tol))
 
 
 def check_disjoint(sp: np.ndarray, tp: np.ndarray) -> None:

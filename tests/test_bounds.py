@@ -726,6 +726,130 @@ def arc_corpus():
     for n in (2, 3, 5, 8, 12, 17, 24, 31, 39, 48, 400):
         for gen in gens:
             yield gen(n), n == 31
+    # The bounds-sweep sets past n = 400: stride 12 and 24, 64 starts.
+    for n in (768, 1536):
+        for knots in sweep_knots(n):
+            yield knots, False
+
+
+def sweep_knots(n):
+    """The four knot sets the bounds sweep builds at n."""
+    return (knotgen.quasi_cyclic(n), knotgen.van_der_corput(n),
+            knotgen.scaled_cluster(n, n // 8, 0.5),
+            knotgen.single_outlier(n, 1.5 * cmath.exp(0.4j)))
+
+
+def strided_arcs(n, f):
+    """(stride, [(j_lo, j_hi, c, r), ...]): the arcs best_arc_search scans."""
+    stride = max(1, n // 64)
+    t = structmat.cv_knots(n, f)
+    return stride, [(j_lo, j_hi) + bounds._chord(t, j_lo, j_hi) for j_lo in range(0, n, stride)
+                    for j_hi in range(j_lo + 1, min(n, j_lo + n // 2), stride)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestRotationCounts:
+    """m_minus by rotation equals `_count_inside` on every strided arc and eta."""
+
+    ETAS = (1.1, 1.2, 1.5)
+
+    def agrees(self, s, f, eta_grid=ETAS):
+        n = len(s)
+        stride, arcs = strided_arcs(n, f)
+        pts = s.as_array()
+        want = bounds._count_inside(np.array([a[2] for a in arcs]),
+                                    np.array([a[3] for a in arcs]), pts, eta_grid)
+        j_lo, j_hi, got = bounds._arc_counts(structmat.cv_knots(n, f), pts, f, stride, eta_grid)
+        assert list(zip(j_lo.tolist(), j_hi.tolist())) == [a[:2] for a in arcs]
+        assert got.shape == (len(arcs), len(eta_grid))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [192, 768, 1536])
+    def test_sweep_knot_sets(self, n):
+        for s in sweep_knots(n):
+            for f in (cmath.exp(0.3j), cmath.exp(2.1j)):
+                self.agrees(s, f)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 31, 127, 128, 400, 769])
+    def test_small_and_ragged_lattices(self, n):
+        # 400 and 769 leave a last gap shorter than the stride.
+        for s in (knotgen.van_der_corput(n), knotgen.roots_of_unity(n),
+                  knotgen.single_outlier(n, 0)):
+            for f in (1.0, cmath.exp(0.3j), -1j):
+                self.agrees(s, f)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_knots_on_the_inflated_boundary(self, eta):
+        n, f = 400, cmath.exp(0.3j)
+        stride, arcs = strided_arcs(n, f)
+        rng = np.random.default_rng(11)
+        pts = list(0.3 * knotgen.unit_roots(n - 100))
+        for a in rng.choice(len(arcs), 100, replace=False):
+            _, _, c, r = arcs[a]
+            lim = eta * r - bounds.BOUNDARY_TOL
+            pts.append(c + lim * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+        s = kv(pts)
+        self.agrees(s, f)
+        # Each such knot puts an interval end on a start, so the band opens arcs.
+        _, opened = bounds._rotation_counts(s.as_array(), f, n, stride, self.ETAS)
+        assert opened.any()
+
+    @pytest.mark.parametrize("n", [31, 128, 400])
+    def test_knot_tangent_to_an_inflated_disc(self, n):
+        # On the circle |z| = |c| + R, on the ray through c: it touches the
+        # disc of the arc from 3 strides, of step 1 + stride, from outside.
+        stride = max(1, n // 64)
+        a = math.pi * (1 + stride) / n
+        for eta in self.ETAS:
+            rim = math.cos(a) + eta * math.sin(a) - bounds.BOUNDARY_TOL
+            touch = rim * cmath.exp(1j * (2.0 * math.pi * 3 * stride / n + a))
+            self.agrees(kv(np.append(0.1 * knotgen.unit_roots(n - 1), touch)), 1.0)
+
+    @pytest.mark.parametrize("n", [5, 31, 400])
+    def test_extreme_moduli(self, n):
+        base = knotgen.unit_roots(n)[:n - 3]
+        for extra in ([1.7e308, -1.7e308, 1e-320], [1.7e308, -1.7e308, 0.0],
+                      [1e154, -1e-154, 1e300j]):
+            for f in (1.0, cmath.exp(0.3j), -1j):
+                self.agrees(kv(np.append(base, extra)), f)
+
+    def test_inflation_past_every_scale(self):
+        s = knotgen.quasi_cyclic(400)
+        self.agrees(s, cmath.exp(0.3j), (1.0000001, 3.0, 1e10, 1e300))
+
+    @pytest.mark.parametrize("gen", [knotgen.quasi_cyclic, knotgen.van_der_corput])
+    def test_few_arcs_left_to_count_inside(self, gen, monkeypatch):
+        rows = []
+        count_inside = bounds._count_inside
+
+        def spy(centers, *args):
+            rows.append(len(centers))
+            return count_inside(centers, *args)
+
+        monkeypatch.setattr(bounds, "_count_inside", spy)
+        try:
+            bounds.best_arc_search(gen(1536), cmath.exp(0.3j))
+        except NoPositiveBound:
+            pass
+        # Counting each arc by brute force gave it all 1552 arcs, plus the
+        # certificate's row.  Measured here: no arc, and that one row.
+        assert sum(rows) <= 1552 // 100 + 1
+
+    @pytest.mark.parametrize("n", [1536, 4096])
+    def test_memory_stays_in_blocks(self, n):
+        s = knotgen.quasi_cyclic(n)
+        tracemalloc.start()
+        try:
+            try:
+                bounds.best_arc_search(s, cmath.exp(0.3j))
+            except NoPositiveBound:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured 1.9 and 2.1 MiB.  One whole d-by-n float table is 1 MiB
+        # at n = 4096, and a block holds about a dozen such arrays.
+        assert peak <= 3 * 2 ** 20
 
 
 class TestBestArcSearch:
