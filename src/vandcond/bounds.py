@@ -39,7 +39,8 @@ _LOG2 = math.log10(2.0)
 SVD_MAX_N = 128
 
 #: Knots within this absolute distance of the inflated disc boundary count
-#: as exterior, keeping the separation premise valid.
+#: as exterior, keeping the separation premise valid.  `best_arc_search`'s
+#: band is derived for this strict, absolute margin.
 BOUNDARY_TOL = 1e-14
 
 EASY = "easy"
@@ -405,7 +406,11 @@ def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
 
 
 def _chord(t: np.ndarray, j_lo: int, j_hi: int):
-    """Midpoint c and half-length r of the chord from t[j_lo] to t[j_hi]."""
+    """Midpoint c and half-length r of the chord from t[j_lo] to t[j_hi].
+
+    Their rounding is budgeted in `best_arc_search`'s band; re-derive the
+    band if this arithmetic changes.
+    """
     c = 0.5 * (t[j_lo] + t[j_hi])
     return c, float(abs(c - t[j_lo]))
 
@@ -416,7 +421,12 @@ def _arc_score(rho_bar: int, eta: float, r: float) -> float:
 
 
 def _count_inside(centers, radii, pts, eta_grid) -> np.ndarray:
-    """[a, e]: points with |p - centers[a]| < eta_grid[e] * radii[a] - BOUNDARY_TOL."""
+    """[a, e]: points with |p - centers[a]| < eta_grid[e] * radii[a] - BOUNDARY_TOL.
+
+    `best_arc_search`'s band budgets this arithmetic (numpy's |.|, the
+    strict < and the subtraction of BOUNDARY_TOL); re-derive the band if it
+    changes.
+    """
     counts = np.empty((len(centers), len(eta_grid)), dtype=np.int64)
     for lo, d in diff_blocks(centers, pts):
         dist = np.abs(d)
@@ -437,6 +447,15 @@ def _lattice_place(x, n: int, stride: int, starts: int):
     counted on from j = 0 across periods of `starts`; that start is k and
     the one nearest above is k + 1, both mod `starts`, at distances below
     and above from x.
+
+    When stride divides n the starts form one uniform lattice and one
+    division places x.  The general path gives the same g and distances
+    there (x - m n and y - k stride are exact, x < 2^52), except where x
+    lies within a rounding of a start, which the band opens either way.  The
+    shortcut is kept for speed: on the 12 bounds-sweep knot sets, where
+    stride always divides n, `_rotation_counts` took 87.5 ms with it against
+    118.3 ms without (medians of 20 alternating pairs, faster in 19 of 20;
+    2 shared vCPUs).
     """
     if n % stride == 0:
         k = np.floor(x / stride)
@@ -671,7 +690,9 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     counted again by `_count_inside`, and so is its whole row of starts when
     that band is half a grid step or wider, when some knot of the row has
     |kappa| + delta >= 1 (near tangency, or rho |c| tiny), or when the
-    row's own bounds leave the float range (eta near 1e300).
+    row's own bounds leave the float range (eta near 1e300).  The constants
+    hold for the arithmetic of `_chord`, `_count_inside`, `structmat.cv_knots`
+    and `BOUNDARY_TOL` as written, and each of those points back here.
     """
     n = len(s)
     eta_grid = tuple(float(e) for e in eta_grid)

@@ -73,7 +73,11 @@ def _turn(fracs) -> np.ndarray:
 
 
 def unit_roots(n: int) -> np.ndarray:
-    """The n-th roots of 1 from 1 counter-clockwise; distinct, so unchecked."""
+    """The n-th roots of 1 from 1 counter-clockwise; distinct, so unchecked.
+
+    `bounds.best_arc_search`'s band budgets their rounding (25u per point on
+    the CV grid); re-derive the band if this arithmetic changes.
+    """
     return _turn(np.arange(n) / n)
 
 

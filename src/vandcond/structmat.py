@@ -129,7 +129,11 @@ def cauchy(s: KnotVector, t: KnotVector) -> DenseMatrix:
 
 
 def cv_knots(n: int, f: complex) -> np.ndarray:
-    """The CV column grid t_j = f * omega_n^j; every CV path builds it here."""
+    """The CV column grid t_j = f * omega_n^j; every CV path builds it here.
+
+    `bounds.best_arc_search`'s band budgets its rounding (25u per grid
+    point); re-derive the band if this arithmetic changes.
+    """
     f = complex(f)
     if f == 0:
         raise ValueError("f must be nonzero")
