@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchyinv import InverseVariant, cv_column_peaks
-from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots,
-                     NotSeparated, UnitRadius, VacuousCertificate, VandcondError)
+from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots, NotSeparated,
+                     UnitRadius, VacuousCertificate, VandcondError, as_int)
 from .knotgen import KnotVector
 from .logdomain import block_rows, diff_blocks, pow_diff_logs, self_derivative_logs
 from .spectral import max_abs_on_circle, root_logs, singular_values, top_singular_value
@@ -135,7 +135,7 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     """
     if not 1.0 < nu < math.inf:  # also refuses nan
         raise ValueError(f"nu must be a finite number above 1, got {nu!r}")
-    if k < 1:
+    if as_int("k", k) < 1:
         raise ValueError("k must be >= 1")
     if norm_mode not in ("literal", "computed-norm"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
@@ -325,7 +325,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
     """
     if mode not in QC_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if q < 1:
+    if as_int("q", q) < 1:
         raise ValueError("q must be >= 1")
     n = 3 * q
     half_log_n = 0.5 * math.log10(n)
@@ -359,7 +359,7 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
     """
     if mode not in ("base", "integral"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n % 2 != 0 or n < 2:
+    if as_int("n", n) % 2 != 0 or n < 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     q = n // 2
     if mode == "base":
@@ -387,7 +387,7 @@ def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
     growth factor is implemented as (eta - 1), the sign that makes the
     bound positive for eta > 1.
     """
-    if rho < 1:
+    if as_int("rho", rho) < 1:
         raise ValueError("rho must be >= 1")
     if not is_separated(S, T, eta, c):
         raise NotSeparated(f"sets are not ({eta}, {c})-separated")
@@ -615,7 +615,7 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
     if not 1.0 < eta < math.inf:  # also refuses nan
         raise ValueError(f"eta must be a finite number above 1, got {eta!r}")
     n = len(s)
-    if not (0 <= j_lo <= j_hi < n):
+    if not (0 <= as_int("j_lo", j_lo) <= as_int("j_hi", j_hi) < n):
         raise ValueError("need 0 <= j_lo <= j_hi < n")
     l = j_hi - j_lo + 1
     if l > n / 2.0:

@@ -16,10 +16,11 @@ Two inverse variants are provided side by side:
 
 All knot products are accumulated as (log10 magnitude, phase) pairs so that
 entries spanning hundreds of decades never overflow; conversion to complex
-floats happens only at API boundaries.  Every entry comes from the one walk
-over t_i - s_j of `cross_logs`: the tables (`*_inverse`, `*_log_entries`)
-through `inverse_blocks`, and the column peaks of `bounds.bound_cv`, both
-variants at once, through `cv_column_peaks`.
+floats happens only at API boundaries.  Every entry comes from one walk
+over t_i - s_j of `logdomain.log_blocks`, after one up-front
+`check_disjoint`: the tables (`*_inverse`, `*_log_entries`) through
+`inverse_blocks`, and the column peaks of `bounds.bound_cv`, both variants
+at once, through `cv_column_peaks`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import RangeOverflow
 from .knotgen import KnotVector
-from .logdomain import (DISTINCT_TOL, check_disjoint, diff_blocks, log_products,
+from .logdomain import (check_disjoint, diff_blocks, log_blocks, log_products,
                         log_row_sums, pow_diff_logs, self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
 from .structmat import DenseMatrix, check_unit_circle, cv_knots
@@ -77,27 +78,6 @@ def cauchy_det(s: KnotVector, t: KnotVector) -> tuple[float, float]:
     return mag, wrap_phase(ph)
 
 
-def cross_logs(sp: np.ndarray, tp: np.ndarray):
-    """Yield (lo, d, logs, row): rows lo.. of the one walk over t_i - s_j.
-
-    d holds the differences t_i - s_j of the block, logs = log10|d| and row
-    their row sums, log10|s(t_i)|.  A block that comes within DISTINCT_TOL
-    of a collision is checked by `check_disjoint`; a difference past the
-    float range comes out infinite, with no warning (the setting also holds
-    in the consumer between blocks), and `log_row_sums` takes it again,
-    halved in d, before any angle is taken.  This is the package's one loop
-    over t_i - s_j, one n x n walk per call: `inverse_blocks` pays for it
-    once per table, `cv_column_peaks` once for both variants' peaks.
-    """
-    with np.errstate(over="ignore"):
-        for lo, d in diff_blocks(tp, sp):
-            logs = np.abs(d)
-            if logs.min() <= DISTINCT_TOL:
-                check_disjoint(sp, tp)
-            np.log10(logs, out=logs)
-            yield lo, d, logs, log_row_sums(d, logs, lambda i, j: (tp[lo + i], sp[j]))
-
-
 def _cv_derivative_logs(tp: np.ndarray):
     """t'(t_i) of the CV grid, t(x) = x**n - f**n: n * t_i**(n-1) analytically."""
     n = len(tp)
@@ -112,19 +92,20 @@ def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
     row_i - log10|t_i - s_j| + col_j in (log10 magnitude, raw phase).
     Rows are s(t_i), over t'(t_i) if corrected, times (-1)**n for paper;
     columns are t(s_j), or x**n - f**n with `cv_f`, over s'(s_j) if
-    corrected.  Columns, s' and t' come first; then each block of the
-    `cross_logs` walk is turned into entries.  Phases stay unwrapped:
+    corrected.  After `check_disjoint`, columns, s' and t' come first, then
+    each `log_blocks` block is turned into entries.  Phases stay unwrapped:
     wrapping costs more than the rest of the walk.
     """
     n = len(sp)
     if len(tp) != n:
         raise ValueError("inverse requires a square matrix")
+    check_disjoint(sp, tp)
     col = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
     corrected = variant is InverseVariant.CORRECTED
     if corrected:
         col = [c - d for c, d in zip(col, self_derivative_logs(sp))]
         tder = self_derivative_logs(tp) if cv_f is None else _cv_derivative_logs(tp)
-    for lo, d, mag, row_mag in cross_logs(sp, tp):
+    for lo, d, mag, row_mag in log_blocks(tp, sp):
         block = mag, np.angle(d)
         for k, x in enumerate(block):
             row = np.sum(x, axis=1) if k else row_mag
@@ -143,15 +124,16 @@ def cv_column_peaks(sp: np.ndarray, tp: np.ndarray):
     tp is the CV grid `cv_knots(n, f)`.  r_i is log10|s(t_i)| for the paper
     inverse and log10|s(t_i)| - log10|t'(t_i)| for the corrected one, both
     rounded as `inverse_blocks` rounds them, and both come from one
-    `cross_logs` walk, which raises KnotCollision as that walk does.  Entry
+    `log_blocks` walk, after the same `check_disjoint`.  Entry
     (i, j) of either table is fl(fl(r_i - log10|t_i - s_j|) + col_j), and
     rounded addition is monotone, so fl(peak_j + col_j) is the largest entry
     of column j bit for bit: the caller adds its O(n) column term after the
     walk and needs no n x n table.
     """
+    check_disjoint(sp, tp)
     tder = _cv_derivative_logs(tp)[0]
     paper, corrected = np.full((2, len(sp)), -np.inf)
-    for lo, _, logs, row in cross_logs(sp, tp):
+    for lo, _, logs, row in log_blocks(tp, sp):
         np.maximum(paper, np.max(row[:, None] - logs, axis=0), out=paper)
         row -= tder[lo:lo + len(row)]
         np.subtract(row[:, None], logs, out=logs)

@@ -22,7 +22,7 @@ class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
     `knots` is a read-only complex128 copy of the points, checked to be
-    non-empty, of finite modulus and pairwise further apart than `tol`.
+    non-empty, of finite modulus and pairwise further apart than `tol` >= 0.
     `label` names the generator; knot files carry it in their header.
 
     Distinctness is screened first: `logdomain.screen_distinct` sorts the
@@ -38,6 +38,8 @@ class KnotVector:
     tol: InitVar[float] = DISTINCT_TOL
 
     def __post_init__(self, tol: float):
+        if not tol >= 0:  # also refuses nan
+            raise ValueError(f"tol must be >= 0, got {tol!r}")
         arr = np.array(self.knots, dtype=np.complex128)
         if arr.size == 0:
             raise ValueError("knot vector must contain at least one knot")

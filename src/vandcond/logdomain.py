@@ -65,14 +65,13 @@ def log_products(xs: np.ndarray, knots: np.ndarray):
     Exact hits produce -inf magnitudes.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
-    return _log_sums(xs, np.asarray(knots, dtype=np.complex128), skip_self=False)
+    return _log_sums(xs, np.asarray(knots, dtype=np.complex128))
 
 
 def log_magnitudes(xs: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """The `log_products` magnitudes alone, bit for bit, with no phase work."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
-    return _log_sums(xs, np.asarray(knots, dtype=np.complex128), skip_self=False,
-                     phase=False)[0]
+    return _log_sums(xs, np.asarray(knots, dtype=np.complex128), phase=False)[0]
 
 
 def self_derivative_logs(points: np.ndarray, phase: bool = True):
@@ -115,23 +114,33 @@ def log_row_sums(d: np.ndarray, logs: np.ndarray, operands) -> np.ndarray:
     return np.sum(logs, axis=1)
 
 
-def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self: bool, phase: bool = True):
-    """Row sums of log10|x - knot| and angle(x - knot); skip_self drops x_j - x_j.
+def log_blocks(xs: np.ndarray, knots: np.ndarray, skip_self: bool = False):
+    """Yield (lo, d, logs, rows) for rows lo.. of the one log walk over x - knot.
 
-    Without `phase` the angle sums are skipped and None is returned for them.
-    A difference past the float range is taken again by `log_row_sums`.
+    d is the block of differences xs[lo + i] - knots[j], logs = log10|d| and
+    rows their row sums; skip_self sets each x_j - x_j to 1 (log and angle 0).
+    A difference past the float range comes out inf with no warning (the
+    setting also holds in the consumer between blocks) and is taken again,
+    halved in d, by `log_row_sums` before the block is yielded.
     """
-    mag = np.empty(len(xs))
-    ph = np.empty(len(xs)) if phase else None
     with np.errstate(divide="ignore", over="ignore"):
         for lo, d in diff_blocks(xs, knots):
             if skip_self:
                 k = np.arange(len(d))
                 d[k, lo + k] = 1.0
-            logs = np.log10(np.abs(d))
-            mag[lo:lo + len(d)] = log_row_sums(d, logs, lambda i, j: (xs[lo + i], knots[j]))
-            if phase:
-                ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
+            logs = np.abs(d)
+            np.log10(logs, out=logs)
+            yield lo, d, logs, log_row_sums(d, logs, lambda i, j: (xs[lo + i], knots[j]))
+
+
+def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self=False, phase=True):
+    """Row sums of log10|x - knot| and, with `phase`, of angle(x - knot), else None."""
+    mag = np.empty(len(xs))
+    ph = np.empty(len(xs)) if phase else None
+    for lo, d, _, rows in log_blocks(xs, knots, skip_self):
+        mag[lo:lo + len(d)] = rows
+        if phase:
+            ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
     return mag, ph
 
 
@@ -216,13 +225,14 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False):
 #: Candidate pairs per knot past which `screen_distinct` leaves the answer
 #: to `closest_pair`: the screen stays O(n) in memory and time.  Unit-circle
 #: knots share real parts mostly with their conjugates, so the bounds-sweep
-#: and CLI knot sets measure 0.31 to 0.53 pairs per knot; at 8 the pair
-#: arrays peak near 420 bytes per knot (1.6 MiB traced at n = 4097).
+#: and CLI knot sets measure 0.31 to 0.53 pairs per knot, and their unions
+#: with the CV grid 0.16 to 0.27; at 8 the pair arrays peak near 420 bytes
+#: per knot (1.6 MiB traced at n = 4097).
 _SCREEN_PAIRS = 8
 
 
 def screen_distinct(sp: np.ndarray, tol: float) -> bool:
-    """True when no two points of sp lie within tol, found without the n x n walk.
+    """True when no two points of sp lie within tol >= 0, found with no n x n walk.
 
     Sorted by real part, a point's partners within 2 tol lie in the window
     re_j <= re_i + 2 tol, which `searchsorted` finds.  A pair whose gap, as
@@ -239,7 +249,7 @@ def screen_distinct(sp: np.ndarray, tol: float) -> bool:
     s = sp[np.argsort(sp.real)]
     with np.errstate(over="ignore"):
         reach = np.searchsorted(s.real, s.real + 2.0 * tol, side="right")
-    span = np.maximum(reach - np.arange(1, n + 1), 0)  # a negative tol reaches no one
+    span = reach - np.arange(1, n + 1)
     total = int(span.sum())
     if total > _SCREEN_PAIRS * n:
         return False
@@ -252,7 +262,13 @@ def screen_distinct(sp: np.ndarray, tol: float) -> bool:
 
 
 def check_disjoint(sp: np.ndarray, tp: np.ndarray) -> None:
-    """Raise KnotCollision at the `closest_pair` (i, j) if |s_i - t_j| <= DISTINCT_TOL."""
+    """Raise KnotCollision at the `closest_pair` (i, j) if |s_i - t_j| <= DISTINCT_TOL.
+
+    Each Cauchy pair is checked once, before its walk: `screen_distinct` on
+    the union clears it, or else `closest_pair` walks every pair and decides.
+    """
+    if screen_distinct(np.concatenate((sp, tp)), DISTINCT_TOL):
+        return
     gap, i, j = closest_pair(sp, tp)
     if gap <= DISTINCT_TOL:
         raise KnotCollision(i, j, gap)

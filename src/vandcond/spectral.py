@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot
+from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot, as_int
 from .knotgen import KnotVector, unit_roots
 from .logdomain import log_magnitudes
 from .structmat import DenseMatrix, check_vandermonde_range, vandermonde_array
@@ -308,7 +308,7 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     """
     pts = knots.as_array()
     n = len(pts)
-    if grid <= 0:
+    if as_int("grid", grid) <= 0:
         grid = max(1024, 16 * n)
     if grid < 8:
         raise ValueError("grid must be >= 8")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import RangeOverflow
 from .knotgen import KnotVector, roots_of_unity, unit_roots
-from .logdomain import DISTINCT_TOL, check_disjoint, diff_blocks, retake_halved
+from .logdomain import check_disjoint, diff_blocks, retake_halved
 
 #: Entries above 10**OVERFLOW_LOG10 are refused up front.
 OVERFLOW_LOG10 = 307.5
@@ -99,7 +99,7 @@ def dft(n: int) -> DenseMatrix:
 
 
 def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray) -> DenseMatrix:
-    """1 / (sp[i] - tp[j]); a block with a gap <= DISTINCT_TOL runs the check.
+    """1 / (sp[i] - tp[j]), after `check_disjoint` has cleared every pair.
 
     Near the float range a reciprocal can fail: the difference, or numpy's
     divisor |d|^2 / max(|Re d|, |Im d|) <= sqrt 2 |d|, overflows, and the
@@ -108,15 +108,13 @@ def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray) -> DenseMatrix:
     operands of `retake_halved` as 0.25 / (x/4 - k/4), whose divisor
     stays below the float range.  Every other entry keeps numpy's bits.
     """
+    check_disjoint(sp, tp)
     data = np.empty((len(sp), len(tp)), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, d in diff_blocks(sp, tp):
-            gaps = np.abs(d)
-            if gaps.min() <= DISTINCT_TOL:
-                check_disjoint(sp, tp)
             block = data[lo:lo + len(d)]
             np.divide(1.0, d, out=block)
-            if gaps.max() >= 2.0 ** 1023:
+            if np.abs(d).max() >= 2.0 ** 1023:
                 i, j = retake_halved(d, (block == 0) | np.isnan(block),
                                      lambda i, j: (sp[lo + i], tp[j]))
                 block[i, j] = 0.25 / (0.5 * d[i, j])

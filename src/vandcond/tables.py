@@ -19,7 +19,6 @@ from __future__ import annotations
 import datetime
 import json
 import math
-import numbers
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .bounds import (bound_cluster, bound_dft_block, bound_easy,
                      bound_quasi_cyclic, cluster_log10)
-from .errors import VandcondError
+from .errors import VandcondError, as_int
 from .knotgen import dft_plus_outlier, quasi_cyclic, scaled_cluster, single_outlier
 from .spectral import genp_residual_experiment, singular_values
 from .structmat import dft, leading_block, vandermonde
@@ -184,13 +183,6 @@ _TABLES = {
 }
 
 
-def _as_int(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer type (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     """Assemble one experiment table; failed rows carry an error cell.
 
@@ -208,12 +200,12 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    seed = _as_int("seed", overrides.get("seed", DEFAULT_SEED))
-    trials = _as_int("trials", overrides.get("trials", DEFAULT_TRIALS))
+    seed = as_int("seed", overrides.get("seed", DEFAULT_SEED))
+    trials = as_int("trials", overrides.get("trials", DEFAULT_TRIALS))
     sizes = overrides.get("sizes", spec.sizes)
     if isinstance(sizes, (str, bytes)) or not isinstance(sizes, Sequence):
         raise ValueError(f"sizes must be a sequence of integers, got {sizes!r}")
-    sizes = [_as_int("sizes entry", point) for point in sizes]
+    sizes = [as_int("sizes entry", point) for point in sizes]
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if trials < 1:

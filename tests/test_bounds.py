@@ -517,6 +517,39 @@ class TestBoundDftBlock:
         assert not isinstance(err.value, VandcondError)
 
 
+class TestCountArguments:
+    """A count is an int or numpy integer: a bool, float or string is an
+    invalid argument (ValueError), not truncated, used or a TypeError."""
+
+    CALLS = {
+        "q": lambda q: bounds.bound_quasi_cyclic(q, "coarse"),
+        "q-pow2": lambda q: bounds.bound_quasi_cyclic(q, "base"),
+        "n": lambda n: bounds.bound_dft_block(n, "base"),
+        "k": lambda k: bounds.bound_cluster(knotgen.scaled_cluster(16, 4, 0.5), k, 2.0),
+        "rho": lambda rho: bounds.sigma_bound_separated(kv([2]), kv([0]), 2.0, 0.0, rho),
+        "grid": lambda grid: bounds.bound_circle_value(knotgen.quasi_cyclic(12), grid),
+        "j_lo": lambda j: bounds.arc_certificate(knotgen.quasi_cyclic(48),
+                                                 cmath.exp(0.3j), j, 41, 1.2),
+    }
+
+    @pytest.mark.parametrize("call, value", [
+        ("q", 4.5), ("q-pow2", 4.0), ("n", 8.0), ("k", 2.5), ("rho", 1.5),
+        ("grid", 64.0), ("j_lo", 30.0), ("q", True), ("n", "8"), ("k", True),
+        ("rho", True), ("grid", True), ("j_lo", True)])
+    def test_refused(self, call, value):
+        name = call.split("-")[0]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, "
+                                             rf"got {re.escape(repr(value))}$") as err:
+            self.CALLS[call](value)
+        assert not isinstance(err.value, VandcondError)
+
+    @pytest.mark.parametrize("call, value", [("q", 12), ("q-pow2", 4), ("n", 8),
+                                             ("k", 2), ("rho", 1), ("grid", 64),
+                                             ("j_lo", 30)])
+    def test_numpy_integers_accepted(self, call, value):
+        assert self.CALLS[call](np.int64(value)) == self.CALLS[call](value)
+
+
 class TestSeparation:
     def test_simple_true(self):
         assert bounds.is_separated(kv([2]), kv([0]), 2.0, 0.0)

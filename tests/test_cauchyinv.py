@@ -473,8 +473,9 @@ class TestFactorForm:
 class TestOneWalk:
     """Passes over an n x n difference table per call, counted at `diff_blocks`.
 
-    The entries, the collision check and the row products s(t_i) share one
-    walk; what is left are the O(n) factor sums formed before it.
+    The entries and the row products s(t_i) share one walk; the collision
+    check before it is the sorted screen, which walks nothing when it clears
+    the knots, and what is left are the O(n) factor sums.
     """
 
     N = 64
@@ -489,7 +490,7 @@ class TestOneWalk:
             seen.append(("self" if xs is knots else "cross", len(xs), len(knots)))
             return real(xs, knots)
 
-        for module in (logdomain, cauchyinv, bounds):
+        for module in (logdomain, cauchyinv, bounds, structmat):
             monkeypatch.setattr(module, "diff_blocks", counting)
         return seen
 
@@ -503,6 +504,9 @@ class TestOneWalk:
         ("cv_inverse", CORRECTED, 2),
         ("cauchy_inverse", CORRECTED, 4),
         ("vandermonde_inverse_via_cv", CORRECTED, 2),
+        ("cauchy_det", None, 2),
+        ("cauchy", None, 1),
+        ("cv_matrix", None, 1),
     ])
     def test_walks_per_call(self, walks, call, variant, expected):
         n = self.N
@@ -518,9 +522,33 @@ class TestOneWalk:
                "cv_inverse": lambda: cauchyinv.cv_inverse(s, f, variant),
                "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, variant),
                "vandermonde_inverse_via_cv":
-                   lambda: cauchyinv.vandermonde_inverse_via_cv(s, f, variant)}
+                   lambda: cauchyinv.vandermonde_inverse_via_cv(s, f, variant),
+               "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
+               "cauchy": lambda: structmat.cauchy(s, t),
+               "cv_matrix": lambda: structmat.cv_matrix(s, f)}
         run[call]()
         assert [rows * cols for _, rows, cols in walks].count(n * n) == expected
+
+    @pytest.mark.parametrize("call", ["cv_inverse_log_entries", "cv_column_peaks",
+                                      "cauchy_det", "cv_matrix", "cauchy"])
+    def test_a_collision_stops_before_any_walk_but_the_scan(self, walks, call):
+        # The grid of f = 1 is the DFT knots: the screen meets gaps of 0, so
+        # `closest_pair` scans once and names the pair; no other walk runs.
+        n = self.N
+        s = knotgen.roots_of_unity(n)
+        t = kv(list(structmat.cv_knots(n, 1.0)))
+        walks.clear()
+        run = {"cv_inverse_log_entries":
+                   lambda: cauchyinv.cv_inverse_log_entries(s, 1.0, PAPER),
+               "cv_column_peaks":
+                   lambda: cauchyinv.cv_column_peaks(s.as_array(), t.as_array()),
+               "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
+               "cv_matrix": lambda: structmat.cv_matrix(s, 1.0),
+               "cauchy": lambda: structmat.cauchy(s, t)}
+        with pytest.raises(KnotCollision) as err:
+            run[call]()
+        assert (err.value.i, err.value.j, err.value.gap) == (0, 0, 0.0)
+        assert walks == [("cross", n, n)]
 
     @pytest.mark.parametrize("order", [(PAPER, CORRECTED), (CORRECTED, PAPER)],
                              ids=["paper-first", "corrected-first"])
@@ -703,7 +731,7 @@ class TestPublicSurface:
     def test_no_single_cell_readers(self):
         import vandcond
         for name in ("cauchy_inverse_entry", "cv_inverse_entry", "_inverse_cell",
-                     "log_root_product"):
+                     "log_root_product", "cross_logs"):  # logdomain.log_blocks walks
             assert not hasattr(cauchyinv, name)
         # A knot product is a (log10 magnitude, phase) pair, never a scalar class.
         for module in (vandcond, logdomain, cauchyinv):

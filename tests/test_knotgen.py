@@ -37,6 +37,21 @@ class TestExplicitPoints:
         assert len(kv) == 3
         assert kv.label == "custom"
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_nan_or_negative_tol_is_invalid_argument(self, tol):
+        # Both once accepted the duplicate knot below.
+        with pytest.raises(ValueError, match=r"^tol must be >= 0, got ") as err:
+            knotgen.KnotVector([1, 1, 2], tol=tol)
+        assert not isinstance(err.value, VandcondError)
+
+    def test_zero_and_infinite_tol(self):
+        # A gap of 0 collides at any tol >= 0; at tol = 0 nothing else does.
+        for tol in (0.0, math.inf):
+            with pytest.raises(DuplicateKnot):
+                knotgen.KnotVector([1, 1, 2], tol=tol)
+        assert len(knotgen.KnotVector([1, 1 + 1e-15, 2], tol=0.0)) == 3
+        assert len(knotgen.KnotVector([2j], tol=math.inf)) == 1
+
     def test_empty_raises(self):
         # An argument error (exit 2), not a numeric failure.
         with pytest.raises(ValueError,

@@ -385,6 +385,110 @@ class TestDistinctnessScreen:
         assert peak <= 2 ** 20
 
 
+def disjoint_reference(sp, tp):
+    """(i, j, gap) of the first smallest |s_i - t_j| in row-major order, or
+    None when it exceeds DISTINCT_TOL: one row at a time, no screen."""
+    best = (math.inf, 0, 0)
+    with np.errstate(over="ignore"):
+        for i, x in enumerate(np.asarray(sp, dtype=np.complex128)):
+            row = np.abs(x - np.asarray(tp, dtype=np.complex128))
+            j = int(row.argmin())
+            if row[j] < best[0]:
+                best = (float(row[j]), i, j)
+    gap, i, j = best
+    return None if gap > logdomain.DISTINCT_TOL else (i, j, gap)
+
+
+def disjointness_agrees(sp, tp):
+    """(i, j, gap) of the KnotCollision raised, or None; must equal the reference.
+
+    The sorted screen must leave the answer to the walk.
+    """
+    sp, tp = np.asarray(sp, dtype=np.complex128), np.asarray(tp, dtype=np.complex128)
+    assert not logdomain.screen_distinct(np.concatenate((sp, tp)), logdomain.DISTINCT_TOL)
+    want = disjoint_reference(sp, tp)
+    try:
+        check_disjoint(sp, tp)
+        got = None
+    except KnotCollision as err:
+        got = err.i, err.j, err.gap
+    assert got == want
+    return got
+
+
+class TestCheckDisjoint:
+    """`check_disjoint` screens the union of both knot sets; wherever the
+    screen cannot clear it, the walk decides as a brute-force scan would."""
+
+    @pytest.fixture(params=[7, logdomain.CHUNK], ids=["tiny-blocks", "chunk"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(logdomain, "CHUNK", request.param)
+
+    def points(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def test_screen_clears_distinct_sets_without_a_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the screen should have cleared these knots")
+
+        monkeypatch.setattr(logdomain, "closest_pair", walk)
+        s = knotgen.van_der_corput(512).as_array()
+        check_disjoint(s, structmat.cv_knots(512, cmath.exp(0.3j)))
+
+    def test_many_equal_real_parts(self, blocks):
+        # One vertical line: every knot has dozens of window partners.
+        sp = 0.25 + 1e-3j * np.arange(40)
+        tp = 0.25 + 1e-3j * (np.arange(30) + 0.5)
+        assert disjointness_agrees(sp, tp) is None
+        tp[7] = sp[20] + 3e-14j
+        assert disjointness_agrees(sp, tp)[:2] == (20, 7)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("direction", [1, 1j, -1j])
+    def test_gaps_a_hair_either_side_of_tol(self, blocks, sign, direction):
+        sp, tp = self.points(30, 3), self.points(20, 4)
+        sp[11] = 0.0
+        tp[3] = direction * logdomain.DISTINCT_TOL * (1 + sign * 1e-12)
+        got = disjointness_agrees(sp, tp)
+        assert (got is None) == (sign > 0)
+        if got:
+            assert got[:2] == (11, 3)
+
+    def test_knots_near_the_float_limit(self, blocks):
+        # Differences of 3.4e308 leave the float range: a gap of inf, no warning.
+        top = 1.7e308
+        sp = np.array([top, -top, 0.5, top + 1e300j])
+        tp = np.array([0.5 + 1.5e-13, -top + 1e300j, top * 1j, -top])
+        assert disjointness_agrees(sp, tp) == (1, 3, 0.0)
+        tp[3] = -top + 5e-14j
+        assert disjointness_agrees(sp, tp)[:2] == (1, 3)
+        tp[3] = 1.0
+        assert disjointness_agrees(sp, tp) is None
+
+    def test_exact_ties_name_the_first_pair_in_row_major_order(self, blocks):
+        # Equal gaps in one row, and again in a later row and block.
+        sp, tp = self.points(12, 5), self.points(9, 6)
+        h = 2.0 ** -46  # every gap below is exactly h
+        sp[7], sp[10] = 0.0, 0.5
+        tp[0], tp[1], tp[6], tp[8] = h, -h, 1j * h, 0.5 + h
+        assert disjointness_agrees(sp, tp) == (7, 0, h)
+
+    def test_random_lattices(self, blocks):
+        # Knots on a 4 x 4 lattice, the column knots nudged by steps of
+        # 0.5 DISTINCT_TOL: repeated row knots keep the screen out, and the
+        # draws mix hits, near misses and ties.
+        rng = np.random.default_rng(11)
+        tol = logdomain.DISTINCT_TOL
+        outcomes = []
+        for _ in range(60):
+            sp = rng.integers(0, 4, 25) + 1j * rng.integers(0, 4, 25)
+            tp = rng.integers(0, 4, 10) + 1j * rng.integers(0, 4, 10)
+            tp = tp + 0.5 * tol * (rng.integers(0, 8, 10) + 1j * rng.integers(-7, 8, 10))
+            outcomes.append(disjointness_agrees(sp.astype(complex), tp.astype(complex)))
+        assert 10 <= outcomes.count(None) <= 50
+
+
 class TestBlockSizeInvariance:
     """No row's sum, minimum or count crosses a block, so `CHUNK` is free
     to be sized for speed: every walk gives the same bits at any size."""
