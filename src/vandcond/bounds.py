@@ -11,6 +11,7 @@ bounds carrying ``variant="corrected"`` or no variant are conservative.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,8 +136,7 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     """
     if not 1.0 < nu < math.inf:  # also refuses nan
         raise ValueError(f"nu must be a finite number above 1, got {nu!r}")
-    if as_int("k", k) < 1:
-        raise ValueError("k must be >= 1")
+    k = as_int("k", k, 1)
     if norm_mode not in ("literal", "computed-norm"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
     moduli = np.abs(s.as_array())
@@ -182,25 +182,18 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
                         "log10_kappa_bound": value - 0.5 * math.log10(n)})
 
 
-#: The last `_cv_peaks` call: its knot vector, repr(f) and result.  One
-#: entry, so the two cv-inverse lines of a knot set share one walk and no
-#: more than O(n) floats are held; KnotVector is immutable and the entry
-#: keeps it alive, so identity is a safe key, and repr tells -0.0 from 0.0.
-_cv_memo = (None, "", None)
-
-
-def _cv_peaks(s: KnotVector, f: complex):
+@functools.lru_cache(maxsize=1)
+def _cv_peaks(s: KnotVector, f: complex, f_repr: str):
     """(f, nudged, log10|s_j^n - f^n|, paper peaks, corrected peaks) for `bound_cv`.
 
     The peaks are `cauchyinv.cv_column_peaks` on the grid `cv_knots(n, f)`;
     on a grid collision f turns once by (3 - sqrt 5)/2 of a grid step and
-    the walk runs again.  Memoised on the last (s, f); a refusal is not.
+    the walk runs again.  Cached for the last call only, so the two
+    cv-inverse lines of a knot set share one walk and no more than O(n)
+    floats are held.  KnotVector hashes by identity (it is immutable, and
+    the cache keeps it alive); `f_repr` is repr(f), which tells -0.0 from
+    0.0 where f itself compares equal.  A refusal raises, so it is not cached.
     """
-    global _cv_memo
-    key = repr(f)
-    held, held_key, out = _cv_memo  # one read: another thread may replace it
-    if held is s and held_key == key:
-        return out
     sp = s.as_array()
     n = len(sp)
     nudged = False
@@ -211,9 +204,7 @@ def _cv_peaks(s: KnotVector, f: complex):
         f *= complex(math.cos(step), math.sin(step))
         nudged = True
         peaks = cv_column_peaks(sp, _cv_grid(n, f))
-    out = (f, nudged, pow_diff_logs(sp, f, n)[0], *peaks)
-    _cv_memo = s, key, out
-    return out
+    return f, nudged, pow_diff_logs(sp, f, n)[0], *peaks
 
 
 def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
@@ -225,6 +216,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
     C floors far below the certified entry bound.
     The grid is `cv_knots(n, f)`, and ValueError is raised unless |f| = 1.
     On a grid collision f turns once by (3 - sqrt 5)/2 of a grid step.
+    `variant` is an InverseVariant or its value; anything else is a ValueError.
 
     The n x n walk over t_i - s_j runs once per (s, f) for both variants:
     the first line on a knot set pays for it, through `_cv_peaks`, and
@@ -234,7 +226,9 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
     largest table entry bit for bit.  The corrected line also pays for its
     own n x n walk over s_i - s_k, for s'(s_j); the paper line needs none.
     """
-    f, nudged, pow_mag, paper, corrected = _cv_peaks(s, complex(f))
+    variant = InverseVariant(variant)
+    f = complex(f)
+    f, nudged, pow_mag, paper, corrected = _cv_peaks(s, f, repr(f))
     n = len(s)
     if variant is InverseVariant.CORRECTED:
         peaks, col = corrected, pow_mag - self_derivative_logs(s.as_array(), phase=False)[0]
@@ -325,8 +319,7 @@ def bound_quasi_cyclic(q: int, mode: str) -> BoundReport:
     """
     if mode not in QC_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if as_int("q", q) < 1:
-        raise ValueError("q must be >= 1")
+    q = as_int("q", q, 1)
     n = 3 * q
     half_log_n = 0.5 * math.log10(n)
     params = {"q": q, "n": n, "mode": mode}
@@ -387,8 +380,7 @@ def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
     growth factor is implemented as (eta - 1), the sign that makes the
     bound positive for eta > 1.
     """
-    if as_int("rho", rho) < 1:
-        raise ValueError("rho must be >= 1")
+    rho = as_int("rho", rho, 1)
     if not is_separated(S, T, eta, c):
         raise NotSeparated(f"sets are not ({eta}, {c})-separated")
     delta = float(np.min(np.abs(S.as_array() - complex(c))))

@@ -143,7 +143,9 @@ def cv_column_peaks(sp: np.ndarray, tp: np.ndarray):
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
                   cv_f=None):
-    """(log10 magnitude, raw phase) tables of every inverse entry."""
+    """(log10 magnitude, raw phase) tables of every inverse entry; every public
+    inverse decides its variant here, an InverseVariant or its value (else ValueError)."""
+    variant = InverseVariant(variant)
     mag, ph = np.empty((2, len(sp), len(sp)))
     for lo, block_mag, block_ph in inverse_blocks(sp, tp, variant, cv_f):
         mag[lo:lo + len(block_mag)] = block_mag

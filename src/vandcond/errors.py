@@ -4,7 +4,8 @@ Two kinds of refusal, one per CLI exit code:
 
 - `ValueError` means the function does not accept these arguments.  That is
   decided from sizes, shapes, indices, modes, keys or emptiness alone,
-  before any numeric work; `as_int` decides it for a count.  The CLI exits 2.
+  before any numeric work; `as_int` decides it for a count and its floor,
+  everywhere a count is taken.  The CLI exits 2.
 - `VandcondError` means the arguments are accepted but the numbers fail, or
   a bound's premise fails for these knots.  The CLI exits 3.
 """
@@ -14,11 +15,15 @@ from __future__ import annotations
 import numbers
 
 
-def as_int(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer type (not a bool)."""
+def as_int(name: str, value, low: int | None = None) -> int:
+    """value as an int; ValueError unless it is an integer type (not a bool)
+    and, when `low` is given, at least `low`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 class VandcondError(Exception):

@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DuplicateKnot
+from .errors import DuplicateKnot, as_int
 from .logdomain import DISTINCT_TOL, closest_pair, screen_distinct
 
 
@@ -85,8 +85,7 @@ def unit_roots(n: int) -> np.ndarray:
 
 def roots_of_unity(n: int) -> KnotVector:
     """The n-th roots of 1 in counter-clockwise order starting at 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     return KnotVector(unit_roots(n), "dft")
 
 
@@ -104,8 +103,7 @@ def quasi_cyclic_fractions(n: int) -> list:
 
 def quasi_cyclic(n: int) -> KnotVector:
     """Unit-circle knots ordered by the quasi-cyclic fraction sequence."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     return KnotVector(_turn(quasi_cyclic_fractions(n)), "quasi-cyclic")
 
 
@@ -130,8 +128,7 @@ def van_der_corput(n: int) -> KnotVector:
     m <= n, so every leading block of the associated Vandermonde matrix is
     again a matrix of the same family.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     return KnotVector(_turn(radical_inverse(np.arange(n))), "van-der-corput")
 
 
@@ -142,8 +139,7 @@ def single_outlier(n: int, s_last: complex) -> KnotVector:
     is taken by `s_last`.  Setting s_last = omega^(n-1) would recover the
     full root set, hence DuplicateKnot is raised on any collision.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = as_int("n", n, 2)
     pts = np.append(unit_roots(n)[:-1], complex(s_last))
     return KnotVector(pts, "single-outlier")
 
@@ -154,8 +150,7 @@ def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
     This (n+1)-point set is what the single-large-knot experiment table
     actually measures; `single_outlier` keeps the n-point variant.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     pts = np.append(unit_roots(n), complex(s_extra))
     return KnotVector(pts, "dft-plus-outlier")
 
@@ -166,8 +161,9 @@ def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
     The scaled group contributes exactly k knots (i = 0..k-1) so the total
     is n and the matrix stays square.
     """
-    if not 1 <= k < n:
-        raise ValueError("k must satisfy 1 <= k < n")
+    n, k = as_int("n", n, 2), as_int("k", k, 1)
+    if k >= n:
+        raise ValueError(f"k must be < n = {n}, got {k}")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     pts = np.concatenate((unit_roots(n - k), rho * unit_roots(k)))

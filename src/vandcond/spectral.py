@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,33 +240,25 @@ def poly_from_roots(knots: KnotVector) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-#: The last `root_logs` call: its knot vector and logs.  One entry, so
-#: circle-value and coeff-norm on a knot set share one walk and no more than
-#: n + 1 floats are held; KnotVector is immutable and the entry keeps it
-#: alive, so identity is a safe key.
-_root_memo = (None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def root_logs(knots: KnotVector) -> np.ndarray:
-    """log10|s(w)| at the n + 1 roots of 1 w, read-only, memoised on the last knots.
+    """log10|s(w)| at the n + 1 roots of 1 w, read-only, cached for the last knots.
 
     These are the even samples of `max_abs_on_circle` and the Parseval
     points of `bounds.bound_coeff_norm`; the first of the two to run on a
     knot vector pays for the (n+1) x n walk, the other reads its result.
+    One entry, so no more than n + 1 floats are held; KnotVector hashes by
+    identity, and the cache keeps it alive.
     """
-    global _root_memo
-    held, logs = _root_memo  # one read: another thread may replace it
-    if held is not knots:
-        logs = log_magnitudes(unit_roots(len(knots) + 1), knots.as_array())
-        logs.flags.writeable = False
-        _root_memo = knots, logs
+    logs = log_magnitudes(unit_roots(len(knots) + 1), knots.as_array())
+    logs.flags.writeable = False
     return logs
 
 
 def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     """Maximize |prod (f - s_i)| over f on the unit circle.
 
-    The scan grid is the `grid`-th roots of 1 (`knotgen.unit_roots`);
+    The scan grid is the `grid`-th roots of 1 (`knotgen.unit_roots`), grid >= 8;
     `grid=0` selects max(1024, 16 n): the product has at most n
     oscillations around the circle, so at least 16 samples per oscillation
     land in every cell before refinement.  The best grid point is the first
@@ -308,10 +301,9 @@ def max_abs_on_circle(knots: KnotVector, grid: int = 0):
     """
     pts = knots.as_array()
     n = len(pts)
-    if as_int("grid", grid) <= 0:
-        grid = max(1024, 16 * n)
+    grid = as_int("grid", grid, 0) or max(1024, 16 * n)
     if grid < 8:
-        raise ValueError("grid must be >= 8")
+        raise ValueError(f"grid must be 0 or >= 8, got {grid}")
     m = 2 * n + 2
     logs = np.empty(m)
     logs[0::2] = root_logs(knots)
@@ -471,6 +463,8 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     One Philox stream of `seed` draws a trials x n block of real standard
     normals, row t being trial t's right-hand side b, so fewer trials read a
     prefix of the same draws.  Each trial records ||A x - b|| / ||b||.
+    n below 2, trials below 1, a negative seed, or any of them not an
+    integer is refused with ValueError (`errors.as_int`).
     All trials share one blocked LU factor (see `_genp_factor`) and are
     solved together as the columns of one n x trials right-hand side.  The
     DFT matrix is built straight into the buffer that is factored, and built
@@ -484,10 +478,8 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     n=32 7.91e-10, n=64 2.73e-3, n=128 13.9, n=256 282, n=512 3.04e3 and
     n=1024 2.71e4.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, trials = as_int("n", n, 2), as_int("trials", trials, 1)
+    seed = as_int("seed", seed, 0)
     LU, min_pivot = _genp_factor(vandermonde_array(unit_roots(n)))
     rng = np.random.Generator(np.random.Philox(seed))
     B = rng.standard_normal((trials, n)).T.astype(np.complex128, order="C")

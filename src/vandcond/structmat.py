@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import RangeOverflow
+from .errors import RangeOverflow, as_int
 from .knotgen import KnotVector, roots_of_unity, unit_roots
 from .logdomain import check_disjoint, diff_blocks, retake_halved
 
@@ -152,9 +152,10 @@ def cv_matrix(s: KnotVector, f: complex) -> DenseMatrix:
 
 
 def leading_block(M: DenseMatrix, q: int) -> DenseMatrix:
-    """The q x q top-left (northwestern) submatrix."""
+    """The q x q top-left (northwestern) submatrix; ValueError unless q is
+    an integer in 1..min(rows, cols)."""
     top = min(M.rows, M.cols)
-    if q < 1 or q > top:
+    if not 1 <= as_int("q", q) <= top:
         raise ValueError(f"q={q} is outside 1..{top} for the "
                          f"{M.rows}x{M.cols} matrix")
     return DenseMatrix(M.data[:q, :q], copy=False)

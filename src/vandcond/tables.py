@@ -200,16 +200,12 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    seed = as_int("seed", overrides.get("seed", DEFAULT_SEED))
-    trials = as_int("trials", overrides.get("trials", DEFAULT_TRIALS))
+    seed = as_int("seed", overrides.get("seed", DEFAULT_SEED), 0)
+    trials = as_int("trials", overrides.get("trials", DEFAULT_TRIALS), 1)
     sizes = overrides.get("sizes", spec.sizes)
     if isinstance(sizes, (str, bytes)) or not isinstance(sizes, Sequence):
         raise ValueError(f"sizes must be a sequence of integers, got {sizes!r}")
     sizes = [as_int("sizes entry", point) for point in sizes]
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if not sizes:
         raise ValueError("sizes must not be empty")
 

@@ -1,6 +1,8 @@
 import cmath
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -275,6 +277,16 @@ class TestBoundCv:
         with pytest.raises(ValueError):
             bounds.bound_cv(knotgen.roots_of_unity(8), 2.0, PAPER)
 
+    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    def test_variant_value_string_is_the_member(self, variant):
+        s, f = knotgen.quasi_cyclic(12), cmath.exp(0.3j)
+        assert repr(bounds.bound_cv(s, f, variant.value)) == repr(bounds.bound_cv(s, f, variant))
+
+    @pytest.mark.parametrize("variant", ["bogus", "Paper", None])
+    def test_unknown_variant_refused(self, variant):
+        with pytest.raises(ValueError, match="is not a valid InverseVariant"):
+            bounds.bound_cv(knotgen.quasi_cyclic(12), cmath.exp(0.3j), variant)
+
 
 class TestMemoScope:
     """The cv-inverse lines share one walk per (knot vector, f), circle-value
@@ -294,9 +306,9 @@ class TestMemoScope:
                 }[gen](n)
 
     @staticmethod
-    def cold(monkeypatch):
-        monkeypatch.setattr(bounds, "_cv_memo", (None, "", None))
-        monkeypatch.setattr(spectral, "_root_memo", (None, None))
+    def cold():
+        bounds._cv_peaks.cache_clear()
+        spectral.root_logs.cache_clear()
 
     @staticmethod
     def lines(s, f):
@@ -306,16 +318,16 @@ class TestMemoScope:
                 "coeff": lambda: bounds.bound_coeff_norm(s)}
 
     @pytest.mark.parametrize("gen, n", CASES)
-    def test_same_reports_in_any_order_and_cold(self, monkeypatch, gen, n):
+    def test_same_reports_in_any_order_and_cold(self, gen, n):
         s, f = self.make(gen, n), cmath.exp(0.3j)
         lines = self.lines(s, f)
         runs = []
         for order in (list(lines), list(lines)[::-1]):
-            self.cold(monkeypatch)
+            self.cold()
             runs.append({name: repr(lines[name]()) for name in order})
         cold = {}
         for name, line in lines.items():
-            self.cold(monkeypatch)
+            self.cold()
             cold[name] = repr(line())
         assert runs[0] == runs[1] == cold
 
@@ -338,11 +350,11 @@ class TestMemoScope:
         bounds.bound_coeff_norm(twin)
         assert roots == [8, 8]
 
-    def test_signed_zero_of_f_is_its_own_key(self, monkeypatch):
+    def test_signed_zero_of_f_is_its_own_key(self):
         s = kv([0.5, 0.5j, -0.5])
         plus, minus = complex(1.0, 0.0), complex(1.0, -0.0)
         warm = [repr(bounds.bound_cv(s, f, PAPER)) for f in (plus, minus)]
-        self.cold(monkeypatch)
+        self.cold()
         assert warm[1] == repr(bounds.bound_cv(s, minus, PAPER)) != warm[0]
 
     def test_nudged_lines_agree(self):
@@ -352,14 +364,52 @@ class TestMemoScope:
         assert paper.params["nudged"] is corrected.params["nudged"] is True
         assert paper.params["f"] == corrected.params["f"] != 1.0
 
+    def test_one_entry_each(self):
+        for cached in (bounds._cv_peaks, spectral.root_logs):
+            assert cached.cache_parameters() == {"maxsize": 1, "typed": False}
+
     def test_refusal_is_not_memoised(self):
-        s = knotgen.roots_of_unity(8)
-        bounds.bound_cv(s, cmath.exp(0.3j), PAPER)
-        held = bounds._cv_memo
+        s, f = knotgen.roots_of_unity(8), cmath.exp(0.3j)
+        self.cold()
+        warm = repr(bounds.bound_cv(s, f, PAPER))
         for _ in range(2):
             with pytest.raises(ValueError):
                 bounds.bound_cv(s, 2.0, PAPER)
-            assert bounds._cv_memo is held
+        # The entry of the last accepted call is still held: this is a hit.
+        assert repr(bounds.bound_cv(s, f, PAPER)) == warm
+        assert bounds._cv_peaks.cache_info().hits == 1
+
+    def test_threads_share_the_caches(self):
+        """Threads alternating the four lines on two knot sets evict each
+        other's entries at every call; every report matches the serial one."""
+        sets = [knotgen.quasi_cyclic(48), knotgen.van_der_corput(40)]
+        f = cmath.exp(0.3j)
+        lines = [self.lines(s, f) for s in sets]
+        serial = [{name: repr(line()) for name, line in by.items()} for by in lines]
+        bad, rounds = [], 60
+
+        def work(first):
+            try:
+                for r in range(rounds):
+                    i = (first + r) % 2
+                    for name, line in lines[i].items():
+                        if repr(line()) != serial[i][name]:
+                            bad.append((i, name))
+            except Exception as exc:  # surfaced by the assert below
+                bad.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t % 2,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
     def test_pairs_hold_no_n_by_n_table(self):
         # Both cv lines and both circle lines on one knot set, in one window.

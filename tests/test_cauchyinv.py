@@ -702,6 +702,36 @@ class TestVandermondeInverses:
         assert norm2 >= np.max(np.abs(inv.data)) - 1e-12
 
 
+class TestVariantArgument:
+    """A variant is an InverseVariant or its value string, decided once in
+    the engine; anything else is refused, never read as the paper form."""
+
+    S, F = knotgen.quasi_cyclic(6), cmath.exp(0.3j)
+    T = kv([2.0, 2.0j, -2.0, -2.0j, 3.0, 3.0j])
+    #: Each public route into the engine, with its second argument.
+    CALLS = {"cauchy_inverse": (cauchyinv.cauchy_inverse, T),
+             "cauchy_log_entries": (cauchyinv.cauchy_inverse_log_entries, T),
+             "cv_inverse": (cauchyinv.cv_inverse, F),
+             "cv_log_entries": (cauchyinv.cv_inverse_log_entries, F),
+             "via_cv": (cauchyinv.vandermonde_inverse_via_cv, F)}
+
+    def run(self, call, variant):
+        fn, second = self.CALLS[call]
+        out = fn(self.S, second, variant)
+        return out.data if isinstance(out, structmat.DenseMatrix) else out
+
+    @pytest.mark.parametrize("variant", list(InverseVariant))
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_value_string_is_the_member(self, call, variant):
+        np.testing.assert_array_equal(self.run(call, variant.value), self.run(call, variant))
+
+    @pytest.mark.parametrize("variant", ["bogus", "Corrected", "CORRECTED", None, 1])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_anything_else_is_refused(self, call, variant):
+        with pytest.raises(ValueError, match="is not a valid InverseVariant"):
+            self.run(call, variant)
+
+
 class TestPublicSurface:
     """Every inverse entry is read from the tables of one walk."""
 
