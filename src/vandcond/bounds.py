@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchyinv import InverseVariant, cv_column_peaks
-from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots, NotSeparated,
-                     UnitRadius, VacuousCertificate, VandcondError, as_int)
+from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots, NotSeparated, UnitRadius,
+                     VacuousCertificate, VandcondError, as_complex, as_int, as_real, as_sequence)
 from .knotgen import KnotVector
 from .logdomain import block_rows, diff_blocks, pow_diff_logs, self_derivative_logs
 from .spectral import max_abs_on_circle, root_logs, singular_values, top_singular_value
@@ -134,9 +134,7 @@ def bound_cluster(s: KnotVector, k: int, nu: float,
     cap).  The Ritz value never exceeds the norm, so the bound stays a
     lower bound.
     """
-    if not 1.0 < nu < math.inf:  # also refuses nan
-        raise ValueError(f"nu must be a finite number above 1, got {nu!r}")
-    k = as_int("k", k, 1)
+    nu, k = as_real("nu", nu, 1.0), as_int("k", k, 1)
     if norm_mode not in ("literal", "computed-norm"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
     moduli = np.abs(s.as_array())
@@ -227,7 +225,7 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
     own n x n walk over s_i - s_k, for s'(s_j); the paper line needs none.
     """
     variant = InverseVariant(variant)
-    f = complex(f)
+    f = as_complex("f", f)
     f, nudged, pow_mag, paper, corrected = _cv_peaks(s, f, repr(f))
     n = len(s)
     if variant is InverseVariant.CORRECTED:
@@ -365,10 +363,9 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
 
 def is_separated(S: KnotVector, T: KnotVector, eta: float, c: complex) -> bool:
     """True iff |t - c| <= |s - c| / eta for every s in S, t in T."""
-    if not 1.0 < eta < math.inf:  # also refuses nan
-        raise ValueError(f"eta must be a finite number above 1, got {eta!r}")
-    ds = np.abs(S.as_array() - complex(c))
-    dt = np.abs(T.as_array() - complex(c))
+    eta, c = as_real("eta", eta, 1.0), as_complex("c", c)
+    ds = np.abs(S.as_array() - c)
+    dt = np.abs(T.as_array() - c)
     return bool(np.max(dt) <= np.min(ds) / eta)
 
 
@@ -380,10 +377,10 @@ def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
     growth factor is implemented as (eta - 1), the sign that makes the
     bound positive for eta > 1.
     """
-    rho = as_int("rho", rho, 1)
+    rho, eta, c = as_int("rho", rho, 1), as_real("eta", eta, 1.0), as_complex("c", c)
     if not is_separated(S, T, eta, c):
         raise NotSeparated(f"sets are not ({eta}, {c})-separated")
-    delta = float(np.min(np.abs(S.as_array() - complex(c))))
+    delta = float(np.min(np.abs(S.as_array() - c)))
     if delta == 0.0:
         value = -math.inf
     else:
@@ -392,7 +389,7 @@ def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
     ok = math.isfinite(value)
     return BoundReport(SEPARATION_SIGMA, value, None,
                        {"m": len(S), "l": len(T), "eta": eta, "rho": rho,
-                        "delta": delta, "c": complex(c)},
+                        "delta": delta, "c": c},
                        applicable=ok,
                        reason="" if ok else "a row knot coincides with the center")
 
@@ -604,8 +601,7 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
     row knots strictly inside the disc of radius eta*r count toward
     m_minus, knots on the boundary (within 1e-14) count as exterior.
     """
-    if not 1.0 < eta < math.inf:  # also refuses nan
-        raise ValueError(f"eta must be a finite number above 1, got {eta!r}")
+    eta = as_real("eta", eta, 1.0)
     n = len(s)
     if not (0 <= as_int("j_lo", j_lo) <= as_int("j_hi", j_hi) < n):
         raise ValueError("need 0 <= j_lo <= j_hi < n")
@@ -614,7 +610,7 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
         raise ValueError(f"arc of {l} knots exceeds n/2 = {n / 2:g}")
     c, r = _chord(_cv_grid(n, f), j_lo, j_hi)
     m_minus = int(_count_inside(np.array([c]), np.array([r]), s.as_array(), (eta,))[0, 0])
-    return SeparationCertificate(j_lo, j_hi, l, complex(c), r, float(eta),
+    return SeparationCertificate(j_lo, j_hi, l, complex(c), r, eta,
                                  m_minus, n - m_minus, l - m_minus)
 
 
@@ -686,10 +682,9 @@ def best_arc_search(s: KnotVector, f: complex, eta_grid=(1.1, 1.2, 1.5)):
     hold for the arithmetic of `_chord`, `_count_inside`, `structmat.cv_knots`
     and `BOUNDARY_TOL` as written, and each of those points back here.
     """
+    eta_grid = tuple(as_real("eta", eta, 1.0)
+                     for eta in as_sequence("eta_grid", eta_grid, "numbers"))
     n = len(s)
-    eta_grid = tuple(float(e) for e in eta_grid)
-    if not eta_grid or not all(1.0 < e < math.inf for e in eta_grid):
-        raise ValueError(f"eta_grid values must be finite and above 1, got {eta_grid}")
     best = _best_arc(_cv_grid(n, f), s.as_array(), f, eta_grid)
     if best is None or best[0][0] <= 0.0:
         raise NoPositiveBound(

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end; options are parsed by type only, the library rules on values.
 
 Exit codes: 0 success, 2 invalid arguments (`ValueError`, `OSError`, argparse),
 3 numeric or premise failure (`VandcondError`); `errors` states the rule.
@@ -22,27 +22,11 @@ DEFAULT_F = complex(math.cos(0.3), math.sin(0.3))
 
 
 def parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
-
-
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    """RE or RE,IM as a complex; a ValueError otherwise (argparse exits 2)."""
+    parts = [float(part) for part in text.split(",")]
+    if len(parts) > 2:
+        raise ValueError(f"expected RE or RE,IM, got {text!r}")
+    return complex(*parts)
 
 
 def _add_knot_source(p: argparse.ArgumentParser):
@@ -237,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="run one of the experiment tables 1-5")
     p.add_argument("--id", type=int, choices=[1, 2, 3, 4, 5], required=True)
-    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--format", choices=["csv", "markdown", "json"])
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("genp", help="no-pivoting residual experiment")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_genp)
 
     p = sub.add_parser("build", help="build a matrix and dump it (debug)")

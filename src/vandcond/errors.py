@@ -2,27 +2,52 @@
 
 Two kinds of refusal, one per CLI exit code:
 
-- `ValueError` means the function does not accept these arguments.  That is
-  decided from sizes, shapes, indices, modes, keys or emptiness alone,
-  before any numeric work; `as_int` decides it for a count and its floor,
-  everywhere a count is taken.  The CLI exits 2.
+- `ValueError` means the function does not accept these arguments, decided
+  before any numeric work: `as_int`, `as_real`, `as_complex` and
+  `as_sequence` decide every count, real, complex and sequence argument,
+  and shapes, indices, modes and keys the rest.  The CLI exits 2.
 - `VandcondError` means the arguments are accepted but the numbers fail, or
   a bound's premise fails for these knots.  The CLI exits 3.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections.abc import Sequence
 
 
 def as_int(name: str, value, low: int | None = None) -> int:
-    """value as an int; ValueError unless it is an integer type (not a bool)
-    and, when `low` is given, at least `low`."""
+    """value as an int; ValueError unless an integer (not a bool) and at least `low` if given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def as_real(name: str, value, low: float, high: float = math.inf) -> float:
+    """value as a float; ValueError unless it is a real (not a bool) in (low, high)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:
+        span = f"above {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+        raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
+    return float(value)
+
+
+def as_complex(name: str, value) -> complex:
+    """value as a complex; ValueError unless it is a number (not a bool, str or array)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name} must be a complex number, got {value!r}")
+    return complex(value)
+
+
+def as_sequence(name: str, value, what: str):
+    """value; ValueError unless it is a non-empty sequence, not a str or bytes."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
+        raise ValueError(f"{name} must be a sequence of {what}, got {value!r}")
+    if not value:
+        raise ValueError(f"{name} must not be empty")
     return value
 
 

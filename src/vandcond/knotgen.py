@@ -9,11 +9,12 @@ knots are accurate to about 1 ulp.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DuplicateKnot, as_int
+from .errors import DuplicateKnot, as_complex, as_int, as_real
 from .logdomain import DISTINCT_TOL, closest_pair, screen_distinct
 
 
@@ -38,7 +39,7 @@ class KnotVector:
     tol: InitVar[float] = DISTINCT_TOL
 
     def __post_init__(self, tol: float):
-        if not tol >= 0:  # also refuses nan
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
             raise ValueError(f"tol must be >= 0, got {tol!r}")
         arr = np.array(self.knots, dtype=np.complex128)
         if arr.size == 0:
@@ -140,7 +141,7 @@ def single_outlier(n: int, s_last: complex) -> KnotVector:
     full root set, hence DuplicateKnot is raised on any collision.
     """
     n = as_int("n", n, 2)
-    pts = np.append(unit_roots(n)[:-1], complex(s_last))
+    pts = np.append(unit_roots(n)[:-1], as_complex("s_last", s_last))
     return KnotVector(pts, "single-outlier")
 
 
@@ -151,7 +152,7 @@ def dft_plus_outlier(n: int, s_extra: complex) -> KnotVector:
     actually measures; `single_outlier` keeps the n-point variant.
     """
     n = as_int("n", n, 1)
-    pts = np.append(unit_roots(n), complex(s_extra))
+    pts = np.append(unit_roots(n), as_complex("s_extra", s_extra))
     return KnotVector(pts, "dft-plus-outlier")
 
 
@@ -164,8 +165,7 @@ def scaled_cluster(n: int, k: int, rho: float) -> KnotVector:
     n, k = as_int("n", n, 2), as_int("k", k, 1)
     if k >= n:
         raise ValueError(f"k must be < n = {n}, got {k}")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
+    rho = as_real("rho", rho, 0.0, 1.0)
     pts = np.concatenate((unit_roots(n - k), rho * unit_roots(k)))
     return KnotVector(pts, "scaled-cluster")
 

@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import RangeOverflow, as_int
+from .errors import RangeOverflow, as_complex, as_int
 from .knotgen import KnotVector, roots_of_unity, unit_roots
 from .logdomain import check_disjoint, diff_blocks, retake_halved
 
@@ -132,7 +132,7 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
     `bounds.best_arc_search`'s band budgets its rounding (25u per grid
     point); re-derive the band if this arithmetic changes.
     """
-    f = complex(f)
+    f = as_complex("f", f)
     if f == 0:
         raise ValueError("f must be nonzero")
     if not math.isfinite(math.hypot(f.real, f.imag)):
@@ -142,7 +142,7 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
 
 def check_unit_circle(f: complex) -> None:
     """ValueError unless |f| is 1 within UNIT_F_TOL, for CV paths exact only there."""
-    if not abs(np.abs(complex(f)) - 1.0) <= UNIT_F_TOL:  # inf, not OverflowError
+    if not abs(np.abs(as_complex("f", f)) - 1.0) <= UNIT_F_TOL:  # inf, not OverflowError
         raise ValueError("f must lie on the unit circle")
 
 

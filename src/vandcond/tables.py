@@ -20,13 +20,12 @@ import datetime
 import json
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import __version__
 from .bounds import (bound_cluster, bound_dft_block, bound_easy,
                      bound_quasi_cyclic, cluster_log10)
-from .errors import VandcondError, as_int
+from .errors import VandcondError, as_int, as_sequence
 from .knotgen import dft_plus_outlier, quasi_cyclic, scaled_cluster, single_outlier
 from .spectral import genp_residual_experiment, singular_values
 from .structmat import dft, leading_block, vandermonde
@@ -192,9 +191,9 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     integer (a bool, float or string is refused, not truncated), a seed
     below 0 or trials below 1 raises ValueError before any row runs.
     """
-    table_id = table_id.upper()
-    if table_id not in _TABLES:
+    if not isinstance(table_id, str) or table_id.upper() not in _TABLES:
         raise ValueError(f"unknown table {table_id!r}")
+    table_id = table_id.upper()
     spec = _TABLES[table_id]
     overrides = dict(overrides or {})
     unknown = set(overrides) - {"sizes", "trials", "seed"}
@@ -202,12 +201,8 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
     seed = as_int("seed", overrides.get("seed", DEFAULT_SEED), 0)
     trials = as_int("trials", overrides.get("trials", DEFAULT_TRIALS), 1)
-    sizes = overrides.get("sizes", spec.sizes)
-    if isinstance(sizes, (str, bytes)) or not isinstance(sizes, Sequence):
-        raise ValueError(f"sizes must be a sequence of integers, got {sizes!r}")
-    sizes = [as_int("sizes entry", point) for point in sizes]
-    if not sizes:
-        raise ValueError("sizes must not be empty")
+    sizes = [as_int("sizes entry", point) for point in
+             as_sequence("sizes", overrides.get("sizes", spec.sizes), "integers")]
 
     rows = []
     for point in sizes:

@@ -647,7 +647,7 @@ class TestSeparation:
             with pytest.raises(ValueError, match=message) as err:
                 call()
             assert not isinstance(err.value, VandcondError)
-        with pytest.raises(ValueError, match=r"^eta_grid values must be finite") as err:
+        with pytest.raises(ValueError, match=message) as err:
             bounds.best_arc_search(s, 1.0, (1.2, eta))
         assert not isinstance(err.value, VandcondError)
 

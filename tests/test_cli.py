@@ -638,23 +638,21 @@ class TestExitCodes:
         ["table", "--id", "1", "--trials", "0"],
         ["genp", "--n", "4", "--trials", "0"]])
     def test_trials_below_1_is_invalid_argument(self, argv, capsys):
-        # Refused by argparse, as `run_table` refuses it, before any row runs.
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
+        # Refused by the library's count rule before any row runs.
+        code = cli.main(argv)
         out = capsys.readouterr()
-        assert (err.value.code, out.out) == (2, "")
-        assert "argument --trials: must be >= 1" in out.err
+        assert (code, out.out) == (2, "")
+        assert out.err == f"error: trials must be >= 1, got {argv[-1]}\n"
 
     @pytest.mark.parametrize("argv", [
         ["table", "--id", "5", "--seed", "-1"],
         ["genp", "--n", "4", "--seed", "-1"]])
     def test_negative_seed_is_invalid_argument(self, argv, capsys):
-        # Refused by argparse, as `run_table` refuses it, before any row runs.
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
+        # Refused by the library's count rule before any row runs.
+        code = cli.main(argv)
         out = capsys.readouterr()
-        assert (err.value.code, out.out) == (2, "")
-        assert "argument --seed: must be >= 0" in out.err
+        assert (code, out.out) == (2, "")
+        assert out.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["cond", "--knots", "{path}"],
