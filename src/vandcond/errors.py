@@ -3,15 +3,16 @@
 Two kinds of refusal, one per CLI exit code:
 
 - `ValueError` means the function does not accept these arguments, decided
-  before any numeric work: `as_int`, `as_real`, `as_complex` and
-  `as_sequence` decide every count, real, complex and sequence argument,
-  and shapes, indices, modes and keys the rest.  The CLI exits 2.
+  before any numeric work: `as_int`, `as_real`, `as_complex` and `as_sequence`
+  decide every count, real, complex and sequence argument, finiteness
+  included, and shapes, indices, modes and keys the rest.  The CLI exits 2.
 - `VandcondError` means the arguments are accepted but the numbers fail, or
   a bound's premise fails for these knots.  The CLI exits 3.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from collections.abc import Sequence
@@ -28,18 +29,24 @@ def as_int(name: str, value, low: int | None = None) -> int:
 
 
 def as_real(name: str, value, low: float, high: float = math.inf) -> float:
-    """value as a float; ValueError unless it is a real (not a bool) in (low, high)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:
-        span = f"above {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
-        raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
-    return float(value)
+    """value as a float; ValueError unless a real (not a bool) whose float lies in (low, high)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    with contextlib.suppress(OverflowError):  # float() of an int past the float range
+        if real and low < float(value) < high:
+            return float(value)
+    span = f"above {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+    raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
 def as_complex(name: str, value) -> complex:
-    """value as a complex; ValueError unless it is a number (not a bool, str or array)."""
+    """value as a complex; ValueError unless a finite-modulus number (not a bool, str or array)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Complex):
         raise ValueError(f"{name} must be a complex number, got {value!r}")
-    return complex(value)
+    with contextlib.suppress(OverflowError):  # complex() of an int past the float range
+        z = complex(value)
+        if math.isfinite(math.hypot(z.real, z.imag)):  # abs() may raise OverflowError
+            return z
+    raise ValueError(f"{name} must be finite")
 
 
 def as_sequence(name: str, value, what: str):

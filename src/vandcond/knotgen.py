@@ -9,8 +9,7 @@ knots are accurate to about 1 ulp.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +22,12 @@ class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
     `knots` is a read-only complex128 copy of the points, checked to be
-    non-empty, of finite modulus and pairwise further apart than `tol` >= 0.
+    non-empty, of finite modulus and pairwise further apart than DISTINCT_TOL.
     `label` names the generator; knot files carry it in their header.
 
     Distinctness is screened first: `logdomain.screen_distinct` sorts the
     real parts and measures only the pairs whose real parts lie within
-    2 tol, O(n log n).  When it finds no pair within 2 tol the knots are
+    2 DISTINCT_TOL, O(n log n).  When it finds no such pair the knots are
     distinct and no n x n walk runs; otherwise `logdomain.closest_pair`
     walks every pair and decides, so DuplicateKnot(i, j, gap) names the
     first closest pair in row-major order, as the walk alone would.
@@ -36,20 +35,17 @@ class KnotVector:
 
     knots: np.ndarray
     label: str = "custom"
-    tol: InitVar[float] = DISTINCT_TOL
 
-    def __post_init__(self, tol: float):
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-            raise ValueError(f"tol must be >= 0, got {tol!r}")
+    def __post_init__(self):
         arr = np.array(self.knots, dtype=np.complex128)
         if arr.size == 0:
             raise ValueError("knot vector must contain at least one knot")
         # Finite parts are not enough: |1.5e308 + 1.5e308j| = inf.
         if not np.all(np.isfinite(np.abs(arr))):
             raise ValueError("knots must be finite")
-        if not screen_distinct(arr, tol):
+        if not screen_distinct(arr, DISTINCT_TOL):
             gap, i, j = closest_pair(arr, arr, skip_self=True)
-            if gap <= tol:
+            if gap <= DISTINCT_TOL:
                 raise DuplicateKnot(i, j, gap)
         arr.flags.writeable = False
         object.__setattr__(self, "knots", arr)

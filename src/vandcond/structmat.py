@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -127,7 +126,7 @@ def cauchy(s: KnotVector, t: KnotVector) -> DenseMatrix:
 
 
 def cv_knots(n: int, f: complex) -> np.ndarray:
-    """The CV column grid t_j = f * omega_n^j; every CV path builds it here.
+    """The CV column grid t_j = f * omega_n^j, f finite and nonzero; every CV path builds it here.
 
     `bounds.best_arc_search`'s band budgets its rounding (25u per grid
     point); re-derive the band if this arithmetic changes.
@@ -135,14 +134,12 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
     f = as_complex("f", f)
     if f == 0:
         raise ValueError("f must be nonzero")
-    if not math.isfinite(math.hypot(f.real, f.imag)):
-        raise ValueError("f must be finite")
     return f * unit_roots(n)
 
 
 def check_unit_circle(f: complex) -> None:
-    """ValueError unless |f| is 1 within UNIT_F_TOL, for CV paths exact only there."""
-    if not abs(np.abs(as_complex("f", f)) - 1.0) <= UNIT_F_TOL:  # inf, not OverflowError
+    """ValueError unless f is finite and |f| = 1 within UNIT_F_TOL, where CV paths are exact."""
+    if abs(abs(as_complex("f", f)) - 1.0) > UNIT_F_TOL:
         raise ValueError("f must lie on the unit circle")
 
 

@@ -990,8 +990,8 @@ class TestBestArcSearch:
 class TestCheckedCvGrid:
     """Arc bounds use the CV grid of cv_knots and hold only for |f| = 1."""
 
-    OFF_CIRCLE = (0.5, 2.0, 0.5 * cmath.exp(0.3j), complex(math.nan, 0.0),
-                  complex(math.inf, 0.0), 0.0, complex(1.7e308, 1.7e308))
+    OFF_CIRCLE = (0.5, 2.0, 0.5 * cmath.exp(0.3j), 0.0)
+    NON_FINITE = (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.7e308, 1.7e308))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("f", OFF_CIRCLE)
@@ -1001,6 +1001,16 @@ class TestCheckedCvGrid:
         with pytest.raises(ValueError, match="unit circle"):
             bounds.arc_certificate(s, f, 0, 5, 1.2)
         with pytest.raises(ValueError, match="unit circle"):
+            bounds.best_arc_search(s, f)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", NON_FINITE)
+    def test_non_finite_f_refused(self, f):
+        # as_complex refuses an f of infinite or NaN modulus before the circle test.
+        s = knotgen.roots_of_unity(192)
+        with pytest.raises(ValueError, match="^f must be finite$"):
+            bounds.arc_certificate(s, f, 0, 5, 1.2)
+        with pytest.raises(ValueError, match="^f must be finite$"):
             bounds.best_arc_search(s, f)
 
     @pytest.mark.parametrize("n", [12, 48, 192, 1536])
@@ -1044,9 +1054,10 @@ class TestEvaluators:
         listing = bounds.evaluators(make(), self.F)
         assert [(label, bound_id) for label, bound_id, _ in listing] == lines
 
-    @pytest.mark.parametrize("f", [2.0, 0.0, math.nan])
-    def test_f_off_the_circle_refused(self, f):
-        with pytest.raises(ValueError, match="unit circle"):
+    @pytest.mark.parametrize("f, message", [(2.0, "unit circle"), (0.0, "unit circle"),
+                                            (math.nan, "^f must be finite$")])
+    def test_f_off_the_circle_refused(self, f, message):
+        with pytest.raises(ValueError, match=message):
             bounds.evaluators(knotgen.quasi_cyclic(48), f)
 
     def test_building_runs_no_evaluator(self, monkeypatch):

@@ -451,12 +451,16 @@ class TestBounds:
         by_id = {r["bound_id"]: r for r in map(json.loads, out.splitlines())}
         assert math.isfinite(by_id["coeff-norm"]["log10value"])
 
-    @pytest.mark.parametrize("f", ["nan", "inf,0", "0,-inf", "0", "1.7e308,1.7e308"])
-    def test_non_finite_or_zero_f_is_invalid_argument(self, f, capsys, recwarn):
+    @pytest.mark.parametrize("f, message", [("nan", "f must be finite"),
+                                            ("inf,0", "f must be finite"),
+                                            ("0,-inf", "f must be finite"),
+                                            ("0", "f must lie on the unit circle"),
+                                            ("1.7e308,1.7e308", "f must be finite")])
+    def test_non_finite_or_zero_f_is_invalid_argument(self, f, message, capsys, recwarn):
         # The library's own refusal, as for `invert --method cv`: no rescale.
         code, out, err = run(["bounds", "--gen", "quasi-cyclic", "--n", "12",
                               "--f", f], capsys)
-        assert (code, out, err) == (2, "", "error: f must lie on the unit circle\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert len(recwarn) == 0
 
     def test_quasi_cyclic_q_not_a_power_of_two_lists_the_refusals(self, capsys):
@@ -567,7 +571,7 @@ FAULTS = {
     "bounds-f-2": (["bounds", "--gen", "dft", "--n", "8", "--f", "2"], 2,
                    "error: f must lie on the unit circle"),
     "bounds-f-nan": (["bounds", "--gen", "dft", "--n", "8", "--f", "nan"], 2,
-                     "error: f must lie on the unit circle"),
+                     "error: f must be finite"),
     "bounds-f-0": (["bounds", "--gen", "dft", "--n", "8", "--f", "0"], 2,
                    "error: f must lie on the unit circle"),
     # `invert` prints V^-1, the corrected inverse, and has no `--variant`.

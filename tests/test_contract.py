@@ -6,16 +6,19 @@ the floor, is an invalid argument: ValueError, naming the count, before any
 numeric work (`errors.as_int`).
 
 The real and complex rules: every real parameter is a real number (not a
-bool, string, complex number or array) strictly inside its interval, so
-never nan (`errors.as_real`); every complex parameter is a number, not a
-bool, string or array (`errors.as_complex`).  Refusals are ValueErrors
-that name the argument.
+bool, string, complex number or array) strictly inside its interval and
+the float range, so never nan (`errors.as_real`); every complex parameter
+is a number, not a bool, string or array, of finite modulus
+(`errors.as_complex`).  Refusals are ValueErrors that name the argument.
+No public callable takes a tolerance: `logdomain.DISTINCT_TOL` is the one
+collision threshold.
 """
 
 import cmath
 import inspect
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,9 +147,10 @@ REALS = {
     ("evaluators", "f"): ("f", lambda x: vc.evaluators(vc.quasi_cyclic(12), x), None),
 }
 
-#: Calls that raised TypeError or AttributeError, or ran on a parsed string,
-#: before every argument went through `errors`; each is now a ValueError
-#: whose message names the argument.
+#: Calls that raised TypeError, AttributeError, OverflowError or
+#: ZeroDivisionError, ran on a parsed string, or returned a value for a
+#: non-finite argument, before every argument went through `errors`; each is
+#: now a ValueError whose message names the argument.
 DEFECTS = [
     ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, "2")),
     ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 2 + 0j)),
@@ -166,8 +170,14 @@ DEFECTS = [
     ("f", lambda: vc.bound_cv(vc.quasi_cyclic(12), "1j", "paper")),
     ("c", lambda: vc.is_separated(Q48, Q48, 2.0, "0")),
     ("table", lambda: vc.run_table(1)),
-    ("tol", lambda: vc.KnotVector([1, 2], tol="1")),
-    ("tol", lambda: vc.KnotVector([1, 2], tol=True)),
+    ("c", lambda: vc.is_separated(_kv(2), _kv(0), 2.0, math.inf)),
+    ("c", lambda: vc.is_separated(_kv(2), _kv(0), 2.0, math.nan)),
+    ("c", lambda: vc.sigma_bound_separated(_kv(2), _kv(0), 2.0, math.inf, 1)),
+    ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 10 ** 400)),
+    ("s_last", lambda: vc.single_outlier(8, 10 ** 400)),
+    # Inside the interval, but their floats are its ends.
+    ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 1 + Fraction(1, 10 ** 30))),
+    ("rho", lambda: vc.scaled_cluster(16, 4, Fraction(1, 10 ** 400))),
 ]
 
 
@@ -184,8 +194,12 @@ def _span(interval) -> str:
     return f"above {low:g}" if high == math.inf else rf"in \({low:g}, {high:g}\)"
 
 
+def _id(value) -> str:
+    return "10**400" if isinstance(value, int) and value == 10 ** 400 else repr(value)
+
+
 @pytest.mark.parametrize("value", ["1.5", True, np.array(1.5), 1.5j, math.nan, math.inf,
-                                   -math.inf], ids=repr)
+                                   -math.inf, 10 ** 400], ids=_id)
 @pytest.mark.parametrize("where", [w for w, entry in REALS.items() if entry[2]],
                          ids=lambda w: ".".join(w))
 def test_non_real_or_non_finite_is_refused(where, value):
@@ -215,6 +229,16 @@ def test_non_number_is_refused(where, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.inf),
+                                   complex(1.7e308, 1.7e308), 10 ** 400], ids=_id)
+@pytest.mark.parametrize("where", [w for w, entry in REALS.items() if not entry[2]],
+                         ids=lambda w: ".".join(w))
+def test_non_finite_complex_is_refused(where, value):
+    name, call, _ = REALS[where]
+    with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+        call(value)
+
+
 @pytest.mark.parametrize("name, call", DEFECTS, ids=[f"{i}-{n}" for i, (n, _) in
                                                      enumerate(DEFECTS)])
 def test_former_escape_is_refused(name, call):
@@ -230,3 +254,10 @@ def test_numpy_scalars_pass_as_python_numbers():
     cert = vc.arc_certificate(Q48, np.complex128(F), 30, 41, np.float64(1.2))
     assert type(cert.eta) is float
     assert cert == vc.arc_certificate(Q48, F, 30, 41, 1.2)
+
+
+def test_no_public_callable_takes_a_tolerance():
+    for name in vc.__all__:
+        obj = getattr(vc, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert "tol" not in inspect.signature(obj).parameters, name

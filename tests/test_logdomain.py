@@ -11,8 +11,9 @@ import pytest
 
 from vandcond import bounds, cauchyinv, knotgen, logdomain, spectral, structmat
 from vandcond.errors import DuplicateKnot, KnotCollision
-from vandcond.logdomain import (check_disjoint, log_magnitudes, log_products,
-                                pow_diff_logs, self_derivative_logs, wrap_phase)
+from vandcond.logdomain import (DISTINCT_TOL, check_disjoint, closest_pair, log_magnitudes,
+                                log_products, pow_diff_logs, screen_distinct,
+                                self_derivative_logs, wrap_phase)
 
 EPS = float(np.finfo(np.float64).eps)
 PACKAGE = pathlib.Path(logdomain.__file__).parent
@@ -203,14 +204,27 @@ def check_distinct_reference(points, tol):
 
 
 def distinctness_agrees(points, tol):
-    """(i, j, gap) of the DuplicateKnot raised, or None; must equal the reference."""
+    """(i, j, gap) of the first closest pair within tol, or None; must equal the reference.
+
+    Runs KnotVector's rule at width tol: `screen_distinct`, then
+    `closest_pair` when the screen meets a gap within 2 tol.  At
+    DISTINCT_TOL, KnotVector itself must raise that DuplicateKnot, or none.
+    """
     want = check_distinct_reference(points, tol)
-    try:
-        knotgen.KnotVector(points, tol=tol)
-        got = None
-    except DuplicateKnot as err:
-        got = err.i, err.j, err.gap
+    arr = np.asarray(points, dtype=np.complex128)
+    got = None
+    if not screen_distinct(arr, tol):
+        gap, i, j = closest_pair(arr, arr, skip_self=True)
+        if gap <= tol:
+            got = i, j, gap
     assert got == want
+    if tol == DISTINCT_TOL:
+        try:
+            knotgen.KnotVector(points)
+            built = None
+        except DuplicateKnot as err:
+            built = err.i, err.j, err.gap
+        assert built == got
     return got
 
 
@@ -310,7 +324,8 @@ class TestBlockedKernels:
 
 class TestDistinctnessScreen:
     """KnotVector screens pairs by sorted real parts; `closest_pair` decides
-    whenever the screen meets a gap within twice the tolerance."""
+    whenever the screen meets a gap within twice the tolerance.  The screen
+    takes the window width as an argument, so it runs here at several."""
 
     def points(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -546,7 +561,7 @@ class TestBlockSizeInvariance:
 class TestOneCollisionThreshold:
     """Knot distinctness and row/column collisions share one constant."""
 
-    def test_knotgen_default_is_the_logdomain_constant(self):
+    def test_knotgen_uses_the_logdomain_constant(self):
         assert knotgen.DISTINCT_TOL is logdomain.DISTINCT_TOL == 1e-13
 
     @pytest.mark.parametrize("gap, collides", [(0.0, True), (5e-14, True),
