@@ -17,8 +17,7 @@ from .bounds import (BoundReport, SeparationCertificate, arc_certificate,
                      best_arc_search, bound_arc, bound_circle_value,
                      bound_cluster, bound_coeff_norm, bound_cv,
                      bound_dft_block, bound_easy, bound_quasi_cyclic,
-                     bound_refined_norm, evaluators, is_separated,
-                     sigma_bound_separated)
+                     bound_refined_norm, evaluators)
 from .tables import ExperimentTable, emit, run_table, table_from_json
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "BoundReport", "SeparationCertificate", "bound_easy", "bound_cluster",
     "bound_refined_norm", "bound_cv", "bound_circle_value",
     "bound_coeff_norm", "bound_quasi_cyclic", "bound_dft_block",
-    "is_separated", "sigma_bound_separated", "arc_certificate", "bound_arc",
-    "best_arc_search", "evaluators",
+    "arc_certificate", "bound_arc", "best_arc_search", "evaluators",
     "ExperimentTable", "run_table", "emit", "table_from_json",
 ]

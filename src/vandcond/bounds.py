@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchyinv import InverseVariant, cv_column_peaks
-from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots, NotSeparated, UnitRadius,
+from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots, UnitRadius,
                      VacuousCertificate, VandcondError, as_complex, as_int, as_real, as_sequence)
 from .knotgen import KnotVector
 from .logdomain import block_rows, diff_blocks, pow_diff_logs, self_derivative_logs
@@ -51,7 +51,6 @@ CV_INVERSE = "cv-inverse"
 CIRCLE_VALUE = "circle-value"
 COEFF_NORM = "coeff-norm"
 DFT_BLOCK = "dft-block"
-SEPARATION_SIGMA = "separation-sigma"
 ARC_VANDERMONDE = "arc-vandermonde"
 
 
@@ -361,39 +360,6 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
                        {"n": n, "q": q, "mode": mode})
 
 
-def is_separated(S: KnotVector, T: KnotVector, eta: float, c: complex) -> bool:
-    """True iff |t - c| <= |s - c| / eta for every s in S, t in T."""
-    eta, c = as_real("eta", eta, 1.0), as_complex("c", c)
-    ds = np.abs(S.as_array() - c)
-    dt = np.abs(T.as_array() - c)
-    return bool(np.max(dt) <= np.min(ds) / eta)
-
-
-def sigma_bound_separated(S: KnotVector, T: KnotVector, eta: float,
-                          c: complex, rho: int) -> BoundReport:
-    """1 / sigma_rho(C) >= (eta - 1) eta^(rho - 1) delta for separated sets.
-
-    C is the Cauchy matrix on (S, T) and delta = min_i |s_i - c|.  The
-    growth factor is implemented as (eta - 1), the sign that makes the
-    bound positive for eta > 1.
-    """
-    rho, eta, c = as_int("rho", rho, 1), as_real("eta", eta, 1.0), as_complex("c", c)
-    if not is_separated(S, T, eta, c):
-        raise NotSeparated(f"sets are not ({eta}, {c})-separated")
-    delta = float(np.min(np.abs(S.as_array() - c)))
-    if delta == 0.0:
-        value = -math.inf
-    else:
-        value = (math.log10(eta - 1.0) + (rho - 1) * math.log10(eta)
-                 + math.log10(delta))
-    ok = math.isfinite(value)
-    return BoundReport(SEPARATION_SIGMA, value, None,
-                       {"m": len(S), "l": len(T), "eta": eta, "rho": rho,
-                        "delta": delta, "c": c},
-                       applicable=ok,
-                       reason="" if ok else "a row knot coincides with the center")
-
-
 def _chord(t: np.ndarray, j_lo: int, j_hi: int):
     """Midpoint c and half-length r of the chord from t[j_lo] to t[j_hi].
 
@@ -617,9 +583,15 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
 def bound_arc(s: KnotVector, cert: SeparationCertificate) -> BoundReport:
     """Arc bound on kappa for unit-disc knots, from the certificate.
 
-    log10 ||Cinv|| >= rho_bar log10(eta) + log10((eta-1) r) bounds the CV
+    rho_bar log10(eta) + log10((eta-1) r) estimates log10 ||Cinv|| of the CV
     inverse; adding 0.5 log10(n) - log10(2) turns it into a condition-number
-    bound, applicable when every knot has |s| <= 1 and r > 0.
+    bound, applicable when every knot has |s| <= 1 and r > 0.  The ||Cinv||
+    step is unproven: on 2397 certificates (the bounds tests' seven
+    generators, n <= 24, every arc, eta in 1.1..3, f = e^(0.3i)) it exceeded
+    -log10 sigma_min(C) by up to 0.34 decades at rho_bar = 1, while the kappa
+    form stayed below the SVD kappa on all.  `best_arc_search` reports none
+    of those arcs on its default eta grid, but one on quasi_cyclic(6) with
+    eta = 2 in the grid.
     """
     if cert.rho_bar <= 0:
         raise VacuousCertificate(f"rho_bar = {cert.rho_bar} is not positive")

@@ -3,9 +3,10 @@
 Two kinds of refusal, one per CLI exit code:
 
 - `ValueError` means the function does not accept these arguments, decided
-  before any numeric work: `as_int`, `as_real`, `as_complex` and `as_sequence`
-  decide every count, real, complex and sequence argument, finiteness
-  included, and shapes, indices, modes and keys the rest.  The CLI exits 2.
+  before any numeric work: `as_int`, `as_real`, `as_complex`, `as_sequence`
+  and `as_array` decide every count, real, complex, sequence and array
+  argument, finiteness included, and shapes, indices, modes and keys the
+  rest.  The CLI exits 2.
 - `VandcondError` means the arguments are accepted but the numbers fail, or
   a bound's premise fails for these knots.  The CLI exits 3.
 """
@@ -15,7 +16,10 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import reprlib
 from collections.abc import Sequence
+
+import numpy as np
 
 
 def as_int(name: str, value, low: int | None = None) -> int:
@@ -56,6 +60,36 @@ def as_sequence(name: str, value, what: str):
     if not value:
         raise ValueError(f"{name} must not be empty")
     return value
+
+
+def as_array(name: str, value, ndim: int | tuple, copy: bool = False) -> np.ndarray:
+    """value as a C-ordered complex128 array; ValueError unless a non-empty
+    array or nested sequence with `ndim` axes (or any count in a tuple) whose
+    entries are numbers, not bools or strings, of finite modulus.  A numeric
+    ndarray converts in one vectorized pass, copied only when `copy` is set
+    or its dtype or layout differ; any other value is checked entry by entry.
+    """
+    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
+    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iufc"
+    try:
+        arr = value if numeric else np.array(value, dtype=object)
+    except ValueError:  # nesting too ragged even for an object array
+        arr = None
+    if arr is None or arr.ndim not in ndims or arr.size == 0:
+        dims = " or ".join(f"{d}-d" for d in ndims)
+        raise ValueError(f"{name} must be a non-empty {dims} array, got {reprlib.repr(value)}")
+    if not numeric:
+        for x in arr.flat:
+            if isinstance(x, bool) or not isinstance(x, numbers.Complex):
+                raise ValueError(f"{name} must be numbers, got {reprlib.repr(x)}")
+    with contextlib.suppress(OverflowError):  # an int past the float range
+        arr = (np.array if copy else np.asarray)(arr, dtype=np.complex128, order="C")
+        # Parts below 2**1023 keep |z| finite, so |z| is taken only past
+        # them: |1.5e308 + 1.5e308j| = inf.
+        parts = arr.view(np.float64)
+        if max(parts.max(), -parts.min()) < 2.0 ** 1023 or np.isfinite(np.abs(arr)).all():
+            return arr
+    raise ValueError(f"{name} must be finite")
 
 
 class VandcondError(Exception):
@@ -107,10 +141,6 @@ class NotEnoughSmallKnots(VandcondError):
 
 class UnitRadius(VandcondError):
     """The refined norm bound is undefined when the largest knot modulus is 1."""
-
-
-class NotSeparated(VandcondError):
-    pass
 
 
 class VacuousCertificate(VandcondError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateKnot, as_complex, as_int, as_real
+from .errors import DuplicateKnot, as_array, as_complex, as_int, as_real
 from .logdomain import DISTINCT_TOL, closest_pair, screen_distinct
 
 
@@ -21,9 +21,10 @@ from .logdomain import DISTINCT_TOL, closest_pair, screen_distinct
 class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
-    `knots` is a read-only complex128 copy of the points, checked to be
-    non-empty, of finite modulus and pairwise further apart than DISTINCT_TOL.
-    `label` names the generator; knot files carry it in their header.
+    `knots` is a read-only complex128 copy of the points, a non-empty 1-d
+    array or sequence of numbers (`errors.as_array`) pairwise further apart
+    than DISTINCT_TOL.  `label` names the generator; knot files carry it in
+    their header.
 
     Distinctness is screened first: `logdomain.screen_distinct` sorts the
     real parts and measures only the pairs whose real parts lie within
@@ -37,12 +38,7 @@ class KnotVector:
     label: str = "custom"
 
     def __post_init__(self):
-        arr = np.array(self.knots, dtype=np.complex128)
-        if arr.size == 0:
-            raise ValueError("knot vector must contain at least one knot")
-        # Finite parts are not enough: |1.5e308 + 1.5e308j| = inf.
-        if not np.all(np.isfinite(np.abs(arr))):
-            raise ValueError("knots must be finite")
+        arr = as_array("knots", self.knots, 1, copy=True)
         if not screen_distinct(arr, DISTINCT_TOL):
             gap, i, j = closest_pair(arr, arr, skip_self=True)
             if gap <= DISTINCT_TOL:
@@ -181,7 +177,7 @@ def read_knots(path) -> KnotVector:
                 raise ValueError(f"{path}:{lineno}: bad knot line {text!r}") from exc
     if not pts:
         raise ValueError(f"{path}: no knots found")
-    return KnotVector(pts, "file")
+    return KnotVector(np.array(pts, dtype=np.complex128), "file")
 
 
 def dump_knots(kv: KnotVector, fh) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot, as_int
+from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot, as_array, as_int
 from .knotgen import KnotVector, unit_roots
 from .logdomain import log_magnitudes
 from .structmat import DenseMatrix, check_vandermonde_range, vandermonde_array
@@ -434,22 +434,22 @@ def _genp_solve_packed(LU: np.ndarray, b: np.ndarray) -> np.ndarray:
     return X
 
 
-def genp_solve(A: DenseMatrix, b):
+def genp_solve(A: DenseMatrix, b: np.ndarray):
     """Solve A x = b by Gaussian elimination with no pivoting.
 
-    Returns the solution and the smallest pivot magnitude encountered, the
-    standard diagnostic for singular or ill-conditioned leading blocks.
+    b is an array or nested sequence of numbers (`errors.as_array`) of shape
+    (n,), or (n, k) for k right-hand sides at once; x takes its shape.
+    Returns x and the smallest pivot magnitude encountered, the standard
+    diagnostic for singular or ill-conditioned leading blocks.
     The factor is made in place in one copy of A.data; neither A nor b is
     written.  RangeOverflow is raised if the factor or the solution leaves
     the float range.
     """
     if A.rows != A.cols:
         raise ValueError("matrix must be square")
-    b = np.asarray(b, dtype=np.complex128)
+    b = as_array("right-hand side entries", b, (1, 2))
     if b.shape[0] != A.rows:
         raise ValueError("right-hand side length mismatch")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side entries must be finite")
     LU, min_pivot = _genp_factor(np.array(A.data, dtype=np.complex128))
     x = _genp_solve_packed(LU, b)
     if not np.all(np.isfinite(x)):

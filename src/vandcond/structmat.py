@@ -6,7 +6,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import RangeOverflow, as_complex, as_int
+from .errors import RangeOverflow, as_array, as_complex, as_int
 from .knotgen import KnotVector, roots_of_unity, unit_roots
 from .logdomain import check_disjoint, diff_blocks, retake_halved
 
@@ -19,24 +19,20 @@ UNIT_F_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """A read-only, finite complex128 matrix.
+    """A read-only complex128 matrix of finite entries.
 
-    The matrix keeps its own read-only copy of `data`, so later writes to
-    the caller's array never reach it.  With `copy=False` a freshly built
-    array is handed over instead and frozen in place; the caller must keep
-    no other reference to it.
+    `data` is a non-empty 2-d array or nested sequence of numbers
+    (`errors.as_array`), of which the matrix keeps its own read-only copy.
+    With `copy=False` a freshly built C-ordered complex128 array is handed
+    over instead and frozen in place; the caller must keep no other
+    reference to it.
     """
 
     data: np.ndarray
     copy: InitVar[bool] = True
 
     def __post_init__(self, copy: bool):
-        convert = np.array if copy else np.asarray
-        arr = convert(self.data, dtype=np.complex128, order="C")
-        if arr.ndim != 2:
-            raise ValueError("DenseMatrix requires a 2-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("DenseMatrix entries must be finite")
+        arr = as_array("DenseMatrix entries", self.data, 2, copy)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

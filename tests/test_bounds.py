@@ -12,8 +12,8 @@ import pytest
 from vandcond import bounds, cauchyinv, knotgen, spectral, structmat
 from vandcond.bounds import SeparationCertificate
 from vandcond.cauchyinv import InverseVariant
-from vandcond.errors import (NoPositiveBound, NotEnoughSmallKnots, NotSeparated,
-                             UnitRadius, VacuousCertificate, VandcondError)
+from vandcond.errors import (NoPositiveBound, NotEnoughSmallKnots, UnitRadius,
+                             VacuousCertificate, VandcondError)
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
@@ -576,16 +576,15 @@ class TestCountArguments:
         "q-pow2": lambda q: bounds.bound_quasi_cyclic(q, "base"),
         "n": lambda n: bounds.bound_dft_block(n, "base"),
         "k": lambda k: bounds.bound_cluster(knotgen.scaled_cluster(16, 4, 0.5), k, 2.0),
-        "rho": lambda rho: bounds.sigma_bound_separated(kv([2]), kv([0]), 2.0, 0.0, rho),
         "grid": lambda grid: bounds.bound_circle_value(knotgen.quasi_cyclic(12), grid),
         "j_lo": lambda j: bounds.arc_certificate(knotgen.quasi_cyclic(48),
                                                  cmath.exp(0.3j), j, 41, 1.2),
     }
 
     @pytest.mark.parametrize("call, value", [
-        ("q", 4.5), ("q-pow2", 4.0), ("n", 8.0), ("k", 2.5), ("rho", 1.5),
-        ("grid", 64.0), ("j_lo", 30.0), ("q", True), ("n", "8"), ("k", True),
-        ("rho", True), ("grid", True), ("j_lo", True)])
+        ("q", 4.5), ("q-pow2", 4.0), ("n", 8.0), ("k", 2.5), ("grid", 64.0),
+        ("j_lo", 30.0), ("q", True), ("n", "8"), ("k", True), ("grid", True),
+        ("j_lo", True)])
     def test_refused(self, call, value):
         name = call.split("-")[0]
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, "
@@ -594,81 +593,38 @@ class TestCountArguments:
         assert not isinstance(err.value, VandcondError)
 
     @pytest.mark.parametrize("call, value", [("q", 12), ("q-pow2", 4), ("n", 8),
-                                             ("k", 2), ("rho", 1), ("grid", 64),
-                                             ("j_lo", 30)])
+                                             ("k", 2), ("grid", 64), ("j_lo", 30)])
     def test_numpy_integers_accepted(self, call, value):
         assert self.CALLS[call](np.int64(value)) == self.CALLS[call](value)
 
 
 class TestSeparation:
-    def test_simple_true(self):
-        assert bounds.is_separated(kv([2]), kv([0]), 2.0, 0.0)
-
-    def test_simple_false(self):
-        assert not bounds.is_separated(kv([2]), kv([1.5]), 2.0, 0.0)
-
     def test_arc_partition_is_separated(self):
         s = knotgen.quasi_cyclic(48)
         f = cmath.exp(0.3j)
         cert = bounds.arc_certificate(s, f, 30, 41, 1.2)
         t = f * np.exp(2j * np.pi * np.arange(48) / 48)
-        arc = kv(list(t[cert.j_lo:cert.j_hi + 1]))
+        arc = t[cert.j_lo:cert.j_hi + 1]
         outside = [z for z in s if abs(z - cert.c) >= cert.eta * cert.r
                    - bounds.BOUNDARY_TOL]
         if outside:
-            assert bounds.is_separated(kv(outside), arc, cert.eta, cert.c)
-
-    def test_sigma_bound_equality_one_by_one(self):
-        rep = bounds.sigma_bound_separated(kv([2]), kv([0]), 2.0, 0.0, 1)
-        assert abs(10 ** rep.log10value - 2.0) < 1e-12
-        C = structmat.cauchy(kv([2]), kv([0]))
-        sigma = np.linalg.svd(C.data, compute_uv=False)
-        assert abs(1.0 / sigma[0] - 2.0) < 1e-12
-
-    def test_not_separated(self):
-        with pytest.raises(NotSeparated):
-            bounds.sigma_bound_separated(kv([2]), kv([1.5]), 2.0, 0.0, 1)
-
-    def test_eta_near_one_vacuous(self):
-        rep = bounds.sigma_bound_separated(kv([2]), kv([0]), 1.0 + 1e-9,
-                                           0.0, 1)
-        assert rep.log10value < -8.0
+            # (eta, c)-separated: max |t - c| <= min |s - c| / eta.
+            dt = np.abs(arc - cert.c)
+            ds = np.abs(np.array(outside) - cert.c)
+            assert dt.max() <= ds.min() / cert.eta
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_non_finite_eta_is_invalid_argument(self, eta):
-        # nan passed `eta <= 1.0`: a certificate with rho_bar = 6, a report
-        # with a nan value, and NotSeparated in place of an argument error.
+        # nan passed `eta <= 1.0`: a certificate with rho_bar = 6 in place
+        # of an argument error.
         s, f = knotgen.quasi_cyclic(48), cmath.exp(0.3j)
         message = r"^eta must be a finite number above 1, got (nan|inf)$"
-        calls = [lambda: bounds.is_separated(kv([2]), kv([0]), eta, 0.0),
-                 lambda: bounds.sigma_bound_separated(kv([2]), kv([0]), eta, 0.0, 1),
-                 lambda: bounds.arc_certificate(s, f, 30, 41, eta)]
-        for call in calls:
-            with pytest.raises(ValueError, match=message) as err:
-                call()
-            assert not isinstance(err.value, VandcondError)
+        with pytest.raises(ValueError, match=message) as err:
+            bounds.arc_certificate(s, f, 30, 41, eta)
+        assert not isinstance(err.value, VandcondError)
         with pytest.raises(ValueError, match=message) as err:
             bounds.best_arc_search(s, 1.0, (1.2, eta))
         assert not isinstance(err.value, VandcondError)
-
-    def test_random_suite_against_svd(self):
-        rng = np.random.Generator(np.random.Philox(31))
-        for _ in range(100):
-            m = int(rng.integers(1, 9))
-            l = int(rng.integers(1, 9))
-            eta = float(rng.uniform(1.01, 1.05))
-            c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            r = float(rng.uniform(0.2, 2.0))
-            t = c + rng.uniform(0, 0.2 * r, l) * np.exp(
-                2j * np.pi * rng.uniform(0, 1, l))
-            srad = rng.uniform(1.05 * eta * r, 4 * eta * r, m)
-            s = c + srad * np.exp(2j * np.pi * rng.uniform(0, 1, m))
-            S, T = kv(list(s)), kv(list(t))
-            sv = np.linalg.svd(structmat.cauchy(S, T).data, compute_uv=False)
-            for rho in (1, 2, 3):
-                if rho <= min(m, l):
-                    rep = bounds.sigma_bound_separated(S, T, eta, c, rho)
-                    assert rep.log10value <= -math.log10(sv[rho - 1]) + 1e-9
 
 
 class TestArcCertificate:

@@ -10,6 +10,11 @@ bool, string, complex number or array) strictly inside its interval and
 the float range, so never nan (`errors.as_real`); every complex parameter
 is a number, not a bool, string or array, of finite modulus
 (`errors.as_complex`).  Refusals are ValueErrors that name the argument.
+
+The array rule: every array parameter is a non-empty array or nested
+sequence of numbers with the dimensions it takes, every entry of finite
+modulus; a str, bytes, bool, other non-number, ragged nesting, scalar, dict,
+set or generator is refused with a ValueError naming it (`errors.as_array`).
 No public callable takes a tolerance: `logdomain.DISTINCT_TOL` is the one
 collision threshold.
 """
@@ -67,9 +72,6 @@ COUNTS = {
     ("bound_quasi_cyclic", "q"): ("q", lambda x: vc.bound_quasi_cyclic(x, "coarse"), 1),
     # The floor sits in the "even and >= 2" message.
     ("bound_dft_block", "n"): ("n", lambda x: vc.bound_dft_block(x, "base"), None),
-    ("sigma_bound_separated", "rho"):
-        ("rho", lambda x: vc.sigma_bound_separated(vc.KnotVector([2]), vc.KnotVector([0]),
-                                                   2.0, 0.0, x), 1),
     # The floor sits in the "0 <= j_lo <= j_hi < n" message.
     ("arc_certificate", "j_lo"): ("j_lo", lambda x: _arc(x, 41), None),
     ("arc_certificate", "j_hi"): ("j_hi", lambda x: _arc(30, x), None),
@@ -112,10 +114,6 @@ F = cmath.exp(0.3j)
 Q48 = vc.quasi_cyclic(48)
 
 
-def _kv(*points):
-    return vc.KnotVector(list(points))
-
-
 #: (callable, parameter) -> (the name its message gives, the call with that
 #: parameter set to x and every other argument valid, the open interval of a
 #: real or None for a complex number).
@@ -123,10 +121,6 @@ REALS = {
     ("scaled_cluster", "rho"): ("rho", lambda x: vc.scaled_cluster(16, 4, x), (0.0, 1.0)),
     ("bound_cluster", "nu"):
         ("nu", lambda x: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, x), (1.0, math.inf)),
-    ("is_separated", "eta"): ("eta", lambda x: vc.is_separated(_kv(2), _kv(0), x, 0.0),
-                              (1.0, math.inf)),
-    ("sigma_bound_separated", "eta"):
-        ("eta", lambda x: vc.sigma_bound_separated(_kv(2), _kv(0), x, 0.0, 1), (1.0, math.inf)),
     ("arc_certificate", "eta"): ("eta", lambda x: vc.arc_certificate(Q48, F, 30, 41, x),
                                  (1.0, math.inf)),
     # Each entry of the grid is an eta.
@@ -139,9 +133,6 @@ REALS = {
     ("vandermonde_inverse_via_cv", "f"):
         ("f", lambda x: vc.vandermonde_inverse_via_cv(vc.quasi_cyclic(6), x, "corrected"), None),
     ("bound_cv", "f"): ("f", lambda x: vc.bound_cv(vc.quasi_cyclic(12), x, "paper"), None),
-    ("is_separated", "c"): ("c", lambda x: vc.is_separated(_kv(2), _kv(0), 2.0, x), None),
-    ("sigma_bound_separated", "c"):
-        ("c", lambda x: vc.sigma_bound_separated(_kv(2), _kv(0), 2.0, x, 1), None),
     ("arc_certificate", "f"): ("f", lambda x: vc.arc_certificate(Q48, x, 30, 41, 1.2), None),
     ("best_arc_search", "f"): ("f", lambda x: vc.best_arc_search(Q48, x), None),
     ("evaluators", "f"): ("f", lambda x: vc.evaluators(vc.quasi_cyclic(12), x), None),
@@ -157,7 +148,6 @@ DEFECTS = [
     ("rho", lambda: vc.scaled_cluster(16, 4, "0.5")),
     ("rho", lambda: vc.scaled_cluster(16, 4, 0.5j)),
     ("eta", lambda: vc.arc_certificate(Q48, F, 0, 3, "1.5")),
-    ("eta", lambda: vc.is_separated(Q48, Q48, "2", 0)),
     ("eta", lambda: vc.best_arc_search(Q48, F, (1.5j,))),
     ("eta_grid", lambda: vc.best_arc_search(Q48, F, 1.5)),
     ("eta", lambda: vc.best_arc_search(Q48, F, ("1.5",))),
@@ -168,11 +158,7 @@ DEFECTS = [
     ("f", lambda: structmat.check_unit_circle("1")),
     ("f", lambda: vc.evaluators(Q48, "1j")),
     ("f", lambda: vc.bound_cv(vc.quasi_cyclic(12), "1j", "paper")),
-    ("c", lambda: vc.is_separated(Q48, Q48, 2.0, "0")),
     ("table", lambda: vc.run_table(1)),
-    ("c", lambda: vc.is_separated(_kv(2), _kv(0), 2.0, math.inf)),
-    ("c", lambda: vc.is_separated(_kv(2), _kv(0), 2.0, math.nan)),
-    ("c", lambda: vc.sigma_bound_separated(_kv(2), _kv(0), 2.0, math.inf, 1)),
     ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 10 ** 400)),
     ("s_last", lambda: vc.single_outlier(8, 10 ** 400)),
     # Inside the interval, but their floats are its ends.
@@ -261,3 +247,80 @@ def test_no_public_callable_takes_a_tolerance():
         obj = getattr(vc, name)
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert "tol" not in inspect.signature(obj).parameters, name
+
+
+#: (callable, parameter) -> (the name its message gives, the call with that
+#: array set to x and every other argument valid, the dimension counts it takes).
+ARRAYS = {
+    ("KnotVector", "knots"): ("knots", vc.KnotVector, (1,)),
+    ("DenseMatrix", "data"): ("DenseMatrix entries", vc.DenseMatrix, (2,)),
+    ("genp_solve", "b"): ("right-hand side entries", lambda x: vc.genp_solve(vc.dft(2), x), (1, 2)),
+}
+
+#: Parameters annotated as arrays that are not arguments a caller supplies.
+NOT_ARRAYS = {("SpectrumSummary", "sigma")}  # a result record of singular_values
+
+
+def test_every_public_array_is_listed():
+    found = {(name, param.name) for name in vc.__all__
+             if inspect.isfunction(obj := getattr(vc, name)) or inspect.isclass(obj)
+             for param in inspect.signature(obj).parameters.values()
+             if param.annotation == "np.ndarray"}
+    assert found == set(ARRAYS) | NOT_ARRAYS
+
+
+def _lift(row, ndim):
+    """One row of entries as an array argument of `ndim` axes."""
+    if isinstance(row, np.ndarray):
+        return row.reshape((1,) * (ndim - 1) + row.shape)
+    for _ in range(ndim - 1):
+        row = [row]
+    return row
+
+
+#: Rows with one entry that is no number, lifted to every dimension count taken.
+NON_NUMBER_ROWS = [["1", 2], ["1+2j", 3], [True, 2], [np.True_, 2], [None, 2], [[1], 2],
+                   np.array(["1", 2], dtype=object), np.array([True, False]),
+                   np.array(["1", "2"]), []]
+
+#: Rows with one entry of infinite or nan modulus, lifted the same way.
+NON_FINITE_ROWS = [[10 ** 400, 1], [math.nan, 1], [math.inf, 1], [complex(1.5e308, 1.5e308), 1],
+                   np.array([1.0, math.inf]), np.array([1.5e308 + 1.5e308j, 1])]
+
+#: Values that are no array of numbers, whatever the dimension count.
+NON_ARRAYS = [3, 2.5, "12", Fraction(1, 3), {1: 2}, {1, 2}, None, b"\x01\x02",
+              np.array(3.0), np.empty((0, 2))]
+
+
+def _probes():
+    """(the call, a value it refuses, the message that names the array)."""
+    for where, (name, call, ndims) in ARRAYS.items():
+        tag = ".".join(where)
+        for ndim in ndims:
+            for i, row in enumerate(NON_NUMBER_ROWS):
+                yield pytest.param(call, _lift(row, ndim), rf"^{name} must be ",
+                                   id=f"{tag}-{ndim}d-row{i}")
+            for i, row in enumerate(NON_FINITE_ROWS):
+                yield pytest.param(call, _lift(row, ndim), rf"^{name} must be finite$",
+                                   id=f"{tag}-{ndim}d-nonfinite{i}")
+        others = [_lift([1.0, 2.0], d) for d in (1, 2, 3) if d not in ndims]
+        others += [[[1, 2], [3]], [np.zeros((2, 2)), np.zeros((2, 3))], *NON_ARRAYS,
+                   (x for x in [1, 2])]
+        for i, value in enumerate(others):
+            yield pytest.param(call, value, rf"^{name} must be ", id=f"{tag}-value{i}")
+
+
+@pytest.mark.parametrize("call, value, message", _probes())
+def test_non_array_or_non_finite_is_refused(call, value, message):
+    with pytest.raises(ValueError, match=message) as err:
+        call(value)
+    assert not isinstance(err.value, VandcondError)
+
+
+@pytest.mark.parametrize("where", list(ARRAYS), ids=lambda w: ".".join(w))
+def test_arrays_of_any_numeric_dtype_are_accepted(where):
+    _, call, ndims = ARRAYS[where]
+    ref = call(_lift([1.0, 2.0], ndims[0]))
+    for row in ([1, 2], [1.0, 2.0 + 0j], [Fraction(1), np.float32(2)], np.arange(1, 3),
+                np.array([1, 2], dtype=object), np.array([1.0, 2.0], dtype=np.float32)):
+        assert repr(call(_lift(row, ndims[0]))) == repr(ref)

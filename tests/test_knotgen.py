@@ -40,7 +40,7 @@ class TestExplicitPoints:
     def test_empty_raises(self):
         # An argument error (exit 2), not a numeric failure.
         with pytest.raises(ValueError,
-                           match=r"^knot vector must contain at least one knot$") as err:
+                           match=r"^knots must be a non-empty 1-d array, got \[\]$") as err:
             knotgen.KnotVector([])
         assert not isinstance(err.value, VandcondError)
 
