@@ -349,7 +349,7 @@ def bound_dft_block(n: int, mode: str) -> BoundReport:
     """
     if mode not in ("base", "integral"):
         raise ValueError(f"unknown mode {mode!r}")
-    if as_int("n", n) % 2 != 0 or n < 2:
+    if (n := as_int("n", n)) % 2 != 0 or n < 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     q = n // 2
     if mode == "base":
@@ -569,7 +569,8 @@ def arc_certificate(s: KnotVector, f: complex, j_lo: int, j_hi: int,
     """
     eta = as_real("eta", eta, 1.0)
     n = len(s)
-    if not (0 <= as_int("j_lo", j_lo) <= as_int("j_hi", j_hi) < n):
+    j_lo, j_hi = as_int("j_lo", j_lo), as_int("j_hi", j_hi)
+    if not (0 <= j_lo <= j_hi < n):
         raise ValueError("need 0 <= j_lo <= j_hi < n")
     l = j_hi - j_lo + 1
     if l > n / 2.0:

@@ -18,9 +18,9 @@ All knot products are accumulated as (log10 magnitude, phase) pairs so that
 entries spanning hundreds of decades never overflow; conversion to complex
 floats happens only at API boundaries.  Every entry comes from one walk
 over t_i - s_j of `logdomain.log_blocks`, after one up-front
-`check_disjoint`: the tables (`*_inverse`, `*_log_entries`) through
-`inverse_blocks`, and the column peaks of `bounds.bound_cv`, both variants
-at once, through `cv_column_peaks`.
+`check_disjoint`: `_inverse_logs` writes each block in place into the
+tables (`*_inverse`, `*_log_entries`), and `cv_column_peaks` reduces it to
+the column peaks of `bounds.bound_cv`, both variants at once, in O(n) memory.
 """
 
 from __future__ import annotations
@@ -84,51 +84,17 @@ def _cv_derivative_logs(tp: np.ndarray):
     return math.log10(n) + (n - 1) * np.log10(np.abs(tp)), (n - 1) * np.angle(tp)
 
 
-def inverse_blocks(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
-                   cv_f=None):
-    """Yield (lo, mag, ph): rows lo.. of the closed-form inverse's log tables.
-
-    Entry (i, j), of the corrected inverse or the transposed paper one, is
-    row_i - log10|t_i - s_j| + col_j in (log10 magnitude, raw phase).
-    Rows are s(t_i), over t'(t_i) if corrected, times (-1)**n for paper;
-    columns are t(s_j), or x**n - f**n with `cv_f`, over s'(s_j) if
-    corrected.  After `check_disjoint`, columns, s' and t' come first, then
-    each `log_blocks` block is turned into entries.  Phases stay unwrapped:
-    wrapping costs more than the rest of the walk.
-    """
-    n = len(sp)
-    if len(tp) != n:
-        raise ValueError("inverse requires a square matrix")
-    check_disjoint(sp, tp)
-    col = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
-    corrected = variant is InverseVariant.CORRECTED
-    if corrected:
-        col = [c - d for c, d in zip(col, self_derivative_logs(sp))]
-        tder = self_derivative_logs(tp) if cv_f is None else _cv_derivative_logs(tp)
-    for lo, d, mag, row_mag in log_blocks(tp, sp):
-        block = mag, np.angle(d)
-        for k, x in enumerate(block):
-            row = np.sum(x, axis=1) if k else row_mag
-            if corrected:
-                row -= tder[k][lo:lo + len(d)]
-            elif k:
-                row += math.pi * n
-            np.subtract(row[:, None], x, out=x)  # in place: no n x n scratch
-            x += col[k]
-        yield lo, *block
-
-
 def cv_column_peaks(sp: np.ndarray, tp: np.ndarray):
     """(paper, corrected): max_i (r_i - log10|t_i - s_j|) for each column j.
 
     tp is the CV grid `cv_knots(n, f)`.  r_i is log10|s(t_i)| for the paper
     inverse and log10|s(t_i)| - log10|t'(t_i)| for the corrected one, both
-    rounded as `inverse_blocks` rounds them, and both come from one
-    `log_blocks` walk, after the same `check_disjoint`.  Entry
-    (i, j) of either table is fl(fl(r_i - log10|t_i - s_j|) + col_j), and
-    rounded addition is monotone, so fl(peak_j + col_j) is the largest entry
-    of column j bit for bit: the caller adds its O(n) column term after the
-    walk and needs no n x n table.
+    rounded as `_inverse_logs` rounds them before it writes a block in place,
+    and both come from one `log_blocks` walk, after the same `check_disjoint`.
+    Entry (i, j) of either table is fl(fl(r_i - log10|t_i - s_j|) + col_j),
+    and rounded addition is monotone, so fl(peak_j + col_j) is the largest
+    entry of column j bit for bit: the caller adds its O(n) column term after
+    the walk and needs no n x n table.
     """
     check_disjoint(sp, tp)
     tder = _cv_derivative_logs(tp)[0]
@@ -143,14 +109,41 @@ def cv_column_peaks(sp: np.ndarray, tp: np.ndarray):
 
 def _inverse_logs(sp: np.ndarray, tp: np.ndarray, variant: InverseVariant,
                   cv_f=None):
-    """(log10 magnitude, raw phase) tables of every inverse entry; every public
-    inverse decides its variant here, an InverseVariant or its value (else ValueError)."""
+    """(log10 magnitude, raw phase) tables of every closed-form inverse entry.
+
+    Every public inverse decides its variant here (an InverseVariant or its
+    value, else ValueError).  Entry (i, j) of the corrected inverse, or of the
+    transposed paper one, is row_i - log10|t_i - s_j| + col_j: rows s(t_i),
+    over t'(t_i) if corrected, times (-1)**n for paper; columns t(s_j), or
+    x**n - f**n with `cv_f`, over s'(s_j) if corrected.  After those, each
+    `log_blocks` block is written in place into its rows of both tables.
+    Phases stay unwrapped: wrapping costs more than the walk.
+    """
     variant = InverseVariant(variant)
-    mag, ph = np.empty((2, len(sp), len(sp)))
-    for lo, block_mag, block_ph in inverse_blocks(sp, tp, variant, cv_f):
-        mag[lo:lo + len(block_mag)] = block_mag
-        ph[lo:lo + len(block_ph)] = block_ph
-    return (mag, ph) if variant is InverseVariant.CORRECTED else (mag.T, ph.T)
+    n = len(sp)
+    if len(tp) != n:
+        raise ValueError("inverse requires a square matrix")
+    check_disjoint(sp, tp)
+    col = log_products(sp, tp) if cv_f is None else pow_diff_logs(sp, cv_f, n)
+    corrected = variant is InverseVariant.CORRECTED
+    if corrected:
+        col = [c - d for c, d in zip(col, self_derivative_logs(sp))]
+        tder = self_derivative_logs(tp) if cv_f is None else _cv_derivative_logs(tp)
+    mag, ph = np.empty((2, n, n))
+    for lo, d, logs, row_mag in log_blocks(tp, sp):
+        rows = slice(lo, lo + len(d))
+        np.arctan2(d.imag, d.real, out=ph[rows])  # the bits of np.angle(d)
+        row_ph = np.sum(ph[rows], axis=1)
+        if corrected:
+            row_mag -= tder[0][rows]
+            row_ph -= tder[1][rows]
+        else:
+            row_ph += math.pi * n
+        np.subtract(row_mag[:, None], logs, out=mag[rows])
+        np.subtract(row_ph[:, None], ph[rows], out=ph[rows])
+        mag[rows] += col[0]
+        ph[rows] += col[1]
+    return (mag, ph) if corrected else (mag.T, ph.T)
 
 
 #: The conversion to complex floats refuses log10 magnitudes beyond this.

@@ -182,6 +182,13 @@ _TABLES = {
 }
 
 
+def _spec(table_id) -> _Table:
+    """The registered spec named `table_id`; ValueError for any other id."""
+    if not isinstance(table_id, str) or table_id not in _TABLES:
+        raise ValueError(f"unknown table {table_id!r}")
+    return _TABLES[table_id]
+
+
 def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     """Assemble one experiment table; failed rows carry an error cell.
 
@@ -191,10 +198,8 @@ def run_table(table_id: str, overrides: dict | None = None) -> ExperimentTable:
     integer (a bool, float or string is refused, not truncated), a seed
     below 0 or trials below 1 raises ValueError before any row runs.
     """
-    if not isinstance(table_id, str) or table_id.upper() not in _TABLES:
-        raise ValueError(f"unknown table {table_id!r}")
-    table_id = table_id.upper()
-    spec = _TABLES[table_id]
+    table_id = table_id.upper() if isinstance(table_id, str) else table_id
+    spec = _spec(table_id)
     overrides = dict(overrides or {})
     unknown = set(overrides) - {"sizes", "trials", "seed"}
     if unknown:
@@ -269,7 +274,7 @@ def emit(table: ExperimentTable, fmt: str = "markdown") -> str:
                            "rows": table.rows, "metadata": table.metadata})
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
-    kinds = [(name, kind) for name, kind in _TABLES[table.table_id].kinds
+    kinds = [(name, kind) for name, kind in _spec(table.table_id).kinds
              if fmt == "csv" or kind != "log10"]
     names = [name for name, _ in kinds]
     rows = [[_cell_text(row, name, kind) for name, kind in kinds]

@@ -419,7 +419,7 @@ class TestLogEntryTables:
 
 
 class TestFactorForm:
-    """Entries from `inverse_blocks` against the table-sum construction."""
+    """Entries from `_inverse_logs` against the table-sum construction."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
@@ -449,25 +449,34 @@ class TestFactorForm:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
     def test_blocks_stay_within_chunk(self, monkeypatch, n, variant):
-        monkeypatch.setattr(logdomain, "CHUNK", 7)
         s = knotgen.van_der_corput(n)
         f = cmath.exp(0.3j)
+        whole = cauchyinv.cv_inverse_log_entries(s, f, variant)
+        monkeypatch.setattr(logdomain, "CHUNK", 7)
+        walks = []  # per walk, (lo, rows, entries) of every block
+        real = logdomain.diff_blocks
+
+        def counting(xs, knots):
+            walks.append([])
+            for lo, d in real(xs, knots):
+                walks[-1].append((lo, len(d), d.size))
+                yield lo, d
+
+        for module in (logdomain, cauchyinv, bounds, structmat):
+            monkeypatch.setattr(module, "diff_blocks", counting)
         mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
-        if variant is PAPER:
-            mag, ph = mag.T, ph.T
-        row = 0
-        for lo, block_mag, block_ph in cauchyinv.inverse_blocks(
-                s.as_array(), structmat.cv_knots(n, f), variant, f):
-            # At most CHUNK entries, or one row where a row is longer.
-            assert lo == row and 0 < block_mag.size <= max(logdomain.CHUNK, n)
-            assert np.array_equal(block_mag, mag[lo:lo + len(block_mag)])
-            # the tables wrap what the walk leaves raw
-            assert np.array_equal(wrap_phase(block_ph), ph[lo:lo + len(block_ph)])
-            row += len(block_mag)
-        assert row == n
+        assert np.array_equal(mag, whole[0]) and np.array_equal(ph, whole[1])
         # The bound's column peaks cross the same small blocks.
         rep = bounds.bound_cv(s, f, variant)
         assert rep.params["log10_inv_norm_entry"] == float(np.max(mag))
+        assert walks
+        for blocks in walks:
+            row = 0
+            for lo, rows, size in blocks:
+                # At most CHUNK entries, or one row where a row is longer.
+                assert lo == row and 0 < size <= max(logdomain.CHUNK, n)
+                row += rows
+            assert row == n
 
 
 class TestOneWalk:

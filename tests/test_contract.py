@@ -143,27 +143,44 @@ REALS = {
 #: non-finite argument, before every argument went through `errors`; each is
 #: now a ValueError whose message names the argument.
 DEFECTS = [
-    ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, "2")),
-    ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 2 + 0j)),
-    ("rho", lambda: vc.scaled_cluster(16, 4, "0.5")),
-    ("rho", lambda: vc.scaled_cluster(16, 4, 0.5j)),
-    ("eta", lambda: vc.arc_certificate(Q48, F, 0, 3, "1.5")),
-    ("eta", lambda: vc.best_arc_search(Q48, F, (1.5j,))),
-    ("eta_grid", lambda: vc.best_arc_search(Q48, F, 1.5)),
-    ("eta", lambda: vc.best_arc_search(Q48, F, ("1.5",))),
-    ("eta_grid", lambda: vc.best_arc_search(Q48, F, "2")),
-    ("s_last", lambda: vc.single_outlier(8, "2")),
-    ("s_extra", lambda: vc.dft_plus_outlier(8, "2")),
-    ("f", lambda: structmat.cv_knots(4, "1")),
-    ("f", lambda: structmat.check_unit_circle("1")),
-    ("f", lambda: vc.evaluators(Q48, "1j")),
-    ("f", lambda: vc.bound_cv(vc.quasi_cyclic(12), "1j", "paper")),
-    ("table", lambda: vc.run_table(1)),
-    ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 10 ** 400)),
-    ("s_last", lambda: vc.single_outlier(8, 10 ** 400)),
+    pytest.param("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, "2"),
+                 id="bound_cluster-nu-str"),
+    pytest.param("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 2 + 0j),
+                 id="bound_cluster-nu-complex"),
+    pytest.param("rho", lambda: vc.scaled_cluster(16, 4, "0.5"), id="scaled_cluster-rho-str"),
+    pytest.param("rho", lambda: vc.scaled_cluster(16, 4, 0.5j), id="scaled_cluster-rho-complex"),
+    pytest.param("eta", lambda: vc.arc_certificate(Q48, F, 0, 3, "1.5"),
+                 id="arc_certificate-eta-str"),
+    pytest.param("eta", lambda: vc.best_arc_search(Q48, F, (1.5j,)),
+                 id="best_arc_search-eta-complex"),
+    pytest.param("eta_grid", lambda: vc.best_arc_search(Q48, F, 1.5),
+                 id="best_arc_search-eta_grid-float"),
+    pytest.param("eta", lambda: vc.best_arc_search(Q48, F, ("1.5",)),
+                 id="best_arc_search-eta-str"),
+    pytest.param("eta_grid", lambda: vc.best_arc_search(Q48, F, "2"),
+                 id="best_arc_search-eta_grid-str"),
+    pytest.param("s_last", lambda: vc.single_outlier(8, "2"), id="single_outlier-s_last-str"),
+    pytest.param("s_extra", lambda: vc.dft_plus_outlier(8, "2"),
+                 id="dft_plus_outlier-s_extra-str"),
+    pytest.param("f", lambda: structmat.cv_knots(4, "1"), id="cv_knots-f-str"),
+    pytest.param("f", lambda: structmat.check_unit_circle("1"), id="check_unit_circle-f-str"),
+    pytest.param("f", lambda: vc.evaluators(Q48, "1j"), id="evaluators-f-str"),
+    pytest.param("f", lambda: vc.bound_cv(vc.quasi_cyclic(12), "1j", "paper"),
+                 id="bound_cv-f-str"),
+    pytest.param("table", lambda: vc.run_table(1), id="run_table-table-int"),
+    pytest.param("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 10 ** 400),
+                 id="bound_cluster-nu-huge-int"),
+    pytest.param("s_last", lambda: vc.single_outlier(8, 10 ** 400),
+                 id="single_outlier-s_last-huge-int"),
     # Inside the interval, but their floats are its ends.
-    ("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4, 1 + Fraction(1, 10 ** 30))),
-    ("rho", lambda: vc.scaled_cluster(16, 4, Fraction(1, 10 ** 400))),
+    pytest.param("nu", lambda: vc.bound_cluster(vc.scaled_cluster(16, 4, 0.5), 4,
+                                                1 + Fraction(1, 10 ** 30)),
+                 id="bound_cluster-nu-fraction-at-end"),
+    pytest.param("rho", lambda: vc.scaled_cluster(16, 4, Fraction(1, 10 ** 400)),
+                 id="scaled_cluster-rho-fraction-at-end"),
+    # `emit` raised KeyError on a table id that no table has; `run_table` refused it.
+    pytest.param("table", lambda: vc.emit(vc.ExperimentTable("T9", ["n"], [{"n": 1}], {}), "csv"),
+                 id="emit-table-unregistered"),
 ]
 
 
@@ -225,8 +242,7 @@ def test_non_finite_complex_is_refused(where, value):
         call(value)
 
 
-@pytest.mark.parametrize("name, call", DEFECTS, ids=[f"{i}-{n}" for i, (n, _) in
-                                                     enumerate(DEFECTS)])
+@pytest.mark.parametrize("name, call", DEFECTS)
 def test_former_escape_is_refused(name, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
         call()
@@ -240,6 +256,12 @@ def test_numpy_scalars_pass_as_python_numbers():
     cert = vc.arc_certificate(Q48, np.complex128(F), 30, 41, np.float64(1.2))
     assert type(cert.eta) is float
     assert cert == vc.arc_certificate(Q48, F, 30, 41, 1.2)
+    cert = vc.arc_certificate(Q48, F, np.int64(30), np.int64(41), 1.2)
+    assert [type(x) for x in (cert.j_lo, cert.j_hi, cert.l)] == [int] * 3
+    params = vc.bound_arc(Q48, cert).params
+    assert [type(params[k]) for k in ("j_lo", "j_hi", "l")] == [int] * 3
+    params = vc.bound_dft_block(np.int64(8), "base").params
+    assert (type(params["n"]), type(params["q"])) == (int, int)
 
 
 def test_no_public_callable_takes_a_tolerance():

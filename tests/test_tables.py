@@ -291,6 +291,16 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(t4, "yaml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize("table_id", ["T9", "t4", ["T4"]], ids=repr)
+    def test_unregistered_table_is_refused(self, fmt, table_id):
+        # A table id that `run_table` would not return has no column kinds;
+        # json needs none and writes the table as it is.
+        table = tables.ExperimentTable(table_id, ["n"], [{"n": 1}], {})
+        with pytest.raises(ValueError, match=rf"^unknown table {re.escape(repr(table_id))}$"):
+            emit(table, fmt)
+        assert table_from_json(emit(table, "json")) == table
+
 
 class TestT1BoundColumnDigits:
     # The bound column must reproduce the frozen reference strings at three
