@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import vandcond
-from vandcond import cauchyinv, cli, knotgen, structmat
+from vandcond import cauchyinv, cli, errors, knotgen, structmat, tables
 from vandcond.logdomain import wrap_phase
 
 
@@ -203,15 +204,18 @@ class TestInvert:
         code, out, _ = run(["invert", "--gen", "dft", "--n", str(n)], capsys)
         assert code == 0
         table = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert table.shape == (n * n, 4)
         i, j = table[:, 0].astype(int), table[:, 1].astype(int)
         want = np.conj(knotgen.roots_of_unity(n).as_array()[i * j % n]) / n
         assert np.max(np.abs(table[:, 2] + 1j * table[:, 3] - want)) <= 1e-14
 
     @pytest.mark.filterwarnings("error")
-    def test_default_method_inverts_a_far_outlier(self, capsys):
-        # log10 |s'(s_i)| is 312 at the outlier; every entry of V^-1 stays below 1.
+    @pytest.mark.parametrize("extra", [[], ["--method", "cv"]], ids=["default", "cv"])
+    def test_far_outlier_inverse_stays_below_1(self, extra, capsys):
+        # log10 |s'(s_i)| is 312 at the outlier (lagrange, the default), and the
+        # cv diagonal s^n - f^n reaches 10^320; every entry of V^-1 stays below 1.
         code, out, _ = run(["invert", "--gen", "single-outlier", "--n", "40",
-                            "--s-last", "1e8,0"], capsys)
+                            "--s-last", "1e8,0", *extra], capsys)
         assert code == 0
         table = np.loadtxt(out.splitlines()[1:], delimiter=",")
         assert table.shape == (1600, 4) and np.all(np.isfinite(table))
@@ -358,6 +362,14 @@ class TestInvert:
             assert table.shape == (16, 4) and np.all(np.isfinite(table))
 
 
+#: A knot of subnormal modulus (nu = inf), s_1 - s_2 = 3.4e308, s(x) = x^700 - 3^700,
+#: and an exact zero in the Lagrange inverse.
+KNOT_FILES = {"subnormal.txt": "1e-320,0\n1,0\n-1,0\n", "huge.txt": "1.7e308,0\n-1.7e308,0\n",
+              "wild.txt": "".join(f"{z.real:.17g},{z.imag:.17g}\n"
+                                  for z in 3.0 * knotgen.unit_roots(700)),
+              "zero.txt": "1,0\n-1,0\n0,0\n"}
+
+
 class TestBounds:
     def test_json_lines(self, capsys):
         code, out, _ = run(["bounds", "--gen", "quasi-cyclic", "--n", "48"],
@@ -467,7 +479,12 @@ class TestBounds:
         # q = 12: base and product are listed as refused, like any other bound.
         code, out, _ = run(["bounds", "--gen", "quasi-cyclic", "--n", "36"], capsys)
         assert code == 0
-        reports = {r["bound_id"]: r for r in map(json.loads, out.splitlines())}
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert [r["bound_id"] for r in lines] == [
+            "easy", "refined-norm", "cv-inverse", "cv-inverse", "circle-value", "coeff-norm",
+            *(f"quasi-cyclic-{m}" for m in ("base", "coarse", "refined", "product", "integral")),
+            "arc-vandermonde"]
+        reports = {r["bound_id"]: r for r in lines}
         for mode in ("base", "product"):
             r = reports[f"quasi-cyclic-{mode}"]
             assert not r["applicable"] and r["log10value"] is None
@@ -475,6 +492,39 @@ class TestBounds:
                                    "a power of two (q=12)")
         for mode in ("coarse", "refined", "integral"):
             assert reports[f"quasi-cyclic-{mode}"]["applicable"]
+
+    def test_f_on_the_knots_nudges_both_cv_lines_alike(self, capsys):
+        # f = 1 puts the CV grid on the DFT knots: both lines share the one nudged walk.
+        code, out, _ = run(["bounds", "--gen", "dft", "--n", "64", "--f", "1"], capsys)
+        paper, corrected = [r["params"] for r in map(json.loads, out.splitlines())
+                            if r["bound_id"] == "cv-inverse"]
+        del paper["log10_inv_norm_entry"], corrected["log10_inv_norm_entry"]
+        assert code == 0 and paper == corrected and paper["nudged"] is True
+
+    @pytest.mark.parametrize("source", [
+        *(f"--gen {gen} --n {n}" for gen in ("dft", "quasi-cyclic", "van-der-corput")
+          for n in (1, 2, 3, 48)),
+        *(f"--gen single-outlier --n {n} --s-last 0,0" for n in (2, 3, 8, 48, 1536)),
+        *(f"--gen scaled-cluster --n {n} --k {max(1, n // 8)} --rho 0.5" for n in (2, 3, 48)),
+        "--gen van-der-corput --n 769", *(f"--gen file --file {name}" for name in KNOT_FILES)])
+    def test_every_line_is_plain_json(self, source, tmp_path, monkeypatch, capsys):
+        # Params hold Python scalars only: json.dumps raises on a numpy count.
+        # A line that does not apply names its reason, a line without a value
+        # does not apply, and the arc line comes last.
+        for name, text in KNOT_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        reports, line_of = [], cli._report_line
+        monkeypatch.setattr(cli, "_report_line", lambda rep: reports.append(rep) or line_of(rep))
+        code, out, err = run(["bounds", *source.split()], capsys)
+        assert (code, err) == (0, "")
+        assert {type(v) for r in reports for v in r.params.values()} <= {int, float, complex,
+                                                                         str, bool}
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert len(lines) == len(reports) and lines[-1]["bound_id"] == "arc-vandermonde"
+        for r in lines:
+            assert r["applicable"] or r["reason"]
+            assert r["log10value"] is not None or not r["applicable"]
 
     def test_raising_evaluator_keeps_the_listing(self, tmp_path, capsys):
         # The arc search raises on evenly spaced knots; the remaining
@@ -512,6 +562,20 @@ class TestTable:
         assert table["table_id"] == "T3"
         assert len(table["rows"]) == 4
 
+    @pytest.mark.parametrize("failing, want", [((8, 16, 32, 64), 3), ((16,), 0)])
+    def test_exit_3_only_when_every_row_failed(self, failing, want, monkeypatch, capsys):
+        fill = tables._t4_fill
+
+        def broken_fill(row, n):
+            if n in failing:
+                raise errors.VandcondError("no cells")
+            fill(row, n)
+
+        monkeypatch.setattr(tables, "_t4_fill", broken_fill)
+        code, out, err = run(["table", "--id", "4", "--format", "csv"], capsys)
+        assert out.count("VandcondError: no cells") == len(failing)
+        assert (code, err) == (want, "error: every row failed\n" if want else "")
+
 
 class TestGenp:
     def test_stats_line(self, capsys):
@@ -524,6 +588,12 @@ class TestGenp:
         assert cells[:3] == ["16", "5", "1"]
         assert float(cells[3]) < 1e-10
 
+    def test_past_several_schur_panels(self, capsys):
+        # n = 1024 spans four panels of 4 GENP_BLOCK columns: a finite mean, no warning.
+        code, out, _ = run(["genp", "--n", "1024", "--trials", "4"], capsys)
+        header, row = out.splitlines()
+        assert code == 0 and math.isfinite(float(row.split(",")[3]))
+
 
 class TestBuild:
     def test_dump_roundtrip(self, tmp_path, capsys):
@@ -534,6 +604,13 @@ class TestBuild:
         with open(path) as fh:
             M = structmat.load_matrix(fh)
         assert np.allclose(M.data, structmat.dft(4).data)
+
+    def test_cv_dump(self, capsys):
+        code, out, _ = run(["build", "--gen", "quasi-cyclic", "--n", "48", "--matrix", "cv"],
+                           capsys)
+        M = structmat.load_matrix(io.StringIO(out))
+        C = structmat.cv_matrix(knotgen.quasi_cyclic(48), cli.DEFAULT_F)
+        assert code == 0 and np.array_equal(M.data, C.data)
 
     def test_stdout_dump(self, capsys):
         code, out, _ = run(["build", "--gen", "dft", "--n", "2"], capsys)
@@ -583,7 +660,11 @@ FAULTS = {
                         "error: knots 0 and 1 coincide within tolerance"),
     "knot-on-f-grid": (["invert", "--gen", "dft", "--n", "8", "--method", "cauchy",
                         "--f", "1,0"], 3,
-                       "error: row knot 0 collides with column knot 0"),
+                       "error: row knot 0 collides with column knot 0 (gap 0.000e+00)\n"),
+    "build-knot-on-f-grid": (["build", "--gen", "dft", "--n", "8", "--matrix", "cv", "--f", "1"],
+                             3, "error: row knot 0 collides with column knot 0 (gap 0.000e+00)\n"),
+    "near-duplicate": (["gen-knots", "--gen", "file", "--file", "{near}"], 3,
+                       "error: knots 17 and 4096 coincide within tolerance (gap 4.996e-14)\n"),
     "range-overflow": (["invert", "--gen", "dft", "--n", "4", "--method", "cauchy",
                         "--f=1e308,1e308"], 3, "error: log10 magnitude "),
 }
@@ -593,8 +674,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_fault(self, fault, tmp_path, capsys, recwarn):
         argv, want_code, prefix = FAULTS[fault]
+        s = knotgen.van_der_corput(4096).as_array()
         files = {"empty": "# no knots\n", "bad": "1,0\nnot-a-knot\n",
-                 "duplicate": "1,0\n1,0\n"}
+                 "duplicate": "1,0\n1,0\n",
+                 "near": "".join(f"{z.real:.17g},{z.imag:.17g}\n"
+                                 for z in np.append(s, s[17] + 5e-14))}
         paths = {}
         for name, text in files.items():
             paths[name] = tmp_path / f"{name}.txt"
@@ -606,6 +690,7 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert (code, out.out) == (want_code, "")
         assert out.err.startswith(prefix.format(**paths)), out.err
+        assert out.err.count("\n") == 1 or out.err.startswith("usage: ")
         assert "Traceback" not in out.err and len(recwarn) == 0
 
     def test_invalid_arguments(self, capsys):

@@ -3,6 +3,7 @@ import cmath
 import math
 import pathlib
 import pickle
+import re
 import tracemalloc
 
 import mpmath
@@ -630,3 +631,27 @@ def test_import_checker_flags_both_patterns(tmp_path):
     found = _package_import_violations(bad)
     assert found == ["bad.py:1 imports private _log_products",
                      "bad.py:4 imports inside a function"]
+
+
+#: A shared result is an lru_cache, not a module global rebound by hand; `errors`
+#: states every argument rule, finiteness included, and no other module a copy.
+MODULE_STATE = re.compile(r"^\s*global ")
+ARGUMENT_RULES = re.compile(r"must be a finite number|ArgumentTypeError|f must be finite|"
+                            r"tol must be|knots must be finite|entries must be finite")
+
+
+def _matching_lines(path: pathlib.Path, pattern):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [f"{path.name}:{i}" for i, line in enumerate(lines, 1) if pattern.search(line)]
+
+
+@pytest.mark.parametrize("pattern, exempt, planted", [
+    (MODULE_STATE, "", "global CACHE"),
+    (ARGUMENT_RULES, "errors.py", "raise ValueError('tol must be > 0')")],
+    ids=["no-module-state", "argument-rules-only-in-errors"])
+def test_source_rule(pattern, exempt, planted, tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(f"def f(tol):\n    {planted}\n")
+    assert _matching_lines(bad, pattern) == ["bad.py:2"]
+    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != exempt]
+    assert len(files) >= 9 and [hit for f in files for hit in _matching_lines(f, pattern)] == []

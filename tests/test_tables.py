@@ -223,6 +223,8 @@ class TestColumns:
         table = run_table(table_id, {"sizes": self.SMALL[table_id], "trials": 1})
         assert table.columns == self.EXPANDED[table_id]
         assert all(list(row) == table.columns for row in table.rows)
+        header = next(l for l in emit(table, "csv").splitlines() if not l.startswith("#"))
+        assert header.split(",") == table.columns
 
 
 class TestEmit:
@@ -245,6 +247,7 @@ class TestEmit:
         assert cell["n"] == "8"
         assert cell["kappa"] == "1.53E+01"
         assert cell["kappa_trustworthy"] == "true"
+        assert cell["kappa_minus_table"] == "8.00E+00"
 
     def test_csv_byte_identical_modulo_timestamp(self):
         a = emit(run_table("T3"), "csv")
