@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,66 @@ LANCZOS_TOL = 1e-13
 #: bound (see `max_abs_on_circle`).
 CIRCLE_SCREEN_TOL = 1e-6
 
+#: Orders below which `singular_values`, `genp_solve` and
+#: `genp_residual_experiment` run on one BLAS thread (see `_blas_threads`).
+#: On 2 vCPUs, one thread against two, interleaved: the SVD ran 43-47% faster
+#: at n = 128 and 12-13% at 256, within 16% either way at 384 and 43-48%
+#: slower at 512; the GENP experiment stayed within 11% at n = 128-512.
+ONE_BLAS_THREAD_BELOW = 384
+
 _EPS = float(np.finfo(np.float64).eps)
+
+#: Held by every block that `_blas_threads` runs on one BLAS thread, so that
+#: no Python thread restores its count inside another's block, and none
+#: saves another's 1 and leaves it behind.
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    The count is process-wide: OpenBLAS's "local" setter is seen by other
+    Python threads too, so `_blas_threads` uses the global one under a lock.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(order: int):
+    """Run the block on one BLAS thread when `order` < ONE_BLAS_THREAD_BELOW.
+
+    Below that order OpenBLAS's thread hand-off costs more than a second
+    core saves, and one thread fixes the summation order, so the bits no
+    longer follow OPENBLAS_NUM_THREADS.  The caller's count is restored on
+    exit.  Such blocks from several Python threads take turns.  At or above
+    that order, or without numpy's OpenBLAS, the block runs as it is.
+    """
+    blas = _openblas_threads() if order < ONE_BLAS_THREAD_BELOW else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_THREADS_LOCK:
+        threads = get()
+        if threads > 1:
+            put(1)
+        try:
+            yield
+        finally:
+            if threads > 1:
+                put(threads)
 
 
 @dataclass(frozen=True)
@@ -72,9 +136,14 @@ class GenpStats:
 
 
 def singular_values(M: DenseMatrix) -> SpectrumSummary:
-    """Full singular spectrum of a dense matrix in double precision."""
+    """Full singular spectrum of a dense matrix in double precision.
+
+    Below order `ONE_BLAS_THREAD_BELOW` the SVD runs on one BLAS thread, so
+    its bits do not depend on the BLAS thread setting.
+    """
     try:
-        sigma = np.linalg.svd(M.data, compute_uv=False)
+        with _blas_threads(max(M.rows, M.cols)):
+            sigma = np.linalg.svd(M.data, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     sigma1 = float(sigma[0])
@@ -443,15 +512,17 @@ def genp_solve(A: DenseMatrix, b: np.ndarray):
     diagnostic for singular or ill-conditioned leading blocks.
     The factor is made in place in one copy of A.data; neither A nor b is
     written.  RangeOverflow is raised if the factor or the solution leaves
-    the float range.
+    the float range.  Below order `ONE_BLAS_THREAD_BELOW` it runs on one
+    BLAS thread.
     """
     if A.rows != A.cols:
         raise ValueError("matrix must be square")
     b = as_array("right-hand side entries", b, (1, 2))
     if b.shape[0] != A.rows:
         raise ValueError("right-hand side length mismatch")
-    LU, min_pivot = _genp_factor(np.array(A.data, dtype=np.complex128))
-    x = _genp_solve_packed(LU, b)
+    with _blas_threads(A.rows):
+        LU, min_pivot = _genp_factor(np.array(A.data, dtype=np.complex128))
+        x = _genp_solve_packed(LU, b)
     if not np.all(np.isfinite(x)):
         raise RangeOverflow(math.inf, where="GENP solve")
     return x, min_pivot
@@ -471,25 +542,29 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     again for the residual once the factor is freed, so the run holds one
     n x n array at a time.
 
-    Results are bit-reproducible for a fixed (n, trials, seed).  Residual
-    means at n >= 128 are dominated by rounding-order noise: once they
-    reach about 1 they carry no reproducible digits across factorization
-    or solve orders.  At seed 12345 with 100 trials they read n=16 1.01e-13,
-    n=32 7.91e-10, n=64 2.73e-3, n=128 13.9, n=256 282, n=512 3.04e3 and
-    n=1024 2.71e4.
+    Below n = `ONE_BLAS_THREAD_BELOW` the run is on one BLAS thread, and
+    results are bit-reproducible for a fixed (n, trials, seed) whatever the
+    BLAS thread setting; at or above it they follow the BLAS thread count.
+    Residual means at n >= 128 are dominated by rounding-order noise: once
+    they reach about 1 they carry no reproducible digits across
+    factorization or solve orders.  At seed 12345 with 100 trials they read
+    n=16 1.01e-13, n=32 7.91e-10, n=64 2.77e-3, n=128 13.9, n=256 283, and
+    on two BLAS threads n=512 3.04e3 and n=1024 2.71e4 (3.05e3 and 2.74e4 on
+    one).
     """
     n, trials = as_int("n", n, 2), as_int("trials", trials, 1)
     seed = as_int("seed", seed, 0)
-    LU, min_pivot = _genp_factor(vandermonde_array(unit_roots(n)))
-    rng = np.random.Generator(np.random.Philox(seed))
-    B = rng.standard_normal((trials, n)).T.astype(np.complex128, order="C")
-    X = _genp_solve_packed(LU, B)
-    bands = range(0, n, GENP_BLOCK)
-    # max|U| one block row at a time: np.triu of the whole factor would copy it.
-    u_max = max(float(np.abs(np.triu(LU[k:k + GENP_BLOCK, k:])).max()) for k in bands)
-    del LU  # the residual's A takes the factor's place
-    A = vandermonde_array(unit_roots(n))
-    rns = np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+    with _blas_threads(n):
+        LU, min_pivot = _genp_factor(vandermonde_array(unit_roots(n)))
+        rng = np.random.Generator(np.random.Philox(seed))
+        B = rng.standard_normal((trials, n)).T.astype(np.complex128, order="C")
+        X = _genp_solve_packed(LU, B)
+        bands = range(0, n, GENP_BLOCK)
+        # max|U| one block row at a time: np.triu of the whole factor would copy it.
+        u_max = max(float(np.abs(np.triu(LU[k:k + GENP_BLOCK, k:])).max()) for k in bands)
+        del LU  # the residual's A takes the factor's place
+        A = vandermonde_array(unit_roots(n))
+        rns = np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
     mean = float(rns.mean())
     std = float(rns.std(ddof=1)) if trials > 1 else 0.0
     growth = u_max / max(float(np.abs(A[k:k + GENP_BLOCK]).max()) for k in bands)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -557,6 +561,150 @@ class TestGenpExperiment:
         assert 8.88e-15 < m16 < 8.88e-13
         m128 = spectral.genp_residual_experiment(128, 100, 12345).mean_rn
         assert 0.5 < m128 < 50.0
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS (get, set), run on two threads for the test."""
+    found = spectral._openblas_threads()
+    if found is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, put = found
+    saved = get()
+    put(2)
+    try:
+        yield get, put
+    finally:
+        put(saved)
+
+
+def _record_blas_threads(monkeypatch, get, target, name):
+    """Patch target.name to note the BLAS thread count it runs on."""
+    seen = []
+    original = getattr(target, name)
+
+    def wrapped(*args, **kwargs):
+        seen.append(get())
+        return original(*args, **kwargs)
+    monkeypatch.setattr(target, name, wrapped)
+    return seen
+
+
+BLAS_CALLS = {
+    "svd": (np.linalg, "svd",
+            lambda n: spectral.singular_values(structmat.dft(n))),
+    "svd-wide": (np.linalg, "svd",
+                 lambda n: spectral.singular_values(structmat.DenseMatrix(np.ones((2, n))))),
+    "genp-solve": (spectral, "_genp_factor",
+                   lambda n: spectral.genp_solve(structmat.dft(n), np.ones(n))),
+    "genp-experiment": (spectral, "_genp_factor",
+                        lambda n: spectral.genp_residual_experiment(n, 2, 0)),
+}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("call", BLAS_CALLS)
+    def test_one_thread_below_the_constant(self, call, blas, monkeypatch):
+        # The order is max(rows, cols); the caller's count returns after.
+        monkeypatch.setattr(spectral, "ONE_BLAS_THREAD_BELOW", 8)
+        target, name, run = BLAS_CALLS[call]
+        seen = _record_blas_threads(monkeypatch, blas[0], target, name)
+        run(7)
+        run(8)
+        assert seen == [1, 2] and blas[0]() == 2
+
+    def test_svd_at_the_constant(self, blas, monkeypatch):
+        seen = []
+        monkeypatch.setattr(spectral.np.linalg, "svd",
+                            lambda a, compute_uv: seen.append(blas[0]()) or np.ones(len(a)))
+        for n in (spectral.ONE_BLAS_THREAD_BELOW - 1, spectral.ONE_BLAS_THREAD_BELOW):
+            spectral.singular_values(structmat.DenseMatrix(np.eye(n)))
+        assert seen == [1, 2]
+
+    def test_restored_after_convergence_failure(self, blas, monkeypatch):
+        def fail(*args, **kwargs):
+            assert blas[0]() == 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(spectral.np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceFailure):
+            spectral.singular_values(structmat.dft(8))
+        assert blas[0]() == 2
+
+    def test_restored_after_zero_pivot(self, blas):
+        A = structmat.DenseMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
+        with pytest.raises(ZeroPivot):
+            spectral.genp_solve(A, np.array([1.0, 1.0]))
+        assert blas[0]() == 2
+
+    def test_without_openblas_outputs_unchanged(self, monkeypatch):
+        # No lookup: every call runs on the caller's threads, as plain numpy.
+        M = structmat.vandermonde(knotgen.quasi_cyclic(48))
+        b = np.arange(48.0)
+        with_blas = spectral.singular_values(M), spectral.genp_solve(M, b)
+        monkeypatch.setattr(spectral, "_openblas_threads", lambda: None)
+        s = spectral.singular_values(M)
+        x, min_pivot = spectral.genp_solve(M, b)
+        assert np.array_equal(s.sigma, np.linalg.svd(M.data, compute_uv=False))
+        LU, _ = spectral._genp_factor(np.array(M.data))
+        assert np.array_equal(x, spectral._genp_solve_packed(LU, b))
+        assert s.kappa == pytest.approx(with_blas[0].kappa, rel=1e-12)
+        assert np.allclose(x, with_blas[1][0], rtol=1e-12, atol=0)
+        assert min_pivot == with_blas[1][1]
+
+    def test_python_threads_never_leave_one_behind(self, blas, monkeypatch):
+        # More Python threads than cores, switching often: each call below
+        # the constant sees one BLAS thread, and the caller's two return.
+        monkeypatch.setattr(spectral, "ONE_BLAS_THREAD_BELOW", 8)
+        small = []
+        real_svd = np.linalg.svd
+
+        def svd(a, compute_uv):
+            if len(a) < 8:
+                small.append(blas[0]())
+            return real_svd(a, compute_uv=compute_uv)
+        monkeypatch.setattr(spectral.np.linalg, "svd", svd)
+        mats = [structmat.dft(7), structmat.dft(8)]
+
+        def work(k):
+            for i in range(500):
+                spectral.singular_values(mats[(i + k) % 2])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert small == [1] * 1500 and blas[0]() == 2
+
+
+#: T1 and T2 at n = 64 and 128, T3, T4 and T5 up to n = 128: every call
+#: below `ONE_BLAS_THREAD_BELOW`.
+_TABLES_SCRIPT = """
+import sys
+from vandcond import tables
+for tid, opts in (("T1", {"sizes": (64, 128)}), ("T2", {"sizes": (64, 128)}),
+                  ("T3", {}), ("T4", {}), ("T5", {"sizes": (16, 32, 64, 128)})):
+    sys.stdout.write(tables.emit(tables.run_table(tid, opts), "csv"))
+"""
+
+
+def test_tables_do_not_follow_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    bodies = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        res = subprocess.run([sys.executable, "-c", _TABLES_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        bodies.append([line for line in res.stdout.splitlines()
+                       if not line.startswith("# timestamp=")])
+    assert len(bodies[0]) > 40 and bodies[0] == bodies[1]
 
 
 class TestSpectralFacts:
