@@ -1,4 +1,4 @@
-"""Closed-form determinants and inverses for Cauchy, CV, and Vandermonde matrices.
+"""Closed-form inverses for Cauchy, CV, and Vandermonde matrices.
 
 Two inverse variants are provided side by side:
 
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import RangeOverflow
 from .knotgen import KnotVector
-from .logdomain import (check_disjoint, diff_blocks, log_blocks, log_products,
-                        log_row_sums, pow_diff_logs, self_derivative_logs, wrap_phase)
+from .logdomain import (check_disjoint, log_blocks, log_products, pow_diff_logs,
+                        self_derivative_logs, wrap_phase)
 from .spectral import poly_from_roots
 from .structmat import DenseMatrix, check_unit_circle, cv_knots
 
@@ -41,41 +41,6 @@ from .structmat import DenseMatrix, check_unit_circle, cv_knots
 class InverseVariant(enum.Enum):
     PAPER = "paper"
     CORRECTED = "corrected"
-
-
-def cauchy_det(s: KnotVector, t: KnotVector) -> tuple[float, float]:
-    """(log10 magnitude, phase in (-pi, pi]) of det C.
-
-    det C = prod_{i<j} (s_j - s_i)(t_i - t_j) / prod_{i,j} (s_i - t_j).
-    """
-    sp, tp = s.as_array(), t.as_array()
-    if len(sp) != len(tp):
-        raise ValueError("determinant requires a square matrix")
-    check_disjoint(sp, tp)
-    n = len(sp)
-    cross_mag, cross_ph = log_products(sp, tp)
-    mag, ph = -float(np.sum(cross_mag)), -float(np.sum(cross_ph))
-    # Row i of a block keeps s_i - s_j left of the diagonal (j < i), takes
-    # t_i - t_j right of it (j > i) and 1 on it (log and angle 0): every row is
-    # summed whole inside one block, so the result does not depend on its size.
-    def operands(i, j):  # of the block at row lo: s left of the diagonal, t right
-        left = j < lo + i
-        return (np.where(left, sp[lo + i], tp[lo + i]),
-                np.where(left, sp[j], tp[j]))
-
-    row_mag, row_ph = np.empty(n), np.empty(n)
-    with np.errstate(over="ignore"):
-        for lo, d in diff_blocks(sp, sp):
-            hi = lo + len(d)
-            k = np.arange(len(d))
-            np.subtract(tp[lo:hi, None], tp[None, hi:], out=d[:, hi:])
-            np.copyto(d[:, lo:hi], tp[lo:hi, None] - tp[None, lo:hi], where=k[:, None] < k)
-            d[k, lo + k] = 1.0
-            row_mag[lo:hi] = log_row_sums(d, np.log10(np.abs(d)), operands)
-            row_ph[lo:hi] = np.sum(np.angle(d), axis=1)
-    mag += float(np.sum(row_mag))
-    ph += float(np.sum(row_ph))
-    return mag, wrap_phase(ph)
 
 
 def _cv_derivative_logs(tp: np.ndarray):

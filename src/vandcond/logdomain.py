@@ -83,35 +83,18 @@ def self_derivative_logs(points: np.ndarray, phase: bool = True):
     return _log_sums(points, points, skip_self=True, phase=phase)
 
 
-def retake_halved(d: np.ndarray, redo: np.ndarray, operands):
+def retake_halved(d: np.ndarray, redo: np.ndarray, xs: np.ndarray, knots: np.ndarray):
     """Take the differences of a block that `redo` marks again, halved.
 
-    d is a block of differences x - k of finite points; a difference past
-    the float range (points of opposite signs near 1.8e308) came out
-    infinite.  operands(i, j) gives the (x, k) of block entries (i, j); each
-    marked one is written back as x/2 - k/2, exactly half the difference,
-    with its angle.  Returns the block indices (i, j) taken again.
+    d is the block of differences xs[i] - knots[j] of finite points; a
+    difference past the float range (points of opposite signs near 1.8e308)
+    came out infinite.  Each marked entry is written back as
+    xs[i]/2 - knots[j]/2, exactly half the difference, with its angle.
+    Returns the block indices (i, j) taken again.
     """
     i, j = np.nonzero(redo)
-    x, k = operands(i, j)
-    d[i, j] = 0.5 * x - 0.5 * k
+    d[i, j] = 0.5 * xs[i] - 0.5 * knots[j]
     return i, j
-
-
-def log_row_sums(d: np.ndarray, logs: np.ndarray, operands) -> np.ndarray:
-    """Row sums of logs = log10|d| for a block of differences d, none past the float range.
-
-    A difference past the float range has a log10 magnitude of +inf, so its
-    row sums to +inf, or nan beside an exact hit.  Only then are those
-    entries halved by `retake_halved` (operands as there) and given
-    log10|x/2 - k/2| + log10 2; rows that meet none keep their bits.
-    """
-    rows = np.sum(logs, axis=1)
-    if rows.max() < np.inf:
-        return rows
-    i, j = retake_halved(d, logs == np.inf, operands)
-    logs[i, j] = np.log10(np.abs(d[i, j])) + _LOG10_2
-    return np.sum(logs, axis=1)
 
 
 def log_blocks(xs: np.ndarray, knots: np.ndarray, skip_self: bool = False):
@@ -120,8 +103,10 @@ def log_blocks(xs: np.ndarray, knots: np.ndarray, skip_self: bool = False):
     d is the block of differences xs[lo + i] - knots[j], logs = log10|d| and
     rows their row sums; skip_self sets each x_j - x_j to 1 (log and angle 0).
     A difference past the float range comes out inf with no warning (the
-    setting also holds in the consumer between blocks) and is taken again,
-    halved in d, by `log_row_sums` before the block is yielded.
+    setting also holds in the consumer between blocks) and sums its row to
+    +inf, or nan beside an exact hit.  Only then are those entries taken
+    again, halved in d, by `retake_halved` and given log10|x/2 - k/2| +
+    log10 2, before the block is yielded; rows that meet none keep their bits.
     """
     with np.errstate(divide="ignore", over="ignore"):
         for lo, d in diff_blocks(xs, knots):
@@ -130,7 +115,12 @@ def log_blocks(xs: np.ndarray, knots: np.ndarray, skip_self: bool = False):
                 d[k, lo + k] = 1.0
             logs = np.abs(d)
             np.log10(logs, out=logs)
-            yield lo, d, logs, log_row_sums(d, logs, lambda i, j: (xs[lo + i], knots[j]))
+            rows = np.sum(logs, axis=1)
+            if not rows.max() < np.inf:
+                i, j = retake_halved(d, logs == np.inf, xs[lo:lo + len(d)], knots)
+                logs[i, j] = np.log10(np.abs(d[i, j])) + _LOG10_2
+                rows = np.sum(logs, axis=1)
+            yield lo, d, logs, rows
 
 
 def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self=False, phase=True):

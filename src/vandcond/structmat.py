@@ -99,8 +99,8 @@ def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray) -> DenseMatrix:
     Near the float range a reciprocal can fail: the difference, or numpy's
     divisor |d|^2 / max(|Re d|, |Im d|) <= sqrt 2 |d|, overflows, and the
     entry comes out 0 or nan.  Only a block with some |d| >= 2^1023 can
-    meet one; there each failed entry is taken again from the halved
-    operands of `retake_halved` as 0.25 / (x/4 - k/4), whose divisor
+    meet one; there `retake_halved` halves each failed difference to
+    x/2 - k/2, and the entry becomes 0.25 / (x/4 - k/4), whose divisor
     stays below the float range.  Every other entry keeps numpy's bits.
     """
     check_disjoint(sp, tp)
@@ -111,7 +111,7 @@ def _cauchy_matrix(sp: np.ndarray, tp: np.ndarray) -> DenseMatrix:
             np.divide(1.0, d, out=block)
             if np.abs(d).max() >= 2.0 ** 1023:
                 i, j = retake_halved(d, (block == 0) | np.isnan(block),
-                                     lambda i, j: (sp[lo + i], tp[j]))
+                                     sp[lo:lo + len(d)], tp)
                 block[i, j] = 0.25 / (0.5 * d[i, j])
     return DenseMatrix(data, copy=False)
 

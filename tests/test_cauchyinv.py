@@ -2,7 +2,6 @@ import cmath
 import importlib.util
 import math
 import pathlib
-import tracemalloc
 import warnings
 
 import mpmath
@@ -12,8 +11,7 @@ import pytest
 from vandcond import bounds, cauchyinv, knotgen, logdomain, structmat
 from vandcond.cauchyinv import InverseVariant
 from vandcond.errors import KnotCollision, RangeOverflow
-from vandcond.logdomain import (log_products, pow_diff_logs,
-                                self_derivative_logs, wrap_phase)
+from vandcond.logdomain import pow_diff_logs, self_derivative_logs, wrap_phase
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
@@ -59,16 +57,6 @@ def reference_inverse_logs(sp, tp, variant, cv_f=None):
     return (mag, ph) if variant is CORRECTED else (mag.T, ph.T)
 
 
-def reference_cauchy_det(sp, tp):
-    """log10|det C| and phase from the i < j pairs of np.triu_indices."""
-    mag, ph = (-float(np.sum(x)) for x in log_products(sp, tp))
-    iu, ju = np.triu_indices(len(sp), k=1)
-    for d in (sp[ju] - sp[iu], tp[iu] - tp[ju]):
-        mag += float(np.sum(np.log10(np.abs(d))))
-        ph += float(np.sum(np.angle(d)))
-    return mag, wrap_phase(ph)
-
-
 def reference_via_cv_dense(s, f, variant):
     """V^{-1} with Omega^H applied as a dense n x n product."""
     sp = s.as_array()
@@ -79,65 +67,6 @@ def reference_via_cv_dense(s, f, variant):
     left = (f ** (n - 1 - np.arange(n)))[:, None] * omega_h * np.conj(omega)[None, :]
     mag, ph = pow_diff_logs(sp, f, n)
     return (left @ cinv) * (10.0 ** (-mag) * np.exp(-1j * ph))[None, :]
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-class TestCauchyDet:
-    def test_one_by_one(self):
-        mag, ph = cauchyinv.cauchy_det(kv([2]), kv([0]))
-        assert abs(10 ** mag * cmath.exp(1j * ph) - 0.5) < 1e-15
-
-    def test_two_by_two_direct(self):
-        # Direct 2x2 determinant oracle: 1/4 - 1/3 = -1/12.
-        mag, ph = cauchyinv.cauchy_det(kv([2, 3]), kv([0, 1]))
-        assert abs(10 ** mag * cmath.exp(1j * ph) - (-1 / 12)) < 1e-14
-
-    def test_matches_lu_determinant(self):
-        rng = np.random.Generator(np.random.Philox(2))
-        s = kv(random_annulus_knots(rng, 6))
-        t = kv(random_annulus_knots(rng, 6, gap=0.07))
-        mag, ph = cauchyinv.cauchy_det(s, t)
-        lu = np.linalg.det(structmat.cauchy(s, t).data)
-        assert abs(mag - math.log10(abs(lu))) < 1e-10
-        assert abs(cmath.exp(1j * ph) - lu / abs(lu)) < 1e-9
-
-    def test_larger_sizes_against_lu(self):
-        # Interleaved jittered circle knots keep kappa(C) near 1, so the LU
-        # determinant oracle itself holds full double precision.
-        rng = np.random.Generator(np.random.Philox(3))
-        for n in (8, 16, 32):
-            js = np.arange(n)
-            s = kv(np.exp(2j * np.pi * (js + 0.2 + 0.2 * rng.uniform(size=n)) / n))
-            t = kv(np.exp(2j * np.pi * (js + 0.7 + 0.2 * rng.uniform(size=n)) / n))
-            mag, _ = cauchyinv.cauchy_det(s, t)
-            lu = np.linalg.det(structmat.cauchy(s, t).data)
-            assert abs(mag - math.log10(abs(lu))) < 1e-9 * max(1, abs(mag))
-
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
-    def test_blocked_pairs_match_triu_reference(self, n):
-        s = knotgen.van_der_corput(n)
-        t = kv(list(2.0 * structmat.cv_knots(n, cmath.exp(0.3j))))
-        d_mag, d_ph = cauchyinv.cauchy_det(s, t)
-        mag, ph = reference_cauchy_det(s.as_array(), t.as_array())
-        # The raw phase is a sum of about n**2 / 2 angles before wrapping.
-        assert abs(d_mag - mag) <= 3e-14 * max(1.0, abs(mag))
-        assert abs(cmath.phase(cmath.exp(1j * (d_ph - ph)))) <= 3e-14 * n * n
-
-    def test_pair_products_use_blocked_memory(self):
-        # np.triu_indices over the i < j pairs traced 72 MB at this size.
-        n = 1536
-        s = knotgen.van_der_corput(n)
-        t = kv(list(structmat.cv_knots(n, cmath.exp(0.5j))))
-        assert traced_peak(lambda: cauchyinv.cauchy_det(s, t)) <= 4 * 2 ** 20
 
 
 class TestInverseEntries:
@@ -331,20 +260,6 @@ class TestPastTheFloatRange:
                 assert abs(mag[i, j] - log_want) <= 1e-12 * abs(log_want)
                 assert abs(wrap_phase(ph[i, j] - float(mpmath.arg(want)))) < 1e-12
 
-    @pytest.mark.parametrize("s, t", [(S, [0.5, 1.0]), ([0.5, 1.0], S),
-                                      ([1.7e308, 2.0, -1.7e308], [0.5, 1e308j, 1.0])])
-    def test_cauchy_det_matches_mpmath(self, s, t):
-        # s_j - s_i past the range sits left of the diagonal, t_i - t_j right.
-        mag, ph = cauchyinv.cauchy_det(kv(s), kv(t))
-        S, T = [mpmath.mpc(x) for x in s], [mpmath.mpc(y) for y in t]
-        n = len(S)
-        want = (mpmath.fprod((S[j] - S[i]) * (T[i] - T[j])
-                             for i in range(n) for j in range(i + 1, n))
-                / mpmath.fprod(x - y for x in S for y in T))
-        log_want = float(mpmath.log10(abs(want)))
-        assert abs(mag - log_want) <= 1e-12 * abs(log_want)
-        assert abs(wrap_phase(ph - float(mpmath.arg(want)))) < 1e-12
-
 
 class TestLogEntryTables:
     def test_phases_wrapped(self):
@@ -462,7 +377,7 @@ class TestFactorForm:
                 walks[-1].append((lo, len(d), d.size))
                 yield lo, d
 
-        for module in (logdomain, cauchyinv, bounds, structmat):
+        for module in (logdomain, bounds, structmat):
             monkeypatch.setattr(module, "diff_blocks", counting)
         mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
         assert np.array_equal(mag, whole[0]) and np.array_equal(ph, whole[1])
@@ -499,7 +414,7 @@ class TestOneWalk:
             seen.append(("self" if xs is knots else "cross", len(xs), len(knots)))
             return real(xs, knots)
 
-        for module in (logdomain, cauchyinv, bounds, structmat):
+        for module in (logdomain, bounds, structmat):
             monkeypatch.setattr(module, "diff_blocks", counting)
         return seen
 
@@ -513,7 +428,6 @@ class TestOneWalk:
         ("cv_inverse", CORRECTED, 2),
         ("cauchy_inverse", CORRECTED, 4),
         ("vandermonde_inverse_via_cv", CORRECTED, 2),
-        ("cauchy_det", None, 2),
         ("cauchy", None, 1),
         ("cv_matrix", None, 1),
     ])
@@ -532,14 +446,13 @@ class TestOneWalk:
                "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, variant),
                "vandermonde_inverse_via_cv":
                    lambda: cauchyinv.vandermonde_inverse_via_cv(s, f, variant),
-               "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
                "cauchy": lambda: structmat.cauchy(s, t),
                "cv_matrix": lambda: structmat.cv_matrix(s, f)}
         run[call]()
         assert [rows * cols for _, rows, cols in walks].count(n * n) == expected
 
     @pytest.mark.parametrize("call", ["cv_inverse_log_entries", "cv_column_peaks",
-                                      "cauchy_det", "cv_matrix", "cauchy"])
+                                      "cv_matrix", "cauchy"])
     def test_a_collision_stops_before_any_walk_but_the_scan(self, walks, call):
         # The grid of f = 1 is the DFT knots: the screen meets gaps of 0, so
         # `closest_pair` scans once and names the pair; no other walk runs.
@@ -551,7 +464,6 @@ class TestOneWalk:
                    lambda: cauchyinv.cv_inverse_log_entries(s, 1.0, PAPER),
                "cv_column_peaks":
                    lambda: cauchyinv.cv_column_peaks(s.as_array(), t.as_array()),
-               "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
                "cv_matrix": lambda: structmat.cv_matrix(s, 1.0),
                "cauchy": lambda: structmat.cauchy(s, t)}
         with pytest.raises(KnotCollision) as err:
@@ -753,7 +665,7 @@ class TestPublicSurface:
             "read_knots", "write_knots",
             "DenseMatrix", "vandermonde", "dft", "cauchy", "cv_matrix",
             "leading_block",
-            "InverseVariant", "cauchy_det", "cauchy_inverse",
+            "InverseVariant", "cauchy_inverse",
             "cv_inverse", "vandermonde_inverse_via_cv",
             "vandermonde_inverse_lagrange",
             "SpectrumSummary", "GenpStats", "singular_values",
@@ -772,6 +684,8 @@ class TestPublicSurface:
         for name in ("cauchy_inverse_entry", "cv_inverse_entry", "_inverse_cell",
                      "log_root_product", "cross_logs"):  # logdomain.log_blocks walks
             assert not hasattr(cauchyinv, name)
+        for name in ("cauchy_det", "log_row_sums"):  # one log walk, no det C
+            assert not hasattr(cauchyinv, name) and not hasattr(logdomain, name)
         # A knot product is a (log10 magnitude, phase) pair, never a scalar class.
         for module in (vandcond, logdomain, cauchyinv):
             assert not hasattr(module, "LogComplex")

@@ -542,7 +542,6 @@ class TestBlockSizeInvariance:
             "cauchy_inverse_corrected":
                 lambda: cauchyinv.cauchy_inverse_log_entries(s, t, corrected),
             "cauchy": lambda: structmat.cauchy(s, t).data,
-            "cauchy_det": lambda: cauchyinv.cauchy_det(s, t),
         }
 
     # n = 769 leaves a ragged last block; a cluster needs n >= 2.
@@ -576,9 +575,8 @@ class TestOneCollisionThreshold:
                   lambda: check_disjoint(s.as_array(), t.as_array()),
                   lambda: structmat.cv_matrix(near_grid, 1.0),
                   lambda: cauchyinv.cauchy_inverse_log_entries(
-                      s, t, cauchyinv.InverseVariant.CORRECTED),
-                  lambda: cauchyinv.cauchy_det(s, t)]
-        for check, error in zip(checks, [DuplicateKnot] + [KnotCollision] * 4):
+                      s, t, cauchyinv.InverseVariant.CORRECTED)]
+        for check, error in zip(checks, [DuplicateKnot] + [KnotCollision] * 3):
             if collides:
                 with pytest.raises(error):
                     check()
