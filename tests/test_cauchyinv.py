@@ -425,9 +425,13 @@ class TestOneWalk:
         ("cv_inverse_log_entries", CORRECTED, 2),
         ("cauchy_inverse_log_entries", PAPER, 2),
         ("cauchy_inverse_log_entries", CORRECTED, 4),
+        ("cv_inverse", PAPER, 1),
         ("cv_inverse", CORRECTED, 2),
+        ("cauchy_inverse", PAPER, 2),
         ("cauchy_inverse", CORRECTED, 4),
+        ("vandermonde_inverse_via_cv", PAPER, 1),
         ("vandermonde_inverse_via_cv", CORRECTED, 2),
+        ("vandermonde_inverse_lagrange", None, 1),
         ("cauchy", None, 1),
         ("cv_matrix", None, 1),
     ])
@@ -446,12 +450,16 @@ class TestOneWalk:
                "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, variant),
                "vandermonde_inverse_via_cv":
                    lambda: cauchyinv.vandermonde_inverse_via_cv(s, f, variant),
+               "vandermonde_inverse_lagrange":
+                   lambda: cauchyinv.vandermonde_inverse_lagrange(s),
                "cauchy": lambda: structmat.cauchy(s, t),
                "cv_matrix": lambda: structmat.cv_matrix(s, f)}
         run[call]()
         assert [rows * cols for _, rows, cols in walks].count(n * n) == expected
 
     @pytest.mark.parametrize("call", ["cv_inverse_log_entries", "cv_column_peaks",
+                                      "cauchy_inverse_log_entries", "cauchy_inverse",
+                                      "cv_inverse", "vandermonde_inverse_via_cv",
                                       "cv_matrix", "cauchy"])
     def test_a_collision_stops_before_any_walk_but_the_scan(self, walks, call):
         # The grid of f = 1 is the DFT knots: the screen meets gaps of 0, so
@@ -464,6 +472,12 @@ class TestOneWalk:
                    lambda: cauchyinv.cv_inverse_log_entries(s, 1.0, PAPER),
                "cv_column_peaks":
                    lambda: cauchyinv.cv_column_peaks(s.as_array(), t.as_array()),
+               "cauchy_inverse_log_entries":
+                   lambda: cauchyinv.cauchy_inverse_log_entries(s, t, CORRECTED),
+               "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, PAPER),
+               "cv_inverse": lambda: cauchyinv.cv_inverse(s, 1.0, CORRECTED),
+               "vandermonde_inverse_via_cv":
+                   lambda: cauchyinv.vandermonde_inverse_via_cv(s, 1.0, CORRECTED),
                "cv_matrix": lambda: structmat.cv_matrix(s, 1.0),
                "cauchy": lambda: structmat.cauchy(s, t)}
         with pytest.raises(KnotCollision) as err:

@@ -323,6 +323,84 @@ class TestBlockedKernels:
         assert distinctness_agrees([1, -1], 1e-13) is None
 
 
+class TestLogWalk:
+    """`log_blocks` is the one log walk: row sums first, and the halved
+    retake only in a block where a row sums past the float range."""
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        monkeypatch.setattr(logdomain, "CHUNK", 7)
+
+    @staticmethod
+    def assert_matches(got, factors):
+        for mag, ph, row in zip(*got, factors):
+            prod = mpmath.fprod(row)
+            want = float(mpmath.log10(abs(prod)))
+            assert abs(mag - want) <= 1e-14 * max(1.0, abs(want))
+            assert abs(wrap_phase(ph - float(mpmath.arg(prod)))) < 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, t", [
+        ([1.7e308, -1.7e308], [0.5, 1.0]),
+        ([0.5, 1.0], [1.7e308, -1.7e308]),
+        ([1.7e308, 2.0, -1.7e308], [0.5, 1e308j, 1.0]),
+        ([3.0, 1.2e308 + 1.2e308j, -1.2e308 - 1.2e308j], [-5e307, 1e308j, 2.0])])
+    def test_self_and_cross_logs_past_the_float_range(self, tiny_blocks, s, t):
+        # The self differences of s and of t, and the cross ones both ways;
+        # with two rows of three per block, a huge row may sit in the second.
+        S, T = [mpmath.mpc(z) for z in s], [mpmath.mpc(z) for z in t]
+        sp, tp = np.array(s, dtype=complex), np.array(t, dtype=complex)
+        for xs, P in ((sp, S), (tp, T)):
+            self.assert_matches(self_derivative_logs(xs),
+                                [[x - y for k, y in enumerate(P) if k != j]
+                                 for j, x in enumerate(P)])
+        for xs, knots, P, Q in ((sp, tp, S, T), (tp, sp, T, S)):
+            self.assert_matches(log_products(xs, knots), [[x - y for y in Q] for x in P])
+
+    def test_the_retake_runs_only_where_a_row_meets_the_range(self, tiny_blocks, monkeypatch):
+        taken = []
+        real = logdomain.retake_halved
+
+        def recording(d, redo, xs, knots):
+            i, j = real(d, redo, xs, knots)
+            taken.append((xs.tolist(), list(zip(i.tolist(), j.tolist()))))
+            return i, j
+
+        monkeypatch.setattr(logdomain, "retake_halved", recording)
+        xs = np.array([0.5, 2.0, 1.7e308, 3.0, 1j], dtype=complex)
+        knots = np.array([-1.7e308, 0.25, 2j], dtype=complex)
+        log_products(xs[[0, 1, 3, 4]], knots)
+        assert taken == []
+        blocks = [(lo, d.copy(), rows.copy())
+                  for lo, d, _, rows in logdomain.log_blocks(xs, knots)]
+        # Only 1.7e308 - (-1.7e308), the second block's first row, is taken
+        # again; every other row keeps the bits of its plain sum.
+        assert taken == [([1.7e308, 3.0], [(0, 0)])]
+        assert [lo for lo, _, _ in blocks] == [0, 2, 4]
+        assert blocks[1][1][0, 0] == 1.7e308
+        for lo, _, rows in blocks:
+            for k, row in enumerate(rows):
+                if lo + k != 2:
+                    assert row == np.sum(np.log10(np.abs(xs[lo + k] - knots)))
+        want = float(mpmath.log10(abs(mpmath.fprod(mpmath.mpf(1.7e308) - mpmath.mpc(k)
+                                                   for k in knots))))
+        assert abs(blocks[1][2][0] - want) <= 1e-14 * abs(want)
+
+    def test_memory_is_one_block(self):
+        # One block is 384 KB; the 1536 x 1536 table would be 38 MB.
+        n = 1536
+        s = knotgen.van_der_corput(n).as_array()
+        t = structmat.cv_knots(n, cmath.exp(0.5j))
+        tracemalloc.start()
+        try:
+            log_products(s, t)
+            self_derivative_logs(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
+
 class TestDistinctnessScreen:
     """KnotVector screens pairs by sorted real parts; `closest_pair` decides
     whenever the screen meets a gap within twice the tolerance.  The screen
