@@ -146,14 +146,14 @@ def cv_inverse_log_entries(s: KnotVector, f: complex,
                            variant: InverseVariant):
     """(log10 magnitude, phase) tables of all CV inverse entries; overflow-free."""
     mag, ph = _inverse_logs(s.as_array(), cv_knots(len(s), f), variant, complex(f))
-    return mag, wrap_phase(ph, out=ph)
+    return mag, wrap_phase(ph)
 
 
 def cauchy_inverse_log_entries(s: KnotVector, t: KnotVector,
                                variant: InverseVariant):
     """(log10 magnitude, phase) tables of all Cauchy inverse entries."""
     mag, ph = _inverse_logs(s.as_array(), t.as_array(), variant)
-    return mag, wrap_phase(ph, out=ph)
+    return mag, wrap_phase(ph)
 
 
 def vandermonde_inverse_via_cv(s: KnotVector, f: complex,

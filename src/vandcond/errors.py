@@ -116,11 +116,9 @@ class KnotCollision(VandcondError):
 class RangeOverflow(VandcondError):
     """A value would exceed the double-precision range."""
 
-    def __init__(self, log10_magnitude: float, where: str = ""):
-        self.log10_magnitude = log10_magnitude
-        self.where = where
-        tag = f" at {where}" if where else ""
-        super().__init__(f"log10 magnitude {log10_magnitude:.3f} out of range{tag}")
+    def __init__(self, log10_magnitude: float, where: str):
+        self.log10_magnitude, self.where = log10_magnitude, where
+        super().__init__(f"log10 magnitude {log10_magnitude:.3f} out of range at {where}")
 
 
 class ZeroPivot(VandcondError):

@@ -100,18 +100,17 @@ def quasi_cyclic(n: int) -> KnotVector:
     return KnotVector(_turn(quasi_cyclic_fractions(n)), "quasi-cyclic")
 
 
-def radical_inverse(i):
-    """Binary radical inverse: bit-reverse i across the binary point.
+def radical_inverse(i: np.ndarray) -> np.ndarray:
+    """Binary radical inverse: bit-reverse each entry of the int array i
+    across the binary point, one pass per bit.
 
-    Takes an int (returns a float) or an int array (returns a float array),
-    one pass per bit.  Each result is a sum of distinct powers of two, so
-    it is exact whatever the order of addition.
+    Each result is a sum of distinct powers of two, so it is exact whatever
+    the order of addition.
     """
-    bits = np.asarray(i, dtype=np.int64)
-    f = np.zeros(bits.shape)
-    for b in range(int(bits.max(initial=0)).bit_length()):
-        f += 0.5 ** (b + 1) * ((bits >> b) & 1)
-    return f if f.ndim else float(f)
+    f = np.zeros(i.shape)
+    for b in range(int(i.max(initial=0)).bit_length()):
+        f += 0.5 ** (b + 1) * ((i >> b) & 1)
+    return f
 
 
 def van_der_corput(n: int) -> KnotVector:
@@ -181,10 +180,9 @@ def read_knots(path) -> KnotVector:
 
 
 def dump_knots(kv: KnotVector, fh) -> None:
-    """Knot file text, 17 significant digits per coordinate, to an open file."""
+    """Knot file text, 17 significant digits per coordinate, to an open file in one write."""
     fh.write(f"# {kv.label} n={len(kv)}\n")
-    for z in kv:
-        fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    fh.write("%.17g,%.17g\n" * len(kv) % tuple(kv.knots.view(np.float64).tolist()))
 
 
 def write_knots(kv: KnotVector, path) -> None:

@@ -34,17 +34,16 @@ _TWO_PI = 2.0 * math.pi
 _LOG10_2 = math.log10(2.0)
 
 
-def wrap_phase(p, out=None):
-    """Phase p, scalar or array, reduced exactly into (-pi, pi].
+def wrap_phase(p: np.ndarray) -> np.ndarray:
+    """Reduce the float array p in place exactly into (-pi, pi]; returns p.
 
-    The result is p - 2 pi k for the one integer k that lands there; fmod
-    and a single shift by 2 pi are both exact.  A scalar comes back as a
-    float; an array is written into `out` (which may be `p`) when given.
+    Each entry becomes p - 2 pi k for the one integer k that lands there;
+    fmod and a single shift by 2 pi are both exact.
     """
-    r = np.fmod(p, _TWO_PI, out=np.empty(np.shape(p)) if out is None else out)
-    np.subtract(r, _TWO_PI, out=r, where=r > math.pi)
-    np.add(r, _TWO_PI, out=r, where=r <= -math.pi)
-    return float(r) if r.ndim == 0 else r
+    np.fmod(p, _TWO_PI, out=p)
+    np.subtract(p, _TWO_PI, out=p, where=p > math.pi)
+    np.add(p, _TWO_PI, out=p, where=p <= -math.pi)
+    return p
 
 
 def block_rows(width: int) -> int:
@@ -115,7 +114,8 @@ def log_blocks(xs: np.ndarray, knots: np.ndarray, skip_self: bool = False):
                 d[k, lo + k] = 1.0
             logs = np.abs(d)
             np.log10(logs, out=logs)
-            rows = np.sum(logs, axis=1)
+            with np.errstate(invalid="ignore"):  # -inf + inf: a hit beside an inf
+                rows = np.sum(logs, axis=1)
             if not rows.max() < np.inf:
                 i, j = retake_halved(d, logs == np.inf, xs[lo:lo + len(d)], knots)
                 logs[i, j] = np.log10(np.abs(d[i, j])) + _LOG10_2

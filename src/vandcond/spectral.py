@@ -38,17 +38,18 @@ LANCZOS_TOL = 1e-13
 CIRCLE_SCREEN_TOL = 1e-6
 
 #: Orders below which `singular_values`, `genp_solve` and
-#: `genp_residual_experiment` run on one BLAS thread (see `_blas_threads`).
-#: On 2 vCPUs, one thread against two, interleaved: the SVD ran 43-47% faster
-#: at n = 128 and 12-13% at 256, within 16% either way at 384 and 43-48%
-#: slower at 512; the GENP experiment stayed within 11% at n = 128-512.
+#: `genp_residual_experiment` run on one BLAS thread; larger ones keep the
+#: caller's count (see `_blas_threads`).  On 2 vCPUs, one thread against
+#: two, interleaved: the SVD ran 43-47% faster at n = 128 and 12-13% at 256,
+#: within 16% either way at 384 and 43-48% slower at 512; the GENP
+#: experiment stayed within 11% at n = 128-512.
 ONE_BLAS_THREAD_BELOW = 384
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: Held by every block that `_blas_threads` runs on one BLAS thread, so that
-#: no Python thread restores its count inside another's block, and none
-#: saves another's 1 and leaves it behind.
+#: Held by every `_blas_threads` block, so that no Python thread sets 1 or
+#: restores its count inside another's block, and none saves another's 1
+#: and leaves it behind.
 _BLAS_THREADS_LOCK = threading.Lock()
 
 
@@ -80,16 +81,16 @@ def _blas_threads(order: int):
     Below that order OpenBLAS's thread hand-off costs more than a second
     core saves, and one thread fixes the summation order, so the bits no
     longer follow OPENBLAS_NUM_THREADS.  The caller's count is restored on
-    exit.  Such blocks from several Python threads take turns.  At or above
-    that order, or without numpy's OpenBLAS, the block runs as it is.
+    exit.  Where numpy's OpenBLAS is found, every block of any order takes
+    one plain Lock (no block nests), so none sets 1 under another's block.
     """
-    blas = _openblas_threads() if order < ONE_BLAS_THREAD_BELOW else None
+    blas = _openblas_threads()
     if blas is None:
         yield
         return
     get, put = blas
     with _BLAS_THREADS_LOCK:
-        threads = get()
+        threads = get() if order < ONE_BLAS_THREAD_BELOW else 1
         if threads > 1:
             put(1)
         try:

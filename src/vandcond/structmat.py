@@ -162,14 +162,3 @@ def dump_matrix(M: DenseMatrix, fh) -> None:
     for z in M.data:
         fh.write(row % tuple(z.view(np.float64).tolist()))
 
-
-def load_matrix(fh) -> DenseMatrix:
-    """Inverse of :func:`dump_matrix`."""
-    header = fh.readline().split()
-    rows, cols = int(header[0]), int(header[1])
-    vals = []
-    for _ in range(rows * cols):
-        re_s, im_s = fh.readline().strip().split(",")
-        vals.append(complex(float(re_s), float(im_s)))
-    return DenseMatrix(np.array(vals, dtype=np.complex128).reshape(rows, cols),
-                       copy=False)

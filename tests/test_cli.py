@@ -11,7 +11,6 @@ import pytest
 
 import vandcond
 from vandcond import cauchyinv, cli, errors, knotgen, structmat, tables
-from vandcond.logdomain import wrap_phase
 
 
 def run(argv, capsys):
@@ -309,7 +308,7 @@ class TestInvert:
             want = inv[int(i), int(j)]
             log_want = float(mpmath.log10(abs(want)))
             assert abs(float(mag) - log_want) <= 1e-12 * abs(log_want)
-            assert abs(wrap_phase(float(ph) - float(mpmath.arg(want)))) < 1e-12
+            assert abs(math.remainder(float(ph) - float(mpmath.arg(want)), 2 * math.pi)) < 1e-12
 
     def test_cv_route_refuses_f_off_the_circle(self, capsys, recwarn):
         # At f = 2 the route printed entries up to 456 where V^-1 has 1/64.
@@ -588,15 +587,15 @@ class TestBuild:
                           "--dump", str(path)], capsys)
         assert code == 0
         with open(path) as fh:
-            M = structmat.load_matrix(fh)
-        assert np.allclose(M.data, structmat.dft(4).data)
+            data = np.loadtxt(fh, delimiter=",", skiprows=1).view(np.complex128)
+        assert np.array_equal(data.reshape(4, 4), structmat.dft(4).data)
 
     def test_cv_dump(self, capsys):
         code, out, _ = run(["build", "--gen", "quasi-cyclic", "--n", "48", "--matrix", "cv"],
                            capsys)
-        M = structmat.load_matrix(io.StringIO(out))
+        data = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1).view(np.complex128)
         C = structmat.cv_matrix(knotgen.quasi_cyclic(48), cli.DEFAULT_F)
-        assert code == 0 and np.array_equal(M.data, C.data)
+        assert code == 0 and np.array_equal(data.reshape(48, 48), C.data)
 
     def test_stdout_dump(self, capsys):
         code, out, _ = run(["build", "--gen", "dft", "--n", "2"], capsys)

@@ -652,15 +652,37 @@ class TestBlasThreads:
         assert min_pivot == with_blas[1][1]
 
     def test_python_threads_never_leave_one_behind(self, blas, monkeypatch):
-        # More Python threads than cores, switching often: each call below
-        # the constant sees one BLAS thread, and the caller's two return.
+        # An order-8 SVD waits up to 0.5 s for an order-7 call from another
+        # thread to be inside its block.  It cannot get in under the order-8
+        # block, so the wait runs out and the order-8 call keeps two threads.
         monkeypatch.setattr(spectral, "ONE_BLAS_THREAD_BELOW", 8)
-        small = []
+        seen = {7: [], 8: []}
+        small_inside, large_read = threading.Event(), threading.Event()
         real_svd = np.linalg.svd
 
-        def svd(a, compute_uv):
+        def waiting_svd(a, compute_uv):
             if len(a) < 8:
-                small.append(blas[0]())
+                seen[7].append(blas[0]())
+                small_inside.set()
+                large_read.wait(timeout=60)
+            else:
+                other.start()
+                small_inside.wait(timeout=0.5)
+                seen[8].append(blas[0]())
+                large_read.set()
+            return real_svd(a, compute_uv=compute_uv)
+        monkeypatch.setattr(spectral.np.linalg, "svd", waiting_svd)
+        other = threading.Thread(target=spectral.singular_values, args=(structmat.dft(7),))
+        spectral.singular_values(structmat.dft(8))
+        other.join(timeout=60)
+        assert not other.is_alive()
+        assert seen == {7: [1], 8: [2]} and blas[0]() == 2
+
+        # More Python threads than cores, switching often: each call below
+        # the constant sees one BLAS thread, each at it the caller's two, and
+        # the caller's two return.
+        def svd(a, compute_uv):
+            seen[len(a)].append(blas[0]())
             return real_svd(a, compute_uv=compute_uv)
         monkeypatch.setattr(spectral.np.linalg, "svd", svd)
         mats = [structmat.dft(7), structmat.dft(8)]
@@ -679,7 +701,7 @@ class TestBlasThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
-        assert small == [1] * 1500 and blas[0]() == 2
+        assert seen == {7: [1] * 1501, 8: [2] * 1501} and blas[0]() == 2
 
 
 #: T1 and T2 at n = 64 and 128, T3, T4 and T5 up to n = 128: every call

@@ -257,9 +257,7 @@ class TestDumpFormat:
         buf.seek(0)
         header = buf.readline().split()
         assert header == ["5", "5"]
-        buf.seek(0)
-        back = structmat.load_matrix(buf)
-        assert np.array_equal(back.data, M.data)
+        assert np.array_equal(loaded(buf.getvalue()), M.data)
 
 
 def reference_dump(M) -> str:
@@ -269,6 +267,13 @@ def reference_dump(M) -> str:
     for z in M.data.ravel(order="C"):
         fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
     return fh.getvalue()
+
+
+def loaded(text: str) -> np.ndarray:
+    """The entries of a `dump_matrix` text, read back with numpy."""
+    rows, cols = map(int, text.split("\n", 1)[0].split())
+    pairs = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def dumped(M) -> str:
@@ -298,7 +303,7 @@ class TestDumpBytes:
         M = structmat.DenseMatrix(complex_from(AWKWARD, shape, sum(shape)))
         text = dumped(M)
         assert text == reference_dump(M)
-        back = structmat.load_matrix(io.StringIO(text))
+        back = structmat.DenseMatrix(loaded(text))
         assert back.data.shape == shape
         assert np.array_equal(back.data, M.data)
         assert dumped(back) == text  # signed zeros survive the round trip
@@ -317,4 +322,4 @@ class TestDumpBytes:
                       knotgen.single_outlier(12, 1.5j)), 5)):
             text = dumped(M)
             assert text == reference_dump(M)
-            assert np.array_equal(structmat.load_matrix(io.StringIO(text)).data, M.data)
+            assert np.array_equal(loaded(text), M.data)
