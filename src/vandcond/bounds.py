@@ -686,14 +686,14 @@ def evaluators(s: KnotVector, f: complex) -> list:
     Each thunk returns its evaluator's report, or the refusal report when the
     evaluator raises VandcondError or ValueError; any other exception
     propagates.  ValueError unless |f| = 1, before any thunk exists.  Cluster
-    lines need knots inside the unit circle; quasi-cyclic lines need
-    `s.label == "quasi-cyclic"` and 3 | n.
+    lines need knots inside the circle, |s| < 1 - UNIT_F_TOL as everywhere in
+    the package; quasi-cyclic lines need `s.label == "quasi-cyclic"` and 3 | n.
     """
     check_unit_circle(f)
     out = [("easy", EASY, lambda: bound_easy(s)),
            ("refined-norm", REFINED_NORM, lambda: bound_refined_norm(s))]
     moduli = np.abs(s.as_array())
-    small = moduli[moduli < 1.0 - 1e-9]
+    small = moduli[moduli < 1.0 - UNIT_F_TOL]
     if small.size:
         # k knots inside, nu = 1/their largest modulus: inf for a knot at 0
         # or of subnormal modulus, which bound_cluster refuses.

@@ -98,7 +98,7 @@ class VandcondError(Exception):
 
 
 class DuplicateKnot(VandcondError):
-    """Two knots of one vector are closer than the distinctness tolerance."""
+    """Two knots of one vector fail `logdomain.check_distinct`: at most its tolerance apart."""
 
     def __init__(self, i: int, j: int, gap: float):
         self.i, self.j, self.gap = i, j, gap

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateKnot, as_array, as_complex, as_int, as_real
-from .logdomain import DISTINCT_TOL, closest_pair, screen_distinct
+from .errors import as_array, as_complex, as_int, as_real
+from .logdomain import check_distinct
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,16 +22,9 @@ class KnotVector:
     """Immutable ordered sequence of distinct complex knots.
 
     `knots` is a read-only complex128 copy of the points, a non-empty 1-d
-    array or sequence of numbers (`errors.as_array`) pairwise further apart
-    than DISTINCT_TOL.  `label` names the generator; knot files carry it in
-    their header.
-
-    Distinctness is screened first: `logdomain.screen_distinct` sorts the
-    real parts and measures only the pairs whose real parts lie within
-    2 DISTINCT_TOL, O(n log n).  When it finds no such pair the knots are
-    distinct and no n x n walk runs; otherwise `logdomain.closest_pair`
-    walks every pair and decides, so DuplicateKnot(i, j, gap) names the
-    first closest pair in row-major order, as the walk alone would.
+    array or sequence of numbers (`errors.as_array`) that pass
+    `logdomain.check_distinct`, or DuplicateKnot(i, j, gap).  `label` names
+    the generator; knot files carry it in their header.
     """
 
     knots: np.ndarray
@@ -39,10 +32,7 @@ class KnotVector:
 
     def __post_init__(self):
         arr = as_array("knots", self.knots, 1, copy=True)
-        if not screen_distinct(arr, DISTINCT_TOL):
-            gap, i, j = closest_pair(arr, arr, skip_self=True)
-            if gap <= DISTINCT_TOL:
-                raise DuplicateKnot(i, j, gap)
+        check_distinct(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "knots", arr)
 

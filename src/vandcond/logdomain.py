@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from .errors import KnotCollision
+from .errors import DuplicateKnot, KnotCollision
 
-#: Points at most this far apart collide, within one knot vector or between
-#: the row and column knots of a Cauchy or CV matrix: above double rounding
-#: noise, below any knot gap that the generators can produce.
+#: Points at most this far apart collide: above double rounding noise, below
+#: any knot gap that the generators can produce.  Read only by `check_distinct`
+#: (one knot vector), `check_disjoint` (a Cauchy or CV pair) and their screen.
 DISTINCT_TOL = 1e-13
 
 #: Entries per row block of a difference table: 256 KB of complex
@@ -221,24 +221,24 @@ def closest_pair(sp: np.ndarray, tp: np.ndarray, skip_self: bool = False):
 _SCREEN_PAIRS = 8
 
 
-def screen_distinct(sp: np.ndarray, tol: float) -> bool:
-    """True when no two points of sp lie within tol >= 0, found with no n x n walk.
+def screen_distinct(sp: np.ndarray) -> bool:
+    """True when no two points of sp lie within DISTINCT_TOL, found with no n x n walk.
 
-    Sorted by real part, a point's partners within 2 tol lie in the window
-    re_j <= re_i + 2 tol, which `searchsorted` finds.  A pair whose gap, as
-    `closest_pair` computes it, is at most tol has |fl(re_i - re_j)| <= tol:
-    numpy's |z| is never below |Re z|, and rounding is monotone, so the
-    rounded re_j cannot pass the rounded re_i + 2 tol.  The screen measures
-    |s_i - s_j| for the window pairs only, and any gap up to 2 tol, the
-    window's own width, answers False, so that no last-bit agreement with
+    Sorted by real part, a point's partners within w = 2 DISTINCT_TOL lie in
+    the window re_j <= re_i + w, which `searchsorted` finds.  A pair whose
+    gap, as `closest_pair` computes it, is at most DISTINCT_TOL has
+    |fl(re_i - re_j)| <= DISTINCT_TOL: numpy's |z| is never below |Re z|,
+    and rounding is monotone, so the rounded re_j cannot pass the rounded
+    re_i + w.  The screen measures |s_i - s_j| for the window pairs only, and
+    any gap up to w answers False, so that no last-bit agreement with
     `closest_pair` is needed.  False also when the windows hold more than
-    `_SCREEN_PAIRS` pairs per point (many equal real parts, or a wide tol):
-    then `closest_pair` must decide, at the cost of the full walk.
+    `_SCREEN_PAIRS` pairs per point (many equal real parts): then
+    `closest_pair` must decide, at the cost of the full walk.
     """
     n = len(sp)
     s = sp[np.argsort(sp.real)]
     with np.errstate(over="ignore"):
-        reach = np.searchsorted(s.real, s.real + 2.0 * tol, side="right")
+        reach = np.searchsorted(s.real, s.real + 2.0 * DISTINCT_TOL, side="right")
     span = reach - np.arange(1, n + 1)
     total = int(span.sum())
     if total > _SCREEN_PAIRS * n:
@@ -248,16 +248,25 @@ def screen_distinct(sp: np.ndarray, tol: float) -> bool:
     second = first + 1 + np.arange(total) - np.repeat(np.cumsum(span) - span, span)
     with np.errstate(over="ignore"):
         gap = np.abs(s[first] - s[second])
-    return not bool(np.any(gap <= 2.0 * tol))
+    return not bool(np.any(gap <= 2.0 * DISTINCT_TOL))
+
+
+def check_distinct(sp: np.ndarray) -> None:
+    """Raise DuplicateKnot at the `closest_pair` (i, j), i != j, if |s_i - s_j| <= DISTINCT_TOL."""
+    if screen_distinct(sp):
+        return
+    gap, i, j = closest_pair(sp, sp, skip_self=True)
+    if gap <= DISTINCT_TOL:
+        raise DuplicateKnot(i, j, gap)
 
 
 def check_disjoint(sp: np.ndarray, tp: np.ndarray) -> None:
     """Raise KnotCollision at the `closest_pair` (i, j) if |s_i - t_j| <= DISTINCT_TOL.
 
     Each Cauchy pair is checked once, before its walk: `screen_distinct` on
-    the union clears it, or else `closest_pair` walks every pair and decides.
+    the union clears it, or else `closest_pair` walks every s-t pair and decides.
     """
-    if screen_distinct(np.concatenate((sp, tp)), DISTINCT_TOL):
+    if screen_distinct(np.concatenate((sp, tp))):
         return
     gap, i, j = closest_pair(sp, tp)
     if gap <= DISTINCT_TOL:

@@ -1002,10 +1002,15 @@ class TestEvaluators:
         (lambda: knotgen.quasi_cyclic(47), HEAD + MIDDLE + ARC),
         (lambda: knotgen.scaled_cluster(96, 12, 0.5), HEAD + CLUSTER + MIDDLE + ARC),
         (lambda: knotgen.single_outlier(8, 0), HEAD + CLUSTER + MIDDLE + ARC),
+        # Inside the circle means |s| < 1 - structmat.UNIT_F_TOL = 1 - 1e-12.
+        (lambda: knotgen.single_outlier(16, (1 - 1e-10) * cmath.exp(-math.pi / 8 * 1j)),
+         HEAD + CLUSTER + MIDDLE + ARC),
+        (lambda: knotgen.single_outlier(16, (1 - 1e-13) * cmath.exp(-math.pi / 8 * 1j)),
+         HEAD + MIDDLE + ARC),
         # The staging lines follow the generator label, not the points.
         (lambda: kv(knotgen.quasi_cyclic(48).as_array()), HEAD + MIDDLE + ARC)],
         ids=["quasi-cyclic-48", "quasi-cyclic-47", "scaled-cluster-96", "outlier-at-0",
-             "custom-48"])
+             "inside-by-1e-10", "on-circle-by-1e-13", "custom-48"])
     def test_labels_and_ids(self, make, lines):
         listing = bounds.evaluators(make(), self.F)
         assert [(label, bound_id) for label, bound_id, _ in listing] == lines

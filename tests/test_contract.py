@@ -15,13 +15,15 @@ The array rule: every array parameter is a non-empty array or nested
 sequence of numbers with the dimensions it takes, every entry of finite
 modulus; a str, bytes, bool, other non-number, ragged nesting, scalar, dict,
 set or generator is refused with a ValueError naming it (`errors.as_array`).
-No public callable takes a tolerance: `logdomain.DISTINCT_TOL` is the one
-collision threshold.
+No callable of the package, public or private, takes a tolerance:
+`logdomain.DISTINCT_TOL` is the one collision threshold.
 """
 
 import cmath
+import importlib
 import inspect
 import math
+import pkgutil
 import re
 from fractions import Fraction
 
@@ -264,11 +266,29 @@ def test_numpy_scalars_pass_as_python_numbers():
     assert (type(params["n"]), type(params["q"])) == (int, int)
 
 
-def test_no_public_callable_takes_a_tolerance():
-    for name in vc.__all__:
-        obj = getattr(vc, name)
-        if inspect.isfunction(obj) or inspect.isclass(obj):
-            assert "tol" not in inspect.signature(obj).parameters, name
+def _package_callables():
+    """(where, callable) of every function, class and method a vandcond module defines."""
+    for info in pkgutil.iter_modules(vc.__path__):
+        mod = importlib.import_module(f"vandcond.{info.name}")
+        for obj in vars(mod).values():
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                yield f"{mod.__name__}.{obj.__name__}", obj
+            elif inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                yield f"{mod.__name__}.{obj.__name__}", obj
+                for fn in vars(obj).values():
+                    if inspect.isfunction(fn):
+                        yield f"{mod.__name__}.{fn.__qualname__}", fn
+
+
+def test_no_package_callable_takes_a_tolerance():
+    # Private ones included: a threshold passed in is a second collision rule.
+    for where, obj in _package_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # an exception class on BaseException's (*args)
+            assert issubclass(obj, BaseException), where
+            continue
+        assert "tol" not in params, where
 
 
 #: (callable, parameter) -> (the name its message gives, the call with that

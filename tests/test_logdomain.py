@@ -12,9 +12,8 @@ import pytest
 
 from vandcond import bounds, cauchyinv, knotgen, logdomain, spectral, structmat
 from vandcond.errors import DuplicateKnot, KnotCollision
-from vandcond.logdomain import (DISTINCT_TOL, check_disjoint, closest_pair, log_magnitudes,
-                                log_products, pow_diff_logs, screen_distinct,
-                                self_derivative_logs, wrap_phase)
+from vandcond.logdomain import (DISTINCT_TOL, check_disjoint, check_distinct, log_magnitudes,
+                                log_products, pow_diff_logs, self_derivative_logs, wrap_phase)
 
 EPS = float(np.finfo(np.float64).eps)
 PACKAGE = pathlib.Path(logdomain.__file__).parent
@@ -175,7 +174,7 @@ class TestWrapPhase:
         assert np.array_equal(t, expect.T)
 
 
-def check_distinct_reference(points, tol):
+def check_distinct_reference(points):
     """The n x n distinctness table the blocked scan replaced: (i, j, gap) or None.
 
     Taken one row at a time, so that 4097 knots need no 268 MB table; the
@@ -192,32 +191,27 @@ def check_distinct_reference(points, tol):
             if row[j] < best[0]:
                 best = (float(row[j]), i, j)
     gap, i, j = best
-    return None if gap > tol else (i, j, gap)
+    return None if gap > DISTINCT_TOL else (i, j, gap)
 
 
-def distinctness_agrees(points, tol):
-    """(i, j, gap) of the first closest pair within tol, or None; must equal the reference.
+def distinctness_agrees(points):
+    """(i, j, gap) of the DuplicateKnot raised, or None; must equal the reference.
 
-    Runs KnotVector's rule at width tol: `screen_distinct`, then
-    `closest_pair` when the screen meets a gap within 2 tol.  At
-    DISTINCT_TOL, KnotVector itself must raise that DuplicateKnot, or none.
+    `check_distinct` runs `screen_distinct`, then `closest_pair` when the
+    screen meets a gap within 2 DISTINCT_TOL; KnotVector must raise the
+    same DuplicateKnot, or none.
     """
-    want = check_distinct_reference(points, tol)
-    arr = np.asarray(points, dtype=np.complex128)
-    got = None
-    if not screen_distinct(arr, tol):
-        gap, i, j = closest_pair(arr, arr, skip_self=True)
-        if gap <= tol:
-            got = i, j, gap
-    assert got == want
-    if tol == DISTINCT_TOL:
+    want = check_distinct_reference(points)
+    got = []
+    for check in (lambda: check_distinct(np.asarray(points, dtype=np.complex128)),
+                  lambda: knotgen.KnotVector(points)):
         try:
-            knotgen.KnotVector(points)
-            built = None
+            check()
+            got.append(None)
         except DuplicateKnot as err:
-            built = err.i, err.j, err.gap
-        assert built == got
-    return got
+            got.append((err.i, err.j, err.gap))
+    assert got == [want, want]
+    return want
 
 
 class TestBlockedKernels:
@@ -290,28 +284,33 @@ class TestBlockedKernels:
     def test_distinctness_exact_duplicates(self, tiny_blocks):
         p = self.points(23, 1)
         p[17], p[20] = p[4], p[9]
-        assert distinctness_agrees(p, 1e-13) == (4, 17, 0.0)
+        assert distinctness_agrees(p) == (4, 17, 0.0)
 
     def test_distinctness_near_duplicates(self, tiny_blocks):
         p = self.points(30, 2)
         p[25] = p[3] + 3e-14
         p[11] = p[28] - 2e-14j
-        assert distinctness_agrees(p, 1e-13)[:2] == (11, 28)
+        assert distinctness_agrees(p)[:2] == (11, 28)
+        # The same points scaled so that DISTINCT_TOL stands where each
+        # tolerance stood against them.
         for tol in (1e-15, 2.5e-14, 0.05, 0.5):
-            distinctness_agrees(p, tol)
+            distinctness_agrees(p * (DISTINCT_TOL / tol))
 
     def test_distinctness_tied_pairs_in_different_blocks(self, tiny_blocks):
-        p = np.array([0, 3, 10, 11, 20, 21, 30, 40], dtype=complex)
-        assert distinctness_agrees(p, 1.0) == (2, 3, 1.0)
+        # Two gaps of exactly DISTINCT_TOL: the real parts 0 and DISTINCT_TOL
+        # differ by it exactly, at any imaginary part.
+        p = np.array([7, 3, 0, 0, 10, 10, 20, 40]) * 1j
+        p[[3, 5]] += DISTINCT_TOL
+        assert distinctness_agrees(p) == (2, 3, DISTINCT_TOL)
 
     def test_distinctness_raises_at_gap_equal_to_tol(self, tiny_blocks):
-        assert distinctness_agrees([0, 0.5], 0.5) == (0, 1, 0.5)
-        assert distinctness_agrees([0, 0.5], 0.4999) is None
+        assert distinctness_agrees([0, DISTINCT_TOL]) == (0, 1, DISTINCT_TOL)
+        assert distinctness_agrees([0, DISTINCT_TOL * (0.5 / 0.4999)]) is None
 
     def test_distinctness_one_and_two_knots(self, tiny_blocks):
-        assert distinctness_agrees([2j], 1e-13) is None
-        assert distinctness_agrees([1, 1 + 1e-16], 1e-13) == (0, 1, 0.0)
-        assert distinctness_agrees([1, -1], 1e-13) is None
+        assert distinctness_agrees([2j]) is None
+        assert distinctness_agrees([1, 1 + 1e-16]) == (0, 1, 0.0)
+        assert distinctness_agrees([1, -1]) is None
 
 
 class TestLogWalk:
@@ -402,9 +401,10 @@ class TestLogWalk:
 
 
 class TestDistinctnessScreen:
-    """KnotVector screens pairs by sorted real parts; `closest_pair` decides
-    whenever the screen meets a gap within twice the tolerance.  The screen
-    takes the window width as an argument, so it runs here at several."""
+    """`check_distinct` screens pairs by sorted real parts; `closest_pair`
+    decides whenever the screen meets a gap within 2 DISTINCT_TOL.  The
+    screen runs at DISTINCT_TOL only, so other widths are tried here by
+    building the points at that scale."""
 
     def points(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -413,56 +413,65 @@ class TestDistinctnessScreen:
     @pytest.fixture
     def walks(self, monkeypatch):
         calls = []
+        walk = logdomain.closest_pair
 
         def counted(*args, **kwargs):
             calls.append(len(args[0]))
-            return logdomain.closest_pair(*args, **kwargs)
+            return walk(*args, **kwargs)
 
-        monkeypatch.setattr(knotgen, "closest_pair", counted)
+        monkeypatch.setattr(logdomain, "closest_pair", counted)
         return calls
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_gaps_a_hair_either_side_of_tol(self, sign):
+    def test_gaps_a_hair_either_side_of_tol(self, sign, walks):
         p = self.points(40, 3)
-        p[7], p[31] = 0.0, 1e-13 * (1 + sign * 1e-12)
-        assert (distinctness_agrees(p, 1e-13) is None) == (sign > 0)
-        q = 2.0 * np.arange(40) + 0j  # further apart than 2 * 0.5
-        q[31] = q[7] + 0.5 * (1 + sign * 1e-12)
-        assert (distinctness_agrees(q, 0.5) is None) == (sign > 0)
+        p[7], p[31] = 0.0, DISTINCT_TOL * (1 + sign * 1e-12)
+        assert (distinctness_agrees(p) is None) == (sign > 0)
+        q = 8 * DISTINCT_TOL * np.arange(40) + 0j  # further apart than the window
+        q[31] = q[7] + DISTINCT_TOL * (1 + sign * 1e-12)
+        assert (distinctness_agrees(q) is None) == (sign > 0)
+        # At the window's edge, 2 DISTINCT_TOL, the screen clears the pair
+        # just outside and leaves the one just inside to the walk.
+        q[31] = q[7] + 2 * DISTINCT_TOL * (1 + sign * 1e-12)
+        walks.clear()
+        assert distinctness_agrees(q) is None
+        assert walks == ([] if sign > 0 else [40, 40])
 
     def test_near_duplicate_after_4096_knots(self):
         s = knotgen.van_der_corput(4096).as_array()
         p = np.append(s, s[17] + 5e-14)
-        i, j, gap = distinctness_agrees(p, 1e-13)
+        i, j, gap = distinctness_agrees(p)
         assert (i, j) == (17, 4096) and gap < 1e-13
 
     def test_conjugate_pairs_share_real_parts(self):
         rng = np.random.default_rng(5)
         z = np.exp(1j * rng.uniform(0.01, math.pi - 0.01, 500))
         p = np.concatenate((z, z.conj()))
-        assert distinctness_agrees(p, 1e-13) is None
+        assert distinctness_agrees(p) is None
         p[900] = p[400] - 4e-14j
-        assert distinctness_agrees(p, 1e-13)[:2] == (400, 900)
+        assert distinctness_agrees(p)[:2] == (400, 900)
 
     def test_vertical_line_goes_to_the_walk(self, walks):
         p = 0.25 + 1e-3j * np.arange(300)
-        assert distinctness_agrees(p, 1e-13) is None
-        assert walks == [300]
+        assert distinctness_agrees(p) is None
+        assert walks == [300, 300]  # check_distinct's, then KnotVector's
         p[200] = p[100] + 1e-14j
-        assert distinctness_agrees(p, 1e-13) == (100, 200, abs(complex(p[100] - p[200])))
+        assert distinctness_agrees(p) == (100, 200, abs(complex(p[100] - p[200])))
 
     @pytest.mark.parametrize("tol", [0.5, 1.0])
     def test_wide_tolerances(self, tol):
+        # Standard normal points against tol, scaled so DISTINCT_TOL stands in.
+        scale = DISTINCT_TOL / tol
         for seed in range(4):
-            distinctness_agrees(self.points(60, seed), tol)
-        distinctness_agrees(4.0 * self.points(60, 9), tol)
+            distinctness_agrees(scale * self.points(60, seed))
+        distinctness_agrees(scale * 4.0 * self.points(60, 9))
 
     def test_real_parts_near_the_float_limit(self):
         top = 1.7e308
         p = np.array([top, -top, top - 2.0 ** 971, 0.5, top + 1e300j])
-        assert distinctness_agrees(p, 1e-13) is None
+        assert distinctness_agrees(p) is None
         p = np.append(p, top + 5e-14j)
-        assert distinctness_agrees(p, 1e-13)[:2] == (0, 5)
+        assert distinctness_agrees(p)[:2] == (0, 5)
 
     def test_no_walk_for_4096_distinct_knots(self, walks):
         knotgen.van_der_corput(4096)
@@ -499,7 +508,7 @@ def disjointness_agrees(sp, tp):
     The sorted screen must leave the answer to the walk.
     """
     sp, tp = np.asarray(sp, dtype=np.complex128), np.asarray(tp, dtype=np.complex128)
-    assert not logdomain.screen_distinct(np.concatenate((sp, tp)), logdomain.DISTINCT_TOL)
+    assert not logdomain.screen_distinct(np.concatenate((sp, tp)))
     want = disjoint_reference(sp, tp)
     try:
         check_disjoint(sp, tp)
@@ -639,8 +648,12 @@ class TestBlockSizeInvariance:
 class TestOneCollisionThreshold:
     """Knot distinctness and row/column collisions share one constant."""
 
-    def test_knotgen_uses_the_logdomain_constant(self):
-        assert knotgen.DISTINCT_TOL is logdomain.DISTINCT_TOL == 1e-13
+    def test_only_logdomain_holds_the_constant(self):
+        assert logdomain.DISTINCT_TOL == 1e-13
+        assert not hasattr(knotgen, "DISTINCT_TOL")
+        for path in PACKAGE.glob("*.py"):
+            if path.name != "logdomain.py":
+                assert "DISTINCT_TOL" not in path.read_text(encoding="utf-8"), path.name
 
     @pytest.mark.parametrize("gap, collides", [(0.0, True), (5e-14, True),
                                                (1e-13, True), (2e-13, False)])
