@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConvergenceFailure, RangeOverflow, ZeroPivot, as_array, as_int
 from .knotgen import KnotVector, unit_roots
 from .logdomain import log_magnitudes
-from .structmat import DenseMatrix, check_vandermonde_range, vandermonde_array
+from .structmat import DenseMatrix, check_vandermonde_range, power_bands, vandermonde_array
 
 #: Pivots at or below this magnitude signal a structurally singular block
 #: rather than mere ill-conditioning.
@@ -539,9 +539,11 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     integer is refused with ValueError (`errors.as_int`).
     All trials share one blocked LU factor (see `_genp_factor`) and are
     solved together as the columns of one n x trials right-hand side.  The
-    DFT matrix is built straight into the buffer that is factored, and built
-    again for the residual once the factor is freed, so the run holds one
-    n x n array at a time.
+    DFT matrix is built straight into the buffer that is factored, its one
+    n x n array.  The residual is taken against that rounded matrix: once
+    the factor is freed, A x is formed 2 * GENP_BLOCK rows of A at a time,
+    each band of rows built from `structmat.power_bands` of its knots, with
+    the bits of `vandermonde_array` and of one whole product A @ X.
 
     Below n = `ONE_BLAS_THREAD_BELOW` the run is on one BLAS thread, and
     results are bit-reproducible for a fixed (n, trials, seed) whatever the
@@ -555,18 +557,29 @@ def genp_residual_experiment(n: int, trials: int, seed: int) -> GenpStats:
     """
     n, trials = as_int("n", n, 2), as_int("trials", trials, 1)
     seed = as_int("seed", seed, 0)
+    pts = unit_roots(n)
     with _blas_threads(n):
-        LU, min_pivot = _genp_factor(vandermonde_array(unit_roots(n)))
+        LU, min_pivot = _genp_factor(vandermonde_array(pts))
+        # max|U| one block row at a time: np.triu of the whole factor would copy it.
+        u_max = max(float(np.abs(np.triu(LU[k:k + GENP_BLOCK, k:])).max())
+                    for k in range(0, n, GENP_BLOCK))
         rng = np.random.Generator(np.random.Philox(seed))
         B = rng.standard_normal((trials, n)).T.astype(np.complex128, order="C")
         X = _genp_solve_packed(LU, B)
-        bands = range(0, n, GENP_BLOCK)
-        # max|U| one block row at a time: np.triu of the whole factor would copy it.
-        u_max = max(float(np.abs(np.triu(LU[k:k + GENP_BLOCK, k:])).max()) for k in bands)
-        del LU  # the residual's A takes the factor's place
-        A = vandermonde_array(unit_roots(n))
-        rns = np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+        del LU
+        # The last band of rows ends at row n, overlapping the one before it,
+        # so that no product has one row: numpy takes its vector path there.
+        R = np.empty_like(B)
+        rows = np.empty((min(n, 2 * GENP_BLOCK), n), dtype=np.complex128)
+        a_max = 0.0
+        for r0 in range(0, n, len(rows)):
+            r0 = min(r0, n - len(rows))
+            for lo, band in power_bands(pts[r0:r0 + len(rows)], n):
+                rows[:, lo:lo + len(band)] = band.T
+                a_max = max(a_max, float(np.abs(band).max()))
+            np.matmul(rows, X, out=R[r0:r0 + len(rows)])
+        R -= B
+        rns = np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)
     mean = float(rns.mean())
     std = float(rns.std(ddof=1)) if trials > 1 else 0.0
-    growth = u_max / max(float(np.abs(A[k:k + GENP_BLOCK]).max()) for k in bands)
-    return GenpStats(n, trials, seed, mean, std, min_pivot, growth)
+    return GenpStats(n, trials, seed, mean, std, min_pivot, u_max / a_max)

@@ -56,25 +56,39 @@ def check_vandermonde_range(s: KnotVector) -> None:
         raise RangeOverflow((n - 1) * np.log10(s_plus), where="vandermonde")
 
 
+def power_bands(pts: np.ndarray, cols: int):
+    """Yield (lo, band) for lo = 0, 64, 128, ... below `cols`, with
+    band[k] = pts**(lo + k) by repeated multiplication, k < min(64, cols - lo).
+
+    Each band's rows are written contiguously, one power at a time, into one
+    buffer that the next band overwrites.  Entry k of row i is the
+    product of pts[i] and entry k - 1 alone, so the bits of a point's powers
+    do not depend on which other points share the call:
+    `spectral.genp_residual_experiment` builds rows of the Vandermonde
+    matrix from slices of its knots, the same bits as `vandermonde_array`.
+    """
+    band = np.ones((min(cols, 64), len(pts)), dtype=np.complex128)
+    for lo in range(0, cols, len(band)):
+        if lo:
+            np.multiply(band[-1], pts, out=band[0])
+        rows = band[:cols - lo]
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(prev, pts, out=row)
+        yield lo, rows
+
+
 def vandermonde_array(pts: np.ndarray) -> np.ndarray:
     """A fresh writable n x n array with entry (i, j) = pts[i]**j, powers by
     repeated multiplication.
 
-    Powers lo.. fill the rows of a 64-row band (contiguous writes), and
-    each band is copied into its columns: the same products as a
-    column-by-column fill, bit for bit, with no second n x n array.  No
+    Each band of `power_bands` is copied into its columns: the same products
+    as a column-by-column fill, bit for bit, with no second n x n array.  No
     range or finiteness check is made; `vandermonde` adds both.
     """
     n = len(pts)
     V = np.empty((n, n), dtype=np.complex128)
-    band = np.ones((min(n, 64), n), dtype=np.complex128)
-    for lo in range(0, n, len(band)):
-        if lo:
-            np.multiply(band[-1], pts, out=band[0])
-        rows = band[:n - lo]
-        for k in range(1, len(rows)):
-            np.multiply(rows[k - 1], pts, out=rows[k])
-        V[:, lo:lo + len(rows)] = rows.T
+    for lo, band in power_bands(pts, n):
+        V[:, lo:lo + len(band)] = band.T
     return V
 
 

@@ -524,7 +524,7 @@ class TestGenpExperiment:
         assert stats.std_rn == 0.0
 
     def test_diagnostics(self):
-        for n in (16, 100):
+        for n in (16, 100, 200):
             stats = spectral.genp_residual_experiment(n, 4, 3)
             a = structmat.dft(n).data
             LU, min_pivot = spectral._genp_factor(np.array(a))
@@ -533,20 +533,28 @@ class TestGenpExperiment:
             assert stats.growth >= 1.0
 
     def test_memory_one_matrix(self):
-        # The factored DFT matrix (16 MiB at n = 1024), then A rebuilt in its
-        # place for the residual; never both, nor a full-size temporary.
+        # One n x n matrix, the factored DFT matrix (16 MiB at n = 1024),
+        # plus scratch of at most 2 n (GENP_BLOCK + trials) complex entries.
+        # The factor's scratch is its L21 copy and one Schur panel product,
+        # 5 n GENP_BLOCK entries; the solve's is B, X and B's real normals,
+        # 2.5 n trials; the residual's bands of rows of A, 2 n GENP_BLOCK,
+        # come after the factor is freed.  A second n x n array breaks it.
+        n, trials = 1024, 100
         tracemalloc.start()
         try:
-            spectral.genp_residual_experiment(1024, 100, 12345)
+            spectral.genp_residual_experiment(n, trials, 12345)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 16 * (n * n + 2 * n * (spectral.GENP_BLOCK + trials))
 
-    @pytest.mark.parametrize("n, trials", [(16, 1), (100, 1), (16, 4), (100, 3)])
+    @pytest.mark.parametrize("n, trials", [(16, 1), (100, 1), (16, 4), (100, 3),
+                                           (65, 2), (129, 2), (200, 3)])
     def test_trial_t_reads_row_t_of_one_stream(self, n, trials):
         # Trial t solves with normals t*n .. (t+1)*n - 1 of Philox(seed), all
-        # trials as the columns of one right-hand side.
+        # trials as the columns of one right-hand side.  From n = 65 on, the
+        # residual's rows of A span more than one band of powers, and from
+        # n = 129 on more than one band of rows, the last one overlapping.
         seed = 11
         normals = np.random.Generator(np.random.Philox(seed)).standard_normal(trials * n)
         B = np.ascontiguousarray(normals.reshape(trials, n).T)

@@ -40,6 +40,20 @@ class TestVandermonde:
         assert V.flags.c_contiguous
         assert V.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n, lo, hi", [(2, 0, 1), (65, 64, 65), (130, 3, 67), (200, 72, 200)])
+    def test_power_bands_of_a_slice_give_its_rows(self, n, lo, hi):
+        # The GENP residual builds rows lo..hi of A from the bands of those
+        # knots alone; they must be the bits of the whole matrix's rows.
+        pts = knotgen.scaled_cluster(n, max(1, n // 8), 0.5).as_array()
+        rows = np.empty((hi - lo, n), dtype=complex)
+        starts = []
+        for j, band in structmat.power_bands(pts[lo:hi], n):
+            assert band.shape == (min(64, n - j), hi - lo)
+            rows[:, j:j + len(band)] = band.T
+            starts.append(j)
+        assert starts == list(range(0, n, 64))
+        assert rows.tobytes() == structmat.vandermonde_array(pts)[lo:hi].tobytes()
+
     def test_overflow(self):
         pts = 1e5 * knotgen.roots_of_unity(80).as_array()
         with pytest.raises(RangeOverflow):
