@@ -61,8 +61,8 @@ def power_bands(pts: np.ndarray, cols: int):
     band[k] = pts**(lo + k) by repeated multiplication, k < min(64, cols - lo).
 
     Each band's rows are written contiguously, one power at a time, into one
-    buffer that the next band overwrites.  Entry k of row i is the
-    product of pts[i] and entry k - 1 alone, so the bits of a point's powers
+    buffer that the next band overwrites.  Entry i of a power is pts[i]
+    times entry i of the power before it, so the bits of a point's powers
     do not depend on which other points share the call:
     `spectral.genp_residual_experiment` builds rows of the Vandermonde
     matrix from slices of its knots, the same bits as `vandermonde_array`.
