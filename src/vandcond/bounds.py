@@ -22,7 +22,7 @@ from .cauchyinv import InverseVariant, cv_column_peaks
 from .errors import (KnotCollision, NoPositiveBound, NotEnoughSmallKnots, UnitRadius,
                      VacuousCertificate, VandcondError, as_complex, as_int, as_real, as_sequence)
 from .knotgen import KnotVector
-from .logdomain import block_rows, diff_blocks, pow_diff_logs, self_derivative_logs
+from .logdomain import block_rows, diff_blocks, self_derivative_logs
 from .spectral import max_abs_on_circle, root_logs, singular_values, top_singular_value
 from .structmat import UNIT_F_TOL, check_unit_circle, cv_knots, vandermonde
 
@@ -173,7 +173,9 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
     s_plus = s.max_modulus()
     if abs(s_plus - 1.0) < UNIT_F_TOL:
         raise UnitRadius("largest knot modulus is 1; geometric sum degenerates")
-    log_num = float(pow_diff_logs(np.array([s_plus]), 1.0, n)[0][0])
+    x = n * math.log(s_plus) if s_plus > 0.0 else -math.inf  # expm1 keeps s_+^n - 1's digits
+    log_num = (n * math.log10(s_plus) + math.log10(-math.expm1(-x)) if s_plus > 1.0
+               else math.log10(-math.expm1(x)))
     value = log_num - math.log10(abs(s_plus - 1.0)) - 0.5 * math.log10(n)
     return BoundReport(REFINED_NORM, value, None,
                        {"n": n, "s_plus": s_plus,
@@ -182,9 +184,9 @@ def bound_refined_norm(s: KnotVector) -> BoundReport:
 
 @functools.lru_cache(maxsize=1)
 def _cv_peaks(s: KnotVector, f: complex, f_repr: str):
-    """(f, nudged, log10|s_j^n - f^n|, paper peaks, corrected peaks) for `bound_cv`.
+    """(f, nudged, paper peaks, corrected peaks, log10|s_j^n - f^n|) for `bound_cv`.
 
-    The peaks are `cauchyinv.cv_column_peaks` on the grid `cv_knots(n, f)`;
+    All are `cauchyinv.cv_column_peaks` on the grid `cv_knots(n, f)`;
     on a grid collision f turns once by (3 - sqrt 5)/2 of a grid step and
     the walk runs again.  Cached for the last call only, so the two
     cv-inverse lines of a knot set share one walk and no more than O(n)
@@ -202,7 +204,7 @@ def _cv_peaks(s: KnotVector, f: complex, f_repr: str):
         f *= complex(math.cos(step), math.sin(step))
         nudged = True
         peaks = cv_column_peaks(sp, _cv_grid(n, f))
-    return f, nudged, pow_diff_logs(sp, f, n)[0], *peaks
+    return f, nudged, *peaks
 
 
 def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
@@ -223,10 +225,18 @@ def bound_cv(s: KnotVector, f: complex, variant: InverseVariant) -> BoundReport:
     afterwards, log10|s_j^n - f^n| (over s'(s_j) if corrected), gives the
     largest table entry bit for bit.  The corrected line also pays for its
     own n x n walk over s_i - s_k, for s'(s_j); the paper line needs none.
+
+    D = diag(s_j^n - f^n) is the walk's column sums over the grid as stored,
+    the column term of Cinv.  The step C = D^-1 V T holds on the exact grid,
+    whose D differs by a relative eps sum_i |t_i| / |s_j - t_i|: about
+    eps (1e13 + n (1 + ln n)) < 0.01 for grid points 2 sin(pi/n) apart and
+    over `check_disjoint`'s 1e-13 from each s_j.  The step gives
+    kappa >= n ||Cinv|| / max|D| (T's singular values are sqrt(n), ||V|| >= sqrt(n));
+    the bound's sqrt(n) leaves 0.5 log10 n decades for that, n >= 2 (n = 1: t_0 = f).
     """
     variant = InverseVariant(variant)
     f = as_complex("f", f)
-    f, nudged, pow_mag, paper, corrected = _cv_peaks(s, f, repr(f))
+    f, nudged, paper, corrected, pow_mag = _cv_peaks(s, f, repr(f))
     n = len(s)
     if variant is InverseVariant.CORRECTED:
         peaks, col = corrected, pow_mag - self_derivative_logs(s.as_array(), phase=False)[0]

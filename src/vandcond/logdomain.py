@@ -27,7 +27,8 @@ DISTINCT_TOL = 1e-13
 #: in a warm process, come from freed heap memory.  Blocks of 2^18 entries
 #: (6 MB) missed L2 and page-faulted up to about 2,400 times per walk at
 #: n = 1536; 2^13 and smaller lost to per-block overhead.  No row's sum,
-#: minimum or count crosses a block, so results do not depend on this size.
+#: minimum or count crosses a block, and column sums run through
+#: `add_column_sums`, so results do not depend on this size.
 CHUNK = 1 << 14
 
 _TWO_PI = 2.0 * math.pi
@@ -58,17 +59,11 @@ def diff_blocks(xs: np.ndarray, knots: np.ndarray):
         yield lo, xs[lo:lo + rows, None] - knots[None, :]
 
 
-def log_products(xs: np.ndarray, knots: np.ndarray):
-    """log10 magnitude and raw phase of prod_k (x - knots[k]) for each x.
-
-    Exact hits produce -inf magnitudes.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
-    return _log_sums(xs, np.asarray(knots, dtype=np.complex128))
-
-
 def log_magnitudes(xs: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """The `log_products` magnitudes alone, bit for bit, with no phase work."""
+    """log10 magnitude of prod_k (x - knots[k]) for each x, with no phase work.
+
+    Exact hits produce -inf.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.complex128))
     return _log_sums(xs, np.asarray(knots, dtype=np.complex128), phase=False)[0]
 
@@ -94,6 +89,17 @@ def retake_halved(d: np.ndarray, redo: np.ndarray, xs: np.ndarray, knots: np.nda
     i, j = np.nonzero(redo)
     d[i, j] = 0.5 * xs[i] - 0.5 * knots[j]
     return i, j
+
+
+def add_column_sums(acc: np.ndarray, block: np.ndarray) -> None:
+    """acc += column sums of a C-ordered block, one running sum per column at any block size.
+
+    numpy sums axis 0 row after row, so acc joins the first row for the sum.
+    """
+    first = block[0].copy()
+    block[0] += acc
+    np.sum(block, axis=0, out=acc)
+    block[0] = first
 
 
 def log_blocks(xs: np.ndarray, knots: np.ndarray, skip_self: bool = False):
@@ -131,64 +137,6 @@ def _log_sums(xs: np.ndarray, knots: np.ndarray, skip_self=False, phase=True):
         mag[lo:lo + len(d)] = rows
         if phase:
             ph[lo:lo + len(d)] = np.sum(np.angle(d), axis=1)
-    return mag, ph
-
-
-def _quotient(a, b):
-    """a / b for |a| <= |b|, without the overflow numpy's division meets near 1e308.
-
-    numpy divides through 1 / (br + bi (bi / br)), with br the larger part
-    of b, and that sum can overflow only once |b| reaches 2^1023.  Where it
-    does, both sides are first scaled by 1/4 with `np.ldexp`, exactly;
-    elsewhere the exponent is 0 and every quotient keeps numpy's bits.
-    """
-    b = np.asarray(b, dtype=np.complex128)
-    big = np.maximum(abs(b.real), abs(b.imag))
-    small = np.minimum(abs(b.real), abs(b.imag))
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.where(np.isinf(big + small * (small / big)), -2, 0)
-
-    def scaled(x):
-        out = np.empty(np.broadcast_shapes(np.shape(a), b.shape), dtype=np.complex128)
-        out.real = np.ldexp(np.real(x), e)
-        out.imag = np.ldexp(np.imag(x), e)
-        return out
-
-    return scaled(a) / scaled(b)
-
-
-def pow_diff_logs(z: np.ndarray, f: complex, n: int):
-    """log10 magnitude and phase of z**n - f**n, safe for |z| far from 1.
-
-    Where |z|**n or |f|**n exceeds 1e150 the difference is factored as
-    z**n (1 - (f/z)**n), or f**n ((z/f)**n - 1) when |f| dominates, so the
-    huge power never leaves the log domain.  An exact zero gives -inf.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    f = complex(f)
-    fl = math.log10(abs(f)) if f != 0 else -math.inf
-    mag = np.empty(len(z))
-    ph = np.empty(len(z))
-    with np.errstate(divide="ignore"):
-        zl = np.log10(np.abs(z))
-        direct = n * np.maximum(zl, fl) <= 150.0
-        top = ~direct & (zl >= fl)
-        low = ~direct & ~top
-        if direct.any():
-            # f**n is formed only here, where it is at most 1e150.
-            w = z[direct] ** n - f ** n
-            mag[direct] = np.log10(np.abs(w))
-            ph[direct] = np.where(w == 0, 0.0, np.angle(w))
-        # Each `_quotient` costs tens of microseconds even when empty, and
-        # on the unit circle both factored branches are.
-        if top.any():
-            rest = 1.0 - _quotient(f, z[top]) ** n
-            mag[top] = n * zl[top] + np.log10(np.abs(rest))
-            ph[top] = n * np.angle(z[top]) + np.angle(rest)
-        if low.any():
-            rest = _quotient(z[low], f) ** n - 1.0
-            mag[low] = n * fl + np.log10(np.abs(rest))
-            ph[low] = n * math.atan2(f.imag, f.real) + np.angle(rest)
     return mag, ph
 
 

@@ -157,6 +157,23 @@ class TestBoundRefinedNorm:
         with pytest.raises(UnitRadius):
             bounds.bound_refined_norm(knotgen.roots_of_unity(8))
 
+    @pytest.mark.parametrize("n", [2, 192, 1536])
+    @pytest.mark.parametrize("s_plus", [1 - 1e-9, 1 + 1e-9, 1 + 1e-6])
+    def test_near_one_matches_mpmath(self, s_plus, n):
+        # Where s_+^n and 1 share most of their digits, s_+^n - 1 comes from
+        # expm1; z**n - 1 missed the numerator by up to 2.2e-10 decades here.
+        knots = kv([s_plus] + list(0.5 * knotgen.roots_of_unity(n - 1).as_array()))
+        rep = bounds.bound_refined_norm(knots)
+        with mpmath.workdps(50):
+            s = mpmath.mpf(rep.params["s_plus"])
+            want = mpmath.log10(abs(s ** n - 1) / (abs(s - 1) * mpmath.sqrt(n)))
+        assert abs(rep.log10value - float(want)) <= 1e-14
+
+    def test_knot_at_the_origin(self):
+        # s_+ = 0: |0^n - 1| = 1 and |0 - 1| = 1 leave -log10 sqrt(n) alone.
+        rep = bounds.bound_refined_norm(kv([0.0]))
+        assert rep.log10value == 0.0
+
 
 class TestBoundCv:
     def test_corrected_consistent_with_unit_kappa(self):

@@ -11,7 +11,7 @@ import pytest
 from vandcond import bounds, cauchyinv, knotgen, logdomain, structmat
 from vandcond.cauchyinv import InverseVariant
 from vandcond.errors import KnotCollision, RangeOverflow
-from vandcond.logdomain import pow_diff_logs, self_derivative_logs, wrap_phase
+from vandcond.logdomain import self_derivative_logs, wrap_phase
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
@@ -30,43 +30,42 @@ def random_annulus_knots(rng, count, r_lo=0.5, r_hi=2.0, gap=0.05):
     return pts
 
 
-def reference_inverse_logs(sp, tp, variant, cv_f=None):
+def reference_inverse_logs(sp, tp, variant, cv=False):
     """The table-sum construction: one n x n table of t_i - s_j whose row
-    sums give s(t_i) and whose column sums plus n pi give t(s_j)."""
+    sums give s(t_i) and whose column sums plus n pi give t(s_j); the
+    paper form's (-1)^n cancels that n pi.  Row and column phases are
+    wrapped before the entries are formed.  `cv` takes t'(t_i) as
+    n t_i^(n-1)."""
     n = len(sp)
     d = tp[:, None] - sp[None, :]
     mag, ph = np.log10(np.abs(d)), np.angle(d)
     rows = mag.sum(axis=1), ph.sum(axis=1)
-    if cv_f is None:
-        cols = mag.sum(axis=0), ph.sum(axis=0) + math.pi * n
-    else:
-        cols = pow_diff_logs(sp, cv_f, n)
+    cols = mag.sum(axis=0), ph.sum(axis=0)
     if variant is CORRECTED:
-        if cv_f is None:
-            tder = self_derivative_logs(tp)
-        else:
+        if cv:
             tder = (math.log10(n) + (n - 1) * np.log10(np.abs(tp)),
                     (n - 1) * np.angle(tp))
+        else:
+            tder = self_derivative_logs(tp)
         sder = self_derivative_logs(sp)
         rows = rows[0] - tder[0], rows[1] - tder[1]
-        cols = cols[0] - sder[0], cols[1] - sder[1]
-    else:
-        rows = rows[0], rows[1] + math.pi * n
+        cols = cols[0] - sder[0], cols[1] + math.pi * n - sder[1]
+    rows, cols = (rows[0], wrap_phase(rows[1])), (cols[0], wrap_phase(cols[1]))
     mag = -mag + rows[0][:, None] + cols[0][None, :]
     ph = wrap_phase(-ph + rows[1][:, None] + cols[1][None, :])
     return (mag, ph) if variant is CORRECTED else (mag.T, ph.T)
 
 
-def reference_via_cv_dense(s, f, variant):
-    """V^{-1} with Omega^H applied as a dense n x n product."""
+def reference_via_cv_dense(s, f):
+    """V^{-1} with Omega^H applied as a dense n x n product and the right
+    diagonal 1/(s_i^n - f^n) formed directly."""
     sp = s.as_array()
     n = len(sp)
-    cinv = cauchyinv.cv_inverse(s, f, variant).data
+    cinv = cauchyinv.cv_inverse(s, f, CORRECTED).data
     omega = np.exp(2j * np.pi * np.arange(n) / n)
     omega_h = np.conj(np.power.outer(omega, np.arange(n)))
     left = (f ** (n - 1 - np.arange(n)))[:, None] * omega_h * np.conj(omega)[None, :]
-    mag, ph = pow_diff_logs(sp, f, n)
-    return (left @ cinv) * (10.0 ** (-mag) * np.exp(-1j * ph))[None, :]
+    return (left @ cinv) / (sp ** n - f ** n)[None, :]
 
 
 class TestInverseEntries:
@@ -150,17 +149,14 @@ class TestCauchyInverse:
         solved = np.linalg.solve(C, np.eye(6))
         assert np.max(np.abs(inv - solved)) <= 1e-8
 
-    def test_paper_variant_materializes(self):
-        s, t = kv([1, -1]), kv([1j, -1j])
-        inv = cauchyinv.cauchy_inverse(s, t, PAPER).data
-        assert abs(abs(inv[1, 0]) - 2 * math.sqrt(2)) < 1e-12
-
     def test_range_overflow(self):
-        n = 150
-        sp = 1000.0 * knotgen.roots_of_unity(n).as_array()
-        tp = 2000.0 * knotgen.roots_of_unity(n).as_array() * np.exp(0.19j)
+        # Rows 1e-5 from the origin against columns on the unit circle:
+        # the largest entry reaches 10^311.
+        n = 64
+        sp = 1e-5 * knotgen.roots_of_unity(n).as_array()
+        tp = knotgen.roots_of_unity(n).as_array() * np.exp(0.19j)
         with pytest.raises(RangeOverflow):
-            cauchyinv.cauchy_inverse(kv(list(sp)), kv(list(tp)), PAPER)
+            cauchyinv.cauchy_inverse(kv(list(sp)), kv(list(tp)), CORRECTED)
 
 
 class TestCvInverseEntry:
@@ -315,8 +311,9 @@ class TestLogEntryTables:
         dph = np.angle(dense * np.exp(-1j * ph))
         assert np.max(np.abs(dph)) <= 4 * eps * max(1.0, n * math.pi)
 
+    # The dense inverses are corrected-only.
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    @pytest.mark.parametrize("variant", [CORRECTED])
     def test_cv_dense_equals_table_cells(self, n, variant):
         s = knotgen.van_der_corput(n)
         f = cmath.exp(0.3j)
@@ -324,7 +321,7 @@ class TestLogEntryTables:
                                       *cauchyinv.cv_inverse_log_entries(s, f, variant))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    @pytest.mark.parametrize("variant", [CORRECTED])
     def test_cauchy_dense_equals_table_cells(self, n, variant):
         s = knotgen.van_der_corput(n)
         t = kv(list(0.5 * cmath.exp(0.05j) * s.as_array()))
@@ -343,23 +340,20 @@ class TestFactorForm:
         f = cmath.exp(0.3j)
         mag, ph = cauchyinv.cv_inverse_log_entries(s, f, variant)
         ref_mag, ref_ph = reference_inverse_logs(
-            s.as_array(), structmat.cv_knots(n, f), variant, f)
+            s.as_array(), structmat.cv_knots(n, f), variant, cv=True)
         assert np.array_equal(mag, ref_mag) and np.array_equal(ph, ref_ph)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
     def test_cauchy_tables_match_table_sums(self, n, variant):
-        # t(s_j) now comes from its own product, not from column sums plus
-        # n pi, so the last bits of the sums move.
+        # t(s_j) is the walk's own column sums plus n pi, so the tables
+        # keep the bits of the table-sum construction.
         s = knotgen.van_der_corput(n)
         for t in (2.0 * structmat.cv_knots(n, cmath.exp(0.3j)),
                   0.5 * cmath.exp(0.05j) * s.as_array()):
             mag, ph = cauchyinv.cauchy_inverse_log_entries(s, kv(list(t)), variant)
             ref_mag, ref_ph = reference_inverse_logs(s.as_array(), t, variant)
-            scale = max(1.0, float(np.max(np.abs(ref_mag))))
-            assert np.max(np.abs(mag - ref_mag)) <= 3e-14 * scale
-            dph = np.angle(np.exp(1j * (ph - ref_ph)))
-            assert np.max(np.abs(dph)) <= 3e-14 * n * math.pi
+            assert np.array_equal(mag, ref_mag) and np.array_equal(ph, ref_ph)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
@@ -423,13 +417,10 @@ class TestOneWalk:
         ("bound_cv", CORRECTED, 2),
         ("cv_inverse_log_entries", PAPER, 1),
         ("cv_inverse_log_entries", CORRECTED, 2),
-        ("cauchy_inverse_log_entries", PAPER, 2),
-        ("cauchy_inverse_log_entries", CORRECTED, 4),
-        ("cv_inverse", PAPER, 1),
+        ("cauchy_inverse_log_entries", PAPER, 1),
+        ("cauchy_inverse_log_entries", CORRECTED, 3),
         ("cv_inverse", CORRECTED, 2),
-        ("cauchy_inverse", PAPER, 2),
-        ("cauchy_inverse", CORRECTED, 4),
-        ("vandermonde_inverse_via_cv", PAPER, 1),
+        ("cauchy_inverse", CORRECTED, 3),
         ("vandermonde_inverse_via_cv", CORRECTED, 2),
         ("vandermonde_inverse_lagrange", None, 1),
         ("cauchy", None, 1),
@@ -474,7 +465,7 @@ class TestOneWalk:
                    lambda: cauchyinv.cv_column_peaks(s.as_array(), t.as_array()),
                "cauchy_inverse_log_entries":
                    lambda: cauchyinv.cauchy_inverse_log_entries(s, t, CORRECTED),
-               "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, PAPER),
+               "cauchy_inverse": lambda: cauchyinv.cauchy_inverse(s, t, CORRECTED),
                "cv_inverse": lambda: cauchyinv.cv_inverse(s, 1.0, CORRECTED),
                "vandermonde_inverse_via_cv":
                    lambda: cauchyinv.vandermonde_inverse_via_cv(s, 1.0, CORRECTED),
@@ -528,12 +519,12 @@ class TestOneWalk:
 
 class TestVandermondeInverses:
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    @pytest.mark.parametrize("variant", [CORRECTED])
     def test_via_cv_fft_matches_dense_product(self, n, variant):
         s = knotgen.van_der_corput(n)
         f = cmath.exp(0.3j)
         got = cauchyinv.vandermonde_inverse_via_cv(s, f, variant).data
-        ref = reference_via_cv_dense(s, f, variant)
+        ref = reference_via_cv_dense(s, f)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_via_cv_outlier_far_outside_the_circle(self):
@@ -548,7 +539,7 @@ class TestVandermondeInverses:
         got = cauchyinv.vandermonde_inverse_via_cv(s, cmath.exp(0.3j), CORRECTED).data
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("variant", [PAPER, CORRECTED])
+    @pytest.mark.parametrize("variant", [CORRECTED])
     def test_via_cv_refuses_f_off_the_circle(self, variant):
         # At f = 2 the transform cancels 2^(n-1-k): entries up to 456 came
         # out where the DFT knots' V^-1 has 1/64.
@@ -573,14 +564,6 @@ class TestVandermondeInverses:
         a = cauchyinv.vandermonde_inverse_via_cv(s, cmath.exp(0.3j), CORRECTED)
         b = cauchyinv.vandermonde_inverse_lagrange(s)
         assert np.max(np.abs(a.data - b.data)) <= 1e-7
-
-    def test_via_cv_paper_variant_misses_identity(self):
-        # Regression probe: the compact-form variant plumbs through the same
-        # route but does not invert the matrix.
-        s = knotgen.van_der_corput(8)
-        V = structmat.vandermonde(s).data
-        inv = cauchyinv.vandermonde_inverse_via_cv(s, cmath.exp(0.3j), PAPER).data
-        assert np.max(np.abs(V @ inv - np.eye(8))) > 1.0
 
     def test_factorization_on_random_circle_knots(self):
         rng = np.random.Generator(np.random.Philox(12))
@@ -637,6 +620,12 @@ class TestVandermondeInverses:
         assert norm2 >= np.max(np.abs(inv.data)) - 1e-12
 
 
+#: The dense inverses, each with the log-table function of the paper form.
+DENSE = {"cauchy_inverse": "cauchy_inverse_log_entries",
+         "cv_inverse": "cv_inverse_log_entries",
+         "via_cv": "cv_inverse_log_entries"}
+
+
 class TestVariantArgument:
     """A variant is an InverseVariant or its value string, decided once in
     the engine; anything else is refused, never read as the paper form."""
@@ -655,10 +644,18 @@ class TestVariantArgument:
         out = fn(self.S, second, variant)
         return out.data if isinstance(out, structmat.DenseMatrix) else out
 
-    @pytest.mark.parametrize("variant", list(InverseVariant))
-    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("call, variant",
+                             [(c, v) for c in CALLS for v in InverseVariant
+                              if not (c in DENSE and v is PAPER)])
     def test_value_string_is_the_member(self, call, variant):
         np.testing.assert_array_equal(self.run(call, variant.value), self.run(call, variant))
+
+    @pytest.mark.parametrize("variant", [PAPER, PAPER.value])
+    @pytest.mark.parametrize("call", list(DENSE))
+    def test_dense_inverses_refuse_paper(self, call, variant):
+        # The paper form is no inverse; its entries are read from the tables.
+        with pytest.raises(ValueError, match=rf"paper form .* {DENSE[call]}$"):
+            self.run(call, variant)
 
     @pytest.mark.parametrize("variant", ["bogus", "Corrected", "CORRECTED", None, 1])
     @pytest.mark.parametrize("call", list(CALLS))

@@ -13,35 +13,10 @@ import pytest
 from vandcond import bounds, cauchyinv, knotgen, logdomain, spectral, structmat
 from vandcond.errors import DuplicateKnot, KnotCollision
 from vandcond.logdomain import (DISTINCT_TOL, check_disjoint, check_distinct, log_magnitudes,
-                                log_products, pow_diff_logs, self_derivative_logs, wrap_phase)
+                                self_derivative_logs, wrap_phase)
 
 EPS = float(np.finfo(np.float64).eps)
 PACKAGE = pathlib.Path(logdomain.__file__).parent
-
-
-def pow_diff_logs_loop(z, f, n):
-    """Reference: the per-knot scalar loop the vectorized kernel replaced."""
-    z = np.asarray(z, dtype=np.complex128)
-    mag = np.empty(len(z))
-    ph = np.empty(len(z))
-    fl = np.log10(abs(f)) if f != 0 else -math.inf
-    for idx, zi in enumerate(z):
-        zl = np.log10(abs(zi)) if zi != 0 else -math.inf
-        if n * max(zl, fl) <= 150.0:
-            w = zi ** n - complex(f) ** n
-            if w == 0:
-                mag[idx], ph[idx] = -math.inf, 0.0
-            else:
-                mag[idx], ph[idx] = math.log10(abs(w)), math.atan2(w.imag, w.real)
-        elif zl >= fl:
-            rest = 1.0 - (complex(f) / zi) ** n
-            mag[idx] = n * zl + math.log10(abs(rest))
-            ph[idx] = n * math.atan2(zi.imag, zi.real) + math.atan2(rest.imag, rest.real)
-        else:
-            rest = (zi / complex(f)) ** n - 1.0
-            mag[idx] = n * fl + math.log10(abs(rest))
-            ph[idx] = n * math.atan2(f.imag, f.real) + math.atan2(rest.imag, rest.real)
-    return mag, ph
 
 
 def wrap_phase_scalar(p):
@@ -53,18 +28,19 @@ def wrap_phase_scalar(p):
 
 
 class TestLogRootProduct:
-    """`log_products` at one point x: prod_i (x - s_i) in the log domain."""
+    """prod_i (x - s_i) at one point x in the log domain: its magnitude from
+    `log_magnitudes`, its phase from `self_derivative_logs` of x and the s_i."""
 
     def test_roots_of_unity_at_zero(self):
-        mag, _ = log_products(0.0, knotgen.roots_of_unity(7).as_array())
+        mag = log_magnitudes(0.0, knotgen.roots_of_unity(7).as_array())
         assert abs(mag[0]) < 1e-12  # |0^7 - 1| = 1
 
     def test_roots_of_unity_at_two(self):
-        mag, ph = log_products(2.0, knotgen.roots_of_unity(4).as_array())
+        mag, ph = self_derivative_logs(np.append(2.0, knotgen.roots_of_unity(4).as_array()))
         assert abs(10 ** mag[0] * cmath.exp(1j * ph[0]) - 15.0) < 1e-12  # 2^4 - 1
 
     def test_exact_zero_at_knot(self):
-        mag, _ = log_products(2.0, np.array([1, 2, 3], dtype=complex))
+        mag = log_magnitudes(2.0, np.array([1, 2, 3], dtype=complex))
         assert mag[0] == -math.inf
 
     def test_quasi_cyclic_witness(self):
@@ -72,85 +48,10 @@ class TestLogRootProduct:
         q = 16
         s = knotgen.quasi_cyclic(3 * q)
         probe = -1j * cmath.exp(2j * cmath.pi / (4 * q))
-        mag, _ = log_products(probe, s.as_array())
+        mag = log_magnitudes(probe, s.as_array())
         direct = np.prod(probe - s.as_array())
         assert abs(mag[0] - math.log10(abs(direct))) < 1e-10
         assert 10 ** mag[0] >= 2 ** (q / 2 + 1) - 1e-9
-
-
-class TestPowDiffLogs:
-    def check_against_loop(self, z, f, n):
-        mag, ph = pow_diff_logs(z, f, n)
-        ref_mag, ref_ph = pow_diff_logs_loop(z, f, n)
-        zeros = ref_mag == -math.inf
-        assert np.array_equal(mag == -math.inf, zeros)
-        # Both sides round z**n and f**n (about n eps relative each); the
-        # difference loses the digits its cancellation removes.
-        with np.errstate(divide="ignore"):
-            scale = n * np.maximum(np.log10(np.abs(z)), math.log10(abs(f)))
-        tol = 64 * n * EPS * (1.0 + 10.0 ** np.clip(scale - ref_mag, 0, 300))
-        tol = np.maximum(tol, 64 * EPS * np.abs(ref_mag))
-        ok = ~zeros
-        assert np.all(np.abs(mag[ok] - ref_mag[ok]) <= tol[ok])
-        assert np.all(np.abs(wrap_phase(ph[ok] - ref_ph[ok])) <= tol[ok])
-        assert np.all(ph[zeros] == 0.0)
-
-    def test_direct_branch(self):
-        rng = np.random.default_rng(5)
-        z = np.exp(2j * np.pi * rng.random(64)) * rng.uniform(0.5, 1.0, 64)
-        self.check_against_loop(z, cmath.exp(0.3j), 96)
-
-    def test_large_z_branch(self):
-        # |z|**n beyond 1e150: factored through z**n.
-        rng = np.random.default_rng(6)
-        z = np.exp(2j * np.pi * rng.random(32)) * rng.uniform(1.5, 3.0, 32)
-        self.check_against_loop(z, cmath.exp(0.3j), 1536)
-
-    def test_dominant_f_branch(self):
-        # |f|**n beyond 1e150 and larger than every |z|**n, z = 0 included.
-        z = np.array([0.0, 0.5, 0.25j, 1.0, -1.2 + 0.1j])
-        self.check_against_loop(z, 1.5 * cmath.exp(0.3j), 1536)
-
-    def test_f_power_beyond_complex_range(self):
-        # |f|**n near 1e462 overflows a Python complex; no branch may form it.
-        z = np.array([0.0, 0.5, 1.0, 1.9j, 3.0 - 1.0j])
-        self.check_against_loop(z, 2.0 * cmath.exp(0.3j), 1536)
-        mag, _ = pow_diff_logs(np.array([1.0]), 1.6, 1536)
-        assert abs(mag[0] - 1536 * math.log10(1.6)) < 1e-9
-
-    def test_mixed_branches_in_one_call(self):
-        z = np.array([0.0, cmath.exp(0.1j), 2.0, 0.5j, 3.0 - 1.0j])
-        f = 1.3 * cmath.exp(-0.7j)
-        for n in (1, 7, 192, 768):
-            self.check_against_loop(z, f, n)
-
-    def test_zero_knot_direct(self):
-        mag, ph = pow_diff_logs(np.array([0.0]), cmath.exp(0.3j), 8)
-        assert abs(mag[0]) <= 4 * EPS  # |0 - f^8| = 1
-        assert abs(wrap_phase_scalar(ph[0] - (8 * 0.3 + math.pi))) <= 64 * EPS
-
-    @pytest.mark.parametrize("n", [1, 4, 192])
-    def test_modulus_near_the_float_limit(self, n):
-        # numpy's complex division by these overflowed ("overflow encountered
-        # in divide") in both factored branches.  The loop reference divides
-        # numpy scalars the same way, so mpmath is the oracle here.
-        big = complex(1e308, 1e308)
-        for z, f in (([0.0, 0.5j, cmath.exp(0.3j), 1e300], big),
-                     ([big, -big.conjugate()], cmath.exp(0.3j))):
-            mag, ph = pow_diff_logs(np.array(z), f, n)
-            with mpmath.workdps(40):
-                w = [mpmath.mpc(zi) ** n - mpmath.mpc(f) ** n for zi in z]
-                ref_mag = [float(mpmath.log10(abs(wi))) for wi in w]
-                ref_ph = [float(mpmath.arg(wi)) for wi in w]
-            assert np.allclose(mag, ref_mag, rtol=1e-14, atol=0)
-            assert np.all(np.abs(wrap_phase(ph - np.array(ref_ph))) <= 64 * n * EPS)
-
-    def test_exact_hit_is_minus_inf(self):
-        f = cmath.exp(0.3j)
-        mag, ph = pow_diff_logs(np.array([f, 2.0]), f, 16)
-        assert mag[0] == -math.inf and ph[0] == 0.0
-        assert np.isfinite(mag[1])
-        self.check_against_loop(np.array([f, 1.0, 0.0]), f, 16)
 
 
 class TestWrapPhase:
@@ -223,19 +124,14 @@ class TestBlockedKernels:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    def test_log_products_blocks_agree(self, tiny_blocks):
-        xs, knots = self.points(11, 1), self.points(5, 2)
-        mag, ph = log_products(xs, knots)
-        d = xs[:, None] - knots[None, :]
-        assert np.allclose(mag, np.sum(np.log10(np.abs(d)), axis=1), rtol=0, atol=1e-13)
-        assert np.allclose(ph, np.sum(np.angle(d), axis=1), rtol=0, atol=1e-13)
-
     def test_log_magnitudes_are_the_product_magnitudes(self, tiny_blocks):
         xs, knots = self.points(11, 1), self.points(5, 2)
-        xs[3] = knots[4]  # an exact hit gives -inf in both
+        xs[3] = knots[4]  # an exact hit gives -inf
         mag = log_magnitudes(xs, knots)
         assert mag[3] == -math.inf
-        assert np.array_equal(mag, log_products(xs, knots)[0])
+        with np.errstate(divide="ignore"):
+            rows = [np.sum(np.log10(np.abs(x - knots))) for x in xs]
+        assert np.array_equal(mag, rows)
         assert np.array_equal(log_magnitudes(xs[2], knots), mag[2:3])
 
     def test_self_derivative_blocks_agree(self, tiny_blocks):
@@ -259,13 +155,11 @@ class TestBlockedKernels:
             want = float(mpmath.log10(abs(prod)))  # up to 1542: a relative tolerance
             assert abs(mag[j] - want) <= 1e-14 * max(1.0, abs(want))
             assert abs(wrap_phase_scalar(ph[j] - float(mpmath.arg(prod)))) < 1e-13
-        mag2, ph2 = log_products(p[:3], p[3:])
-        assert np.array_equal(log_magnitudes(p[:3], p[3:]), mag2)
+        mag2 = log_magnitudes(p[:3], p[3:])
         for j in range(3):
             prod = mpmath.fprod(mp[j] - mp[k] for k in range(3, len(p)))
             want = float(mpmath.log10(abs(prod)))
             assert abs(mag2[j] - want) <= 1e-14 * max(1.0, abs(want))
-            assert abs(wrap_phase_scalar(ph2[j] - float(mpmath.arg(prod)))) < 1e-13
 
     def test_check_disjoint_reports_closest_pair(self, tiny_blocks):
         sp, tp = self.points(10, 4), self.points(6, 5)
@@ -322,12 +216,14 @@ class TestLogWalk:
         monkeypatch.setattr(logdomain, "CHUNK", 7)
 
     @staticmethod
-    def assert_matches(got, factors):
-        for mag, ph, row in zip(*got, factors):
+    def assert_matches(mags, phases, factors):
+        """mags (and phases, unless None) are those of each row's product."""
+        for k, row in enumerate(factors):
             prod = mpmath.fprod(row)
             want = float(mpmath.log10(abs(prod)))
-            assert abs(mag - want) <= 1e-14 * max(1.0, abs(want))
-            assert abs(wrap_phase_scalar(ph - float(mpmath.arg(prod)))) < 1e-13
+            assert abs(mags[k] - want) <= 1e-14 * max(1.0, abs(want))
+            if phases is not None:
+                assert abs(wrap_phase_scalar(phases[k] - float(mpmath.arg(prod)))) < 1e-13
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("s, t", [
@@ -341,11 +237,12 @@ class TestLogWalk:
         S, T = [mpmath.mpc(z) for z in s], [mpmath.mpc(z) for z in t]
         sp, tp = np.array(s, dtype=complex), np.array(t, dtype=complex)
         for xs, P in ((sp, S), (tp, T)):
-            self.assert_matches(self_derivative_logs(xs),
+            self.assert_matches(*self_derivative_logs(xs),
                                 [[x - y for k, y in enumerate(P) if k != j]
                                  for j, x in enumerate(P)])
         for xs, knots, P, Q in ((sp, tp, S, T), (tp, sp, T, S)):
-            self.assert_matches(log_products(xs, knots), [[x - y for y in Q] for x in P])
+            self.assert_matches(log_magnitudes(xs, knots), None,
+                                [[x - y for y in Q] for x in P])
 
     @pytest.mark.filterwarnings("error")
     def test_an_exact_hit_beside_a_difference_past_the_range(self):
@@ -368,7 +265,7 @@ class TestLogWalk:
         monkeypatch.setattr(logdomain, "retake_halved", recording)
         xs = np.array([0.5, 2.0, 1.7e308, 3.0, 1j], dtype=complex)
         knots = np.array([-1.7e308, 0.25, 2j], dtype=complex)
-        log_products(xs[[0, 1, 3, 4]], knots)
+        log_magnitudes(xs[[0, 1, 3, 4]], knots)
         assert taken == []
         blocks = [(lo, d.copy(), rows.copy())
                   for lo, d, _, rows in logdomain.log_blocks(xs, knots)]
@@ -392,7 +289,7 @@ class TestLogWalk:
         t = structmat.cv_knots(n, cmath.exp(0.5j))
         tracemalloc.start()
         try:
-            log_products(s, t)
+            log_magnitudes(s, t)
             self_derivative_logs(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -714,11 +611,11 @@ def test_no_private_or_function_local_package_imports():
 
 def test_import_checker_flags_both_patterns(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("from .cauchyinv import _log_products\n"
+    bad.write_text("from .cauchyinv import _inverse_logs\n"
                    "from . import __version__\n"
                    "def f():\n    from .spectral import poly_from_roots\n")
     found = _package_import_violations(bad)
-    assert found == ["bad.py:1 imports private _log_products",
+    assert found == ["bad.py:1 imports private _inverse_logs",
                      "bad.py:4 imports inside a function"]
 
 

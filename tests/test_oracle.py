@@ -185,3 +185,23 @@ def test_inverse_matches_the_50_digit_inverse(inverses, route):
         if err > 4 * n * EPS * kappa:
             violations.append((label, n, err, kappa))
     assert violations == []
+
+
+#: `cauchyinv._inverse_logs`' error budget: 4n terms per entry, each costing
+#: at most 4u in magnitude and 4u in phase, so 16 n eps relative.
+ENTRY_BUDGET = 16
+
+
+@pytest.mark.parametrize("route", ["cv-inverse", "cauchy-inverse"])
+def test_every_entry_within_the_budget(inverses, route):
+    # Entry by entry and at any kappa, against the inverse of C as stored.
+    # The column term formed as s_j^n - f^n cancelled on the scaled clusters
+    # and reached 123 n eps at n = 24.
+    _, invert = ROUTES[route]
+    violations = []
+    for label, n, s, refs in inverses:
+        ref = refs["C"][0]
+        err = np.max(np.abs(invert(s).data - ref) / np.abs(ref))
+        if err > ENTRY_BUDGET * n * EPS:
+            violations.append((label, n, err / (n * EPS)))
+    assert violations == []

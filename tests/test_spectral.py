@@ -10,7 +10,7 @@ import pytest
 
 from vandcond import knotgen, spectral, structmat
 from vandcond.errors import ConvergenceFailure, RangeOverflow, ZeroPivot
-from vandcond.logdomain import log_magnitudes, log_products
+from vandcond.logdomain import log_magnitudes
 
 
 def kv(points):
@@ -192,7 +192,7 @@ class TestPolyFromRoots:
         c = spectral.poly_from_roots(kv(pts))
         x = 1.25 * np.exp(2j * np.pi * (np.arange(4) + 0.125) / 4)
         got = np.log10(np.abs(np.polynomial.polynomial.polyval(x, c)))
-        assert np.max(np.abs(got - log_products(x, pts)[0])) <= 1e-12
+        assert np.max(np.abs(got - log_magnitudes(x, pts))) <= 1e-12
 
     def test_two_knots(self):
         c = spectral.poly_from_roots(kv([0, 1]))
@@ -206,7 +206,7 @@ class TestPolyFromRoots:
         for _ in range(20):
             x = complex(rng.standard_normal(), rng.standard_normal())
             val = complex(np.polyval(c[::-1], x))
-            ref = float(log_products(x, pts)[0][0])
+            ref = float(log_magnitudes(x, pts)[0])
             if abs(val) > 1e-12:
                 assert abs(math.log10(abs(val)) - ref) < 1e-10 * max(1.0, abs(ref))
 
@@ -226,7 +226,7 @@ class TestMaxAbsOnCircle:
         q = 16
         s = knotgen.quasi_cyclic(3 * q)
         witness = -1j * np.exp(2j * np.pi / (4 * q))
-        ref = float(log_products(witness, s.as_array())[0][0])
+        ref = float(log_magnitudes(witness, s.as_array())[0])
         _, log_max = spectral.max_abs_on_circle(s)
         assert log_max >= ref - 1e-12
         assert log_max >= math.log10(2 * 2 ** (q / 2))
