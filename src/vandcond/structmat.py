@@ -144,7 +144,10 @@ def cv_knots(n: int, f: complex) -> np.ndarray:
     f = as_complex("f", f)
     if f == 0:
         raise ValueError("f must be nonzero")
-    return f * unit_roots(n)
+    # |f omega^j| = |f|, which as_complex keeps finite; numpy's complex multiply
+    # by a scalar sets the overflow flag at odd lengths near the float range anyway.
+    with np.errstate(over="ignore"):
+        return f * unit_roots(n)
 
 
 def check_unit_circle(f: complex) -> None:

@@ -17,6 +17,7 @@ from vandcond.errors import (NoPositiveBound, NotEnoughSmallKnots, UnitRadius,
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
+EPS = float(np.finfo(np.float64).eps)
 
 
 def kv(points):
@@ -168,6 +169,18 @@ class TestBoundRefinedNorm:
             s = mpmath.mpf(rep.params["s_plus"])
             want = mpmath.log10(abs(s ** n - 1) / (abs(s - 1) * mpmath.sqrt(n)))
         assert abs(rep.log10value - float(want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 192, 1536])
+    @pytest.mark.parametrize("s_plus", [0.5, 2.0])
+    def test_away_from_one_matches_mpmath(self, s_plus, n):
+        # Both expm1 branches: 2^1536 is past the float range, 0.5^1536 below
+        # it.  The value adds a few roundings of terms up to n log10 s_+.
+        knots = kv([s_plus] + list(0.25 * knotgen.roots_of_unity(n - 1).as_array()))
+        rep = bounds.bound_refined_norm(knots)
+        with mpmath.workdps(50):
+            s = mpmath.mpf(s_plus)
+            want = float(mpmath.log10(abs(s ** n - 1) / (abs(s - 1) * mpmath.sqrt(n))))
+        assert abs(rep.log10value - want) <= 4 * EPS * max(1.0, abs(want))
 
     def test_knot_at_the_origin(self):
         # s_+ = 0: |0^n - 1| = 1 and |0 - 1| = 1 leave -log10 sqrt(n) alone.

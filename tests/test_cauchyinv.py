@@ -15,6 +15,7 @@ from vandcond.logdomain import self_derivative_logs, wrap_phase
 
 PAPER = InverseVariant.PAPER
 CORRECTED = InverseVariant.CORRECTED
+EPS = float(np.finfo(np.float64).eps)
 
 
 def kv(points):
@@ -255,6 +256,111 @@ class TestPastTheFloatRange:
                 log_want = float(mpmath.log10(abs(want)))
                 assert abs(mag[i, j] - log_want) <= 1e-12 * abs(log_want)
                 assert abs(math.remainder(ph[i, j] - float(mpmath.arg(want)), 2 * math.pi)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+class TestColumnTerm:
+    """The CV column term t(s_j) = prod_i (s_j - t_i), about s_j^n - f^n,
+    from the walk's column sums, in each regime a z**n - f**n form had to
+    branch over: |s_j|^n or |f|^n past 1e150 or past the complex range,
+    moduli near the float limit, a zero knot, an exact hit.
+
+    `cv_column_peaks` returns log10|t(s_j)|; every CV table entry of
+    column j carries its magnitude and phase.  Both are compared with
+    mpmath over the stored grid.  To first order, a running sum of n terms
+    is within u (A + 2) per term of its exact value, A being the sum of
+    the terms' moduli: each addition rounds within u A, and each term,
+    a logarithm or an angle of a rounded difference, within u |term| + 2u.
+    So a column sum is within n eps max(2, A) and an entry, which adds
+    four such sums, within n eps max(8, A) over all of its terms."""
+
+    @staticmethod
+    def knots(z, n):
+        """The first min(n, len(z)) of z, then points of radius 0.7 up to n."""
+        z = [complex(p) for p in z][:n]
+        if len(z) < n:
+            z += list(0.7 * knotgen.van_der_corput(n - len(z)).as_array())
+        return np.array(z)
+
+    @staticmethod
+    def moduli(x, ys):
+        """(sum |log10|x - y||, sum |angle(x - y)|) over the ys other than x."""
+        d = 0.5 * x - 0.5 * ys[ys != x]  # halves: no overflow near the float limit
+        return (float(np.sum(np.abs(np.log10(np.abs(d)) + math.log10(2.0)))),
+                float(np.sum(np.abs(np.angle(d)))))
+
+    def check(self, z, f, n, entries=3):
+        sp = self.knots(z, n)
+        tp = structmat.cv_knots(n, f)
+        column = cauchyinv.cv_column_peaks(sp, tp)[2]
+        mag, ph = cauchyinv.cv_inverse_log_entries(kv(list(sp)), f, CORRECTED)
+        T = [mpmath.mpc(y) for y in tp]
+        with mpmath.workdps(50):
+            for j in range(min(n, len(z))):
+                want = mpmath.fprod(mpmath.mpc(sp[j]) - y for y in T)
+                tol = n * EPS * max(2.0, self.moduli(sp[j], tp)[0])
+                assert abs(column[j] - float(mpmath.log10(abs(want)))) <= tol
+                for i in range(n) if j < entries else ():
+                    if i not in (0, n - 1):
+                        continue
+                    # s(t_i), t(s_j), s'(s_j) and t'(t_i) = n t_i^(n-1).
+                    a, p = np.sum([self.moduli(tp[i], sp), self.moduli(sp[j], tp),
+                                   self.moduli(sp[j], sp)], axis=0)
+                    a += (n - 1) * abs(math.log10(abs(tp[i])))
+                    p += (n - 1) * abs(cmath.phase(tp[i])) + n * math.pi
+                    want = mp_inverse_entry(sp, tp, CORRECTED, i, j)
+                    assert abs(mag[i, j] - float(mpmath.log10(abs(want)))) <= n * EPS * max(8.0, a)
+                    assert abs(math.remainder(ph[i, j] - float(mpmath.arg(want)), 2 * math.pi)
+                               ) <= n * EPS * max(8.0, p)
+        return column
+
+    def test_direct_branch(self):
+        rng = np.random.default_rng(5)
+        z = np.exp(2j * np.pi * rng.random(64)) * rng.uniform(0.5, 1.0, 64)
+        self.check(z, cmath.exp(0.3j), 96)
+
+    def test_large_z_branch(self):
+        # |s_j|^n beyond 1e150.
+        rng = np.random.default_rng(6)
+        z = np.exp(2j * np.pi * rng.random(32)) * rng.uniform(1.5, 3.0, 32)
+        self.check(z, cmath.exp(0.3j), 1536)
+
+    def test_dominant_f_branch(self):
+        # |f|^n beyond 1e150 and larger than every |s_j|^n, s_j = 0 included.
+        self.check([0.0, 0.5, 0.25j, 1.0, -1.2 + 0.1j], 1.5 * cmath.exp(0.3j), 1536)
+
+    def test_f_power_beyond_complex_range(self):
+        # |f|^n near 1e462 overflows a Python complex; the walk never forms it.
+        self.check([0.0, 0.5, 1.0, 1.9j, 3.0 - 1.0j], 2.0 * cmath.exp(0.3j), 1536)
+        column = self.check([1.0], 1.6, 1536, entries=0)
+        assert abs(column[0] - 1536 * math.log10(1.6)) < 1e-9
+
+    def test_mixed_branches_in_one_call(self):
+        z = [0.0, cmath.exp(0.1j), 2.0, 0.5j, 3.0 - 1.0j]
+        for n in (1, 7, 192, 768):
+            self.check(z, 1.3 * cmath.exp(-0.7j), n)
+
+    def test_zero_knot_direct(self):
+        # |0 - f^8| = 1 at phase 8 * 0.3 + pi, which the entries carry.
+        column = self.check([0.0], cmath.exp(0.3j), 8)
+        assert abs(column[0]) <= 2 * 8 * EPS
+
+    @pytest.mark.parametrize("n", [1, 4, 192])
+    def test_modulus_near_the_float_limit(self, n):
+        big = complex(1e308, 1e308)
+        self.check([0.0, 0.5j, cmath.exp(0.3j), 1e300], big, n)
+        self.check([big, -big.conjugate()], cmath.exp(0.3j), n)
+
+    def test_exact_hit_is_refused(self):
+        # s_0 = f is grid point 0: t(s_0) = 0, and both walks refuse the pair.
+        f = cmath.exp(0.3j)
+        sp = self.knots([f, 2.0], 16)
+        tp = structmat.cv_knots(16, f)
+        for call in (lambda: cauchyinv.cv_column_peaks(sp, tp),
+                     lambda: cauchyinv.cv_inverse_log_entries(kv(list(sp)), f, CORRECTED)):
+            with pytest.raises(KnotCollision) as info:
+                call()
+            assert (info.value.i, info.value.j, info.value.gap) == (0, 0, 0.0)
 
 
 class TestLogEntryTables:

@@ -124,6 +124,21 @@ class TestBlockedKernels:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
+    def test_column_sums_are_one_running_sum(self, tiny_blocks):
+        # Blocks of one row: the column sums equal numpy's axis-0 sum of the
+        # whole table, which adds row after row, bit for bit, and each block
+        # is left as it came.
+        xs, knots = self.points(11, 1), self.points(5, 2)
+        mag, ph = np.zeros((2, len(knots)))
+        for _, d, logs, _ in logdomain.log_blocks(xs, knots):
+            before = logs.copy()
+            logdomain.add_column_sums(mag, logs)
+            logdomain.add_column_sums(ph, np.angle(d))
+            assert np.array_equal(logs, before)
+        d = xs[:, None] - knots[None, :]
+        assert np.array_equal(mag, np.sum(np.log10(np.abs(d)), axis=0))
+        assert np.array_equal(ph, np.sum(np.angle(d), axis=0))
+
     def test_log_magnitudes_are_the_product_magnitudes(self, tiny_blocks):
         xs, knots = self.points(11, 1), self.points(5, 2)
         xs[3] = knots[4]  # an exact hit gives -inf
